@@ -141,6 +141,12 @@ def mu_star(v: PrimitiveVector, ell: int) -> Rational:
     return Rational(v.r - sum(v.a), ell * denom)
 
 
+def abelian_invariants(v: PrimitiveVector, ell: int) -> tuple[Rational, Rational]:
+    """mu* of a primitive vector at twist index ell, and s* at b = 1."""
+    mu = mu_star(v, ell)
+    return mu, s_star(1, ell, mu)
+
+
 @dataclass(frozen=True)
 class AbelianTableRow:
     """One tabulated row: the vector plus the closed forms as coefficients.
@@ -230,9 +236,9 @@ class RegeneratedRow:
 def regenerate_table_vi_vii() -> list[RegeneratedRow]:
     """Recompute every tabulated row at ell = r and ell = 2r.
 
-    mu* comes from the primitive vector via mu_star, s* from s_star at
-    b = 1; both are paired with the tabulated closed forms so callers can
-    cross-check them.
+    mu* and s* come from the primitive vector via abelian_invariants; both
+    are paired with the tabulated closed forms so callers can cross-check
+    them.
     """
     out = []
     for row in ABELIAN_TABLE_ROWS:
@@ -241,8 +247,7 @@ def regenerate_table_vi_vii() -> list[RegeneratedRow]:
         for ell in (row.vector.r, 2 * row.vector.r):
             if ell % row.divisor != 0:
                 ok = False
-            mu_calc = mu_star(row.vector, ell)
-            s_calc = s_star(1, ell, mu_calc)
+            mu_calc, s_calc = abelian_invariants(row.vector, ell)
             samples.append((ell, mu_calc, row.mu_at(ell), s_calc, row.s_at(ell)))
         out.append(RegeneratedRow(row, tuple(samples), ok))
     return out

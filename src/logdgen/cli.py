@@ -13,19 +13,19 @@ from fractions import Fraction as Rational
 from importlib import resources
 
 from .cbf import (
-    ABELIAN_TABLE_ROWS,
     C_STAR_VALUES,
     INFEASIBLE,
     PrimitiveVector,
     V1,
     V2,
+    abelian_invariants,
     elliptic_table,
     fibre_bound,
     mori_feasible,
-    mu_star,
     n_of_x,
-    s_star,
+    regenerate_table_vi_vii,
 )
+from .core import json_int
 from .dualgraph import (
     KodairaLabel,
     classify_pair,
@@ -36,7 +36,7 @@ from .dualgraph import (
     recognize_half_catalog,
     recognize_kodaira,
 )
-from .duval import CoverCase, DuValType, c_p, delpezzo_catalog, delta_p, e_p, o_p, recompute_e_orb
+from .duval import CoverCase, c_p, delpezzo_catalog, delta_p, e_p, o_p, recompute_e_orb
 from .eulerform import FibreComponentData, euler_degenerate_fibre
 from .mordellweil import solve_section_config
 
@@ -107,35 +107,23 @@ def _check_table_four(spec: dict) -> tuple[list[dict], list[str]]:
     """27 catalog rows with the recomputed orbifold Euler column alongside."""
     mismatches = []
     known = set(spec.get("known_discrepancies", []))
-    catalog = {entry.row: entry for entry in delpezzo_catalog()}
     rows = []
-    for row in spec["rows"]:
-        number = row["row"]
-        types = tuple(DuValType.parse(s) for s in row["singularities"])
-        literal = Rational(row["e_orb"])
-        recomputed = recompute_e_orb(row["degree"], types)
-        entry = catalog.get(number)
-        if (
-            entry is None
-            or entry.degree != row["degree"]
-            or entry.singularities != types
-            or entry.e_orb != literal
-        ):
-            mismatches.append(f"table IV row {number}: embedded data drifted from the catalog")
+    for entry in delpezzo_catalog():
+        recomputed = recompute_e_orb(entry.degree, entry.singularities)
         note = ""
-        if recomputed != literal:
-            if number in known:
+        if recomputed != entry.e_orb:
+            if entry.row in known:
                 note = KNOWN_DISCREPANCY
             else:
                 mismatches.append(
-                    f"table IV row {number}: recomputed {recomputed}, embedded {literal}"
+                    f"table IV row {entry.row}: recomputed {recomputed}, embedded {entry.e_orb}"
                 )
         rows.append(
             {
-                "row": number,
-                "degree": row["degree"],
-                "singularities": row["singularities"],
-                "e_orb": str(literal),
+                "row": entry.row,
+                "degree": entry.degree,
+                "singularities": [str(t) for t in entry.singularities],
+                "e_orb": str(entry.e_orb),
                 "e_orb_recomputed": str(recomputed),
                 "note": note,
             }
@@ -171,44 +159,31 @@ def _check_table_five(spec: dict) -> tuple[list[dict], list[str]]:
     return rows, mismatches
 
 
-def _check_table_abelian(spec: dict, name: str) -> tuple[list[dict], list[str]]:
+def _check_table_abelian(name: str) -> tuple[list[dict], list[str]]:
     """Tables VI/VII evaluated at ell = r and ell = 2r."""
     mismatches = []
-    literal = {row.number: row for row in ABELIAN_TABLE_ROWS}
     rows = []
-    for row in spec["rows"]:
-        number = row["number"]
-        tab = literal.get(number)
-        if (
-            tab is None
-            or tab.vector.kind != row["kind"]
-            or tab.vector.r != row["r"]
-            or list(tab.vector.a) != row["a"]
-            or (tab.mu_num, tab.den, tab.s_offset, tab.divisor)
-            != (row["mu_num"], row["den"], row["s_offset"], row["divisor"])
-        ):
-            mismatches.append(f"table {name} row {number}: embedded data drifted from the catalog")
+    for regenerated in regenerate_table_vi_vii():
+        tab = regenerated.row
+        if tab.table != name:
             continue
         c_star = tab.c_star()
         if c_star not in C_STAR_VALUES:
-            mismatches.append(f"table {name} row {number}: c* = {c_star} outside the known set")
-        for ell in (tab.vector.r, 2 * tab.vector.r):
-            if ell % tab.divisor != 0:
-                mismatches.append(f"table {name} row {number}: divisor fails at ell = {ell}")
-                continue
-            mu = mu_star(tab.vector, ell)
-            s = s_star(1, ell, mu)
-            if mu != tab.mu_at(ell) or s != tab.s_at(ell):
+            mismatches.append(f"table {name} row {tab.number}: c* = {c_star} outside the known set")
+        if not regenerated.divisibility_ok:
+            mismatches.append(f"table {name} row {tab.number}: divisor {tab.divisor} fails")
+        for ell, mu, mu_tab, s, s_tab in regenerated.evaluations:
+            if (mu, s) != (mu_tab, s_tab):
                 mismatches.append(
-                    f"table {name} row {number} at ell = {ell}: "
-                    f"recomputed ({mu}, {s}), tabulated ({tab.mu_at(ell)}, {tab.s_at(ell)})"
+                    f"table {name} row {tab.number} at ell = {ell}: "
+                    f"recomputed ({mu}, {s}), tabulated ({mu_tab}, {s_tab})"
                 )
             rows.append(
                 {
-                    "number": number,
-                    "kind": row["kind"],
-                    "r": row["r"],
-                    "a": row["a"],
+                    "number": tab.number,
+                    "kind": tab.vector.kind,
+                    "r": tab.vector.r,
+                    "a": list(tab.vector.a),
                     "ell": ell,
                     "mu": str(mu),
                     "s": str(s),
@@ -222,8 +197,8 @@ _TABLE_BUILDERS = {
     "I": _check_table_one,
     "IV": _check_table_four,
     "V": _check_table_five,
-    "VI": lambda spec: _check_table_abelian(spec, "VI"),
-    "VII": lambda spec: _check_table_abelian(spec, "VII"),
+    "VI": lambda spec: _check_table_abelian("VI"),
+    "VII": lambda spec: _check_table_abelian("VII"),
 }
 
 
@@ -266,14 +241,19 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------- graph
 
 def _read_json_file(path: str):
-    """Returns (data, None) or (None, ParseError status string)."""
+    """Returns (a JSON object, None) or (None, ParseError status string)."""
     try:
         with open(path) as handle:
-            return json.load(handle), None
+            data = json.load(handle)
     except OSError as exc:
         return None, f"ParseError: {exc}"
     except json.JSONDecodeError as exc:
         return None, f"ParseError: line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, huge integers, deep nesting
+        return None, f"ParseError: {exc}"
+    if not isinstance(data, dict):
+        return None, f"ParseError: top level must be a JSON object, got {type(data).__name__}"
+    return data, None
 
 
 def cmd_graph(args) -> int:
@@ -282,7 +262,7 @@ def cmd_graph(args) -> int:
     if err is None:
         try:
             graph = graph_from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             err = f"ParseError: {exc}"
     if err is not None:
         report.status = err
@@ -316,13 +296,13 @@ def cmd_euler(args) -> int:
     try:
         components = [
             FibreComponentData(
-                m=int(entry["m"]),
+                m=json_int(entry, "m"),
                 e_orb=Rational(str(entry["e_orb"])),
                 deltas=tuple(Rational(str(d)) for d in entry.get("deltas", [])),
             )
             for entry in data["components"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)
     except ValueError as exc:
@@ -347,10 +327,10 @@ def cmd_cbf(args) -> int:
                 {"kind": args.kind, "r": args.r, "a": [args.a0, args.a1, args.a2], "ell": args.ell}
             )
             vector = PrimitiveVector(kind, args.r, (args.a0, args.a1, args.a2))
-            mu = mu_star(vector, args.ell)
+            mu, s = abelian_invariants(vector, args.ell)
             report.results = [
                 ("mu_star", str(mu)),
-                ("s_star", str(s_star(1, args.ell, mu))),
+                ("s_star", str(s)),
                 ("c_star", str(mu * args.ell)),
             ]
         elif args.subaction == "bound":
@@ -381,13 +361,13 @@ def cmd_mw(args) -> int:
         return _emit_report(report, args.format)
     try:
         fibres = [
-            (KodairaLabel.parse(str(entry["label"])), int(entry["components"]))
+            (KodairaLabel.parse(str(entry["label"])), json_int(entry, "components"))
             for entry in data.get("fibres", [])
         ]
         chi = Rational(str(data.get("chi", 1)))
         target = Rational(str(data["target"]))
-        po_max = int(data.get("po_max", 2))
-    except (KeyError, TypeError) as exc:
+        po_max = json_int(data, "po_max", 2)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)
     except ValueError as exc:
@@ -414,6 +394,14 @@ def cmd_mw(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+def _rational_arg(text: str) -> Rational:
+    """A rational argument; a malformed literal or a zero denominator is a usage error."""
+    try:
+        return Rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
@@ -459,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_bound)
     p_bound.set_defaults(func=cmd_cbf)
     p_mori = cbf_sub.add_parser("mori")
-    p_mori.add_argument("s", type=Rational)
+    p_mori.add_argument("s", type=_rational_arg)
     p_mori.add_argument("b", type=int)
     p_mori.add_argument("N", type=int)
     _add_format(p_mori)

@@ -23,6 +23,18 @@ NOT_LC = "NOT_LC"
 INFINITY = "INFINITY"
 
 
+def json_int(data: dict, key: str, default: int | None = None) -> int:
+    """The integer at ``data[key]`` (``default`` when absent and given).
+
+    A bool, a float or any other JSON value there raises TypeError rather
+    than being truncated.
+    """
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StandardCoeff:
     """A standard boundary coefficient (b-1)/b, b a positive integer or INFINITY."""

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 
-from .core import INFINITY, NOT_LC
+from .core import INFINITY, NOT_LC, json_int
 from .duval import DuValType
 
 # Vertex roles.
@@ -1297,22 +1297,29 @@ def graph_to_json(g: DualGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> DualGraph:
-    """Rebuild a graph from its plain-data form; missing fields default."""
+    """Rebuild a graph from its plain-data form; missing fields default.
+
+    Integer fields must hold JSON integers: a bool or a float raises
+    TypeError instead of being truncated.
+    """
     vertices = []
     for item in data.get("vertices", []):
         vertices.append(
             CurveVertex(
                 id=str(item["id"]),
-                self_int=int(item["self_int"]),
-                genus=int(item.get("genus", 0)),
-                multiplicity=int(item.get("mult", 1)),
+                self_int=json_int(item, "self_int"),
+                genus=json_int(item, "genus", 0),
+                multiplicity=json_int(item, "mult", 1),
                 boundary_coeff=Rational(str(item.get("boundary", 0))),
                 role=str(item.get("role", "exceptional")).upper(),
             )
         )
     edges = [
-        (str(e["a"]), str(e["b"]), int(e.get("w", 1))) for e in data.get("edges", [])
+        (str(e["a"]), str(e["b"]), json_int(e, "w", 1)) for e in data.get("edges", [])
     ]
-    tangency = {str(k): int(v) for k, v in data.get("tangency", {}).items()}
+    tangency = data.get("tangency", {})
+    if not isinstance(tangency, dict):
+        raise TypeError(f"tangency must be an object, got {tangency!r}")
+    tangency = {str(k): json_int(tangency, k) for k in tangency}
     coincident = [tuple(str(x) for x in grp) for grp in data.get("coincident", [])]
     return DualGraph(vertices, edges, tangency, coincident)

@@ -221,21 +221,6 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     return floor_total in (Rational(0), Rational(2))
 
 
-def s_elementary_rewrite(label: FibreTypeLabel) -> FibreTypeLabel:
-    """Normal form of a fibre type under elementary transformations.
-
-    The catalog labels already are the normal forms, so every supported
-    label is a fixed point; the value of the function is the explicit
-    idempotent interface.
-
-    >>> s_elementary_rewrite(FibreTypeLabel("II-3", 2, 1))
-    FibreTypeLabel(kind='II-3', b=2, k=1)
-    """
-    if not isinstance(label, FibreTypeLabel):
-        raise ValueError(f"unsupported label {label!r}")
-    return label
-
-
 def _label_to_json(label: FibreTypeLabel) -> dict:
     out = {"kind": label.kind, "b": "inf" if label.b == INFINITY else label.b}
     if label.k is not None:

@@ -1,12 +1,16 @@
 """End-to-end checks of the command-line front end."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction as Rational
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logdgen.cbf import C_STAR_VALUES, sp_order
 from logdgen.cli import main
@@ -92,14 +96,27 @@ class TestTables:
     def test_tampered_literals_fail_the_cross_check(self, capsys, monkeypatch):
         import logdgen.cli as cli
 
+        catalog = cli.delpezzo_catalog()
+        catalog[0] = replace(catalog[0], e_orb=Rational(7, 2))
+        monkeypatch.setattr(cli, "delpezzo_catalog", lambda: catalog)
         tables = cli._load_tables()
-        tables["IV"]["rows"][0]["e_orb"] = "7/2"
         tables["I"]["rows"][2]["samples"][0]["delta_p"] = "1"
         monkeypatch.setattr(cli, "_load_tables", lambda: tables)
         code, _, err = run(capsys, "tables", "ALL")
         assert code == 1
         assert "table IV row 1" in err
         assert "table I case 3" in err
+
+    def test_tampered_abelian_row_fails_the_cross_check(self, capsys, monkeypatch):
+        import logdgen.cbf as cbf
+
+        rows = list(cbf.ABELIAN_TABLE_ROWS)
+        rows[22] = replace(rows[22], mu_num=rows[22].mu_num + 1)
+        monkeypatch.setattr(cbf, "ABELIAN_TABLE_ROWS", tuple(rows))
+        code, _, err = run(capsys, "tables", "VII")
+        assert code == 1
+        assert "table VII row 23" in err
+        assert run(capsys, "tables", "VI")[0] == 0
 
 
 class TestGraph:
@@ -261,3 +278,115 @@ class TestReportShape:
         )
         assert proc.returncode == 0
         assert proc.stdout == "N\t2\n"
+
+
+def _graph(*vertices, edges=(), **extra):
+    return {"vertices": list(vertices), "edges": list(edges), **extra}
+
+
+E = {"id": "E", "self_int": -2}
+B = {"id": "B", "self_int": -2}
+
+# command with FILE standing for the input file, and the file content; each
+# file ends in a ParseError, the command-line case in a usage error
+MALFORMED = {
+    "graph_array_root": (["graph", "FILE", "recognize"], [E]),
+    "mw_array_root": (["mw", "FILE"], [{"label": "I_3", "components": 3}]),
+    "self_int_float": (["graph", "FILE", "discrepancies"], _graph({**E, "self_int": -2.7})),
+    "self_int_bool": (["graph", "FILE", "recognize"], _graph({**E, "self_int": True})),
+    "genus_float": (["graph", "FILE", "classify"], _graph({**E, "genus": 0.5})),
+    "mult_bool": (["graph", "FILE", "recognize"], _graph({**E, "mult": True})),
+    "weight_float": (["graph", "FILE", "recognize"],
+                     _graph(E, B, edges=[{"a": "E", "b": "B", "w": 1.5}])),
+    "tangency_float": (["graph", "FILE", "recognize"], _graph(E, tangency={"E": 1.0})),
+    "tangency_array": (["graph", "FILE", "recognize"], _graph(E, tangency=[])),
+    "boundary_zero_den": (["graph", "FILE", "recognize"],
+                          _graph(E, {"id": "B", "self_int": 0, "role": "strict", "boundary": "1/0"},
+                                 edges=[{"a": "E", "b": "B"}])),
+    "m_float": (["euler", "FILE"], {"components": [{"m": 2.9, "e_orb": "1"}]}),
+    "m_bool": (["euler", "FILE"], {"components": [{"m": True, "e_orb": "1"}]}),
+    "e_orb_zero_den": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1/0"}]}),
+    "delta_zero_den": (["euler", "FILE"],
+                       {"components": [{"m": 1, "e_orb": "1", "deltas": ["1/0"]}]}),
+    "mw_target_zero_den": (["mw", "FILE"], {"fibres": [], "target": "1/0"}),
+    "mw_chi_zero_den": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1/0"}),
+    "mw_components_float": (["mw", "FILE"],
+                            {"fibres": [{"label": "I_3", "components": 3.5}], "target": "2"}),
+    "mw_po_max_float": (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": 2.5}),
+    "undecodable_bytes": (["graph", "FILE", "classify"], b"\xff\xfe"),
+    "overlong_integer": (["euler", "FILE"], '{"components": [{"m": ' + "1" * 5000 + "}]}"),
+    "deep_nesting": (["euler", "FILE"], '{"components": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    "mori_zero_den": (["cbf", "mori", "1/0", "1", "3"], None),
+}
+
+
+def _main_captured(argv):
+    """Exit code, stdout and stderr of one in-process run, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_ends_in_a_structured_error(case, tmp_path):
+    argv, content = MALFORMED[case]
+    if content is None:
+        code, _, err = _main_captured(argv)
+        assert code == 2 and ": error: argument" in err and "Traceback" not in err
+        return
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, _, err = _main_captured(argv)
+    assert code == 1 and err.strip().splitlines()[-1].startswith("ParseError: ")
+    code, out, err = _main_captured(argv + ["--format", "json"])
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["status"].startswith("ParseError: ")
+
+
+_KEYS = ("vertices", "edges", "tangency", "coincident", "id", "self_int", "genus", "mult",
+         "boundary", "role", "a", "b", "w", "components", "m", "e_orb", "deltas")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["E1", "E2", "1/2", "1/0", "-2", "strict", "fibre"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=20,
+)
+# well-typed small graphs, so that the recognizers and solvers run too
+_ids = st.sampled_from(["E1", "E2", "E3", "B1"])
+_graphs = st.fixed_dictionaries(
+    {"vertices": st.lists(st.fixed_dictionaries(
+        {"id": _ids, "self_int": st.integers(-4, 1)},
+        optional={"genus": st.integers(0, 1), "mult": st.integers(1, 3),
+                  "boundary": st.sampled_from(["0", "1/2", "2/3", "1"]),
+                  "role": st.sampled_from(["exceptional", "strict", "fibre"])}), max_size=5)},
+    optional={"edges": st.lists(st.fixed_dictionaries(
+                  {"a": _ids, "b": _ids}, optional={"w": st.integers(1, 2)}), max_size=6),
+              "tangency": st.dictionaries(_ids, st.integers(0, 2)),
+              "coincident": st.lists(st.lists(_ids, max_size=4), max_size=1)},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=_json_values | _graphs,
+    argv=st.sampled_from([["graph", "FILE", action] for action in
+                          ("recognize", "discrepancies", "classify")] + [["euler", "FILE"]]),
+)
+def test_arbitrary_json_ends_in_a_report(tmp_path_factory, data, argv):
+    path = tmp_path_factory.mktemp("arbitrary") / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = _main_captured(argv + ["--format", "json"])
+    assert code in (0, 1), err
+    report = json.loads(out)
+    assert set(report) == {"command", "inputs", "results", "status"}
+    assert (report["status"] == "OK") == (code == 0)

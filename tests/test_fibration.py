@@ -17,7 +17,6 @@ from logdgen.fibration import (
     branch_count,
     budget_contribution,
     check_typ,
-    s_elementary_rewrite,
     typ_from_json,
     typ_to_json,
 )
@@ -244,32 +243,6 @@ class TestCheckTyp:
         got = {tuple(sorted((Rational(l.b - 1, l.b) for l in row), reverse=True)) for row in rows}
         assert got == set(expected)
         assert len(rows) == len(expected) == 4
-
-
-class TestRewrite:
-    @pytest.mark.parametrize(
-        "label",
-        [
-            lab("I-1", 3),
-            lab("I-2", 1),
-            lab("I-3", 2),
-            lab("II-1", INFINITY),
-            lab("II-2", 1),
-            lab("II-3", 2, 1),
-        ],
-        ids=str,
-    )
-    def test_catalog_labels_are_normal_forms(self, label):
-        assert s_elementary_rewrite(label) == label
-
-    @given(special_label)
-    def test_idempotent(self, label):
-        once = s_elementary_rewrite(label)
-        assert s_elementary_rewrite(once) == once
-
-    def test_rejects_foreign_objects(self):
-        with pytest.raises(ValueError):
-            s_elementary_rewrite("(I-2)_1")
 
 
 class TestJson:
