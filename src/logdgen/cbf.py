@@ -329,8 +329,10 @@ def fibre_bound(d: int, n_va: int) -> int:
 def mori_feasible(s, b: int, big_n: int):
     """Smallest integral solution (u, v) of s = (bNu - v)/(Nu), if any.
 
-    v must be a positive integer with v <= bN; u is searched up to
-    b*N*denominator(s).  Returns the pair, or INFEASIBLE.
+    v = Nu(b - s) must be a positive integer with v <= bN.  For s = p/q in
+    lowest terms, v is integral exactly when u is a multiple of
+    q / gcd(q, N(bq - p)), and v grows with u, so that smallest multiple
+    is the only candidate.  Returns the pair, or INFEASIBLE.
 
     >>> mori_feasible(Rational(1, 2), 1, 12)
     (1, 6)
@@ -340,11 +342,10 @@ def mori_feasible(s, b: int, big_n: int):
         raise ValueError("b and N must be positive integers")
     if not 0 <= s < b:
         raise ValueError(f"s must lie in [0, b), got {s}")
-    for u in range(1, b * big_n * s.denominator + 1):
-        v = big_n * u * (b - s)
-        if v.denominator == 1 and 0 < v <= b * big_n:
-            return (u, int(v))
-    return INFEASIBLE
+    p, q = s.numerator, s.denominator
+    g = gcd(q, big_n * (b * q - p))
+    u, v = q // g, big_n * (b * q - p) // g
+    return (u, v) if v <= b * big_n else INFEASIBLE
 
 
 def validate_fibre_invariants(inv: FibreInvariants) -> bool:

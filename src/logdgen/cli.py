@@ -25,7 +25,7 @@ from .cbf import (
     n_of_x,
     regenerate_table_vi_vii,
 )
-from .core import json_int
+from .core import json_int, parse_rational
 from .dualgraph import (
     KodairaLabel,
     classify_pair,
@@ -262,7 +262,7 @@ def cmd_graph(args) -> int:
     if err is None:
         try:
             graph = graph_from_json(data)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             err = f"ParseError: {exc}"
     if err is not None:
         report.status = err
@@ -297,12 +297,12 @@ def cmd_euler(args) -> int:
         components = [
             FibreComponentData(
                 m=json_int(entry, "m"),
-                e_orb=Rational(str(entry["e_orb"])),
-                deltas=tuple(Rational(str(d)) for d in entry.get("deltas", [])),
+                e_orb=parse_rational(entry["e_orb"]),
+                deltas=tuple(parse_rational(d) for d in entry.get("deltas", [])),
             )
             for entry in data["components"]
         ]
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)
     except ValueError as exc:
@@ -364,10 +364,10 @@ def cmd_mw(args) -> int:
             (KodairaLabel.parse(str(entry["label"])), json_int(entry, "components"))
             for entry in data.get("fibres", [])
         ]
-        chi = Rational(str(data.get("chi", 1)))
-        target = Rational(str(data["target"]))
+        chi = parse_rational(data.get("chi", 1))
+        target = parse_rational(data["target"])
         po_max = json_int(data, "po_max", 2)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)
     except ValueError as exc:
@@ -396,10 +396,10 @@ def cmd_mw(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def _rational_arg(text: str) -> Rational:
-    """A rational argument; a malformed literal or a zero denominator is a usage error."""
+    """A rational argument; a malformed, oversized or k/0 literal is a usage error."""
     try:
-        return Rational(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
 
 

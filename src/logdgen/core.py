@@ -10,6 +10,7 @@ divisors, and two small enumerators shared by the fibration modules.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 
@@ -33,6 +34,34 @@ def json_int(data: dict, key: str, default: int | None = None) -> int:
     if type(value) is not int:
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+# Longest rational literal, and largest decimal exponent, that parse_rational
+# expands.  Together they keep a numerator or denominator under twice this
+# many digits, inside the 4300 digits that str() of an int allows.
+MAX_LITERAL_DIGITS = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(value) -> Rational:
+    """The exact rational written by ``value``: an integer, ``"p/q"`` or a decimal.
+
+    A literal longer than MAX_LITERAL_DIGITS characters, or with a decimal
+    exponent beyond that many places, raises OverflowError before
+    ``Fraction`` expands it.
+
+    >>> parse_rational("-3/6"), parse_rational("0.5"), parse_rational(7)
+    (Fraction(-1, 2), Fraction(1, 2), Fraction(7, 1))
+    >>> parse_rational("1e5000")
+    Traceback (most recent call last):
+    ...
+    OverflowError: rational literal '1e5000' exceeds 1000 digits
+    """
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    if len(text) > MAX_LITERAL_DIGITS or (exponent and abs(int(exponent[1])) > MAX_LITERAL_DIGITS):
+        raise OverflowError(f"rational literal {text[:20]!r} exceeds {MAX_LITERAL_DIGITS} digits")
+    return Rational(text)
 
 
 @dataclass(frozen=True)

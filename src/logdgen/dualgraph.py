@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 
-from .core import INFINITY, NOT_LC, json_int
+from .core import INFINITY, NOT_LC, json_int, parse_rational
 from .duval import DuValType
 
 # Vertex roles.
@@ -209,54 +209,52 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     ]
 
 
-def _leading_minors(m) -> list[Rational]:
-    """Determinants of all leading principal submatrices, exactly.
+def _eliminate(m, rhs=None):
+    """Gauss-Jordan elimination of ``m`` over the rationals, exactly.
 
-    Runs elimination without row swaps: while every pivot is nonzero the
-    running pivot product is the leading minor, and the first zero pivot
-    certifies a zero minor, after which the remaining entries are padded
-    with zeros (enough for a Sylvester definiteness check, which fails on
-    any non-positive value anyway).
+    Each column's pivot is its first nonzero entry at or below the current
+    row.  ``rhs``, when given, rides along as one more column that is never
+    pivoted on.  Returns ``(pivots, swaps, rows)``: the pivot values in
+    order, the number of row swaps and the reduced rows.  So the rank is
+    ``len(pivots)``; a square ``m`` of full rank has determinant
+    ``(-1)**swaps * prod(pivots)``, and row i then reads
+    ``pivots[i] * x_i = rows[i][-1]``.
+
+    >>> pivots, swaps, rows = _eliminate([[0, 1], [2, 3]], [1, 5])
+    >>> pivots, swaps, [row[-1] for row in rows]
+    ([Fraction(2, 1), Fraction(1, 1)], 1, [Fraction(2, 1), Fraction(1, 1)])
     """
-    n = len(m)
-    work = [[Rational(x) for x in row] for row in m]
-    minors = []
-    det = Rational(1)
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot == 0:
-            minors.extend([Rational(0)] * (n - k))
-            return minors
-        for i in range(k + 1, n):
-            factor = work[i][k] / pivot
-            if factor == 0:
-                continue
-            work[i] = [x - factor * y for x, y in zip(work[i], work[k])]
-        det *= pivot
-        minors.append(det)
-    return minors
+    rows = [[Rational(x) for x in row] for row in m]
+    if rhs is not None:
+        for row, r in zip(rows, rhs):
+            row.append(Rational(r))
+    pivots, swaps = [], 0
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        found = next((i for i in range(k, len(rows)) if rows[i][col] != 0), None)
+        if found is None:
+            continue
+        if found != k:
+            rows[k], rows[found] = rows[found], rows[k]
+            swaps += 1
+        pivot_row = rows[k]
+        pivot = pivot_row[col]
+        for i, row in enumerate(rows):
+            if i != k and row[col] != 0:
+                factor = row[col] / pivot
+                rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+        pivots.append(pivot)
+    return pivots, swaps, rows
 
 
-def _det(m) -> Rational:
-    """Exact determinant, with partial pivoting and sign tracking."""
-    n = len(m)
-    work = [[Rational(x) for x in row] for row in m]
-    det = Rational(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if pivot_row is None:
-            return Rational(0)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            det = -det
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            factor = work[i][k] / pivot
-            if factor == 0:
-                continue
-            work[i] = [x - factor * y for x, y in zip(work[i], work[k])]
-        det *= pivot
-    return det
+def _negative_pivots(pivots, swaps, n) -> bool:
+    """Sylvester's criterion for an n x n symmetric matrix, from its elimination.
+
+    Without row swaps the k-th pivot is the ratio of the k-th to the
+    (k-1)-th leading principal minor, so n negative pivots say exactly that
+    every leading principal minor of the negated matrix is positive.
+    """
+    return swaps == 0 and len(pivots) == n and all(p < 0 for p in pivots)
 
 
 def is_negative_definite(m) -> bool:
@@ -280,48 +278,8 @@ def is_negative_definite(m) -> bool:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix must be symmetric")
-    negated = [[-Rational(x) for x in row] for row in m]
-    # For a genuinely definite matrix no pivot ever vanishes, so the
-    # sign-tracking in _leading_minors is never exercised on the True path.
-    return all(minor > 0 for minor in _leading_minors(negated))
-
-
-def _solve(m, rhs) -> list[Rational]:
-    """Solve m x = rhs exactly; raises ValueError when m is singular."""
-    n = len(m)
-    work = [[Rational(x) for x in row] + [Rational(r)] for row, r in zip(m, rhs)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular system (not negative definite)")
-        work[k], work[pivot_row] = work[pivot_row], work[k]
-        pivot = work[k][k]
-        for i in range(n):
-            if i == k or work[i][k] == 0:
-                continue
-            factor = work[i][k] / pivot
-            work[i] = [x - factor * y for x, y in zip(work[i], work[k])]
-    return [work[i][n] / work[i][i] for i in range(n)]
-
-
-def _rank(m) -> int:
-    work = [[Rational(x) for x in row] for row in m]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    row = 0
-    for col in range(cols):
-        pivot_row = next((i for i in range(row, len(work)) if work[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        pivot = work[row][col]
-        for i in range(len(work)):
-            if i != row and work[i][col] != 0:
-                factor = work[i][col] / pivot
-                work[i] = [x - factor * y for x, y in zip(work[i], work[row])]
-        row += 1
-        rank += 1
-    return rank
+    pivots, swaps, _ = _eliminate(m)
+    return _negative_pivots(pivots, swaps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +308,6 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
             raise ValueError(f"exceptional curve {v.id!r} must be smooth (no self-tangency)")
     ids = [v.id for v in exc]
     m = intersection_matrix(g, ids)
-    if not is_negative_definite(m):
-        raise ValueError("singular system (not negative definite)")
     others = [v for v in g.vertices if v.role != EXCEPTIONAL]
     rhs = []
     for v in exc:
@@ -360,8 +316,10 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
             Rational(0),
         )
         rhs.append(Rational(2 + v.self_int) - boundary_hit)
-    solution = _solve(m, rhs)
-    return dict(zip(ids, solution))
+    pivots, swaps, rows = _eliminate(m, rhs)
+    if not _negative_pivots(pivots, swaps, len(ids)):
+        raise ValueError("singular system (not negative definite)")
+    return {vid: row[-1] / pivot for vid, row, pivot in zip(ids, rows, pivots)}
 
 
 def classify_pair(g: DualGraph) -> str:
@@ -1300,7 +1258,8 @@ def graph_from_json(data: dict) -> DualGraph:
     """Rebuild a graph from its plain-data form; missing fields default.
 
     Integer fields must hold JSON integers: a bool or a float raises
-    TypeError instead of being truncated.
+    TypeError instead of being truncated.  An oversized boundary literal
+    raises OverflowError (see ``core.parse_rational``).
     """
     vertices = []
     for item in data.get("vertices", []):
@@ -1310,7 +1269,7 @@ def graph_from_json(data: dict) -> DualGraph:
                 self_int=json_int(item, "self_int"),
                 genus=json_int(item, "genus", 0),
                 multiplicity=json_int(item, "mult", 1),
-                boundary_coeff=Rational(str(item.get("boundary", 0))),
+                boundary_coeff=parse_rational(item.get("boundary", 0)),
                 role=str(item.get("role", "exceptional")).upper(),
             )
         )

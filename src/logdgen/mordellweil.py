@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 from itertools import product
+from math import prod
 
 from .dualgraph import KodairaLabel, kodaira_graph
 
@@ -23,6 +24,9 @@ from .dualgraph import KodairaLabel, kodaira_graph
 # zero section, 1 the nearby simple component, 2 and 3 the two far ones.
 _STAR_NEAR = 1
 _STAR_FAR = (2, 3)
+
+# Most (po, hits) candidates solve_section_config will try.
+MAX_SECTION_CANDIDATES = 100_000
 
 
 def component_count(label: KodairaLabel) -> int:
@@ -149,16 +153,19 @@ def solve_section_config(target_height, fibres, chi: int = 1, po_max: int = 2):
     ``fibres`` lists (KodairaLabel, component count) pairs; the counts are
     validated against the labels.  The search is exhaustive over
     po in [0, po_max] and all reduced-component choices, returned in
-    canonical (po, hits) order.
+    canonical (po, hits) order.  A search of more than
+    MAX_SECTION_CANDIDATES candidates raises ValueError before any fibre
+    graph is built.
     """
     target = Rational(target_height)
-    labels = []
+    labels = [label for label, _ in fibres]
+    choice_sets = [component_choices(label) for label in labels]
+    if (max(po_max, 0) + 1) * prod(len(c) for c in choice_sets) > MAX_SECTION_CANDIDATES:
+        raise ValueError(f"section search exceeds {MAX_SECTION_CANDIDATES} candidates")
     for label, count in fibres:
         expected = component_count(label)
         if count != expected:
             raise ValueError(f"{label} has {expected} components, got {count}")
-        labels.append(label)
-    choice_sets = [component_choices(label) for label in labels]
     out = []
     for po in range(po_max + 1):
         for hits in product(*choice_sets):

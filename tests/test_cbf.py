@@ -11,6 +11,8 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdgen.cbf import (
     ABELIAN_TABLE_ROWS,
@@ -259,6 +261,27 @@ class TestMoriFeasible:
     def test_s_domain_enforced(self):
         with pytest.raises(ValueError):
             mori_feasible(F(3, 2), 1, 12)
+
+    def test_huge_denominator_answers_at_once(self):
+        # The search loop would try up to 99999999 values of u here.
+        assert mori_feasible(F(1, 99999999), 1, 1) == INFEASIBLE
+        assert mori_feasible(F(1, 99999999), 1, 99999999) == (1, 99999998)
+
+
+def mori_search(s, b, big_n):
+    """Oracle: the smallest u up to b*N*denominator(s) with v integral and in range."""
+    for u in range(1, b * big_n * s.denominator + 1):
+        v = big_n * u * (b - s)
+        if v.denominator == 1 and 0 < v <= b * big_n:
+            return (u, int(v))
+    return INFEASIBLE
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.integers(1, 30), b=st.integers(1, 4), big_n=st.integers(1, 12), data=st.data())
+def test_mori_closed_form_matches_the_search(q, b, big_n, data):
+    s = F(data.draw(st.integers(0, b * q - 1)), q)
+    assert mori_feasible(s, b, big_n) == mori_search(s, b, big_n)
 
 
 class TestValidateFibreInvariants:

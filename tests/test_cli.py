@@ -287,36 +287,57 @@ def _graph(*vertices, edges=(), **extra):
 E = {"id": "E", "self_int": -2}
 B = {"id": "B", "self_int": -2}
 
-# command with FILE standing for the input file, and the file content; each
-# file ends in a ParseError, the command-line case in a usage error
+# command with FILE standing for the input file, the file content, and the
+# status prefix the file ends in; a command-line case (no file) ends in a
+# usage error instead
+PARSE, DOMAIN = "ParseError: ", "DomainError: "
 MALFORMED = {
-    "graph_array_root": (["graph", "FILE", "recognize"], [E]),
-    "mw_array_root": (["mw", "FILE"], [{"label": "I_3", "components": 3}]),
-    "self_int_float": (["graph", "FILE", "discrepancies"], _graph({**E, "self_int": -2.7})),
-    "self_int_bool": (["graph", "FILE", "recognize"], _graph({**E, "self_int": True})),
-    "genus_float": (["graph", "FILE", "classify"], _graph({**E, "genus": 0.5})),
-    "mult_bool": (["graph", "FILE", "recognize"], _graph({**E, "mult": True})),
+    "graph_array_root": (["graph", "FILE", "recognize"], [E], PARSE),
+    "mw_array_root": (["mw", "FILE"], [{"label": "I_3", "components": 3}], PARSE),
+    "self_int_float": (["graph", "FILE", "discrepancies"], _graph({**E, "self_int": -2.7}), PARSE),
+    "self_int_bool": (["graph", "FILE", "recognize"], _graph({**E, "self_int": True}), PARSE),
+    "genus_float": (["graph", "FILE", "classify"], _graph({**E, "genus": 0.5}), PARSE),
+    "mult_bool": (["graph", "FILE", "recognize"], _graph({**E, "mult": True}), PARSE),
     "weight_float": (["graph", "FILE", "recognize"],
-                     _graph(E, B, edges=[{"a": "E", "b": "B", "w": 1.5}])),
-    "tangency_float": (["graph", "FILE", "recognize"], _graph(E, tangency={"E": 1.0})),
-    "tangency_array": (["graph", "FILE", "recognize"], _graph(E, tangency=[])),
+                     _graph(E, B, edges=[{"a": "E", "b": "B", "w": 1.5}]), PARSE),
+    "tangency_float": (["graph", "FILE", "recognize"], _graph(E, tangency={"E": 1.0}), PARSE),
+    "tangency_array": (["graph", "FILE", "recognize"], _graph(E, tangency=[]), PARSE),
     "boundary_zero_den": (["graph", "FILE", "recognize"],
                           _graph(E, {"id": "B", "self_int": 0, "role": "strict", "boundary": "1/0"},
-                                 edges=[{"a": "E", "b": "B"}])),
-    "m_float": (["euler", "FILE"], {"components": [{"m": 2.9, "e_orb": "1"}]}),
-    "m_bool": (["euler", "FILE"], {"components": [{"m": True, "e_orb": "1"}]}),
-    "e_orb_zero_den": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1/0"}]}),
+                                 edges=[{"a": "E", "b": "B"}]), PARSE),
+    "boundary_huge_exponent": (["graph", "FILE", "discrepancies"],
+                               _graph(E, {"id": "B", "self_int": 0, "role": "strict",
+                                          "boundary": "1e-5000"}, edges=[{"a": "E", "b": "B"}]),
+                               PARSE),
+    "m_float": (["euler", "FILE"], {"components": [{"m": 2.9, "e_orb": "1"}]}, PARSE),
+    "m_bool": (["euler", "FILE"], {"components": [{"m": True, "e_orb": "1"}]}, PARSE),
+    "e_orb_zero_den": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1/0"}]}, PARSE),
+    "e_orb_huge_exponent": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1e5000"}]},
+                            PARSE),
+    "e_orb_exponent_ten_million": (["euler", "FILE"],
+                                   {"components": [{"m": 1, "e_orb": "1e10000000"}]}, PARSE),
     "delta_zero_den": (["euler", "FILE"],
-                       {"components": [{"m": 1, "e_orb": "1", "deltas": ["1/0"]}]}),
-    "mw_target_zero_den": (["mw", "FILE"], {"fibres": [], "target": "1/0"}),
-    "mw_chi_zero_den": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1/0"}),
+                       {"components": [{"m": 1, "e_orb": "1", "deltas": ["1/0"]}]}, PARSE),
+    "delta_huge_exponent": (["euler", "FILE"],
+                            {"components": [{"m": 1, "e_orb": "1", "deltas": ["1e5000"]}]}, PARSE),
+    "mw_target_zero_den": (["mw", "FILE"], {"fibres": [], "target": "1/0"}, PARSE),
+    "mw_target_huge_exponent": (["mw", "FILE"], {"fibres": [], "target": "1e5000"}, PARSE),
+    "mw_chi_zero_den": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1/0"}, PARSE),
+    "mw_chi_overlong": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1" * 2000}, PARSE),
     "mw_components_float": (["mw", "FILE"],
-                            {"fibres": [{"label": "I_3", "components": 3.5}], "target": "2"}),
-    "mw_po_max_float": (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": 2.5}),
-    "undecodable_bytes": (["graph", "FILE", "classify"], b"\xff\xfe"),
-    "overlong_integer": (["euler", "FILE"], '{"components": [{"m": ' + "1" * 5000 + "}]}"),
-    "deep_nesting": (["euler", "FILE"], '{"components": ' + "[" * 100_000 + "]" * 100_000 + "}"),
-    "mori_zero_den": (["cbf", "mori", "1/0", "1", "3"], None),
+                            {"fibres": [{"label": "I_3", "components": 3.5}], "target": "2"},
+                            PARSE),
+    "mw_po_max_float": (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": 2.5}, PARSE),
+    "mw_po_max_huge": (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": 100_000_000},
+                       DOMAIN),
+    "mw_fibre_huge": (["mw", "FILE"], {"fibres": [{"label": "I_200000", "components": 200_000}],
+                                       "target": "2", "po_max": 0}, DOMAIN),
+    "undecodable_bytes": (["graph", "FILE", "classify"], b"\xff\xfe", PARSE),
+    "overlong_integer": (["euler", "FILE"], '{"components": [{"m": ' + "1" * 5000 + "}]}", PARSE),
+    "deep_nesting": (["euler", "FILE"], '{"components": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                     PARSE),
+    "mori_zero_den": (["cbf", "mori", "1/0", "1", "3"], None, None),
+    "mori_huge_exponent": (["cbf", "mori", "1e-5000", "1", "3"], None, None),
 }
 
 
@@ -333,7 +354,7 @@ def _main_captured(argv):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_ends_in_a_structured_error(case, tmp_path):
-    argv, content = MALFORMED[case]
+    argv, content, prefix = MALFORMED[case]
     if content is None:
         code, _, err = _main_captured(argv)
         assert code == 2 and ": error: argument" in err and "Traceback" not in err
@@ -345,17 +366,18 @@ def test_malformed_input_ends_in_a_structured_error(case, tmp_path):
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     argv = [str(path) if a == "FILE" else a for a in argv]
     code, _, err = _main_captured(argv)
-    assert code == 1 and err.strip().splitlines()[-1].startswith("ParseError: ")
+    assert code == 1 and err.strip().splitlines()[-1].startswith(prefix)
     code, out, err = _main_captured(argv + ["--format", "json"])
     assert code == 1 and "Traceback" not in err
-    assert json.loads(out)["status"].startswith("ParseError: ")
+    assert json.loads(out)["status"].startswith(prefix)
 
 
 _KEYS = ("vertices", "edges", "tangency", "coincident", "id", "self_int", "genus", "mult",
-         "boundary", "role", "a", "b", "w", "components", "m", "e_orb", "deltas")
+         "boundary", "role", "a", "b", "w", "components", "m", "e_orb", "deltas",
+         "fibres", "label", "chi", "target", "po_max")
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
-    | st.sampled_from(["E1", "E2", "1/2", "1/0", "-2", "strict", "fibre"]),
+    | st.sampled_from(["E1", "E2", "1/2", "1/0", "-2", "1e5000", "strict", "fibre", "I_3", "I*_1"]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=5),
     max_leaves=20,
@@ -373,13 +395,22 @@ _graphs = st.fixed_dictionaries(
               "tangency": st.dictionaries(_ids, st.integers(0, 2)),
               "coincident": st.lists(st.lists(_ids, max_size=4), max_size=1)},
 )
+# well-typed section searches, so that the mw solver and its size limit run too
+_mw_files = st.fixed_dictionaries(
+    {"fibres": st.lists(st.fixed_dictionaries(
+        {"label": st.sampled_from(["I_1", "I_3", "I_9", "I*_1", "I*_2", "II", "IV*"]),
+         "components": st.integers(1, 9)}), max_size=7),
+     "target": st.sampled_from([0, "1/2", "3/4", "2", "1e5000"])},
+    optional={"chi": st.sampled_from([1, 2, "1/2"]), "po_max": st.integers(-1, 3)},
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    data=_json_values | _graphs,
+    data=_json_values | _graphs | _mw_files,
     argv=st.sampled_from([["graph", "FILE", action] for action in
-                          ("recognize", "discrepancies", "classify")] + [["euler", "FILE"]]),
+                          ("recognize", "discrepancies", "classify")]
+                         + [["euler", "FILE"], ["mw", "FILE"]]),
 )
 def test_arbitrary_json_ends_in_a_report(tmp_path_factory, data, argv):
     path = tmp_path_factory.mktemp("arbitrary") / "input.json"

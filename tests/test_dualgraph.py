@@ -6,6 +6,8 @@ frozen before the solver existed.
 """
 
 from fractions import Fraction as F
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +48,36 @@ from logdgen.dualgraph import (
     recognize_half_catalog,
     recognize_kodaira,
 )
-from logdgen.dualgraph import _det, _isomorphic, _half_key, _rank
+from logdgen.dualgraph import _eliminate, _isomorphic, _half_key
+
+
+def kernel_det(m):
+    pivots, swaps, _ = _eliminate(m)
+    return (-1) ** swaps * prod(pivots) if len(pivots) == len(m) else 0
+
+
+def kernel_rank(m):
+    return len(_eliminate(m)[0])
+
+
+def leibniz_det(m):
+    """Brute-force oracle: the determinant as a signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+def minor_rank(m):
+    """Brute-force oracle: the size of the largest nonzero minor."""
+    n = len(m)
+    for k in range(n, 0, -1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                if leibniz_det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
 
 
 def exc(vid, s):
@@ -121,13 +152,35 @@ class TestIntersectionMatrix:
         for (fam, n), det in expected.items():
             m = intersection_matrix(duval_graph(DuValType(fam, n)))
             neg = [[-x for x in row] for row in m]
-            assert _det(neg) == det, (fam, n)
+            assert kernel_det(neg) == det, (fam, n)
 
     def test_a_series_order_equals_determinant(self):
         for n in range(1, 9):
             t = DuValType("A", n)
             m = intersection_matrix(duval_graph(t))
-            assert duval_order(t) == _det([[-x for x in row] for row in m])
+            assert duval_order(t) == kernel_det([[-x for x in row] for row in m])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.integers(-6, 1))
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.integers(-2, 2))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_kernel_agrees_with_brute_force(m):
+    n = len(m)
+    negated = [[-x for x in row] for row in m]
+    minors = [leibniz_det([row[:k] for row in negated[:k]]) for k in range(1, n + 1)]
+    assert is_negative_definite(m) == all(minor > 0 for minor in minors)
+    assert kernel_det(m) == leibniz_det(m)
+    assert kernel_rank(m) == minor_rank(m)
 
 
 class TestPullback:
@@ -163,6 +216,34 @@ class TestPullback:
         g = DualGraph(vs, [("E1", "E2"), ("E2", "E3"), ("E3", "E1")])
         with pytest.raises(ValueError):
             pullback_coefficients(g)
+
+
+@st.composite
+def small_graphs(draw):
+    exceptional = [exc(f"E{i}", draw(st.integers(-5, -1))) for i in range(draw(st.integers(1, 4)))]
+    boundary = [strict(f"C{i}", draw(st.sampled_from(["0", "1/2", "2/3", "1"])))
+                for i in range(draw(st.integers(0, 2)))]
+    ids = [v.id for v in exceptional + boundary]
+    pairs = [(a, b) for a, b in combinations(ids, 2) if a.startswith("E") or b.startswith("E")]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 2)), max_size=6)
+                 if pairs else st.just([]))
+    return DualGraph(exceptional + boundary, [(a, b, w) for (a, b), w in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_pullback_solution_satisfies_the_system(g):
+    ids = [v.id for v in g.by_role(EXCEPTIONAL)]
+    m = intersection_matrix(g, ids)
+    if not is_negative_definite(m):
+        with pytest.raises(ValueError, match="not negative definite"):
+            pullback_coefficients(g)
+        return
+    a = pullback_coefficients(g)
+    for j, vid in enumerate(ids):
+        rhs = 2 + g.vertex(vid).self_int - sum(
+            c.boundary_coeff * g.pair_weight(c.id, vid) for c in g.by_role(STRICT))
+        assert sum(a[ids[i]] * m[i][j] for i in range(len(ids))) == rhs
 
 
 class TestClassify:
@@ -241,9 +322,9 @@ class TestBlowDown:
             (half_catalog_graph("D-delta", 0), "E2"),
         ]
         for g, vid in fixtures:
-            before = _rank(intersection_matrix(g))
+            before = kernel_rank(intersection_matrix(g))
             h = blow_down(g, vid)
-            assert _rank(intersection_matrix(h)) == before - 1, vid
+            assert kernel_rank(intersection_matrix(h)) == before - 1, vid
 
     def test_tangent_neighbor_rejected(self):
         g = DualGraph([exc("E", -1), exc("F", -2)], [("E", "F", 2)])

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from logdgen.dualgraph import KodairaLabel
 from logdgen.mordellweil import (
+    MAX_SECTION_CANDIDATES,
     LocalContrTable,
     SectionConfig,
     component_choices,
@@ -167,6 +168,17 @@ class TestSolver:
     def test_component_count_validated(self):
         with pytest.raises(ValueError):
             solve_section_config(2, [(lab("I*", 1), 5)], chi=1, po_max=0)
+
+    def test_search_size_limited_before_any_graph_is_built(self, monkeypatch):
+        import logdgen.mordellweil as mw
+
+        monkeypatch.setattr(mw, "kodaira_graph", None)  # any graph build would fail
+        with pytest.raises(ValueError, match="exceeds"):
+            solve_section_config(2, [], chi=1, po_max=MAX_SECTION_CANDIDATES)
+        with pytest.raises(ValueError, match="exceeds"):
+            solve_section_config(2, [(lab("I", 200_000), 200_000)], chi=1, po_max=0)
+        with pytest.raises(ValueError, match="exceeds"):
+            solve_section_config(2, [(lab("I", 9), 9)] * 6, chi=1, po_max=0)
 
     def test_torsion_sections_on_two_torsion_square_surface(self):
         # I*_2 + 2 I_2 with full 2-torsion: height-zero sections come in
