@@ -91,10 +91,10 @@ def s_star(b: int, ell: int, mu) -> Rational:
     return b * (Rational(ell - 1, ell) - mu)
 
 
-# The elliptic table: kind -> (ell*, mu*, s*).  The multiple-fibre column
-# _mI_b is parametric in m and handled in elliptic_table; a smooth fibre
-# counts as its b = 0 member.
-_ELLIPTIC_COLUMNS = {
+# Table V, the elliptic table: kind -> (ell*, mu*, s*).  The multiple-fibre
+# column _mI_b is parametric in m and handled in elliptic_table; a smooth
+# fibre counts as its b = 0 member.
+ELLIPTIC_COLUMNS = {
     "I*": (2, Rational(0), Rational(1, 2)),
     "II": (6, Rational(2, 3), Rational(1, 6)),
     "II*": (6, Rational(0), Rational(5, 6)),
@@ -119,10 +119,24 @@ def elliptic_table(kodaira: KodairaLabel, m: int = 1) -> FibreInvariants:
     if m != 1:
         raise ValueError(f"only the I_b column takes a multiplicity, not {kodaira.kind}")
     try:
-        ell, mu, s = _ELLIPTIC_COLUMNS[kodaira.kind]
+        ell, mu, s = ELLIPTIC_COLUMNS[kodaira.kind]
     except KeyError:
         raise ValueError(f"{kodaira} has no elliptic table column") from None
     return FibreInvariants(ell=ell, mu=mu, b=1, s=s)
+
+
+def elliptic_table_rows() -> list[tuple[str, int, KodairaLabel, FibreInvariants]]:
+    """Table V as printed: (column, m, fibre type, invariants) per row.
+
+    The _mI_b column at m = 1, 2, 3, 5 (fibre type I_1), then one row per
+    Kodaira column in ELLIPTIC_COLUMNS order, I*_b taken at b = 0.
+    """
+    rows = [("_mI_b", m, KodairaLabel("I", 1)) for m in (1, 2, 3, 5)]
+    rows += [
+        ("I*_b", 1, KodairaLabel(kind, 0)) if kind == "I*" else (kind, 1, KodairaLabel(kind))
+        for kind in ELLIPTIC_COLUMNS
+    ]
+    return [(column, m, label, elliptic_table(label, m)) for column, m, label in rows]
 
 
 def mu_star(v: PrimitiveVector, ell: int) -> Rational:

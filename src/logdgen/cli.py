@@ -10,7 +10,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as Rational
-from importlib import resources
 
 from .cbf import (
     C_STAR_VALUES,
@@ -19,15 +18,17 @@ from .cbf import (
     V1,
     V2,
     abelian_invariants,
-    elliptic_table,
+    elliptic_table_rows,
     fibre_bound,
     mori_feasible,
     n_of_x,
     regenerate_table_vi_vii,
+    validate_fibre_invariants,
 )
-from .core import json_int, parse_rational
+from .core import ParseError, json_int, parse_rational
 from .dualgraph import (
     KodairaLabel,
+    classical_euler,
     classify_pair,
     graph_from_json,
     pullback_coefficients,
@@ -36,7 +37,17 @@ from .dualgraph import (
     recognize_half_catalog,
     recognize_kodaira,
 )
-from .duval import CoverCase, c_p, delpezzo_catalog, delta_p, e_p, o_p, recompute_e_orb
+from .duval import (
+    COVER_TABLE_ROWS,
+    DELPEZZO_KNOWN_DISCREPANCIES,
+    CoverCase,
+    c_p,
+    delpezzo_catalog,
+    delta_p,
+    e_p,
+    o_p,
+    recompute_e_orb,
+)
 from .eulerform import FibreComponentData, euler_degenerate_fibre
 from .mordellweil import solve_section_config
 
@@ -75,44 +86,34 @@ def _emit_report(report: Report, fmt: str) -> int:
     return EXIT_OK if report.status == "OK" else EXIT_DOMAIN
 
 
-def _load_tables() -> dict:
-    text = resources.files("logdgen").joinpath("data/tables.json").read_text()
-    return json.loads(text)
-
-
 # ---------------------------------------------------------------- tables
 
-def _check_table_one(spec: dict) -> tuple[list[dict], list[str]]:
-    """Parametric rows, cross-checked on the embedded sample grid."""
+def _check_table_one() -> tuple[list[dict], list[str]]:
+    """Parametric rows, cross-checked on the tabulated sample grid."""
     mismatches = []
-    for row in spec["rows"]:
-        cid = int(row["case"])
-        for sample in row["samples"]:
-            cover = CoverCase(cid, r=sample["r"], n=sample["n"])
-            got = (e_p(cover), o_p(cover), c_p(cover), delta_p(cover))
-            want = tuple(Rational(sample[k]) for k in ("e_p", "o_p", "c_p", "delta_p"))
-            if tuple(Rational(x) for x in got) != want:
+    rows = []
+    for case, (e, o, c, d), samples in COVER_TABLE_ROWS:
+        rows.append({"case": str(case), "e_p": e, "o_p": o, "c_p": c, "delta_p": d})
+        for r, n, *want in samples:
+            cover = CoverCase(case, r=r, n=n)
+            got = [e_p(cover), o_p(cover), c_p(cover), delta_p(cover)]
+            if got != want:
                 mismatches.append(
-                    f"table I case {cid} at r={sample['r']}, n={sample['n']}: "
-                    f"recomputed {got}, embedded {want}"
+                    f"table I case {case} at r={r}, n={n}: recomputed "
+                    f"({', '.join(map(str, got))}), tabulated ({', '.join(map(str, want))})"
                 )
-    rows = [
-        {k: row[k] for k in ("case", "e_p", "o_p", "c_p", "delta_p")}
-        for row in spec["rows"]
-    ]
     return rows, mismatches
 
 
-def _check_table_four(spec: dict) -> tuple[list[dict], list[str]]:
+def _check_table_four() -> tuple[list[dict], list[str]]:
     """27 catalog rows with the recomputed orbifold Euler column alongside."""
     mismatches = []
-    known = set(spec.get("known_discrepancies", []))
     rows = []
     for entry in delpezzo_catalog():
         recomputed = recompute_e_orb(entry.degree, entry.singularities)
         note = ""
         if recomputed != entry.e_orb:
-            if entry.row in known:
+            if entry.row in DELPEZZO_KNOWN_DISCREPANCIES:
                 note = KNOWN_DISCREPANCY
             else:
                 mismatches.append(
@@ -131,30 +132,22 @@ def _check_table_four(spec: dict) -> tuple[list[dict], list[str]]:
     return rows, mismatches
 
 
-def _check_table_five(spec: dict) -> tuple[list[dict], list[str]]:
+def _check_table_five() -> tuple[list[dict], list[str]]:
+    """Each row against s* = b((ell*-1)/ell* - mu*), each Kodaira column against s* = e(F)/12."""
     mismatches = []
     rows = []
-    for row in spec["rows"]:
-        if row["column"] == "_mI_b":
-            inv = elliptic_table(KodairaLabel("I", 1), m=row["m"])
-        elif row["column"] == "I*_b":
-            inv = elliptic_table(KodairaLabel("I*", 0))
-        else:
-            inv = elliptic_table(KodairaLabel(row["column"]))
-        want = (Rational(row["ell"]), Rational(row["mu"]), Rational(row["s"]))
-        if (Rational(inv.ell), inv.mu, inv.s) != want:
+    for column, m, label, inv in elliptic_table_rows():
+        where = f"table V column {column} (m={m})"
+        if not validate_fibre_invariants(inv):
             mismatches.append(
-                f"table V column {row['column']} (m={row['m']}): "
-                f"recomputed ({inv.ell}, {inv.mu}, {inv.s}), embedded {want}"
+                f"{where}: (ell*, mu*, s*) = ({inv.ell}, {inv.mu}, {inv.s}) breaks "
+                "s* = b((ell*-1)/ell* - mu*) or s* = 0 iff ell* = 1"
             )
+        euler_twelfth = Rational(classical_euler(label), 12)
+        if column != "_mI_b" and inv.s != euler_twelfth:
+            mismatches.append(f"{where}: s* = {inv.s}, but e(F)/12 = {euler_twelfth}")
         rows.append(
-            {
-                "column": row["column"],
-                "m": row["m"],
-                "ell": row["ell"],
-                "mu": row["mu"],
-                "s": row["s"],
-            }
+            {"column": column, "m": m, "ell": str(inv.ell), "mu": str(inv.mu), "s": str(inv.s)}
         )
     return rows, mismatches
 
@@ -193,12 +186,15 @@ def _check_table_abelian(name: str) -> tuple[list[dict], list[str]]:
     return rows, mismatches
 
 
-_TABLE_BUILDERS = {
-    "I": _check_table_one,
-    "IV": _check_table_four,
-    "V": _check_table_five,
-    "VI": lambda spec: _check_table_abelian("VI"),
-    "VII": lambda spec: _check_table_abelian("VII"),
+_ABELIAN_COLUMNS = ("number", "kind", "r", "a", "ell", "mu", "s", "c")
+# Table name -> (column headers, builder returning the rows and mismatches).
+_TABLES = {
+    "I": (("case", "e_p", "o_p", "c_p", "delta_p"), _check_table_one),
+    "IV": (("row", "degree", "singularities", "e_orb", "e_orb_recomputed", "note"),
+           _check_table_four),
+    "V": (("column", "m", "ell", "mu", "s"), _check_table_five),
+    "VI": (_ABELIAN_COLUMNS, lambda: _check_table_abelian("VI")),
+    "VII": (_ABELIAN_COLUMNS, lambda: _check_table_abelian("VII")),
 }
 
 
@@ -209,7 +205,7 @@ def _render_cell(column: str, value) -> str:
     return str(value)
 
 
-def _emit_table_tsv(name: str, columns: list[str], rows: list[dict]) -> None:
+def _emit_table_tsv(name: str, columns: tuple[str, ...], rows: list[dict]) -> None:
     print(f"# Table {name}")
     print("\t".join(columns))
     for row in rows:
@@ -217,13 +213,13 @@ def _emit_table_tsv(name: str, columns: list[str], rows: list[dict]) -> None:
 
 
 def cmd_tables(args) -> int:
-    tables = _load_tables()
-    names = ["I", "IV", "V", "VI", "VII"] if args.which == "ALL" else [args.which]
+    names = list(_TABLES) if args.which == "ALL" else [args.which]
     mismatches = []
     emitted = {}
     for name in names:
-        rows, bad = _TABLE_BUILDERS[name](tables[name])
-        emitted[name] = {"columns": tables[name]["columns"], "rows": rows}
+        columns, build = _TABLES[name]
+        rows, bad = build()
+        emitted[name] = {"columns": columns, "rows": rows}
         mismatches.extend(bad)
     if args.format == "json":
         payload = emitted[names[0]] if len(names) == 1 else emitted
@@ -262,7 +258,7 @@ def cmd_graph(args) -> int:
     if err is None:
         try:
             graph = graph_from_json(data)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             err = f"ParseError: {exc}"
     if err is not None:
         report.status = err
@@ -302,7 +298,7 @@ def cmd_euler(args) -> int:
             )
             for entry in data["components"]
         ]
-    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (KeyError, TypeError, ParseError) as exc:
         report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)
     except ValueError as exc:
@@ -367,7 +363,7 @@ def cmd_mw(args) -> int:
         chi = parse_rational(data.get("chi", 1))
         target = parse_rational(data["target"])
         po_max = json_int(data, "po_max", 2)
-    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (KeyError, TypeError, ParseError) as exc:
         report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)
     except ValueError as exc:
@@ -399,7 +395,7 @@ def _rational_arg(text: str) -> Rational:
     """A rational argument; a malformed, oversized or k/0 literal is a usage error."""
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except ParseError:
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
 
 
@@ -415,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tables = sub.add_parser("tables", help="regenerate an embedded table with cross-checks")
-    p_tables.add_argument("which", choices=("I", "IV", "V", "VI", "VII", "ALL"))
+    p_tables.add_argument("which", choices=(*_TABLES, "ALL"))
     _add_format(p_tables)
     p_tables.set_defaults(func=cmd_tables)
 

@@ -43,25 +43,55 @@ MAX_LITERAL_DIGITS = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+class ParseError(ValueError):
+    """A literal that cannot be read as the value it has to denote."""
+
+
 def parse_rational(value) -> Rational:
     """The exact rational written by ``value``: an integer, ``"p/q"`` or a decimal.
 
-    A literal longer than MAX_LITERAL_DIGITS characters, or with a decimal
-    exponent beyond that many places, raises OverflowError before
-    ``Fraction`` expands it.
+    Every literal it cannot read raises ParseError: one that is not a
+    rational, one with a zero denominator, and one longer than
+    MAX_LITERAL_DIGITS characters or with a decimal exponent beyond that
+    many places, which is refused before ``Fraction`` expands it.
 
     >>> parse_rational("-3/6"), parse_rational("0.5"), parse_rational(7)
     (Fraction(-1, 2), Fraction(1, 2), Fraction(7, 1))
     >>> parse_rational("1e5000")
     Traceback (most recent call last):
     ...
-    OverflowError: rational literal '1e5000' exceeds 1000 digits
+    logdgen.core.ParseError: rational literal '1e5000' exceeds 1000 digits
+    >>> parse_rational("abc")
+    Traceback (most recent call last):
+    ...
+    logdgen.core.ParseError: Invalid literal for Fraction: 'abc'
     """
     text = str(value)
     exponent = _EXPONENT.search(text)
     if len(text) > MAX_LITERAL_DIGITS or (exponent and abs(int(exponent[1])) > MAX_LITERAL_DIGITS):
-        raise OverflowError(f"rational literal {text[:20]!r} exceeds {MAX_LITERAL_DIGITS} digits")
-    return Rational(text)
+        raise ParseError(f"rational literal {text[:20]!r} exceeds {MAX_LITERAL_DIGITS} digits")
+    try:
+        return Rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(str(exc)) from None
+
+
+def standard_coeff(b) -> Rational:
+    """The standard coefficient (b-1)/b of a positive integer b; 1 for INFINITY.
+
+    >>> standard_coeff(4), standard_coeff(INFINITY)
+    (Fraction(3, 4), Fraction(1, 1))
+    """
+    return Rational(1) if b == INFINITY else Rational(b - 1, b)
+
+
+def doubled_standard_coeff(b) -> Rational:
+    """(2b-1)/2b, the standard coefficient of the doubled parameter 2b.
+
+    >>> doubled_standard_coeff(2), doubled_standard_coeff(INFINITY)
+    (Fraction(3, 4), Fraction(1, 1))
+    """
+    return standard_coeff(b if b == INFINITY else 2 * b)
 
 
 @dataclass(frozen=True)
@@ -86,9 +116,7 @@ class StandardCoeff:
         >>> StandardCoeff(INFINITY).value()
         Fraction(1, 1)
         """
-        if self.b == INFINITY:
-            return Rational(1)
-        return Rational(self.b - 1, self.b)
+        return standard_coeff(self.b)
 
 
 @dataclass(frozen=True)
@@ -133,9 +161,9 @@ def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
     """
     n = data.n
     counts = data.nonzero()
-    value = Rational(n - 1, n)
+    value = standard_coeff(n)
     for b, k_b in counts.items():
-        value += Rational(b - 1, b) * Rational(k_b, n)
+        value += standard_coeff(b) * Rational(k_b, n)
 
     if not counts:
         label = CASE1

@@ -21,7 +21,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 
-from .core import INFINITY, NOT_LC, json_int, parse_rational
+from .core import (
+    INFINITY,
+    NOT_LC,
+    doubled_standard_coeff,
+    json_int,
+    parse_rational,
+    standard_coeff,
+)
 from .duval import DuValType
 
 # Vertex roles.
@@ -1018,20 +1025,6 @@ class FibreTypeLabel:
         return f"({self.kind})_{b}"
 
 
-def _std(b) -> Rational:
-    return Rational(1) if b == INFINITY else Rational(b - 1, b)
-
-
-def _std_half(b) -> Rational:
-    """(b-1)/2b, the coefficient on the halved exceptional pair."""
-    return _HALF if b == INFINITY else Rational(b - 1, 2 * b)
-
-
-def _std_cover(b) -> Rational:
-    """(2b-1)/2b, the coefficient on the doubled-parameter curve."""
-    return Rational(1) if b == INFINITY else Rational(2 * b - 1, 2 * b)
-
-
 def _infer_b(coeff: Rational):
     """Recover b from (b-1)/b; None when the value is not standard."""
     coeff = Rational(coeff)
@@ -1057,7 +1050,8 @@ def dynkin_fibre_graph(kind: str, b, k: int | None = None) -> DualGraph:
     are all (-2).
     """
     FibreTypeLabel(kind, b, k)  # validates the parameter set
-    cb, hb, xb = _std(b), _std_half(b), _std_cover(b)
+    cb, xb = standard_coeff(b), doubled_standard_coeff(b)
+    hb = cb / 2  # (b-1)/2b on the halved exceptional pair
     if kind == "I-1":
         vs = [_marked("S1", 1), _marked("C", cb), _marked("H1", _HALF), _marked("H2", _HALF)]
         edges = [("S1", "C"), ("C", "H1"), ("C", "H2")]
@@ -1152,7 +1146,7 @@ def recognize_fibre_type(g: DualGraph):
         if len(exc) == 2 and center.self_int == -1:
             strict_leaves = [v for v in leaves if v.role == STRICT]
             if len(strict_leaves) == 1 and strict_leaves[0].boundary_coeff == 1:
-                if all(v.boundary_coeff == _std_half(b) for v in exc):
+                if all(v.boundary_coeff == standard_coeff(b) / 2 for v in exc):
                     return FibreTypeLabel("I-2", b)
         return UNRECOGNIZED
     if n == 5 and len(g.edges) == 4 and len(exc) == 2:
@@ -1175,7 +1169,8 @@ def recognize_fibre_type(g: DualGraph):
                 cover = v
         if None in (half_leaf, cover, tail):
             return UNRECOGNIZED
-        if cover.boundary_coeff != _std_cover(b) or tail.boundary_coeff != _std_half(b):
+        if (cover.boundary_coeff != doubled_standard_coeff(b)
+                or tail.boundary_coeff != standard_coeff(b) / 2):
             return UNRECOGNIZED
         far = next(x for x in g.neighbors(cover.id) if x != center.id)
         anchor = g.vertex(far)
@@ -1195,7 +1190,8 @@ def recognize_fibre_type(g: DualGraph):
         b = _infer_b(center.boundary_coeff)
         if b is None:
             return UNRECOGNIZED
-        cb, hb = _std(b), _std_half(b)
+        cb = standard_coeff(b)
+        hb = cb / 2
         chain = []
         prev, cur = center.id, next(x for x in g.neighbors(center.id) if x != tail.id)
         while True:
@@ -1258,8 +1254,8 @@ def graph_from_json(data: dict) -> DualGraph:
     """Rebuild a graph from its plain-data form; missing fields default.
 
     Integer fields must hold JSON integers: a bool or a float raises
-    TypeError instead of being truncated.  An oversized boundary literal
-    raises OverflowError (see ``core.parse_rational``).
+    TypeError instead of being truncated.  An unreadable or oversized
+    boundary literal raises ``core.ParseError`` (see ``core.parse_rational``).
     """
     vertices = []
     for item in data.get("vertices", []):

@@ -26,10 +26,12 @@ from fractions import Fraction as Rational
 from .core import (
     GermBoundaryData,
     INFINITY,
+    doubled_standard_coeff,
     hurwitz_double_cover_euler,
     m_p,
+    standard_coeff,
 )
-from .dualgraph import FibreTypeLabel, _std
+from .dualgraph import FibreTypeLabel
 
 # How the horizontal part of the boundary floor sits over the base.
 TWO_SECTIONS = "TWO_SECTIONS"
@@ -150,20 +152,18 @@ def _floor_weight(label: FibreTypeLabel, profile: str) -> Rational:
     """
     if profile == SECTION_ONLY:
         if label.kind in ("I-1", "II-2"):
-            return _std(label.b)
+            return standard_coeff(label.b)
         if label.kind == "I-3":
-            if label.b == INFINITY:
-                return Rational(1)
-            return Rational(2 * label.b - 1, 2 * label.b)
+            return doubled_standard_coeff(label.b)
     elif profile == BISECTION:
         if label.kind in ("I-2", "II-3"):
-            return _std(label.b)
+            return standard_coeff(label.b)
         if label.kind == "II-1":
-            return 2 * _std(label.b)
+            return 2 * standard_coeff(label.b)
     elif profile == TWO_SECTIONS:
         if label.kind == "II-1":
             # per section; both sections cross the same central curve
-            return _std(label.b)
+            return standard_coeff(label.b)
     raise ValueError(f"fibre type {label} cannot ride over profile {profile}")
 
 

@@ -30,7 +30,15 @@ MAX_SECTION_CANDIDATES = 100_000
 
 
 def component_count(label: KodairaLabel) -> int:
-    """Number of irreducible components of the fibre type."""
+    """Number of irreducible components of the fibre type.
+
+    b for I_b and b + 5 for I*_b; the fixed types (at most 9 components)
+    are counted on their graphs.
+    """
+    if label.kind == "I":
+        return label.b
+    if label.kind == "I*":
+        return label.b + 5
     return len(kodaira_graph(label).vertices)
 
 

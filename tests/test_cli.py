@@ -88,6 +88,12 @@ class TestTables:
         two = run(capsys, "tables", "ALL")
         assert one == two
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_all_tables_match_the_recorded_output(self, capsys, fmt):
+        code, out, err = run(capsys, "tables", "ALL", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (FIXTURES / f"tables_all.{fmt}").read_text()
+
     def test_unknown_table_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tables", "XI"])
@@ -99,9 +105,10 @@ class TestTables:
         catalog = cli.delpezzo_catalog()
         catalog[0] = replace(catalog[0], e_orb=Rational(7, 2))
         monkeypatch.setattr(cli, "delpezzo_catalog", lambda: catalog)
-        tables = cli._load_tables()
-        tables["I"]["rows"][2]["samples"][0]["delta_p"] = "1"
-        monkeypatch.setattr(cli, "_load_tables", lambda: tables)
+        rows = list(cli.COVER_TABLE_ROWS)
+        case, formulas, samples = rows[2]
+        rows[2] = (case, formulas, ((*samples[0][:5], Rational(1)), *samples[1:]))
+        monkeypatch.setattr(cli, "COVER_TABLE_ROWS", tuple(rows))
         code, _, err = run(capsys, "tables", "ALL")
         assert code == 1
         assert "table IV row 1" in err
@@ -117,6 +124,19 @@ class TestTables:
         assert code == 1
         assert "table VII row 23" in err
         assert run(capsys, "tables", "VI")[0] == 0
+
+    @pytest.mark.parametrize("tampered", [
+        (4, Rational(1, 2), Rational(1, 3)),  # s*
+        (4, Rational(1, 3), Rational(1, 4)),  # mu*
+    ])
+    def test_tampered_elliptic_column_fails_the_cross_check(self, capsys, monkeypatch, tampered):
+        import logdgen.cbf as cbf
+
+        monkeypatch.setitem(cbf.ELLIPTIC_COLUMNS, "III", tampered)
+        code, _, err = run(capsys, "tables", "V")
+        assert code == 1
+        assert err and all("table V column III (m=1)" in line for line in err.splitlines())
+        assert run(capsys, "tables", "I")[0] == 0
 
 
 class TestGraph:
@@ -305,6 +325,9 @@ MALFORMED = {
     "boundary_zero_den": (["graph", "FILE", "recognize"],
                           _graph(E, {"id": "B", "self_int": 0, "role": "strict", "boundary": "1/0"},
                                  edges=[{"a": "E", "b": "B"}]), PARSE),
+    "boundary_unreadable": (["graph", "FILE", "recognize"],
+                            _graph(E, {"id": "B", "self_int": 0, "role": "strict",
+                                       "boundary": "abc"}, edges=[{"a": "E", "b": "B"}]), PARSE),
     "boundary_huge_exponent": (["graph", "FILE", "discrepancies"],
                                _graph(E, {"id": "B", "self_int": 0, "role": "strict",
                                           "boundary": "1e-5000"}, edges=[{"a": "E", "b": "B"}]),
@@ -312,6 +335,7 @@ MALFORMED = {
     "m_float": (["euler", "FILE"], {"components": [{"m": 2.9, "e_orb": "1"}]}, PARSE),
     "m_bool": (["euler", "FILE"], {"components": [{"m": True, "e_orb": "1"}]}, PARSE),
     "e_orb_zero_den": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1/0"}]}, PARSE),
+    "e_orb_unreadable": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "abc"}]}, PARSE),
     "e_orb_huge_exponent": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1e5000"}]},
                             PARSE),
     "e_orb_exponent_ten_million": (["euler", "FILE"],
@@ -321,6 +345,7 @@ MALFORMED = {
     "delta_huge_exponent": (["euler", "FILE"],
                             {"components": [{"m": 1, "e_orb": "1", "deltas": ["1e5000"]}]}, PARSE),
     "mw_target_zero_den": (["mw", "FILE"], {"fibres": [], "target": "1/0"}, PARSE),
+    "mw_target_unreadable": (["mw", "FILE"], {"fibres": [], "target": "abc"}, PARSE),
     "mw_target_huge_exponent": (["mw", "FILE"], {"fibres": [], "target": "1e5000"}, PARSE),
     "mw_chi_zero_den": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1/0"}, PARSE),
     "mw_chi_overlong": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1" * 2000}, PARSE),

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from logdgen.duval import (
+    COVER_TABLE_ROWS,
     CoverCase,
     DuValRecord,
     DuValType,
@@ -155,6 +156,28 @@ class TestDefectTable:
                 assert d == 0, cc
             else:
                 assert d > 0, cc
+
+    def test_o_p_is_the_covering_degree_of_the_canonical_cover(self):
+        # The index-r canonical cover has degree r, so the local group of the
+        # point has r times the order of the cover's (1 for a smooth cover).
+        def degree(cc):
+            cover = cc.cover_type()
+            return cc.r * (1 if cover is None else duval_order(cover))
+
+        covers = []
+        for case_id in range(1, 7):
+            for r in range(1, 9):
+                for n in (None, *range(1, 12)):
+                    try:
+                        covers.append(CoverCase(case_id, r=r, n=n))
+                    except ValueError:
+                        continue
+        assert len(covers) == 108
+        for cc in covers:
+            assert o_p(cc) == degree(cc), cc
+        for case_id, _, samples in COVER_TABLE_ROWS:
+            for r, n, _, tabulated_o_p, *_ in samples:
+                assert tabulated_o_p == degree(CoverCase(case_id, r=r, n=n)), (case_id, r, n)
 
     def test_record_assembly(self):
         rec = DuValRecord.from_cover(CoverCase(2, r=4, n=3))

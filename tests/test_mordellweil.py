@@ -5,7 +5,7 @@ from fractions import Fraction as Rational
 import pytest
 from hypothesis import given, strategies as st
 
-from logdgen.dualgraph import KodairaLabel
+from logdgen.dualgraph import KodairaLabel, kodaira_graph
 from logdgen.mordellweil import (
     MAX_SECTION_CANDIDATES,
     LocalContrTable,
@@ -114,6 +114,12 @@ class TestComponentBookkeeping:
         assert component_count(lab("I*", 2)) == 7
         assert component_count(lab("II")) == 1
         assert component_count(lab("III*")) == 8
+
+    def test_counts_match_the_fibre_graph(self):
+        labels = [lab(kind) for kind in ("II", "III", "IV", "II*", "III*", "IV*", "SMOOTH")]
+        labels += [lab("I", b) for b in range(1, 31)] + [lab("I*", b) for b in range(31)]
+        for label in labels:
+            assert component_count(label) == len(kodaira_graph(label).vertices), label
 
     def test_choices(self):
         assert component_choices(lab("I", 4)) == (0, 1, 2, 3)
