@@ -4,7 +4,8 @@ Everything is computed over the rationals with stdlib ``fractions.Fraction``;
 no floating point is used anywhere.  The subpackages:
 
 - ``core``: standard-boundary coefficients, different multiplicities,
-  multiset enumeration, index lcm.
+  multiset enumeration, index lcm, and the Kodaira and marked fibre-type
+  labels.
 - ``duval``: Du Val singularity data, the six index-r canonical-cover cases,
   the covering defect ``delta_p``, and the rank-one Gorenstein log del Pezzo
   catalog.

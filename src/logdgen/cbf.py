@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Rational
 from math import gcd, lcm, isqrt
 
-from .dualgraph import KodairaLabel
+from .core import KodairaLabel
 
 V1 = "V1"
 V2 = "V2"

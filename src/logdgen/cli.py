@@ -3,6 +3,8 @@
 Regenerates the embedded tables with a recompute-versus-literal cross-check,
 evaluates invariants from configuration files, and emits machine-readable
 reports.  Exit codes: 0 ok, 1 domain error or cross-check mismatch, 2 usage.
+Each command imports the package modules it computes with in its own body,
+so that a short run does not pay for compiling and loading the others.
 """
 
 import argparse
@@ -11,45 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 
-from .cbf import (
-    C_STAR_VALUES,
-    INFEASIBLE,
-    PrimitiveVector,
-    V1,
-    V2,
-    abelian_invariants,
-    elliptic_table_rows,
-    fibre_bound,
-    mori_feasible,
-    n_of_x,
-    regenerate_table_vi_vii,
-    validate_fibre_invariants,
-)
-from .core import ParseError, json_int, parse_rational
-from .dualgraph import (
-    KodairaLabel,
-    classical_euler,
-    classify_pair,
-    graph_from_json,
-    pullback_coefficients,
-    recognize_duval,
-    recognize_fibre_type,
-    recognize_half_catalog,
-    recognize_kodaira,
-)
-from .duval import (
-    COVER_TABLE_ROWS,
-    DELPEZZO_KNOWN_DISCREPANCIES,
-    CoverCase,
-    c_p,
-    delpezzo_catalog,
-    delta_p,
-    e_p,
-    o_p,
-    recompute_e_orb,
-)
-from .eulerform import FibreComponentData, euler_degenerate_fibre
-from .mordellweil import solve_section_config
+from .core import KodairaLabel, ParseError, classical_euler, json_array, json_int, parse_rational
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -90,6 +54,7 @@ def _emit_report(report: Report, fmt: str) -> int:
 
 def _check_table_one() -> tuple[list[dict], list[str]]:
     """Parametric rows, cross-checked on the tabulated sample grid."""
+    from .duval import COVER_TABLE_ROWS, CoverCase, c_p, delta_p, e_p, o_p
     mismatches = []
     rows = []
     for case, (e, o, c, d), samples in COVER_TABLE_ROWS:
@@ -107,6 +72,7 @@ def _check_table_one() -> tuple[list[dict], list[str]]:
 
 def _check_table_four() -> tuple[list[dict], list[str]]:
     """27 catalog rows with the recomputed orbifold Euler column alongside."""
+    from .duval import DELPEZZO_KNOWN_DISCREPANCIES, delpezzo_catalog, recompute_e_orb
     mismatches = []
     rows = []
     for entry in delpezzo_catalog():
@@ -134,6 +100,7 @@ def _check_table_four() -> tuple[list[dict], list[str]]:
 
 def _check_table_five() -> tuple[list[dict], list[str]]:
     """Each row against s* = b((ell*-1)/ell* - mu*), each Kodaira column against s* = e(F)/12."""
+    from .cbf import elliptic_table_rows, validate_fibre_invariants
     mismatches = []
     rows = []
     for column, m, label, inv in elliptic_table_rows():
@@ -154,6 +121,7 @@ def _check_table_five() -> tuple[list[dict], list[str]]:
 
 def _check_table_abelian(name: str) -> tuple[list[dict], list[str]]:
     """Tables VI/VII evaluated at ell = r and ell = 2r."""
+    from .cbf import C_STAR_VALUES, regenerate_table_vi_vii
     mismatches = []
     rows = []
     for regenerated in regenerate_table_vi_vii():
@@ -236,32 +204,35 @@ def cmd_tables(args) -> int:
 
 # ---------------------------------------------------------------- graph
 
-def _read_json_file(path: str):
-    """Returns (a JSON object, None) or (None, ParseError status string)."""
+class _NumberLiteral(str):
+    """A non-integer JSON number kept as written, so that parse_rational reads it exactly."""
+
+    __repr__ = str.__str__  # json_int's refusal prints it as written
+
+
+def _read_json_file(path: str) -> dict:
+    """The JSON object in the file; anything else raises ParseError."""
     try:
         with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        return None, f"ParseError: {exc}"
+            data = json.load(handle, parse_float=_NumberLiteral)
     except json.JSONDecodeError as exc:
-        return None, f"ParseError: line {exc.lineno} column {exc.colno}: {exc.msg}"
-    except (ValueError, RecursionError) as exc:  # undecodable bytes, huge integers, deep nesting
-        return None, f"ParseError: {exc}"
+        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # an unreadable file, undecodable bytes, a huge integer, deep nesting
+        raise ParseError(str(exc)) from None
     if not isinstance(data, dict):
-        return None, f"ParseError: top level must be a JSON object, got {type(data).__name__}"
-    return data, None
+        raise ParseError(f"top level must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def cmd_graph(args) -> int:
+    from .dualgraph import (classify_pair, graph_from_json, pullback_coefficients, recognize_duval,
+                            recognize_fibre_type, recognize_half_catalog, recognize_kodaira)
     report = Report("graph", {"file": args.file, "action": args.action})
-    data, err = _read_json_file(args.file)
-    if err is None:
-        try:
-            graph = graph_from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            err = f"ParseError: {exc}"
-    if err is not None:
-        report.status = err
+    try:
+        graph = graph_from_json(_read_json_file(args.file))
+    except (KeyError, TypeError, ValueError) as exc:
+        report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)
     try:
         if args.action == "recognize":
@@ -284,19 +255,19 @@ def cmd_graph(args) -> int:
 # ---------------------------------------------------------------- euler
 
 def cmd_euler(args) -> int:
+    from .eulerform import FibreComponentData, euler_degenerate_fibre
     report = Report("euler", {"file": args.file})
-    data, err = _read_json_file(args.file)
-    if err is not None:
-        report.status = err
-        return _emit_report(report, args.format)
     try:
+        data = _read_json_file(args.file)
         components = [
             FibreComponentData(
                 m=json_int(entry, "m"),
                 e_orb=parse_rational(entry["e_orb"]),
-                deltas=tuple(parse_rational(d) for d in entry.get("deltas", [])),
+                deltas=tuple(
+                    parse_rational(d) for d in json_array(entry.get("deltas", []), "deltas")
+                ),
             )
-            for entry in data["components"]
+            for entry in json_array(data["components"], "components")
         ]
     except (KeyError, TypeError, ParseError) as exc:
         report.status = f"ParseError: {exc}"
@@ -315,6 +286,8 @@ def cmd_euler(args) -> int:
 # ---------------------------------------------------------------- cbf
 
 def cmd_cbf(args) -> int:
+    from .cbf import (INFEASIBLE, V1, V2, PrimitiveVector, abelian_invariants, fibre_bound,
+                      mori_feasible, n_of_x)
     report = Report("cbf", {"subaction": args.subaction})
     try:
         if args.subaction == "invariants":
@@ -350,15 +323,13 @@ def cmd_cbf(args) -> int:
 # ---------------------------------------------------------------- mw
 
 def cmd_mw(args) -> int:
+    from .mordellweil import solve_section_config
     report = Report("mw", {"file": args.file})
-    data, err = _read_json_file(args.file)
-    if err is not None:
-        report.status = err
-        return _emit_report(report, args.format)
     try:
+        data = _read_json_file(args.file)
         fibres = [
             (KodairaLabel.parse(str(entry["label"])), json_int(entry, "components"))
-            for entry in data.get("fibres", [])
+            for entry in json_array(data.get("fibres", []), "fibres")
         ]
         chi = parse_rational(data.get("chi", 1))
         target = parse_rational(data["target"])

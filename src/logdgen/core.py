@@ -4,7 +4,10 @@ Every coefficient in the toolkit is a ``fractions.Fraction`` (re-exported as
 ``Rational``); nothing here or downstream touches floating point.  The module
 also houses the local "different" multiplicity m_p of a curve germ inside a
 log surface with standard boundary, the coefficient rule for extracted
-divisors, and two small enumerators shared by the fibration modules.
+divisors, two small enumerators shared by the fibration modules, the strict
+JSON readers, and the fibre-type labels ``KodairaLabel`` (with its Euler
+number ``classical_euler``) and ``FibreTypeLabel``, kept here so that the
+coefficient, height and fibration modules load no graph code.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ def json_int(data: dict, key: str, default: int | None = None) -> int:
     value = data[key] if default is None else data.get(key, default)
     if type(value) is not int:
         raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_array(value, name: str) -> list:
+    """``value`` itself when it is a JSON array; a string, an object or any
+    other JSON value raises TypeError rather than being iterated."""
+    if type(value) is not list:
+        raise TypeError(f"{name} must be an array, got {value!r}")
     return value
 
 
@@ -267,3 +278,83 @@ def hurwitz_double_cover_euler(branch_count: int) -> int:
     return 4 - branch_count
 
 
+# ---------------------------------------------------------------------------
+# Fibre-type labels, shared by the graph, coefficient, height and fibration modules.
+
+
+@dataclass(frozen=True)
+class KodairaLabel:
+    """A Kodaira fibre type: I_b (b>=1), I*_b (b>=0), II..IV*, or SMOOTH."""
+
+    kind: str
+    b: int | None = None
+
+    _PLAIN = ("II", "III", "IV", "II*", "III*", "IV*", "SMOOTH")
+
+    def __post_init__(self) -> None:
+        if self.kind == "I":
+            if not isinstance(self.b, int) or self.b < 1:
+                raise ValueError("I_b needs b >= 1")
+        elif self.kind == "I*":
+            if not isinstance(self.b, int) or self.b < 0:
+                raise ValueError("I*_b needs b >= 0")
+        elif self.kind in self._PLAIN:
+            if self.b is not None:
+                raise ValueError(f"{self.kind} takes no parameter")
+        else:
+            raise ValueError(f"unknown Kodaira kind {self.kind!r}")
+
+    def __str__(self) -> str:
+        if self.b is None:
+            return self.kind
+        return f"{self.kind}_{self.b}"
+
+    @classmethod
+    def parse(cls, text: str) -> "KodairaLabel":
+        text = text.strip()
+        if "_" in text:
+            kind, _, num = text.partition("_")
+            return cls(kind, int(num))
+        return cls(text)
+
+
+def classical_euler(label: KodairaLabel) -> int:
+    """Topological Euler number of the fibre, by type."""
+    table = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10, "SMOOTH": 0}
+    if label.kind == "I":
+        return label.b
+    if label.kind == "I*":
+        return label.b + 6
+    return table[label.kind]
+
+
+@dataclass(frozen=True)
+class FibreTypeLabel:
+    """A marked degenerate-fibre type (I-1)_b .. (II-3)_{b,k}.
+
+    ``b`` is the standard-coefficient parameter (a positive integer or
+    INFINITY); the chain length ``k`` exists only for the kind II-3.
+    """
+
+    kind: str
+    b: int | str
+    k: int | None = None
+
+    _KINDS = ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3")
+
+    def __post_init__(self) -> None:
+        if self.kind not in self._KINDS:
+            raise ValueError(f"unknown fibre type kind {self.kind!r}")
+        if self.b != INFINITY and (not isinstance(self.b, int) or self.b < 1):
+            raise ValueError(f"b must be a positive integer or INFINITY, got {self.b!r}")
+        if self.kind == "II-3":
+            if not isinstance(self.k, int) or self.k < 1:
+                raise ValueError("kind II-3 needs a chain length k >= 1")
+        elif self.k is not None:
+            raise ValueError(f"kind {self.kind} takes no chain parameter")
+
+    def __str__(self) -> str:
+        b = "inf" if self.b == INFINITY else self.b
+        if self.kind == "II-3":
+            return f"({self.kind})_{{{b},{self.k}}}"
+        return f"({self.kind})_{b}"

@@ -24,7 +24,11 @@ from fractions import Fraction as Rational
 from .core import (
     INFINITY,
     NOT_LC,
+    FibreTypeLabel,
+    KodairaLabel,
+    classical_euler,
     doubled_standard_coeff,
+    json_array,
     json_int,
     parse_rational,
     standard_coeff,
@@ -563,52 +567,6 @@ def recognize_duval(g: DualGraph):
 # Kodaira fibre types.
 
 
-@dataclass(frozen=True)
-class KodairaLabel:
-    """A Kodaira fibre type: I_b (b>=1), I*_b (b>=0), II..IV*, or SMOOTH."""
-
-    kind: str
-    b: int | None = None
-
-    _PLAIN = ("II", "III", "IV", "II*", "III*", "IV*", "SMOOTH")
-
-    def __post_init__(self) -> None:
-        if self.kind == "I":
-            if not isinstance(self.b, int) or self.b < 1:
-                raise ValueError("I_b needs b >= 1")
-        elif self.kind == "I*":
-            if not isinstance(self.b, int) or self.b < 0:
-                raise ValueError("I*_b needs b >= 0")
-        elif self.kind in self._PLAIN:
-            if self.b is not None:
-                raise ValueError(f"{self.kind} takes no parameter")
-        else:
-            raise ValueError(f"unknown Kodaira kind {self.kind!r}")
-
-    def __str__(self) -> str:
-        if self.b is None:
-            return self.kind
-        return f"{self.kind}_{self.b}"
-
-    @classmethod
-    def parse(cls, text: str) -> "KodairaLabel":
-        text = text.strip()
-        if "_" in text:
-            kind, _, num = text.partition("_")
-            return cls(kind, int(num))
-        return cls(text)
-
-
-def classical_euler(label: KodairaLabel) -> int:
-    """Topological Euler number of the fibre, by type."""
-    table = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10, "SMOOTH": 0}
-    if label.kind == "I":
-        return label.b
-    if label.kind == "I*":
-        return label.b + 6
-    return table[label.kind]
-
-
 def configuration_euler(g: DualGraph) -> int:
     """Topological Euler number of the support of the configuration.
 
@@ -993,38 +951,6 @@ def recognize_half_catalog(g: DualGraph):
 # Fibre-component types over boundary points with standard coefficients.
 
 
-@dataclass(frozen=True)
-class FibreTypeLabel:
-    """A marked degenerate-fibre type (I-1)_b .. (II-3)_{b,k}.
-
-    ``b`` is the standard-coefficient parameter (a positive integer or
-    INFINITY); the chain length ``k`` exists only for the kind II-3.
-    """
-
-    kind: str
-    b: int | str
-    k: int | None = None
-
-    _KINDS = ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown fibre type kind {self.kind!r}")
-        if self.b != INFINITY and (not isinstance(self.b, int) or self.b < 1):
-            raise ValueError(f"b must be a positive integer or INFINITY, got {self.b!r}")
-        if self.kind == "II-3":
-            if not isinstance(self.k, int) or self.k < 1:
-                raise ValueError("kind II-3 needs a chain length k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"kind {self.kind} takes no chain parameter")
-
-    def __str__(self) -> str:
-        b = "inf" if self.b == INFINITY else self.b
-        if self.kind == "II-3":
-            return f"({self.kind})_{{{b},{self.k}}}"
-        return f"({self.kind})_{b}"
-
-
 def _infer_b(coeff: Rational):
     """Recover b from (b-1)/b; None when the value is not standard."""
     coeff = Rational(coeff)
@@ -1254,11 +1180,13 @@ def graph_from_json(data: dict) -> DualGraph:
     """Rebuild a graph from its plain-data form; missing fields default.
 
     Integer fields must hold JSON integers: a bool or a float raises
-    TypeError instead of being truncated.  An unreadable or oversized
+    TypeError instead of being truncated.  List fields, and each coincident
+    group, must hold JSON arrays: a string there raises TypeError instead of
+    being read one character at a time.  An unreadable or oversized
     boundary literal raises ``core.ParseError`` (see ``core.parse_rational``).
     """
     vertices = []
-    for item in data.get("vertices", []):
+    for item in json_array(data.get("vertices", []), "vertices"):
         vertices.append(
             CurveVertex(
                 id=str(item["id"]),
@@ -1270,11 +1198,15 @@ def graph_from_json(data: dict) -> DualGraph:
             )
         )
     edges = [
-        (str(e["a"]), str(e["b"]), json_int(e, "w", 1)) for e in data.get("edges", [])
+        (str(e["a"]), str(e["b"]), json_int(e, "w", 1))
+        for e in json_array(data.get("edges", []), "edges")
     ]
     tangency = data.get("tangency", {})
     if not isinstance(tangency, dict):
         raise TypeError(f"tangency must be an object, got {tangency!r}")
     tangency = {str(k): json_int(tangency, k) for k in tangency}
-    coincident = [tuple(str(x) for x in grp) for grp in data.get("coincident", [])]
+    coincident = [
+        tuple(str(x) for x in json_array(grp, "coincident group"))
+        for grp in json_array(data.get("coincident", []), "coincident")
+    ]
     return DualGraph(vertices, edges, tangency, coincident)

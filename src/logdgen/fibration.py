@@ -24,14 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction as Rational
 
 from .core import (
-    GermBoundaryData,
     INFINITY,
+    FibreTypeLabel,
+    GermBoundaryData,
     doubled_standard_coeff,
     hurwitz_double_cover_euler,
     m_p,
     standard_coeff,
 )
-from .dualgraph import FibreTypeLabel
 
 # How the horizontal part of the boundary floor sits over the base.
 TWO_SECTIONS = "TWO_SECTIONS"

@@ -18,7 +18,7 @@ from fractions import Fraction as Rational
 from itertools import product
 from math import prod
 
-from .dualgraph import KodairaLabel, kodaira_graph
+from .core import KodairaLabel, classical_euler
 
 # Simple-component indexing for I*_m fibres: 0 is the component meeting the
 # zero section, 1 the nearby simple component, 2 and 3 the two far ones.
@@ -32,14 +32,14 @@ MAX_SECTION_CANDIDATES = 100_000
 def component_count(label: KodairaLabel) -> int:
     """Number of irreducible components of the fibre type.
 
-    b for I_b and b + 5 for I*_b; the fixed types (at most 9 components)
-    are counted on their graphs.
+    From the Euler number e(F) (Kodaira): b = e(F) for I_b, one for SMOOTH,
+    and e(F) - 1 for every additive type.
     """
+    if label.kind == "SMOOTH":
+        return 1
     if label.kind == "I":
         return label.b
-    if label.kind == "I*":
-        return label.b + 5
-    return len(kodaira_graph(label).vertices)
+    return classical_euler(label) - 1
 
 
 def component_choices(label: KodairaLabel) -> tuple[int, ...]:

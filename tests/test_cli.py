@@ -100,15 +100,15 @@ class TestTables:
         assert exc.value.code == 2
 
     def test_tampered_literals_fail_the_cross_check(self, capsys, monkeypatch):
-        import logdgen.cli as cli
+        import logdgen.duval as duval
 
-        catalog = cli.delpezzo_catalog()
+        catalog = duval.delpezzo_catalog()
         catalog[0] = replace(catalog[0], e_orb=Rational(7, 2))
-        monkeypatch.setattr(cli, "delpezzo_catalog", lambda: catalog)
-        rows = list(cli.COVER_TABLE_ROWS)
+        monkeypatch.setattr(duval, "delpezzo_catalog", lambda: catalog)
+        rows = list(duval.COVER_TABLE_ROWS)
         case, formulas, samples = rows[2]
         rows[2] = (case, formulas, ((*samples[0][:5], Rational(1)), *samples[1:]))
-        monkeypatch.setattr(cli, "COVER_TABLE_ROWS", tuple(rows))
+        monkeypatch.setattr(duval, "COVER_TABLE_ROWS", tuple(rows))
         code, _, err = run(capsys, "tables", "ALL")
         assert code == 1
         assert "table IV row 1" in err
@@ -344,6 +344,13 @@ MALFORMED = {
                        {"components": [{"m": 1, "e_orb": "1", "deltas": ["1/0"]}]}, PARSE),
     "delta_huge_exponent": (["euler", "FILE"],
                             {"components": [{"m": 1, "e_orb": "1", "deltas": ["1e5000"]}]}, PARSE),
+    "deltas_string": (["euler", "FILE"],
+                      {"components": [{"m": 1, "e_orb": "1", "deltas": "12"}]}, PARSE),
+    "coincident_string": (["graph", "FILE", "recognize"],
+                          _graph({"id": "a", "self_int": -2}, {"id": "b", "self_int": -2},
+                                 {"id": "c", "self_int": -2},
+                                 edges=[{"a": "a", "b": "b"}, {"a": "b", "b": "c"},
+                                        {"a": "a", "b": "c"}], coincident=["abc"]), PARSE),
     "mw_target_zero_den": (["mw", "FILE"], {"fibres": [], "target": "1/0"}, PARSE),
     "mw_target_unreadable": (["mw", "FILE"], {"fibres": [], "target": "abc"}, PARSE),
     "mw_target_huge_exponent": (["mw", "FILE"], {"fibres": [], "target": "1e5000"}, PARSE),
@@ -395,6 +402,78 @@ def test_malformed_input_ends_in_a_structured_error(case, tmp_path):
     code, out, err = _main_captured(argv + ["--format", "json"])
     assert code == 1 and "Traceback" not in err
     assert json.loads(out)["status"].startswith(prefix)
+
+
+# a JSON number that a float would round; each template reads it at X
+EXACT_NUMBER = "0.30000000000000001"
+EXACT_NUMBER_FILES = {
+    "euler": (["euler", "FILE"], '{"components": [{"m": 1, "e_orb": X}]}'),
+    "graph": (["graph", "FILE", "discrepancies"],
+              '{"vertices": [{"id": "E", "self_int": -2}, '
+              '{"id": "B", "self_int": 0, "role": "strict", "boundary": X}], '
+              '"edges": [{"a": "E", "b": "B"}]}'),
+    "mw": (["mw", "FILE"], '{"fibres": [], "chi": X, "target": "0.60000000000000002", "po_max": 0}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_NUMBER_FILES))
+def test_json_numbers_keep_their_written_value(case, tmp_path):
+    argv, template = EXACT_NUMBER_FILES[case]
+    runs = []
+    for literal in (EXACT_NUMBER, json.dumps(EXACT_NUMBER), '"0.3"'):
+        path = tmp_path / "input.json"
+        path.write_text(template.replace("X", literal))
+        runs.append(_main_captured([str(path) if a == "FILE" else a for a in argv]))
+    bare, quoted, rounded = runs
+    assert bare == quoted and bare[0] == 0
+    assert bare != rounded
+
+
+# The package modules each kind of command loads, all of its forms run in one
+# child interpreter; logdgen, logdgen.cli and logdgen.core always load.
+IMPORT_CASES = {
+    "tables": ([["tables", which, "--format", fmt] for which in ("I", "IV", "V", "VI", "VII", "ALL")
+                for fmt in ("tsv", "json")], {"logdgen.cbf", "logdgen.duval"}),
+    "graph": ([["graph", str(FIXTURES / "a_half_gamma.json"), action]
+               for action in ("recognize", "discrepancies", "classify")],
+              {"logdgen.dualgraph", "logdgen.duval"}),
+    "euler": ([["euler", str(FIXTURES / "one_component.json")]], {"logdgen.eulerform"}),
+    "cbf": ([["cbf", "invariants", "v1", "8", "3", "1", "3", "8"], ["cbf", "bound", "1", "1"],
+             ["cbf", "mori", "1/2", "1", "12"], ["cbf", "nx", "2"]], {"logdgen.cbf"}),
+    "mw": ([["mw", str(FIXTURES / "mw_height_three_quarters.json")]], {"logdgen.mordellweil"}),
+    "usage": ([["tables", "XI"], ["cbf", "mori", "1/0", "1", "3"]], set()),
+}
+_RUN_AND_LIST_MODULES = """
+import contextlib, io, json, sys
+from logdgen.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "logdgen")))
+"""
+
+
+def _loaded_modules(code, *args):
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("kind", sorted(IMPORT_CASES))
+def test_each_command_loads_only_the_modules_it_uses(kind):
+    argvs, modules = IMPORT_CASES[kind]
+    loaded = _loaded_modules(_RUN_AND_LIST_MODULES, json.dumps(argvs))
+    assert loaded == {"logdgen", "logdgen.cli", "logdgen.core"} | modules
+
+
+def test_coefficient_height_and_fibration_modules_load_no_graph_code():
+    code = ("import json, sys, logdgen.cbf, logdgen.mordellweil, logdgen.fibration\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('logdgen')]))")
+    assert "logdgen.dualgraph" not in _loaded_modules(code)
 
 
 _KEYS = ("vertices", "edges", "tangency", "coincident", "id", "self_int", "genus", "mult",

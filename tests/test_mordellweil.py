@@ -176,9 +176,9 @@ class TestSolver:
             solve_section_config(2, [(lab("I*", 1), 5)], chi=1, po_max=0)
 
     def test_search_size_limited_before_any_graph_is_built(self, monkeypatch):
-        import logdgen.mordellweil as mw
+        import logdgen.dualgraph as dualgraph
 
-        monkeypatch.setattr(mw, "kodaira_graph", None)  # any graph build would fail
+        monkeypatch.setattr(dualgraph, "kodaira_graph", None)  # any graph build would fail
         with pytest.raises(ValueError, match="exceeds"):
             solve_section_config(2, [], chi=1, po_max=MAX_SECTION_CANDIDATES)
         with pytest.raises(ValueError, match="exceeds"):
