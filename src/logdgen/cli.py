@@ -275,11 +275,14 @@ def cmd_euler(args) -> int:
     except ValueError as exc:
         report.status = f"ValidationError: {exc}"
         return _emit_report(report, args.format)
-    value = euler_degenerate_fibre(components)
-    report.results = [
-        ("euler", str(value)),
-        ("chi_zero_consistent", "true" if value == 0 else "false"),
-    ]
+    try:
+        value = euler_degenerate_fibre(components)
+        report.results = [
+            ("euler", str(value)),
+            ("chi_zero_consistent", "true" if value == 0 else "false"),
+        ]
+    except ValueError as exc:  # a value too long to print
+        report.status = f"DomainError: {exc}"
     return _emit_report(report, args.format)
 
 

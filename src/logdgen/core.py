@@ -311,9 +311,12 @@ class KodairaLabel:
 
     @classmethod
     def parse(cls, text: str) -> "KodairaLabel":
+        """The label written as ``kind`` or ``kind_b``, b in ASCII digits only."""
         text = text.strip()
         if "_" in text:
             kind, _, num = text.partition("_")
+            if not (num.isascii() and num.isdigit()):
+                raise ValueError(f"Kodaira label {text!r} needs b in ASCII digits")
             return cls(kind, int(num))
         return cls(text)
 

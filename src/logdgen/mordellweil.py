@@ -2,13 +2,10 @@
 
 The canonical height of a section, and the pairing of two sections, differ
 from the naive intersection numbers by local contributions at reducible
-fibres, depending only on which component each section meets.  This module
-carries those contribution values for the fibre types that actually occur
-in the worked examples (cyclic I_n fibres in general, I*_1 and I*_2 for
-the quoted cases), the two height formulas, and a small exhaustive solver
-that recovers all component configurations compatible with a known height.
-
-Contribution values not on record are rejected, never interpolated.
+fibres, depending only on which simple component each section meets.  This
+module carries those contributions in closed form for every Kodaira type,
+the two height formulas, and a small exhaustive solver that recovers all
+component configurations compatible with a known height.
 """
 
 from __future__ import annotations
@@ -20,13 +17,17 @@ from math import prod
 
 from .core import KodairaLabel, classical_euler
 
-# Simple-component indexing for I*_m fibres: 0 is the component meeting the
-# zero section, 1 the nearby simple component, 2 and 3 the two far ones.
-_STAR_NEAR = 1
-_STAR_FAR = (2, 3)
-
 # Most (po, hits) candidates solve_section_config will try.
 MAX_SECTION_CANDIDATES = 100_000
+
+# Fibre types of fixed shape with more than one simple component: how many,
+# and the correction on the diagonal; off the diagonal it is half of that.
+_FIXED = {
+    "III": (2, Rational(1, 2)),
+    "IV": (3, Rational(2, 3)),
+    "III*": (2, Rational(3, 2)),
+    "IV*": (3, Rational(4, 3)),
+}
 
 
 def component_count(label: KodairaLabel) -> int:
@@ -42,77 +43,60 @@ def component_count(label: KodairaLabel) -> int:
     return classical_euler(label) - 1
 
 
-def component_choices(label: KodairaLabel) -> tuple[int, ...]:
-    """Indices a section can meet: the reduced components of the fibre."""
-    if label.kind == "I" and label.b >= 2:
-        return tuple(range(label.b))
+def _simple_count(label: KodairaLabel) -> int:
+    if label.kind == "I":
+        return label.b
     if label.kind == "I*":
-        return (0, 1, 2, 3)
-    return (0,)
+        return 4
+    return _FIXED.get(label.kind, (1,))[0]
+
+
+def component_choices(label: KodairaLabel) -> tuple[int, ...]:
+    """Indices a section can meet: the simple (multiplicity-one) components.
+
+    They are numbered in ``kodaira_graph`` vertex order, 0 being the one
+    that meets the zero section; for I*_b, 1 is the near one and 2 and 3
+    the two far ones.
+    """
+    return tuple(range(_simple_count(label)))
+
+
+def pair_contribution(fibre: KodairaLabel, i: int, j: int) -> Rational:
+    """Local correction for a pair of sections through simple components i and j.
+
+    The entry -(A^-1)_ij of the inverse intersection matrix A of the
+    components that miss the zero section (Shioda 1990), in closed form:
+    for 0 < i <= j, i(b - j)/b on I_b; on I*_b, 1 near, 1 + b/4 on a far
+    component, 1/2 near-far and 1/2 + b/4 far-far.  Zero when either
+    section meets the zero component.
+
+    >>> pair_contribution(KodairaLabel("I*", 1), 2, 3)
+    Fraction(3, 4)
+    """
+    n = _simple_count(fibre)
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"{fibre} has simple components 0..{n - 1}, got ({i}, {j})")
+    i, j = sorted((i, j))
+    if i == 0:
+        return Rational(0)
+    if fibre.kind == "I":
+        return Rational(i * (fibre.b - j), fibre.b)
+    if fibre.kind == "I*":
+        far = Rational(fibre.b, 4) if i > 1 else 0  # i > 1: both components are far
+        return (Rational(1) if i == j else Rational(1, 2)) + far
+    diagonal = _FIXED[fibre.kind][1]
+    return diagonal if i == j else diagonal / 2
 
 
 def contribution(fibre: KodairaLabel, i: int) -> Rational:
-    """Local height correction for a section through component i.
+    """Local height correction for a section through simple component i.
 
     >>> contribution(KodairaLabel("I", 3), 1)
     Fraction(2, 3)
     >>> contribution(KodairaLabel("I*", 1), 2)
     Fraction(5, 4)
     """
-    if i == 0:
-        return Rational(0)
-    if fibre.kind == "I" and fibre.b >= 2:
-        if not 0 <= i < fibre.b:
-            raise ValueError(f"I_{fibre.b} has components 0..{fibre.b - 1}, got {i}")
-        return Rational(i * (fibre.b - i), fibre.b)
-    if fibre.kind == "I*" and fibre.b in (1, 2):
-        if i == _STAR_NEAR:
-            return Rational(1)
-        if i in _STAR_FAR:
-            return 1 + Rational(fibre.b, 4)
-        raise ValueError(f"{fibre} simple components are 0..3, got {i}")
-    raise ValueError(f"no contribution on record for {fibre} component {i}")
-
-
-def pair_contribution(fibre: KodairaLabel, i: int, j: int) -> Rational:
-    """Local correction for a PAIR of sections through components i and j.
-
-    Zero when either meets the zero component; equal to the single-section
-    value when both meet the same component.  Beyond that, only the far
-    components of I*_1 are on record (5/4 on the same one, 3/4 on the two
-    different ones).
-    """
-    if i == 0 or j == 0:
-        return Rational(0)
-    if i == j:
-        return contribution(fibre, i)
-    if fibre.kind == "I*" and fibre.b == 1 and i in _STAR_FAR and j in _STAR_FAR:
-        return Rational(3, 4)
-    raise ValueError(
-        f"no pair contribution on record for {fibre} components ({i}, {j})"
-    )
-
-
-@dataclass(frozen=True)
-class LocalContrTable:
-    """All recorded corrections of one fibre type, keyed by component."""
-
-    fibre: KodairaLabel
-    single: dict[int, Rational]
-    pair: dict[tuple[int, int], Rational]
-
-    @classmethod
-    def of(cls, fibre: KodairaLabel) -> "LocalContrTable":
-        choices = component_choices(fibre)
-        single = {i: contribution(fibre, i) for i in choices}
-        pair = {}
-        for i in choices:
-            for j in choices:
-                try:
-                    pair[(i, j)] = pair_contribution(fibre, i, j)
-                except ValueError:
-                    continue
-        return cls(fibre, single, pair)
+    return pair_contribution(fibre, i, i)
 
 
 @dataclass(frozen=True)
@@ -121,7 +105,6 @@ class SectionConfig:
 
     po: int
     hits: tuple[int, ...]
-    pq: int | None = None
 
     def __post_init__(self) -> None:
         if self.po < 0:
@@ -160,25 +143,26 @@ def solve_section_config(target_height, fibres, chi: int = 1, po_max: int = 2):
 
     ``fibres`` lists (KodairaLabel, component count) pairs; the counts are
     validated against the labels.  The search is exhaustive over
-    po in [0, po_max] and all reduced-component choices, returned in
+    po in [0, po_max] and all simple-component choices, returned in
     canonical (po, hits) order.  A search of more than
-    MAX_SECTION_CANDIDATES candidates raises ValueError before any fibre
-    graph is built.
+    MAX_SECTION_CANDIDATES candidates raises ValueError before any
+    correction is computed.
     """
     target = Rational(target_height)
     labels = [label for label, _ in fibres]
-    choice_sets = [component_choices(label) for label in labels]
-    if (max(po_max, 0) + 1) * prod(len(c) for c in choice_sets) > MAX_SECTION_CANDIDATES:
+    counts = [_simple_count(label) for label in labels]
+    if (max(po_max, 0) + 1) * prod(counts) > MAX_SECTION_CANDIDATES:
         raise ValueError(f"section search exceeds {MAX_SECTION_CANDIDATES} candidates")
     for label, count in fibres:
         expected = component_count(label)
         if count != expected:
             raise ValueError(f"{label} has {expected} components, got {count}")
+    corrections = [[contribution(label, i) for i in range(n)] for label, n in zip(labels, counts)]
+    # product() walks the hits in lexicographic order, so out is already sorted.
     out = []
     for po in range(po_max + 1):
-        for hits in product(*choice_sets):
-            contribs = [contribution(l, i) for l, i in zip(labels, hits)]
+        for hits in product(*map(range, counts)):
+            contribs = [c[i] for c, i in zip(corrections, hits)]
             if height_self(chi, po, contribs) == target:
                 out.append(SectionConfig(po=po, hits=hits))
-    out.sort(key=lambda c: (c.po, c.hits))
     return out

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as Rational
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logdgen.cbf import C_STAR_VALUES, sp_order
+from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, sp_order
 from logdgen.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -243,6 +244,13 @@ class TestCbf:
         assert code == 0
         assert tsv_pairs(out) == {"mori": "INFEASIBLE"}
 
+    def test_nx_above_the_limit_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, "cbf", "nx", 100_000)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert data["status"] == f"DomainError: x = 100000 exceeds {MAX_TOTIENT_X}"
+
 
 class TestMw:
     def test_height_three_quarters_fixture(self, capsys):
@@ -266,6 +274,23 @@ class TestMw:
         code, out, _ = run(capsys, "mw", FIXTURES / "mw_no_fibres.json")
         assert code == 0
         assert tsv_pairs(out) == {"count": "1", "config_0": "po=0 hits=()"}
+
+    @pytest.mark.parametrize("fibres,components,configs", [
+        (["IV*", "IV"], [7, 3], ["(1,1)", "(1,2)", "(2,1)", "(2,2)"]),
+        (["III*", "III"], [8, 2], ["(1,1)"]),
+    ])
+    def test_torsion_sections_on_additive_fibres(self, capsys, tmp_path, fibres, components,
+                                                 configs):
+        # 3- and 2-torsion sections of height 0 (Oguiso-Shioda 1991)
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"fibres": [{"label": label, "components": count}
+                                               for label, count in zip(fibres, components)],
+                                    "target": "0"}))
+        code, out, _ = run(capsys, "mw", path)
+        assert code == 0
+        assert tsv_pairs(out) == {"count": str(len(configs)),
+                                  **{f"config_{i}": f"po=0 hits={hits}"
+                                     for i, hits in enumerate(configs)}}
 
     def test_unsupported_fibre_label(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -364,6 +389,18 @@ MALFORMED = {
                        DOMAIN),
     "mw_fibre_huge": (["mw", "FILE"], {"fibres": [{"label": "I_200000", "components": 200_000}],
                                        "target": "2", "po_max": 0}, DOMAIN),
+    "mw_fibre_enormous": (["mw", "FILE"],
+                          {"fibres": [{"label": f"I_{10**18}", "components": 10**18}],
+                           "target": "2", "po_max": 0}, DOMAIN),
+    "mw_label_two_parameters": (["mw", "FILE"],
+                                {"fibres": [{"label": "I_3_4", "components": 34}], "target": "2"},
+                                DOMAIN),
+    "euler_product_too_long": (["euler", "FILE"],
+                               '{"components": [{"m": ' + "7" * 4000 + ', "e_orb": "1e999"}]}',
+                               DOMAIN),
+    "euler_sum_too_long": (["euler", "FILE"],
+                           {"components": [{"m": 1, "e_orb": f"1/{10**990 + k}"}
+                                           for k in (1, 3, 7, 9, 11, 13)]}, DOMAIN),
     "undecodable_bytes": (["graph", "FILE", "classify"], b"\xff\xfe", PARSE),
     "overlong_integer": (["euler", "FILE"], '{"components": [{"m": ' + "1" * 5000 + "}]}", PARSE),
     "deep_nesting": (["euler", "FILE"], '{"components": ' + "[" * 100_000 + "]" * 100_000 + "}",
@@ -502,7 +539,8 @@ _graphs = st.fixed_dictionaries(
 # well-typed section searches, so that the mw solver and its size limit run too
 _mw_files = st.fixed_dictionaries(
     {"fibres": st.lists(st.fixed_dictionaries(
-        {"label": st.sampled_from(["I_1", "I_3", "I_9", "I*_1", "I*_2", "II", "IV*"]),
+        {"label": st.sampled_from(["I_1", "I_3", "I_9", "I*_0", "I*_1", "I*_2", "I*_3", "II",
+                                   "III", "IV", "III*", "IV*"]),
          "components": st.integers(1, 9)}), max_size=7),
      "target": st.sampled_from([0, "1/2", "3/4", "2", "1e5000"])},
     optional={"chi": st.sampled_from([1, 2, "1/2"]), "po_max": st.integers(-1, 3)},

@@ -16,6 +16,7 @@ from logdgen.core import (
     INFINITY,
     NOT_LC,
     GermBoundaryData,
+    KodairaLabel,
     StandardCoeff,
     enumerate_boundary_multisets,
     hurwitz_double_cover_euler,
@@ -206,3 +207,10 @@ class TestHurwitz:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             hurwitz_double_cover_euler(-2)
+
+
+class TestKodairaLabelParse:
+    @pytest.mark.parametrize("text", ["I_3_4", "I*_1_0", "I_+3", "I_ 3", "I_\u0663", "I_", "I_-1"])
+    def test_b_only_in_ascii_digits(self, text):
+        with pytest.raises(ValueError):
+            KodairaLabel.parse(text)

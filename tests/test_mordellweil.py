@@ -5,10 +5,9 @@ from fractions import Fraction as Rational
 import pytest
 from hypothesis import given, strategies as st
 
-from logdgen.dualgraph import KodairaLabel, kodaira_graph
+from logdgen.dualgraph import KodairaLabel, _eliminate, intersection_matrix, kodaira_graph
 from logdgen.mordellweil import (
     MAX_SECTION_CANDIDATES,
-    LocalContrTable,
     SectionConfig,
     component_choices,
     component_count,
@@ -51,12 +50,9 @@ class TestContribution:
     def test_unsupported_rejected(self):
         with pytest.raises(ValueError):
             contribution(lab("II"), 1)
-        with pytest.raises(ValueError):
-            contribution(lab("IV"), 1)
-        with pytest.raises(ValueError):
-            contribution(lab("I*", 0), 1)
-        with pytest.raises(ValueError):
-            contribution(lab("I*", 3), 2)
+        assert contribution(lab("IV"), 1) == Rational(2, 3)
+        assert contribution(lab("I*", 0), 1) == 1
+        assert contribution(lab("I*", 3), 2) == Rational(7, 4)
         with pytest.raises(ValueError):
             contribution(lab("I", 1), 1)
         with pytest.raises(ValueError):
@@ -79,32 +75,75 @@ class TestPairContribution:
         assert pair_contribution(lab("I*", 1), 2, 3) == Rational(3, 4)
         assert pair_contribution(lab("I*", 1), 3, 2) == Rational(3, 4)
 
-    def test_unrecorded_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            pair_contribution(lab("I*", 1), 1, 2)
-        with pytest.raises(ValueError):
-            pair_contribution(lab("I*", 2), 2, 3)
-        with pytest.raises(ValueError):
-            pair_contribution(lab("I", 4), 1, 2)
+    def test_off_diagonal_pairs(self):
+        assert pair_contribution(lab("I*", 1), 1, 2) == Rational(1, 2)
+        assert pair_contribution(lab("I*", 2), 2, 3) == 1
+        assert pair_contribution(lab("I", 4), 1, 2) == Rational(1, 2)
+        assert pair_contribution(lab("IV*"), 1, 2) == Rational(2, 3)
+
+    def test_every_value_of_the_istar1_and_i4_fibres(self):
+        istar1 = lab("I*", 1)
+        assert [contribution(istar1, i) for i in range(4)] == [0, 1, Rational(5, 4), Rational(5, 4)]
+        assert pair_contribution(istar1, 2, 3) == Rational(3, 4)
+        assert pair_contribution(istar1, 2, 2) == Rational(5, 4)
+        assert pair_contribution(istar1, 0, 3) == 0
+        i4 = [contribution(lab("I", 4), i) for i in range(4)]
+        assert i4 == [0, Rational(3, 4), 1, Rational(3, 4)]
 
 
-class TestTable:
-    def test_istar1_table(self):
-        t = LocalContrTable.of(lab("I*", 1))
-        assert t.single == {
-            0: 0,
-            1: 1,
-            2: Rational(5, 4),
-            3: Rational(5, 4),
-        }
-        assert t.pair[(2, 3)] == Rational(3, 4)
-        assert t.pair[(2, 2)] == Rational(5, 4)
-        assert t.pair[(0, 3)] == 0
-        assert (1, 2) not in t.pair
+_FIXED_TYPES = [lab(kind) for kind in ("II", "III", "IV", "II*", "III*", "IV*", "SMOOTH")]
 
-    def test_cyclic_table(self):
-        t = LocalContrTable.of(lab("I", 4))
-        assert t.single == {0: 0, 1: Rational(3, 4), 2: 1, 3: Rational(3, 4)}
+
+def _graph_pairing(label):
+    """-(A^-1) between the simple components, A the intersection matrix of
+    every component of ``kodaira_graph`` but the one meeting the zero section."""
+    g = kodaira_graph(label)
+    simple = [v.id for v in g.vertices if v.multiplicity == 1]
+    rest = [vid for vid in g.ids() if vid != simple[0]]
+    a = intersection_matrix(g, rest)
+    pairing = {}
+    for j, column in enumerate(simple[1:], 1):
+        pivots, _, rows = _eliminate(a, [int(vid == column) for vid in rest])
+        for i, sid in enumerate(simple[1:], 1):
+            k = rest.index(sid)
+            pairing[i, j] = -rows[k][-1] / pivots[k]
+    return simple, pairing
+
+
+class TestGraphOracle:
+    def test_pairing_is_minus_the_inverse_intersection_matrix(self):
+        labels = _FIXED_TYPES + [lab("I", b) for b in range(1, 13)]
+        labels += [lab("I*", b) for b in range(13)]
+        for label in labels:
+            simple, pairing = _graph_pairing(label)
+            n = len(simple)
+            for i in range(n):
+                for j in range(n):
+                    want = pairing.get((i, j), 0)
+                    assert pair_contribution(label, i, j) == want, (label, i, j)
+
+    def test_simple_components_are_the_multiplicity_one_vertices(self):
+        labels = _FIXED_TYPES + [lab("I", b) for b in range(1, 31)]
+        labels += [lab("I*", b) for b in range(31)]
+        for label in labels:
+            simple = [v for v in kodaira_graph(label).vertices if v.multiplicity == 1]
+            assert len(component_choices(label)) == len(simple), label
+
+    @given(
+        label=st.sampled_from(_FIXED_TYPES)
+        | st.builds(lab, st.just("I"), st.integers(1, 40))
+        | st.builds(lab, st.just("I*"), st.integers(0, 40)),
+        i=st.integers(-2, 42),
+        j=st.integers(-2, 42),
+    )
+    def test_symmetric_with_contribution_on_the_diagonal(self, label, i, j):
+        n = len(component_choices(label))
+        if 0 <= i < n and 0 <= j < n:
+            assert pair_contribution(label, i, j) == pair_contribution(label, j, i)
+            assert pair_contribution(label, i, i) == contribution(label, i)
+        else:
+            with pytest.raises(ValueError):
+                pair_contribution(label, i, j)
 
 
 class TestComponentBookkeeping:
