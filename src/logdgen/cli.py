@@ -334,9 +334,11 @@ def cmd_mw(args) -> int:
             (KodairaLabel.parse(str(entry["label"])), json_int(entry, "components"))
             for entry in json_array(data.get("fibres", []), "fibres")
         ]
-        chi = parse_rational(data.get("chi", 1))
+        chi = json_int(data, "chi", 1)
         target = parse_rational(data["target"])
         po_max = json_int(data, "po_max", 2)
+        if chi < 1:
+            raise ValueError(f"chi must be a positive integer, got {chi}")
     except (KeyError, TypeError, ParseError) as exc:
         report.status = f"ParseError: {exc}"
         return _emit_report(report, args.format)

@@ -11,14 +11,17 @@ catalog, and the marked fibre-component types of degenerate fibres with
 standard coefficients.
 
 All arithmetic is exact (``fractions.Fraction``); no numerical tolerance
-appears anywhere.  Graphs here stay tiny (at most ~25 vertices), so the
-recognizers favour transparent backtracking over clever canonical forms.
+appears anywhere.  The Du Val and fibre-type recognizers build the catalog
+member their counts point to and compare canonical tree forms, so they do
+not depend on vertex names; the Kodaira and half-catalog recognizers still
+use a backtracking search whose cost depends on the vertex names.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction as Rational
 
 from .core import (
@@ -473,6 +476,101 @@ def _isomorphic(g: DualGraph, h: DualGraph, key) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Canonical forms of labelled trees.
+
+
+def _tree_form(g: DualGraph, key, ids=None):
+    """Canonical form of the tree spanned by ``ids`` (default: every vertex).
+
+    None unless the curves carry exactly n - 1 edge entries among them and
+    their support is connected, i.e. they span a tree.  ``key(vertex,
+    degree)`` labels each vertex, ``degree`` counting its neighbours in the
+    tree.  Two trees have equal forms exactly when some isomorphism keeps
+    the labels and the entry weights.  This is the tree isomorphism of Aho,
+    Hopcroft and Ullman (1974): see ``_rooted_form``; a tree with two
+    centres takes the smaller of their two forms.
+    """
+    inside = set(g.ids() if ids is None else ids)
+    adjacent = {vid: {} for vid in inside}
+    entries = 0
+    for a, b, w in g.edges:
+        if a in inside and b in inside:
+            adjacent[a][b] = adjacent[b][a] = w
+            entries += 1
+    if not inside or entries != len(inside) - 1:
+        return None
+    # Connected with n - 1 entries, so no pair carries two entries: one weight per edge.
+    start = next(iter(inside))
+    seen, stack = {start}, [start]
+    while stack:
+        for u in adjacent[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != len(inside):
+        return None
+    keys = {vid: key(g.vertex(vid), len(nbrs)) for vid, nbrs in adjacent.items()}
+    # Peel leaves until at most two vertices are left: the centres.
+    remaining = {vid: len(nbrs) for vid, nbrs in adjacent.items()}
+    layer = [vid for vid, d in remaining.items() if d <= 1]
+    left = len(inside)
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for vid in layer:
+            for u in adjacent[vid]:
+                remaining[u] -= 1
+                if remaining[u] == 1:
+                    peeled.append(u)
+        layer = peeled
+    return min(_rooted_form(adjacent, keys, root) for root in layer)
+
+
+def _rooted_form(adjacent, keys, root):
+    """Canonical form of a tree rooted at ``root``, level by level.
+
+    Bottom up, each vertex gets the label (key, weight of the entry to its
+    parent, sorted ranks of its children), and its rank is the position of
+    that label among the sorted distinct labels at its depth.  The form is
+    the tuple of those sorted label lists, deepest first; the root's label
+    unfolds through it to the whole tree, so equal forms mean isomorphic
+    trees.
+    """
+    parent = {root: None}
+    levels = [[root]]
+    while levels[-1]:
+        below = []
+        for vid in levels[-1]:
+            for u in adjacent[vid]:
+                if u != parent[vid]:
+                    parent[u] = vid
+                    below.append(u)
+        levels.append(below)
+    levels.pop()
+    child_ranks = {vid: [] for vid in parent}
+    form = []
+    for level in reversed(levels):
+        labels = {}
+        for vid in level:
+            up = parent[vid]
+            weight = 0 if up is None else adjacent[vid][up]
+            labels[vid] = (keys[vid], weight, tuple(sorted(child_ranks[vid])))
+        distinct = sorted(set(labels.values()))
+        rank = {label: i for i, label in enumerate(distinct)}
+        for vid, label in labels.items():
+            if parent[vid] is not None:
+                child_ranks[parent[vid]].append(rank[label])
+        form.append(tuple(distinct))
+    return tuple(form)
+
+
+@lru_cache(maxsize=64)
+def _catalog_form(key, build, *args):
+    """The tree form of the catalog member ``build(*args)``, kept for repeated lookups."""
+    return _tree_form(build(*args), key)
+
+
+# ---------------------------------------------------------------------------
 # Du Val recognition.
 
 
@@ -493,24 +591,9 @@ def duval_graph(t: DuValType) -> DualGraph:
     return DualGraph(vs, edges)
 
 
-def _arm_lengths(g: DualGraph, sub_ids: set[str], center: str) -> list[int] | None:
-    """Vertex counts of the chains hanging off a trivalent tree vertex."""
-    lengths = []
-    for start in g.neighbors(center):
-        if start not in sub_ids:
-            continue
-        length = 0
-        prev, cur = center, start
-        while True:
-            length += 1
-            nxt = [u for u in g.neighbors(cur) if u in sub_ids and u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
-        lengths.append(length)
-    return sorted(lengths)
+def _duval_key(v: CurveVertex, degree: int):
+    # Constant: recognize_duval has already pinned every curve to a smooth rational (-2)-curve.
+    return 0
 
 
 def recognize_duval(g: DualGraph):
@@ -524,42 +607,14 @@ def recognize_duval(g: DualGraph):
     exc = g.by_role(EXCEPTIONAL)
     if not exc:
         return UNRECOGNIZED
-    ids = {v.id for v in exc}
     for v in exc:
         if v.self_int != -2 or v.genus != 0 or g.tangency.get(v.id, 0):
             return UNRECOGNIZED
-    sub_edges = [(a, b, w) for (a, b, w) in g.edges if a in ids and b in ids]
-    if any(w != 1 for (_, _, w) in sub_edges):
-        return UNRECOGNIZED
     n = len(exc)
-    if len(sub_edges) != n - 1:
-        return UNRECOGNIZED
-    if len({(a, b) for (a, b, _) in sub_edges}) != n - 1:
-        return UNRECOGNIZED
-    # Connectivity of the exceptional part.
-    seen = {exc[0].id}
-    frontier = [exc[0].id]
-    while frontier:
-        cur = frontier.pop()
-        for u in g.neighbors(cur):
-            if u in ids and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    if seen != ids:
-        return UNRECOGNIZED
-    degrees = {v.id: sum(1 for u in g.neighbors(v.id) if u in ids) for v in exc}
-    branch = [vid for vid, d in degrees.items() if d == 3]
-    if any(d > 3 for d in degrees.values()) or len(branch) > 1:
-        return UNRECOGNIZED
-    if not branch:
-        return DuValType("A", n)
-    arms = _arm_lengths(g, ids, branch[0])
-    if arms is None:
-        return UNRECOGNIZED
-    if arms[0] == arms[1] == 1:
-        return DuValType("D", n)
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return DuValType("E", n)
+    form = _tree_form(g, _duval_key, [v.id for v in exc])
+    for family, exists in (("A", True), ("D", n >= 4), ("E", 6 <= n <= 8)):
+        if exists and form == _catalog_form(_duval_key, duval_graph, DuValType(family, n)):
+            return DuValType(family, n)
     return UNRECOGNIZED
 
 
@@ -728,20 +783,22 @@ HALF_CATALOG_FAMILIES = _HC_PART1 + _HC_PART2
 # Minimal k per family (parameterless families keyed at 0 only).
 _HC_KMIN = {"zeta": 1}
 
+# The parameterless families and their labels.
+_HC_FIXED_LABELS = {
+    "A_0/2": "A_0/2",
+    "E_6/2": "E_6/2",
+    "E_7/2": "E_7/2",
+    "E_8/2": "E_8/2",
+    "gamma": "A_1/2-gamma",
+    "D-gamma": "D_4/2-gamma",
+}
+
 
 def half_catalog_label(family: str, k: int = 0) -> str:
     """Catalog label of a family member, e.g. ``A_5/2-delta`` for k = 1."""
     _check_family(family, k)
-    fixed = {
-        "A_0/2": "A_0/2",
-        "E_6/2": "E_6/2",
-        "E_7/2": "E_7/2",
-        "E_8/2": "E_8/2",
-        "gamma": "A_1/2-gamma",
-        "D-gamma": "D_4/2-gamma",
-    }
-    if family in fixed:
-        return fixed[family]
+    if family in _HC_FIXED_LABELS:
+        return _HC_FIXED_LABELS[family]
     n = {
         "alpha": 2 * k + 1,
         "beta": 2 * k + 2,
@@ -910,41 +967,25 @@ def recognize_half_catalog(g: DualGraph):
     n_str = len(g.by_role(STRICT))
     if g.by_role(FIBRE):
         return UNRECOGNIZED
-    # Exceptional count as a function of k, and strict-branch count.
-    shapes = {
-        "A_0/2": (None, 1),
-        "alpha": (lambda k: k + 1, 2),
-        "beta": (lambda k: k + 3, 1),
-        "D-alpha": (lambda k: k + 3, 2),
-        "D-beta": (lambda k: k + 1, 3),
-        "E_6/2": (None, 1),
-        "E_7/2": (None, 2),
-        "E_8/2": (None, 1),
-        "gamma": (None, 0),
-        "delta": (lambda k: k + 2, 0),
-        "epsilon": (lambda k: k + 1, 1),
-        "zeta": (lambda k: k, 2),
-        "D-gamma": (None, 1),
-        "D-delta": (lambda k: k + 2, 2),
-        "D-epsilon": (lambda k: k + 4, 1),
-    }
-    fixed_exc = {"A_0/2": 0, "E_6/2": 4, "E_7/2": 3, "E_8/2": 4, "gamma": 1, "D-gamma": 3}
-    for family, (count, bullets) in shapes.items():
-        if bullets != n_str:
+    for family in HALF_CATALOG_FAMILIES:
+        bullets, offset = _half_catalog_shape(family)
+        k = n_exc - offset
+        if bullets != n_str or k < _HC_KMIN.get(family, 0) or (family in _HC_FIXED_LABELS and k):
             continue
-        if count is None:
-            if fixed_exc[family] != n_exc:
-                continue
-            k = 0
-        else:
-            # Invert the linear vertex count for k.
-            offset = count(0)
-            k = n_exc - offset
-            if k < _HC_KMIN.get(family, 0):
-                continue
         if _isomorphic(g, half_catalog_graph(family, k), _half_key):
             return half_catalog_label(family, k)
     return UNRECOGNIZED
+
+
+@lru_cache(maxsize=len(HALF_CATALOG_FAMILIES))
+def _half_catalog_shape(family: str) -> tuple[int, int]:
+    """Bullet count and k-free exceptional count of a family, read off its smallest member.
+
+    Every parametric family adds one exceptional curve per step of k.
+    """
+    kmin = _HC_KMIN.get(family, 0)
+    g = half_catalog_graph(family, kmin)
+    return len(g.by_role(STRICT)), len(g.by_role(EXCEPTIONAL)) - kmin
 
 
 # ---------------------------------------------------------------------------
@@ -1017,135 +1058,46 @@ def dynkin_fibre_graph(kind: str, b, k: int | None = None) -> DualGraph:
     return DualGraph(vs, edges)
 
 
+def _fibre_key(v: CurveVertex, degree: int):
+    # A strict leaf is a germ of a boundary curve: its self-intersection is
+    # not part of the figure, and no multiplicity is.
+    # The coefficient enters as its (numerator, denominator) pair, which
+    # hashes and compares far faster than a Fraction.
+    inner = v.role == EXCEPTIONAL or degree >= 2
+    coeff = v.boundary_coeff.as_integer_ratio()
+    return (v.role, v.genus, coeff, inner, v.self_int if inner else 0)
+
+
 def recognize_fibre_type(g: DualGraph):
     """Match a marked fibre graph against the six standard-coefficient types.
 
-    The parameter b is recovered from the central coefficient (b-1)/b and
-    every other recorded coefficient and self-intersection is verified
-    against it.
+    The parameter b is recovered from the coefficient (b-1)/b of the one
+    strict curve with two or more neighbours; the counts of curves give the
+    kind (and k); the graph must then have the tree form of that catalog
+    member, so every other coefficient and inner self-intersection is
+    verified against it.
 
     >>> str(recognize_fibre_type(dynkin_fibre_graph("II-1", 3)))
     '(II-1)_3'
     """
-    if g.tangency or g.coincident or g.by_role(FIBRE):
+    if g.tangency or g.coincident:
         return UNRECOGNIZED
-    exc = g.by_role(EXCEPTIONAL)
-    strict = g.by_role(STRICT)
-    n = len(g.vertices)
-    if any(v.self_int != -2 or v.genus != 0 for v in exc):
+    n, n_exc = len(g.vertices), len(g.by_role(EXCEPTIONAL))
+    if n_exc >= 3 and n == n_exc + 2:
+        candidates = [("II-3", n_exc - 2)]
+    else:
+        shapes = {(3, 0): ("II-1", "II-2"), (4, 0): ("I-1",), (4, 2): ("I-2",), (5, 2): ("I-3",)}
+        candidates = [(kind, None) for kind in shapes.get((n, n_exc), ())]
+    if not candidates:
         return UNRECOGNIZED
-    if any(v.genus != 0 for v in strict):
+    centres = [v for v in g.by_role(STRICT) if len(g.neighbors(v.id)) >= 2]
+    b = _infer_b(centres[0].boundary_coeff) if len(centres) == 1 else None
+    if b is None:
         return UNRECOGNIZED
-
-    def entry_ok(a: str, b_: str, w: int = 1) -> bool:
-        return g.entries(a, b_) == (w,)
-
-    if n == 3 and not exc and len(g.edges) == 2:
-        center = next((v for v in strict if len(g.neighbors(v.id)) == 2), None)
-        if center is None or center.self_int != 0:
-            return UNRECOGNIZED
-        b = _infer_b(center.boundary_coeff)
-        if b is None:
-            return UNRECOGNIZED
-        u, w = (g.vertex(x) for x in g.neighbors(center.id))
-        eu, ew = g.entries(center.id, u.id), g.entries(center.id, w.id)
-        if eu == ew == (1,) and u.boundary_coeff == w.boundary_coeff == 1:
-            return FibreTypeLabel("II-1", b)
-        if sorted((eu, ew)) == [(1,), (2,)]:
-            heavy, light = (u, w) if eu == (2,) else (w, u)
-            if heavy.boundary_coeff == _HALF and light.boundary_coeff == 1:
-                return FibreTypeLabel("II-2", b)
-        return UNRECOGNIZED
-    if any(w != 1 for (_, _, w) in g.edges):
-        return UNRECOGNIZED
-    if n == 4 and len(g.edges) == 3:
-        center = next((v for v in g.vertices if len(g.neighbors(v.id)) == 3), None)
-        if center is None or center.role != STRICT:
-            return UNRECOGNIZED
-        b = _infer_b(center.boundary_coeff)
-        if b is None:
-            return UNRECOGNIZED
-        leaves = [g.vertex(x) for x in g.neighbors(center.id)]
-        if not exc and center.self_int == 0:
-            if sorted(v.boundary_coeff for v in leaves) == sorted((Rational(1), _HALF, _HALF)):
-                return FibreTypeLabel("I-1", b)
-        if len(exc) == 2 and center.self_int == -1:
-            strict_leaves = [v for v in leaves if v.role == STRICT]
-            if len(strict_leaves) == 1 and strict_leaves[0].boundary_coeff == 1:
-                if all(v.boundary_coeff == standard_coeff(b) / 2 for v in exc):
-                    return FibreTypeLabel("I-2", b)
-        return UNRECOGNIZED
-    if n == 5 and len(g.edges) == 4 and len(exc) == 2:
-        center = next(
-            (v for v in strict if v.self_int == -1 and len(g.neighbors(v.id)) == 3), None
-        )
-        if center is None:
-            return UNRECOGNIZED
-        b = _infer_b(center.boundary_coeff)
-        if b is None:
-            return UNRECOGNIZED
-        half_leaf = cover = tail = None
-        for x in g.neighbors(center.id):
-            v = g.vertex(x)
-            if v.role == STRICT and v.boundary_coeff == _HALF and len(g.neighbors(x)) == 1:
-                half_leaf = v
-            elif v.role == EXCEPTIONAL and len(g.neighbors(x)) == 1:
-                tail = v
-            elif v.role == EXCEPTIONAL and len(g.neighbors(x)) == 2:
-                cover = v
-        if None in (half_leaf, cover, tail):
-            return UNRECOGNIZED
-        if (cover.boundary_coeff != doubled_standard_coeff(b)
-                or tail.boundary_coeff != standard_coeff(b) / 2):
-            return UNRECOGNIZED
-        far = next(x for x in g.neighbors(cover.id) if x != center.id)
-        anchor = g.vertex(far)
-        if anchor.role == STRICT and anchor.boundary_coeff == 1 and len(g.neighbors(far)) == 1:
-            return FibreTypeLabel("I-3", b)
-        return UNRECOGNIZED
-    # II-3: a strict tail and center, then an exceptional chain ending in a fork.
-    if len(strict) == 2 and len(exc) >= 3 and len(g.edges) == n - 1:
-        tail = next((v for v in strict if v.boundary_coeff == 1 and len(g.neighbors(v.id)) == 1), None)
-        center = next((v for v in strict if v is not tail), None)
-        if tail is None or center is None:
-            return UNRECOGNIZED
-        if center.self_int != -1 or len(g.neighbors(center.id)) != 2:
-            return UNRECOGNIZED
-        if tail.id not in g.neighbors(center.id):
-            return UNRECOGNIZED
-        b = _infer_b(center.boundary_coeff)
-        if b is None:
-            return UNRECOGNIZED
-        cb = standard_coeff(b)
-        hb = cb / 2
-        chain = []
-        prev, cur = center.id, next(x for x in g.neighbors(center.id) if x != tail.id)
-        while True:
-            v = g.vertex(cur)
-            if v.role != EXCEPTIONAL:
-                return UNRECOGNIZED
-            nxt = [x for x in g.neighbors(cur) if x != prev]
-            if len(nxt) == 1:
-                if v.boundary_coeff != cb:
-                    return UNRECOGNIZED
-                chain.append(cur)
-                prev, cur = cur, nxt[0]
-                continue
-            if len(nxt) == 2:
-                # The fork curve closes the chain.
-                if v.boundary_coeff != cb:
-                    return UNRECOGNIZED
-                chain.append(cur)
-                forks = [g.vertex(x) for x in nxt]
-                if all(
-                    f.role == EXCEPTIONAL
-                    and f.boundary_coeff == hb
-                    and len(g.neighbors(f.id)) == 1
-                    for f in forks
-                ):
-                    return FibreTypeLabel("II-3", b, len(chain))
-                return UNRECOGNIZED
-            return UNRECOGNIZED
+    form = _tree_form(g, _fibre_key)
+    for kind, k in candidates:
+        if form == _catalog_form(_fibre_key, dynkin_fibre_graph, kind, b, k):
+            return FibreTypeLabel(kind, b, k)
     return UNRECOGNIZED
 
 

@@ -144,14 +144,16 @@ def solve_section_config(target_height, fibres, chi: int = 1, po_max: int = 2):
     ``fibres`` lists (KodairaLabel, component count) pairs; the counts are
     validated against the labels.  The search is exhaustive over
     po in [0, po_max] and all simple-component choices, returned in
-    canonical (po, hits) order.  A search of more than
-    MAX_SECTION_CANDIDATES candidates raises ValueError before any
+    canonical (po, hits) order.  A negative po_max, or a search of more
+    than MAX_SECTION_CANDIDATES candidates, raises ValueError before any
     correction is computed.
     """
+    if po_max < 0:
+        raise ValueError(f"po_max must be >= 0, got {po_max}")
     target = Rational(target_height)
     labels = [label for label, _ in fibres]
     counts = [_simple_count(label) for label in labels]
-    if (max(po_max, 0) + 1) * prod(counts) > MAX_SECTION_CANDIDATES:
+    if (po_max + 1) * prod(counts) > MAX_SECTION_CANDIDATES:
         raise ValueError(f"section search exceeds {MAX_SECTION_CANDIDATES} candidates")
     for label, count in fibres:
         expected = component_count(label)

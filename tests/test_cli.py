@@ -167,6 +167,17 @@ class TestGraph:
         assert code == 0
         assert tsv_pairs(out)["kodaira"] == "I_3"
 
+    def test_long_chain_is_recognized(self, capsys, tmp_path):
+        # 5000 (-2)-curves in a row, far past the interpreter's recursion limit
+        n = 5000
+        chain = {"vertices": [{"id": f"E{i}", "self_int": -2} for i in range(n)],
+                 "edges": [{"a": f"E{i}", "b": f"E{i + 1}"} for i in range(n - 1)]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain))
+        code, out, _ = run(capsys, "graph", path, "recognize")
+        assert code == 0
+        assert tsv_pairs(out)["duval"] == "A_5000"
+
     def test_malformed_file_reports_parse_position(self, capsys):
         code, data, _ = run_json(capsys, "graph", FIXTURES / "malformed.json", "recognize")
         assert code == 1
@@ -381,12 +392,18 @@ MALFORMED = {
     "mw_target_huge_exponent": (["mw", "FILE"], {"fibres": [], "target": "1e5000"}, PARSE),
     "mw_chi_zero_den": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1/0"}, PARSE),
     "mw_chi_overlong": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": "1" * 2000}, PARSE),
+    "mw_chi_zero": (["mw", "FILE"], {"fibres": [], "target": "0", "chi": 0}, DOMAIN),
+    "mw_chi_negative": (["mw", "FILE"], {"fibres": [], "target": "-6", "chi": -3}, DOMAIN),
+    "mw_chi_rational": (["mw", "FILE"],
+                        {"fibres": [{"label": "I_2", "components": 2}], "target": "1/2",
+                         "chi": "1/2"}, PARSE),
     "mw_components_float": (["mw", "FILE"],
                             {"fibres": [{"label": "I_3", "components": 3.5}], "target": "2"},
                             PARSE),
     "mw_po_max_float": (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": 2.5}, PARSE),
     "mw_po_max_huge": (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": 100_000_000},
                        DOMAIN),
+    "mw_po_max_negative": (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": -1}, DOMAIN),
     "mw_fibre_huge": (["mw", "FILE"], {"fibres": [{"label": "I_200000", "components": 200_000}],
                                        "target": "2", "po_max": 0}, DOMAIN),
     "mw_fibre_enormous": (["mw", "FILE"],
@@ -449,7 +466,8 @@ EXACT_NUMBER_FILES = {
               '{"vertices": [{"id": "E", "self_int": -2}, '
               '{"id": "B", "self_int": 0, "role": "strict", "boundary": X}], '
               '"edges": [{"a": "E", "b": "B"}]}'),
-    "mw": (["mw", "FILE"], '{"fibres": [], "chi": X, "target": "0.60000000000000002", "po_max": 0}'),
+    "mw": (["mw", "FILE"], '{"fibres": [{"label": "I_10", "components": 10}, '
+                           '{"label": "I_5", "components": 5}], "target": X, "po_max": 0}'),
 }
 
 

@@ -5,6 +5,8 @@ defining linear systems (adjunction against each exceptional curve) and
 frozen before the solver existed.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import prod
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logdgen.core import INFINITY, NOT_LC
+from logdgen.core import INFINITY, NOT_LC, doubled_standard_coeff, standard_coeff
 from logdgen.duval import DuValType, duval_order
 from logdgen.dualgraph import (
     CANONICAL,
@@ -48,7 +50,7 @@ from logdgen.dualgraph import (
     recognize_half_catalog,
     recognize_kodaira,
 )
-from logdgen.dualgraph import _eliminate, _isomorphic, _half_key
+from logdgen.dualgraph import FIBRE, _eliminate, _half_key, _infer_b, _isomorphic
 
 
 def kernel_det(m):
@@ -366,6 +368,8 @@ class TestDuValRecognition:
         DualGraph([exc("E1", -2), exc("E2", -2)]),  # disconnected
         DualGraph([exc(f"E{i}", -2) for i in (1, 2, 3)],
                   [("E1", "E2"), ("E2", "E3"), ("E3", "E1")]),  # cycle
+        DualGraph([exc(f"E{i}", -2) for i in (1, 2, 3, 4)],
+                  [("E1", "E2"), ("E2", "E3"), ("E3", "E1")]),  # cycle beside a lone curve
         DualGraph([exc(f"E{i}", -2) for i in (1, 2)], [("E1", "E2", 2)]),  # tangent
         DualGraph([exc(f"E{i}", -2) for i in range(1, 6)],
                   [("E1", "E5"), ("E2", "E5"), ("E3", "E5"), ("E4", "E5")]),  # valence 4
@@ -627,6 +631,313 @@ class TestFibreTypes:
                           v.multiplicity, v.boundary_coeff, v.role)
               for v in g.vertices]
         assert recognize_fibre_type(DualGraph(vs, g.edges)) == UNRECOGNIZED
+
+    def test_strict_leaf_self_intersections_and_multiplicities_unchecked(self):
+        g = dynkin_fibre_graph("I-3", 2)
+        vs = [replace(v, multiplicity=2, self_int=5 if v.id in ("S1", "H1") else v.self_int)
+              for v in g.vertices]
+        assert recognize_fibre_type(DualGraph(vs, g.edges)) == FibreTypeLabel("I-3", 2)
+
+    def test_disconnected_chain_unrecognized(self):
+        # (II-3)_{2,1} beside two (-2)-curves meeting twice: n - 1 entries, but no tree.
+        g = dynkin_fibre_graph("II-3", 2, 1)
+        vs = list(g.vertices) + [exc("Z1", -2), exc("Z2", -2)]
+        edges = list(g.edges) + [("Z1", "Z2"), ("Z1", "Z2")]
+        assert recognize_fibre_type(DualGraph(vs, edges)) == UNRECOGNIZED
+
+    def test_shuffled_names_recognized(self):
+        g = renamed(dynkin_fibre_graph("II-3", 2, 12), random.Random(12))
+        assert not {"S1", "C", "X1", "Y1"} & set(g.ids())
+        assert recognize_fibre_type(g) == FibreTypeLabel("II-3", 2, 12)
+
+
+# ---------------------------------------------------------------------------
+# The hand-walked Du Val and fibre-type recognizers, kept as oracles for the
+# tree-form recognizers.
+
+Rational = F
+_HALF = F(1, 2)
+
+
+def _arm_lengths(g: DualGraph, sub_ids: set[str], center: str) -> list[int] | None:
+    """Vertex counts of the chains hanging off a trivalent tree vertex."""
+    lengths = []
+    for start in g.neighbors(center):
+        if start not in sub_ids:
+            continue
+        length = 0
+        prev, cur = center, start
+        while True:
+            length += 1
+            nxt = [u for u in g.neighbors(cur) if u in sub_ids and u != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                return None
+            prev, cur = cur, nxt[0]
+        lengths.append(length)
+    return sorted(lengths)
+
+
+def walk_recognize_duval(g: DualGraph):
+    """Match the exceptional subgraph against the A/D/E trees of (-2)-curves."""
+    exc = g.by_role(EXCEPTIONAL)
+    if not exc:
+        return UNRECOGNIZED
+    ids = {v.id for v in exc}
+    for v in exc:
+        if v.self_int != -2 or v.genus != 0 or g.tangency.get(v.id, 0):
+            return UNRECOGNIZED
+    sub_edges = [(a, b, w) for (a, b, w) in g.edges if a in ids and b in ids]
+    if any(w != 1 for (_, _, w) in sub_edges):
+        return UNRECOGNIZED
+    n = len(exc)
+    if len(sub_edges) != n - 1:
+        return UNRECOGNIZED
+    if len({(a, b) for (a, b, _) in sub_edges}) != n - 1:
+        return UNRECOGNIZED
+    # Connectivity of the exceptional part.
+    seen = {exc[0].id}
+    frontier = [exc[0].id]
+    while frontier:
+        cur = frontier.pop()
+        for u in g.neighbors(cur):
+            if u in ids and u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    if seen != ids:
+        return UNRECOGNIZED
+    degrees = {v.id: sum(1 for u in g.neighbors(v.id) if u in ids) for v in exc}
+    branch = [vid for vid, d in degrees.items() if d == 3]
+    if any(d > 3 for d in degrees.values()) or len(branch) > 1:
+        return UNRECOGNIZED
+    if not branch:
+        return DuValType("A", n)
+    arms = _arm_lengths(g, ids, branch[0])
+    if arms is None:
+        return UNRECOGNIZED
+    if arms[0] == arms[1] == 1:
+        return DuValType("D", n)
+    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
+        return DuValType("E", n)
+    return UNRECOGNIZED
+
+
+def walk_recognize_fibre_type(g: DualGraph):
+    """Match a marked fibre graph against the six standard-coefficient types.
+
+    The parameter b is recovered from the central coefficient (b-1)/b and
+    every other recorded coefficient and self-intersection is verified
+    against it.
+    """
+    if g.tangency or g.coincident or g.by_role(FIBRE):
+        return UNRECOGNIZED
+    exc = g.by_role(EXCEPTIONAL)
+    strict = g.by_role(STRICT)
+    n = len(g.vertices)
+    if any(v.self_int != -2 or v.genus != 0 for v in exc):
+        return UNRECOGNIZED
+    if any(v.genus != 0 for v in strict):
+        return UNRECOGNIZED
+
+    def entry_ok(a: str, b_: str, w: int = 1) -> bool:
+        return g.entries(a, b_) == (w,)
+
+    if n == 3 and not exc and len(g.edges) == 2:
+        center = next((v for v in strict if len(g.neighbors(v.id)) == 2), None)
+        if center is None or center.self_int != 0:
+            return UNRECOGNIZED
+        b = _infer_b(center.boundary_coeff)
+        if b is None:
+            return UNRECOGNIZED
+        u, w = (g.vertex(x) for x in g.neighbors(center.id))
+        eu, ew = g.entries(center.id, u.id), g.entries(center.id, w.id)
+        if eu == ew == (1,) and u.boundary_coeff == w.boundary_coeff == 1:
+            return FibreTypeLabel("II-1", b)
+        if sorted((eu, ew)) == [(1,), (2,)]:
+            heavy, light = (u, w) if eu == (2,) else (w, u)
+            if heavy.boundary_coeff == _HALF and light.boundary_coeff == 1:
+                return FibreTypeLabel("II-2", b)
+        return UNRECOGNIZED
+    if any(w != 1 for (_, _, w) in g.edges):
+        return UNRECOGNIZED
+    if n == 4 and len(g.edges) == 3:
+        center = next((v for v in g.vertices if len(g.neighbors(v.id)) == 3), None)
+        if center is None or center.role != STRICT:
+            return UNRECOGNIZED
+        b = _infer_b(center.boundary_coeff)
+        if b is None:
+            return UNRECOGNIZED
+        leaves = [g.vertex(x) for x in g.neighbors(center.id)]
+        if not exc and center.self_int == 0:
+            if sorted(v.boundary_coeff for v in leaves) == sorted((Rational(1), _HALF, _HALF)):
+                return FibreTypeLabel("I-1", b)
+        if len(exc) == 2 and center.self_int == -1:
+            strict_leaves = [v for v in leaves if v.role == STRICT]
+            if len(strict_leaves) == 1 and strict_leaves[0].boundary_coeff == 1:
+                if all(v.boundary_coeff == standard_coeff(b) / 2 for v in exc):
+                    return FibreTypeLabel("I-2", b)
+        return UNRECOGNIZED
+    if n == 5 and len(g.edges) == 4 and len(exc) == 2:
+        center = next(
+            (v for v in strict if v.self_int == -1 and len(g.neighbors(v.id)) == 3), None
+        )
+        if center is None:
+            return UNRECOGNIZED
+        b = _infer_b(center.boundary_coeff)
+        if b is None:
+            return UNRECOGNIZED
+        half_leaf = cover = tail = None
+        for x in g.neighbors(center.id):
+            v = g.vertex(x)
+            if v.role == STRICT and v.boundary_coeff == _HALF and len(g.neighbors(x)) == 1:
+                half_leaf = v
+            elif v.role == EXCEPTIONAL and len(g.neighbors(x)) == 1:
+                tail = v
+            elif v.role == EXCEPTIONAL and len(g.neighbors(x)) == 2:
+                cover = v
+        if None in (half_leaf, cover, tail):
+            return UNRECOGNIZED
+        if (cover.boundary_coeff != doubled_standard_coeff(b)
+                or tail.boundary_coeff != standard_coeff(b) / 2):
+            return UNRECOGNIZED
+        far = next(x for x in g.neighbors(cover.id) if x != center.id)
+        anchor = g.vertex(far)
+        if anchor.role == STRICT and anchor.boundary_coeff == 1 and len(g.neighbors(far)) == 1:
+            return FibreTypeLabel("I-3", b)
+        return UNRECOGNIZED
+    # II-3: a strict tail and center, then an exceptional chain ending in a fork.
+    if len(strict) == 2 and len(exc) >= 3 and len(g.edges) == n - 1:
+        tail = next((v for v in strict if v.boundary_coeff == 1 and len(g.neighbors(v.id)) == 1), None)
+        center = next((v for v in strict if v is not tail), None)
+        if tail is None or center is None:
+            return UNRECOGNIZED
+        if center.self_int != -1 or len(g.neighbors(center.id)) != 2:
+            return UNRECOGNIZED
+        if tail.id not in g.neighbors(center.id):
+            return UNRECOGNIZED
+        b = _infer_b(center.boundary_coeff)
+        if b is None:
+            return UNRECOGNIZED
+        cb = standard_coeff(b)
+        hb = cb / 2
+        chain = []
+        prev, cur = center.id, next(x for x in g.neighbors(center.id) if x != tail.id)
+        while True:
+            v = g.vertex(cur)
+            if v.role != EXCEPTIONAL:
+                return UNRECOGNIZED
+            nxt = [x for x in g.neighbors(cur) if x != prev]
+            if len(nxt) == 1:
+                if v.boundary_coeff != cb:
+                    return UNRECOGNIZED
+                chain.append(cur)
+                prev, cur = cur, nxt[0]
+                continue
+            if len(nxt) == 2:
+                # The fork curve closes the chain.
+                if v.boundary_coeff != cb:
+                    return UNRECOGNIZED
+                chain.append(cur)
+                forks = [g.vertex(x) for x in nxt]
+                if all(
+                    f.role == EXCEPTIONAL
+                    and f.boundary_coeff == hb
+                    and len(g.neighbors(f.id)) == 1
+                    for f in forks
+                ):
+                    return FibreTypeLabel("II-3", b, len(chain))
+                return UNRECOGNIZED
+            return UNRECOGNIZED
+    return UNRECOGNIZED
+
+
+def renamed(g: DualGraph, rng: random.Random) -> DualGraph:
+    """The same graph under fresh random vertex names, vertices and edges reordered."""
+    fresh = dict(zip(g.ids(), (f"v{i}" for i in rng.sample(range(10**6), len(g.vertices)))))
+    vs = [CurveVertex(fresh[v.id], v.self_int, v.genus, v.multiplicity, v.boundary_coeff, v.role)
+          for v in g.vertices]
+    rng.shuffle(vs)
+    edges = [(fresh[a], fresh[b], w) for a, b, w in g.edges]
+    rng.shuffle(edges)
+    return DualGraph(vs, edges, {fresh[v]: c for v, c in g.tangency.items()},
+                     [[fresh[v] for v in grp] for grp in g.coincident])
+
+
+# Du Val trees, marked fibre types, and other catalog graphs, drawn from in equal shares.
+ORACLE_CATALOGS = (
+    [duval_graph(DuValType("A", n)) for n in range(1, 13)]
+    + [duval_graph(DuValType("D", n)) for n in range(4, 13)]
+    + [duval_graph(DuValType("E", n)) for n in (6, 7, 8)],
+    [dynkin_fibre_graph(kind, b) for kind in ("I-1", "I-2", "I-3", "II-1", "II-2")
+     for b in (1, 2, 3, INFINITY)]
+    + [dynkin_fibre_graph("II-3", b, k) for b in (1, 2, 3, INFINITY) for k in range(1, 11)],
+    [half_catalog_graph(family, k) for family, k in family_k_grid()]
+    + [kodaira_graph(label) for label, _ in KODAIRA_EULER],
+)
+EDIT_COEFFS = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+
+
+@st.composite
+def one_edit(draw, g: DualGraph) -> DualGraph:
+    """``g`` with one entry, curve, mark or annotation changed; ``g`` when the edit is void."""
+    vs, edges = list(g.vertices), list(g.edges)
+    tangency, groups = dict(g.tangency), list(g.coincident)
+    ids = g.ids()
+    op = draw(st.sampled_from(["drop entry", "add entry", "self_int", "coeff", "role", "genus",
+                               "mult", "tangency", "add curve", "drop curve", "coincident"]))
+    i = draw(st.integers(0, len(vs) - 1))
+    v = vs[i]
+    if op == "drop entry" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif op == "add entry" and len(ids) >= 2:
+        a, b = draw(st.permutations(ids))[:2]
+        edges.append((a, b, draw(st.integers(1, 2))))
+    elif op == "self_int":
+        vs[i] = replace(v, self_int=draw(st.integers(-4, 1)))
+    elif op == "coeff":
+        vs[i] = replace(v, boundary_coeff=draw(st.sampled_from(EDIT_COEFFS)))
+    elif op == "role":
+        vs[i] = replace(v, role=draw(st.sampled_from([EXCEPTIONAL, STRICT, FIBRE])))
+    elif op == "genus":
+        vs[i] = replace(v, genus=1)
+    elif op == "mult":
+        vs[i] = replace(v, multiplicity=2)
+    elif op == "tangency":
+        tangency[v.id] = 1
+    elif op == "add curve":
+        vs.append(CurveVertex("N", draw(st.integers(-3, 0)), 0, 1,
+                              draw(st.sampled_from(EDIT_COEFFS)),
+                              draw(st.sampled_from([EXCEPTIONAL, STRICT]))))
+        edges.append((v.id, "N", 1))
+    elif op == "drop curve" and len(vs) > 1:
+        vs.pop(i)
+        edges = [e for e in edges if v.id not in e[:2]]
+        tangency.pop(v.id, None)
+        groups = [grp for grp in groups if v.id not in grp]
+    elif op == "coincident" and len(ids) >= 3:
+        groups.append(draw(st.permutations(ids))[:3])
+    try:
+        return DualGraph(vs, edges, tangency, groups)
+    except ValueError:
+        return g
+
+
+@st.composite
+def catalog_variants(draw) -> DualGraph:
+    g = draw(st.one_of(*map(st.sampled_from, ORACLE_CATALOGS)))
+    if draw(st.integers(0, 3)):
+        g = draw(one_edit(g))
+    if draw(st.booleans()) and len(g.vertices) <= 14:
+        g = renamed(g, draw(st.randoms(use_true_random=False)))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog_variants())
+def test_tree_form_recognizers_agree_with_the_walks(g):
+    assert recognize_duval(g) == walk_recognize_duval(g)
+    assert recognize_fibre_type(g) == walk_recognize_fibre_type(g)
 
 
 class TestJson:

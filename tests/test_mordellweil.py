@@ -214,6 +214,11 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_section_config(2, [(lab("I*", 1), 5)], chi=1, po_max=0)
 
+    def test_negative_po_max_rejected(self):
+        # not an empty search: a section meets the zero section non-negatively
+        with pytest.raises(ValueError, match="po_max"):
+            solve_section_config(2, [], chi=1, po_max=-1)
+
     def test_search_size_limited_before_any_graph_is_built(self, monkeypatch):
         import logdgen.dualgraph as dualgraph
 
