@@ -154,15 +154,14 @@ def _check_table_abelian(name: str) -> tuple[list[dict], list[str]]:
     return rows, mismatches
 
 
-_ABELIAN_COLUMNS = ("number", "kind", "r", "a", "ell", "mu", "s", "c")
-# Table name -> (column headers, builder returning the rows and mismatches).
+# Table name -> builder returning the rows and mismatches.  Every builder
+# writes its row dicts in column order, so the columns are the first row's keys.
 _TABLES = {
-    "I": (("case", "e_p", "o_p", "c_p", "delta_p"), _check_table_one),
-    "IV": (("row", "degree", "singularities", "e_orb", "e_orb_recomputed", "note"),
-           _check_table_four),
-    "V": (("column", "m", "ell", "mu", "s"), _check_table_five),
-    "VI": (_ABELIAN_COLUMNS, lambda: _check_table_abelian("VI")),
-    "VII": (_ABELIAN_COLUMNS, lambda: _check_table_abelian("VII")),
+    "I": _check_table_one,
+    "IV": _check_table_four,
+    "V": _check_table_five,
+    "VI": lambda: _check_table_abelian("VI"),
+    "VII": lambda: _check_table_abelian("VII"),
 }
 
 
@@ -173,7 +172,7 @@ def _render_cell(column: str, value) -> str:
     return str(value)
 
 
-def _emit_table_tsv(name: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+def _emit_table_tsv(name: str, columns: list[str], rows: list[dict]) -> None:
     print(f"# Table {name}")
     print("\t".join(columns))
     for row in rows:
@@ -185,9 +184,8 @@ def cmd_tables(args) -> int:
     mismatches = []
     emitted = {}
     for name in names:
-        columns, build = _TABLES[name]
-        rows, bad = build()
-        emitted[name] = {"columns": columns, "rows": rows}
+        rows, bad = _TABLES[name]()
+        emitted[name] = {"columns": list(rows[0]), "rows": rows}
         mismatches.extend(bad)
     if args.format == "json":
         payload = emitted[names[0]] if len(names) == 1 else emitted

@@ -299,6 +299,10 @@ def is_negative_definite(m) -> bool:
 # ---------------------------------------------------------------------------
 # Log pullback, classification, blow-down.
 
+# Most exceptional curves pullback_coefficients solves for: its elimination
+# over Fraction grows as the cube of the count.
+MAX_PULLBACK_CURVES = 100
+
 
 def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
     """Coefficients a_i of the exceptional curves in the log pullback.
@@ -309,12 +313,16 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
 
     over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
     curves must be smooth rational).  The discrepancy of E_i is -a_i.
+    More than MAX_PULLBACK_CURVES exceptional curves raise ValueError
+    before the system is built.
 
     >>> g = DualGraph([CurveVertex("E", -4)])
     >>> pullback_coefficients(g)
     {'E': Fraction(1, 2)}
     """
     exc = g.by_role(EXCEPTIONAL)
+    if len(exc) > MAX_PULLBACK_CURVES:
+        raise ValueError(f"{len(exc)} exceptional curves exceed {MAX_PULLBACK_CURVES}")
     for v in exc:
         if v.genus != 0:
             raise ValueError(f"exceptional curve {v.id!r} must be rational")
@@ -776,60 +784,54 @@ def recognize_kodaira(g: DualGraph):
 # Bullets (strict branches of Xi) carry coefficient 1/2; chains written 2^k
 # mean exactly k curves of self-intersection -2.
 
-_HC_PART1 = ("A_0/2", "alpha", "beta", "D-alpha", "D-beta", "E_6/2", "E_7/2", "E_8/2")
-_HC_PART2 = ("gamma", "delta", "epsilon", "zeta", "D-gamma", "D-delta", "D-epsilon")
-HALF_CATALOG_FAMILIES = _HC_PART1 + _HC_PART2
-
-# Minimal k per family (parameterless families keyed at 0 only).
-_HC_KMIN = {"zeta": 1}
-
-# The parameterless families and their labels.
-_HC_FIXED_LABELS = {
-    "A_0/2": "A_0/2",
-    "E_6/2": "E_6/2",
-    "E_7/2": "E_7/2",
-    "E_8/2": "E_8/2",
-    "gamma": "A_1/2-gamma",
-    "D-gamma": "D_4/2-gamma",
+# One row per family, in catalog order with the eight smooth-centre families
+# first: (kmin, label, chain, hung, bullets), where
+#   kmin     is the smallest k;
+#   label    is the label as a string, or (series, c) for series_{2k+c}/2-greek;
+#   chain    gives the self-intersections of the chain E1, E2, ... as a function of k;
+#   hung     lists the self-intersections of the curves hung on the last chain curve;
+#   bullets  gives the chain end (0 first, -1 last) that each bullet B1, B2, ... meets.
+_HALF_CATALOG = {
+    "A_0/2": (0, "A_0/2", lambda k: [], (), (-1,)),
+    "alpha": (0, ("A", 1), lambda k: [-2] * k + [-1], (), (-1, -1)),
+    "beta": (0, ("A", 2), lambda k: [-2] * k + [-3, -1], (-2,), (-1,)),
+    "D-alpha": (0, ("D", 5), lambda k: [-2] * k + [-3, -1], (-2,), (-1, 0)),
+    "D-beta": (0, ("D", 4), lambda k: [-2] * k + [-1], (), (-1, -1, 0)),
+    "E_6/2": (0, "E_6/2", lambda k: [-2, -2, -1], (-4,), (-1,)),
+    "E_7/2": (0, "E_7/2", lambda k: [-2, -1], (-3,), (0, -1)),
+    "E_8/2": (0, "E_8/2", lambda k: [-3, -2, -1], (-3,), (-1,)),
+    "gamma": (0, "A_1/2-gamma", lambda k: [-4], (), ()),
+    "delta": (0, ("A", 3), lambda k: [-3] + [-2] * k + [-3], (), ()),
+    "epsilon": (0, ("A", 2), lambda k: [-2] * k + [-3], (), (0,)),
+    "zeta": (1, ("A", 1), lambda k: [-2] * k, (), (0, -1)),
+    "D-gamma": (0, "D_4/2-gamma", lambda k: [-1], (-4, -2), (-1,)),
+    "D-delta": (0, ("D", 5), lambda k: [-3] + [-2] * k + [-1], (), (-1, -1)),
+    "D-epsilon": (0, ("D", 6), lambda k: [-3] + [-2] * k + [-3, -1], (-2,), (-1,)),
 }
+HALF_CATALOG_FAMILIES = tuple(_HALF_CATALOG)
 
 
 def half_catalog_label(family: str, k: int = 0) -> str:
     """Catalog label of a family member, e.g. ``A_5/2-delta`` for k = 1."""
-    _check_family(family, k)
-    if family in _HC_FIXED_LABELS:
-        return _HC_FIXED_LABELS[family]
-    n = {
-        "alpha": 2 * k + 1,
-        "beta": 2 * k + 2,
-        "D-alpha": 2 * k + 5,
-        "D-beta": 2 * k + 4,
-        "delta": 2 * k + 3,
-        "epsilon": 2 * k + 2,
-        "zeta": 2 * k + 1,
-        "D-delta": 2 * k + 5,
-        "D-epsilon": 2 * k + 6,
-    }[family]
-    series = "D" if family.startswith("D-") else "A"
-    greek = family.split("-")[-1]
-    return f"{series}_{n}/2-{greek}"
+    label = _check_family(family, k)[1]
+    if isinstance(label, str):
+        return label
+    series, c = label
+    return f"{series}_{2 * k + c}/2-{family.split('-')[-1]}"
 
 
-def _check_family(family: str, k: int) -> None:
+def _check_family(family: str, k: int):
+    """The family's catalog row, once k is checked against its smallest value."""
     if family not in HALF_CATALOG_FAMILIES:
         raise ValueError(f"unknown catalog family {family!r}")
-    if k < _HC_KMIN.get(family, 0):
-        raise ValueError(f"family {family!r} needs k >= {_HC_KMIN.get(family, 0)}")
+    row = _HALF_CATALOG[family]
+    if k < row[0]:
+        raise ValueError(f"family {family!r} needs k >= {row[0]}")
+    return row
 
 
 def _bullet(i: int) -> CurveVertex:
     return CurveVertex(f"B{i}", 0, 0, 1, _HALF, STRICT)
-
-
-def _exc_chain(self_ints) -> tuple[list[CurveVertex], list[tuple[str, str]]]:
-    vs = [CurveVertex(f"E{i+1}", s) for i, s in enumerate(self_ints)]
-    edges = [(f"E{i}", f"E{i+1}") for i in range(1, len(self_ints))]
-    return vs, edges
 
 
 def half_catalog_graph(family: str, k: int = 0) -> DualGraph:
@@ -838,83 +840,16 @@ def half_catalog_graph(family: str, k: int = 0) -> DualGraph:
     >>> recognize_half_catalog(half_catalog_graph("delta", 1))
     'A_5/2-delta'
     """
-    _check_family(family, k)
-    if family == "A_0/2":
-        return DualGraph([_bullet(1)])
-    if family == "alpha":
-        vs, edges = _exc_chain([-2] * k + [-1])
-        last = f"E{k+1}"
-        vs += [_bullet(1), _bullet(2)]
-        edges += [(last, "B1"), (last, "B2")]
-        return DualGraph(vs, edges)
-    if family == "beta":
-        vs, edges = _exc_chain([-2] * k + [-3, -1])
-        last = f"E{k+2}"
-        vs.append(CurveVertex(f"E{k+3}", -2))
-        vs.append(_bullet(1))
-        edges += [(last, f"E{k+3}"), (last, "B1")]
-        return DualGraph(vs, edges)
-    if family == "D-alpha":
-        g = half_catalog_graph("beta", k)
-        vs = list(g.vertices) + [_bullet(2)]
-        edges = list(g.edges) + [("E1", "B2")]
-        return DualGraph(vs, edges)
-    if family == "D-beta":
-        g = half_catalog_graph("alpha", k)
-        vs = list(g.vertices) + [_bullet(3)]
-        edges = list(g.edges) + [("E1", "B3")]
-        return DualGraph(vs, edges)
-    if family == "E_6/2":
-        vs, edges = _exc_chain([-2, -2, -1])
-        vs += [CurveVertex("E4", -4), _bullet(1)]
-        edges += [("E3", "E4"), ("E3", "B1")]
-        return DualGraph(vs, edges)
-    if family == "E_7/2":
-        vs, edges = _exc_chain([-2, -1])
-        vs += [CurveVertex("E3", -3), _bullet(1), _bullet(2)]
-        edges += [("E1", "B1"), ("E2", "E3"), ("E2", "B2")]
-        return DualGraph(vs, edges)
-    if family == "E_8/2":
-        vs, edges = _exc_chain([-3, -2, -1])
-        vs += [CurveVertex("E4", -3), _bullet(1)]
-        edges += [("E3", "E4"), ("E3", "B1")]
-        return DualGraph(vs, edges)
-    if family == "gamma":
-        return DualGraph([CurveVertex("E1", -4)])
-    if family == "delta":
-        vs, edges = _exc_chain([-3] + [-2] * k + [-3])
-        return DualGraph(vs, edges)
-    if family == "epsilon":
-        vs, edges = _exc_chain([-2] * k + [-3])
-        vs.append(_bullet(1))
-        edges.append(("E1", "B1"))
-        return DualGraph(vs, edges)
-    if family == "zeta":
-        vs, edges = _exc_chain([-2] * k)
-        vs += [_bullet(1), _bullet(2)]
-        edges += [("E1", "B1"), (f"E{k}", "B2")]
-        return DualGraph(vs, edges)
-    if family == "D-gamma":
-        vs = [
-            CurveVertex("E1", -1),
-            CurveVertex("E2", -4),
-            CurveVertex("E3", -2),
-            _bullet(1),
-        ]
-        edges = [("E1", "E2"), ("E1", "E3"), ("E1", "B1")]
-        return DualGraph(vs, edges)
-    if family == "D-delta":
-        vs, edges = _exc_chain([-3] + [-2] * k + [-1])
-        last = f"E{k+2}"
-        vs += [_bullet(1), _bullet(2)]
-        edges += [(last, "B1"), (last, "B2")]
-        return DualGraph(vs, edges)
-    # D-epsilon
-    vs, edges = _exc_chain([-3] + [-2] * k + [-3, -1])
-    last = f"E{k+3}"
-    vs.append(CurveVertex(f"E{k+4}", -2))
-    vs.append(_bullet(1))
-    edges += [(last, f"E{k+4}"), (last, "B1")]
+    _, _, chain, hung, bullets = _check_family(family, k)
+    chain = chain(k)
+    n = len(chain)
+    vs = [CurveVertex(f"E{i}", s) for i, s in enumerate([*chain, *hung], 1)]
+    vs += [_bullet(i) for i in range(1, len(bullets) + 1)]
+    edges = [(f"E{i}", f"E{i + 1}") for i in range(1, n)]
+    edges += [(f"E{n}", f"E{i}") for i in range(n + 1, n + len(hung) + 1)]
+    if n:  # A_0/2 is a bare bullet
+        ends = {0: "E1", -1: f"E{n}"}
+        edges += [(ends[end], f"B{i}") for i, end in enumerate(bullets, 1)]
     return DualGraph(vs, edges)
 
 
@@ -929,7 +864,7 @@ def half_catalog_minimal_graph(family: str, k: int = 0) -> DualGraph:
     distinguishes them, and it is invisible to the dual graph).
     """
     _check_family(family, k)
-    if family in _HC_PART1:
+    if family in HALF_CATALOG_FAMILIES[:8]:
         raise ValueError(f"family {family!r} has a smooth center; no minimal resolution graph")
     if family in ("gamma", "delta", "epsilon", "zeta"):
         return half_catalog_graph(family, k)
@@ -967,25 +902,14 @@ def recognize_half_catalog(g: DualGraph):
     n_str = len(g.by_role(STRICT))
     if g.by_role(FIBRE):
         return UNRECOGNIZED
-    for family in HALF_CATALOG_FAMILIES:
-        bullets, offset = _half_catalog_shape(family)
-        k = n_exc - offset
-        if bullets != n_str or k < _HC_KMIN.get(family, 0) or (family in _HC_FIXED_LABELS and k):
+    for family, (kmin, label, chain, hung, bullets) in _HALF_CATALOG.items():
+        # every parametric family adds one chain curve per step of k
+        k = n_exc - len(chain(0)) - len(hung)
+        if len(bullets) != n_str or k < kmin or (isinstance(label, str) and k):
             continue
         if _isomorphic(g, half_catalog_graph(family, k), _half_key):
             return half_catalog_label(family, k)
     return UNRECOGNIZED
-
-
-@lru_cache(maxsize=len(HALF_CATALOG_FAMILIES))
-def _half_catalog_shape(family: str) -> tuple[int, int]:
-    """Bullet count and k-free exceptional count of a family, read off its smallest member.
-
-    Every parametric family adds one exceptional curve per step of k.
-    """
-    kmin = _HC_KMIN.get(family, 0)
-    g = half_catalog_graph(family, kmin)
-    return len(g.by_role(STRICT)), len(g.by_role(EXCEPTIONAL)) - kmin
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,29 @@ def exceptional_euler(t: DuValType) -> int:
     return t.curve_count + 1
 
 
+# One row per cover case 1..6: (r, nmin, base, cover, c), where
+#   r      is the index, or None for any r >= 2;
+#   nmin   is the smallest n, or None when the case takes no n;
+#   base   gives the Du Val type downstairs as a function of (r, n);
+#   cover  gives the Du Val type of the canonical cover (None when smooth) of (r, n);
+#   c      gives the correction c_p as a function of (r, n).
+_COVER_CASES = {
+    1: (None, 1, lambda r, n: DuValType("A", r * n - 1),
+        lambda r, n: DuValType("A", n - 1) if n >= 2 else None,
+        lambda r, n: n * (r - Rational(1, r))),
+    2: (4, 2, lambda r, n: DuValType("D", 2 * n + 1), lambda r, n: DuValType("A", 2 * n - 2),
+        lambda r, n: Rational(3 * (2 * n + 3), 4)),
+    3: (2, 2, lambda r, n: DuValType("D", n + 2), lambda r, n: DuValType("A", 2 * n - 1),
+        lambda r, n: Rational(3)),
+    4: (3, None, lambda r, n: DuValType("E", 6), lambda r, n: DuValType("D", 4),
+        lambda r, n: Rational(16, 3)),
+    5: (2, 3, lambda r, n: DuValType("D", 2 * n), lambda r, n: DuValType("D", n + 1),
+        lambda r, n: Rational(3 * n, 2)),
+    6: (2, None, lambda r, n: DuValType("E", 7), lambda r, n: DuValType("E", 6),
+        lambda r, n: Rational(9, 2)),
+}
+
+
 @dataclass(frozen=True)
 class CoverCase:
     """An index-r point whose canonical cover is Du Val (or the point itself).
@@ -104,57 +127,26 @@ class CoverCase:
             return
         if self.base is not None:
             raise ValueError("base is derived for cases 1..6")
-        if cid == 1:
-            ok = r >= 2 and n is not None and n >= 1
-        elif cid == 2:
-            ok = r == 4 and n is not None and n >= 2
-        elif cid == 3:
-            ok = r == 2 and n is not None and n >= 2
-        elif cid == 4:
-            ok = r == 3 and n is None
-        elif cid == 5:
-            ok = r == 2 and n is not None and n >= 3
-        elif cid == 6:
-            ok = r == 2 and n is None
-        else:
+        if cid not in _COVER_CASES:
             raise ValueError(f"case_id must be 0..6, got {cid}")
-        if not ok:
+        index, nmin = _COVER_CASES[cid][:2]
+        r_ok = r >= 2 if index is None else r == index
+        n_ok = n is None if nmin is None else n is not None and n >= nmin
+        if not (r_ok and n_ok):
             raise ValueError(f"invalid parameters for case {cid}: r={r}, n={n}")
 
     def base_type(self) -> DuValType:
         """Du Val type of the point downstairs."""
-        n = self.n
         if self.case_id == GORENSTEIN:
             assert self.base is not None
             return self.base
-        if self.case_id == 1:
-            return DuValType("A", self.r * n - 1)
-        if self.case_id == 2:
-            return DuValType("D", 2 * n + 1)
-        if self.case_id == 3:
-            return DuValType("D", n + 2)
-        if self.case_id == 4:
-            return DuValType("E", 6)
-        if self.case_id == 5:
-            return DuValType("D", 2 * n)
-        return DuValType("E", 7)
+        return _COVER_CASES[self.case_id][2](self.r, self.n)
 
     def cover_type(self) -> DuValType | None:
         """Du Val type of the canonical cover; None when the cover is smooth."""
-        n = self.n
         if self.case_id == GORENSTEIN:
             return self.base
-        if self.case_id == 1:
-            return DuValType("A", n - 1) if n >= 2 else None
-        if self.case_id == 2:
-            return DuValType("A", 2 * n - 2)
-        if self.case_id == 3:
-            return DuValType("A", 2 * n - 1)
-        if self.case_id == 4:
-            return DuValType("D", 4)
-        if self.case_id == 5:
-            return DuValType("D", n + 1)
-        return DuValType("E", 6)
+        return _COVER_CASES[self.case_id][3](self.r, self.n)
 
 
 # Table I as published: per cover case the closed forms of e_p, o_p, c_p and
@@ -209,20 +201,9 @@ def c_p(cover: CoverCase) -> Rational:
     >>> c_p(CoverCase(4, r=3))
     Fraction(16, 3)
     """
-    cid, n = cover.case_id, cover.n
-    if cid == GORENSTEIN:
+    if cover.case_id == GORENSTEIN:
         return Rational(0)
-    if cid == 1:
-        return n * (cover.r - Rational(1, cover.r))
-    if cid == 2:
-        return Rational(3 * (2 * n + 3), 4)
-    if cid == 3:
-        return Rational(3)
-    if cid == 4:
-        return Rational(16, 3)
-    if cid == 5:
-        return Rational(3 * n, 2)
-    return Rational(9, 2)
+    return _COVER_CASES[cover.case_id][4](cover.r, cover.n)
 
 
 def delta_p(cover: CoverCase) -> Rational:

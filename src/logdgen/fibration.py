@@ -47,14 +47,19 @@ PROFILE_BUDGETS = {
     SECTION_ONLY: Rational(2),
 }
 
-# Fibre kinds a profile can exhibit.  One floor contact (kinds I-*) needs a
-# multiplicity-2 central curve to host a bisection, so I-2 and II-3 belong
-# to the bisection; I-1, I-3 and II-2 carry half-boundary marks instead and
-# ride over a single section; two sections see only II-1 fibres.
-_ALLOWED_KINDS = {
-    SECTION_ONLY: frozenset({"I-1", "I-3", "II-2"}),
-    BISECTION: frozenset({"I-2", "II-1", "II-3"}),
-    TWO_SECTIONS: frozenset({"II-1"}),
+# Per profile, each fibre kind it can exhibit, with the boundary degree (a
+# function of b) that the fibre deposits on the horizontal floor curve(s).
+# One floor contact (kinds I-*) needs a multiplicity-2 central curve to host a
+# bisection, so I-2 and II-3 belong to the bisection; I-1, I-3 and II-2 carry
+# half-boundary marks and ride over a single section; two sections see only
+# II-1 fibres.  Each transverse contact with the central curve gives (b-1)/b
+# (II-1 meets a bisection twice, and each of two sections once); the floor
+# contact of an I-3 fibre runs through the order-2 point, giving (2b-1)/2b.
+_FLOOR_WEIGHTS = {
+    SECTION_ONLY: {"I-1": standard_coeff, "I-3": doubled_standard_coeff, "II-2": standard_coeff},
+    BISECTION: {"I-2": standard_coeff, "II-1": lambda b: 2 * standard_coeff(b),
+                "II-3": standard_coeff},
+    TWO_SECTIONS: {"II-1": standard_coeff},
 }
 
 # Fibres on which a degree-2 horizontal curve is ramified: the floor
@@ -143,30 +148,6 @@ def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
     return sum((budget_contribution(l) for l in rec.special), Rational(0))
 
 
-def _floor_weight(label: FibreTypeLabel, profile: str) -> Rational:
-    """Boundary degree the fibre deposits on the horizontal floor curve(s).
-
-    Transverse contact with the central curve of coefficient (b-1)/b gives
-    (b-1)/b per contact point; the floor contact of an I-3 fibre runs
-    through the order-2 point and picks up (2b-1)/2b instead.
-    """
-    if profile == SECTION_ONLY:
-        if label.kind in ("I-1", "II-2"):
-            return standard_coeff(label.b)
-        if label.kind == "I-3":
-            return doubled_standard_coeff(label.b)
-    elif profile == BISECTION:
-        if label.kind in ("I-2", "II-3"):
-            return standard_coeff(label.b)
-        if label.kind == "II-1":
-            return 2 * standard_coeff(label.b)
-    elif profile == TWO_SECTIONS:
-        if label.kind == "II-1":
-            # per section; both sections cross the same central curve
-            return standard_coeff(label.b)
-    raise ValueError(f"fibre type {label} cannot ride over profile {profile}")
-
-
 def branch_count(rec: TypRecord, profile: str) -> int:
     """Number of fibres ramifying the degree-2 horizontal curve."""
     _require_profile(profile)
@@ -194,11 +175,9 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     _require_profile(profile)
     if rec.generic != _GENERIC_FOR[profile]:
         return False
-    allowed = _ALLOWED_KINDS[profile]
+    weights = _FLOOR_WEIGHTS[profile]
     for label in rec.special:
-        if label.kind not in allowed:
-            return False
-        if label == _GENERIC_FOR[profile]:
+        if label.kind not in weights or label == _GENERIC_FOR[profile]:
             return False
 
     m = branch_count(rec, profile)
@@ -210,9 +189,7 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     if boundary_budget(rec, profile) > PROFILE_BUDGETS[profile]:
         return False
 
-    floor_total = sum(
-        (_floor_weight(l, profile) for l in rec.special), Rational(0)
-    )
+    floor_total = sum((weights[l.kind](l.b) for l in rec.special), Rational(0))
     if profile == BISECTION:
         # adjunction on the normalized bisection: its Euler number splits
         # into floor boundary degree plus 2 per node, at most one node

@@ -346,7 +346,9 @@ B = {"id": "B", "self_int": -2}
 # command with FILE standing for the input file, the file content, and the
 # status prefix the file ends in; a command-line case (no file) ends in a
 # usage error instead
-PARSE, DOMAIN = "ParseError: ", "DomainError: "
+PARSE, DOMAIN, SOLVER = "ParseError: ", "DomainError: ", "SolverError: "
+CHAIN_5000 = _graph(*({"id": f"E{i}", "self_int": -2} for i in range(5000)),
+                    edges=[{"a": f"E{i}", "b": f"E{i + 1}"} for i in range(4999)])
 MALFORMED = {
     "graph_array_root": (["graph", "FILE", "recognize"], [E], PARSE),
     "mw_array_root": (["mw", "FILE"], [{"label": "I_3", "components": 3}], PARSE),
@@ -422,6 +424,8 @@ MALFORMED = {
     "overlong_integer": (["euler", "FILE"], '{"components": [{"m": ' + "1" * 5000 + "}]}", PARSE),
     "deep_nesting": (["euler", "FILE"], '{"components": ' + "[" * 100_000 + "]" * 100_000 + "}",
                      PARSE),
+    "chain_5000_discrepancies": (["graph", "FILE", "discrepancies"], CHAIN_5000, SOLVER),
+    "chain_5000_classify": (["graph", "FILE", "classify"], CHAIN_5000, SOLVER),
     "mori_zero_den": (["cbf", "mori", "1/0", "1", "3"], None, None),
     "mori_huge_exponent": (["cbf", "mori", "1e-5000", "1", "3"], None, None),
 }

@@ -15,13 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logdgen import dualgraph
 from logdgen.core import INFINITY, NOT_LC, doubled_standard_coeff, standard_coeff
 from logdgen.duval import DuValType, duval_order
 from logdgen.dualgraph import (
     CANONICAL,
     EXCEPTIONAL,
+    HALF_CATALOG_FAMILIES,
     LC,
     LT,
+    MAX_PULLBACK_CURVES,
     PLT,
     STRICT,
     TERMINAL,
@@ -218,6 +221,19 @@ class TestPullback:
         g = DualGraph(vs, [("E1", "E2"), ("E2", "E3"), ("E3", "E1")])
         with pytest.raises(ValueError):
             pullback_coefficients(g)
+
+    def test_size_limit_refused_before_the_matrix(self, monkeypatch):
+        class MatrixBuilt(Exception):
+            pass
+
+        def refuse(*args):
+            raise MatrixBuilt
+
+        monkeypatch.setattr(dualgraph, "intersection_matrix", refuse)
+        with pytest.raises(MatrixBuilt):
+            pullback_coefficients(duval_graph(DuValType("A", MAX_PULLBACK_CURVES)))
+        with pytest.raises(ValueError, match=f"^101 exceptional curves exceed {MAX_PULLBACK_CURVES}$"):
+            pullback_coefficients(duval_graph(DuValType("A", MAX_PULLBACK_CURVES + 1)))
 
 
 @st.composite
@@ -970,3 +986,170 @@ class TestJson:
         assert g.vertex("E").role == EXCEPTIONAL
         assert g.vertex("C").boundary_coeff == F(1, 2)
         assert g.pair_weight("E", "C") == 1
+
+
+# ---------------------------------------------------------------------------
+# The half-catalog builders written out one family at a time, kept as oracles
+# for the one-row-per-family table.
+
+HAND_FAMILIES = ("A_0/2", "alpha", "beta", "D-alpha", "D-beta", "E_6/2", "E_7/2", "E_8/2",
+                 "gamma", "delta", "epsilon", "zeta", "D-gamma", "D-delta", "D-epsilon")
+
+# Minimal k per family (parameterless families keyed at 0 only).
+_HC_KMIN = {"zeta": 1}
+
+# The parameterless families and their labels.
+_HC_FIXED_LABELS = {
+    "A_0/2": "A_0/2",
+    "E_6/2": "E_6/2",
+    "E_7/2": "E_7/2",
+    "E_8/2": "E_8/2",
+    "gamma": "A_1/2-gamma",
+    "D-gamma": "D_4/2-gamma",
+}
+
+
+def hand_half_catalog_label(family: str, k: int = 0) -> str:
+    """Catalog label of a family member, e.g. ``A_5/2-delta`` for k = 1."""
+    _check_family(family, k)
+    if family in _HC_FIXED_LABELS:
+        return _HC_FIXED_LABELS[family]
+    n = {
+        "alpha": 2 * k + 1,
+        "beta": 2 * k + 2,
+        "D-alpha": 2 * k + 5,
+        "D-beta": 2 * k + 4,
+        "delta": 2 * k + 3,
+        "epsilon": 2 * k + 2,
+        "zeta": 2 * k + 1,
+        "D-delta": 2 * k + 5,
+        "D-epsilon": 2 * k + 6,
+    }[family]
+    series = "D" if family.startswith("D-") else "A"
+    greek = family.split("-")[-1]
+    return f"{series}_{n}/2-{greek}"
+
+
+def _check_family(family: str, k: int) -> None:
+    if family not in HAND_FAMILIES:
+        raise ValueError(f"unknown catalog family {family!r}")
+    if k < _HC_KMIN.get(family, 0):
+        raise ValueError(f"family {family!r} needs k >= {_HC_KMIN.get(family, 0)}")
+
+
+def _bullet(i: int) -> CurveVertex:
+    return CurveVertex(f"B{i}", 0, 0, 1, _HALF, STRICT)
+
+
+def _exc_chain(self_ints) -> tuple[list[CurveVertex], list[tuple[str, str]]]:
+    vs = [CurveVertex(f"E{i+1}", s) for i, s in enumerate(self_ints)]
+    edges = [(f"E{i}", f"E{i+1}") for i in range(1, len(self_ints))]
+    return vs, edges
+
+
+def hand_half_catalog_graph(family: str, k: int = 0) -> DualGraph:
+    """The drawn (normal crossing) dual graph of a catalog member."""
+    _check_family(family, k)
+    if family == "A_0/2":
+        return DualGraph([_bullet(1)])
+    if family == "alpha":
+        vs, edges = _exc_chain([-2] * k + [-1])
+        last = f"E{k+1}"
+        vs += [_bullet(1), _bullet(2)]
+        edges += [(last, "B1"), (last, "B2")]
+        return DualGraph(vs, edges)
+    if family == "beta":
+        vs, edges = _exc_chain([-2] * k + [-3, -1])
+        last = f"E{k+2}"
+        vs.append(CurveVertex(f"E{k+3}", -2))
+        vs.append(_bullet(1))
+        edges += [(last, f"E{k+3}"), (last, "B1")]
+        return DualGraph(vs, edges)
+    if family == "D-alpha":
+        g = hand_half_catalog_graph("beta", k)
+        vs = list(g.vertices) + [_bullet(2)]
+        edges = list(g.edges) + [("E1", "B2")]
+        return DualGraph(vs, edges)
+    if family == "D-beta":
+        g = hand_half_catalog_graph("alpha", k)
+        vs = list(g.vertices) + [_bullet(3)]
+        edges = list(g.edges) + [("E1", "B3")]
+        return DualGraph(vs, edges)
+    if family == "E_6/2":
+        vs, edges = _exc_chain([-2, -2, -1])
+        vs += [CurveVertex("E4", -4), _bullet(1)]
+        edges += [("E3", "E4"), ("E3", "B1")]
+        return DualGraph(vs, edges)
+    if family == "E_7/2":
+        vs, edges = _exc_chain([-2, -1])
+        vs += [CurveVertex("E3", -3), _bullet(1), _bullet(2)]
+        edges += [("E1", "B1"), ("E2", "E3"), ("E2", "B2")]
+        return DualGraph(vs, edges)
+    if family == "E_8/2":
+        vs, edges = _exc_chain([-3, -2, -1])
+        vs += [CurveVertex("E4", -3), _bullet(1)]
+        edges += [("E3", "E4"), ("E3", "B1")]
+        return DualGraph(vs, edges)
+    if family == "gamma":
+        return DualGraph([CurveVertex("E1", -4)])
+    if family == "delta":
+        vs, edges = _exc_chain([-3] + [-2] * k + [-3])
+        return DualGraph(vs, edges)
+    if family == "epsilon":
+        vs, edges = _exc_chain([-2] * k + [-3])
+        vs.append(_bullet(1))
+        edges.append(("E1", "B1"))
+        return DualGraph(vs, edges)
+    if family == "zeta":
+        vs, edges = _exc_chain([-2] * k)
+        vs += [_bullet(1), _bullet(2)]
+        edges += [("E1", "B1"), (f"E{k}", "B2")]
+        return DualGraph(vs, edges)
+    if family == "D-gamma":
+        vs = [
+            CurveVertex("E1", -1),
+            CurveVertex("E2", -4),
+            CurveVertex("E3", -2),
+            _bullet(1),
+        ]
+        edges = [("E1", "E2"), ("E1", "E3"), ("E1", "B1")]
+        return DualGraph(vs, edges)
+    if family == "D-delta":
+        vs, edges = _exc_chain([-3] + [-2] * k + [-1])
+        last = f"E{k+2}"
+        vs += [_bullet(1), _bullet(2)]
+        edges += [(last, "B1"), (last, "B2")]
+        return DualGraph(vs, edges)
+    # D-epsilon
+    vs, edges = _exc_chain([-3] + [-2] * k + [-3, -1])
+    last = f"E{k+3}"
+    vs.append(CurveVertex(f"E{k+4}", -2))
+    vs.append(_bullet(1))
+    edges += [(last, f"E{k+4}"), (last, "B1")]
+    return DualGraph(vs, edges)
+
+
+def _outcome(build, *args):
+    """What a builder returns, or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_catalog_order_is_the_hand_order():
+    assert HALF_CATALOG_FAMILIES == HAND_FAMILIES
+
+
+@pytest.mark.parametrize("family", HAND_FAMILIES + ("no-such-family",))
+def test_catalog_rows_agree_with_the_hand_builders(family):
+    for k in range(-1, 13):
+        got = _outcome(half_catalog_graph, family, k)
+        want = _outcome(hand_half_catalog_graph, family, k)
+        if isinstance(want, DualGraph):
+            assert (got.vertices, got.edges, got.tangency, got.coincident) == (
+                want.vertices, want.edges, want.tangency, want.coincident), (family, k)
+        else:
+            assert got == want, (family, k)
+        assert _outcome(half_catalog_label, family, k) == _outcome(
+            hand_half_catalog_label, family, k), (family, k)

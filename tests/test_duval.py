@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 
 from logdgen.duval import (
     COVER_TABLE_ROWS,
+    GORENSTEIN,
     CoverCase,
     DuValRecord,
     DuValType,
@@ -183,6 +185,116 @@ class TestDefectTable:
         rec = DuValRecord.from_cover(CoverCase(2, r=4, n=3))
         assert (rec.e_p, rec.o_p) == (8, 20)
         assert rec.delta_p == rec.e_p - F(1, rec.o_p) - rec.c_p
+
+
+# The cover cases written out one case_id at a time, kept as the oracle for
+# the one-row-per-case table.
+@dataclass(frozen=True)
+class HandCoverCase:
+    case_id: int
+    r: int = 1
+    n: int | None = None
+    base: DuValType | None = None
+
+    def __post_init__(self) -> None:
+        cid, r, n = self.case_id, self.r, self.n
+        if cid == GORENSTEIN:
+            if r != 1 or self.base is None or n is not None:
+                raise ValueError("Gorenstein case needs r=1, a base type, no n")
+            return
+        if self.base is not None:
+            raise ValueError("base is derived for cases 1..6")
+        if cid == 1:
+            ok = r >= 2 and n is not None and n >= 1
+        elif cid == 2:
+            ok = r == 4 and n is not None and n >= 2
+        elif cid == 3:
+            ok = r == 2 and n is not None and n >= 2
+        elif cid == 4:
+            ok = r == 3 and n is None
+        elif cid == 5:
+            ok = r == 2 and n is not None and n >= 3
+        elif cid == 6:
+            ok = r == 2 and n is None
+        else:
+            raise ValueError(f"case_id must be 0..6, got {cid}")
+        if not ok:
+            raise ValueError(f"invalid parameters for case {cid}: r={r}, n={n}")
+
+    def base_type(self) -> DuValType:
+        """Du Val type of the point downstairs."""
+        n = self.n
+        if self.case_id == GORENSTEIN:
+            assert self.base is not None
+            return self.base
+        if self.case_id == 1:
+            return DuValType("A", self.r * n - 1)
+        if self.case_id == 2:
+            return DuValType("D", 2 * n + 1)
+        if self.case_id == 3:
+            return DuValType("D", n + 2)
+        if self.case_id == 4:
+            return DuValType("E", 6)
+        if self.case_id == 5:
+            return DuValType("D", 2 * n)
+        return DuValType("E", 7)
+
+    def cover_type(self) -> DuValType | None:
+        """Du Val type of the canonical cover; None when the cover is smooth."""
+        n = self.n
+        if self.case_id == GORENSTEIN:
+            return self.base
+        if self.case_id == 1:
+            return DuValType("A", n - 1) if n >= 2 else None
+        if self.case_id == 2:
+            return DuValType("A", 2 * n - 2)
+        if self.case_id == 3:
+            return DuValType("A", 2 * n - 1)
+        if self.case_id == 4:
+            return DuValType("D", 4)
+        if self.case_id == 5:
+            return DuValType("D", n + 1)
+        return DuValType("E", 6)
+
+
+def hand_c_p(cover) -> F:
+    """Cover-case correction term."""
+    cid, n = cover.case_id, cover.n
+    if cid == GORENSTEIN:
+        return F(0)
+    if cid == 1:
+        return n * (cover.r - F(1, cover.r))
+    if cid == 2:
+        return F(3 * (2 * n + 3), 4)
+    if cid == 3:
+        return F(3)
+    if cid == 4:
+        return F(16, 3)
+    if cid == 5:
+        return F(3 * n, 2)
+    return F(9, 2)
+
+
+def _cover_outcome(cls, correction, case_id, r, n, base):
+    """Base type, cover type and c_p of a case, or the message that refuses it."""
+    try:
+        cover = cls(case_id, r=r, n=n, base=base)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return cover.base_type(), cover.cover_type(), repr(correction(cover))
+
+
+def test_cover_case_rows_agree_with_the_hand_cases():
+    points = 0
+    for case_id in range(-1, 8):
+        for r in range(9):
+            for n in (None, *range(12)):
+                for base in (None, DuValType("A", 2)):
+                    args = (case_id, r, n, base)
+                    want = _cover_outcome(HandCoverCase, hand_c_p, *args)
+                    assert _cover_outcome(CoverCase, c_p, *args) == want, args
+                    points += not isinstance(want, str)
+    assert points == 109  # the accepted points; the other 1997 are refused alike
 
 
 class TestDelPezzoCatalog:

@@ -5,10 +5,17 @@ from fractions import Fraction as Rational
 import pytest
 from hypothesis import given, strategies as st
 
-from logdgen.core import INFINITY, enumerate_boundary_multisets
+from logdgen.core import (
+    INFINITY,
+    doubled_standard_coeff,
+    enumerate_boundary_multisets,
+    hurwitz_double_cover_euler,
+    standard_coeff,
+)
 from logdgen.dualgraph import FibreTypeLabel, KodairaLabel
 from logdgen.fibration import (
     BISECTION,
+    PROFILE_BUDGETS,
     PROFILES,
     SECTION_ONLY,
     TWO_SECTIONS,
@@ -20,6 +27,7 @@ from logdgen.fibration import (
     typ_from_json,
     typ_to_json,
 )
+from logdgen.fibration import _FLOOR_WEIGHTS, _GENERIC_FOR, _require_profile
 
 
 def lab(kind, b, k=None):
@@ -266,3 +274,104 @@ class TestJson:
     def test_round_trip_property(self, labels):
         r = rec(labels, PAIR_GENERIC)
         assert typ_from_json(typ_to_json(r)) == r
+
+
+# check_typ with the allowed kinds and the floor weights written out per
+# profile, kept as the oracle for the one-table-per-profile form.
+_ALLOWED_KINDS = {
+    SECTION_ONLY: frozenset({"I-1", "I-3", "II-2"}),
+    BISECTION: frozenset({"I-2", "II-1", "II-3"}),
+    TWO_SECTIONS: frozenset({"II-1"}),
+}
+
+
+def _floor_weight(label: FibreTypeLabel, profile: str) -> Rational:
+    """Boundary degree the fibre deposits on the horizontal floor curve(s)."""
+    if profile == SECTION_ONLY:
+        if label.kind in ("I-1", "II-2"):
+            return standard_coeff(label.b)
+        if label.kind == "I-3":
+            return doubled_standard_coeff(label.b)
+    elif profile == BISECTION:
+        if label.kind in ("I-2", "II-3"):
+            return standard_coeff(label.b)
+        if label.kind == "II-1":
+            return 2 * standard_coeff(label.b)
+    elif profile == TWO_SECTIONS:
+        if label.kind == "II-1":
+            # per section; both sections cross the same central curve
+            return standard_coeff(label.b)
+    raise ValueError(f"fibre type {label} cannot ride over profile {profile}")
+
+
+def hand_check_typ(rec: TypRecord, profile: str) -> bool:
+    _require_profile(profile)
+    if rec.generic != _GENERIC_FOR[profile]:
+        return False
+    allowed = _ALLOWED_KINDS[profile]
+    for label in rec.special:
+        if label.kind not in allowed:
+            return False
+        if label == _GENERIC_FOR[profile]:
+            return False
+
+    m = branch_count(rec, profile)
+    try:
+        cover_euler = hurwitz_double_cover_euler(m)
+    except ValueError:
+        return False
+
+    if boundary_budget(rec, profile) > PROFILE_BUDGETS[profile]:
+        return False
+
+    floor_total = sum(
+        (_floor_weight(l, profile) for l in rec.special), Rational(0)
+    )
+    if profile == BISECTION:
+        return cover_euler - floor_total in (Rational(0), Rational(2))
+    return floor_total in (Rational(0), Rational(2))
+
+
+KINDS = ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3")
+
+
+@st.composite
+def typ_cases(draw):
+    """A profile and a record of at most 6 labels over every kind, b in 1..6 or INFINITY.
+
+    Half the records draw only kinds the profile allows, half carry the
+    profile's generic type, and half the b values come from 1, 2 and INFINITY,
+    so that the floor weights are reached and their totals often hit 0 or 2.
+    """
+    profile = draw(st.sampled_from(PROFILES))
+    kinds = draw(st.sampled_from((sorted(_ALLOWED_KINDS[profile]), KINDS)))
+    b = st.one_of(st.sampled_from((1, 2, INFINITY)), st.integers(1, 6))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(kinds), b, st.integers(1, 4)), max_size=6))
+    special = [lab(kind, b, k if kind == "II-3" else None) for kind, b, k in drawn]
+    generic = draw(st.one_of(st.just(_GENERIC_FOR[profile]),
+                             st.builds(lab, st.sampled_from(KINDS[:-1]), st.integers(1, 6))))
+    return rec(special, generic), profile
+
+
+@given(typ_cases())
+def test_check_typ_agrees_with_the_hand_profiles(case):
+    r, profile = case
+    assert check_typ(r, profile) == hand_check_typ(r, profile)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_floor_weights_agree_with_the_hand_profiles(profile):
+    # every kind, b in 1..6 or INFINITY, k in 1..4: the same kinds ride over
+    # the profile, with the same floor weight
+    weights = _FLOOR_WEIGHTS[profile]
+    assert set(weights) == _ALLOWED_KINDS[profile]
+    for kind in KINDS:
+        for b in (*range(1, 7), INFINITY):
+            for k in range(1, 5) if kind == "II-3" else (None,):
+                label = lab(kind, b, k)
+                try:
+                    want = _floor_weight(label, profile)
+                except ValueError:
+                    assert kind not in weights
+                    continue
+                assert weights[kind](b) == want, label
