@@ -12,19 +12,17 @@ and the resulting global bound on the number of singular fibres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 from math import gcd, lcm, isqrt
 
-from .core import KodairaLabel
+from .core import KodairaLabel, Record
 
 V1 = "V1"
 V2 = "V2"
 INFEASIBLE = "INFEASIBLE"
 
 
-@dataclass(frozen=True)
-class FibreInvariants:
+class FibreInvariants(Record):
     """The invariant triple of one fibre, plus the plurigenus index b.
 
     Consistency of the four fields is NOT enforced here; that is what
@@ -32,49 +30,43 @@ class FibreInvariants:
     be represented and rejected).
     """
 
-    ell: int
-    mu: Rational
-    b: int
-    s: Rational
+    _fields = ("ell", "mu", "b", "s")
 
-    def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be a positive integer, got {self.ell}")
-        if self.b < 1:
-            raise ValueError(f"b must be a positive integer, got {self.b}")
-        object.__setattr__(self, "mu", Rational(self.mu))
-        object.__setattr__(self, "s", Rational(self.s))
-        if self.mu < 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu}")
+    def __init__(self, ell: int, mu: Rational, b: int, s: Rational) -> None:
+        if ell < 1:
+            raise ValueError(f"ell must be a positive integer, got {ell}")
+        if b < 1:
+            raise ValueError(f"b must be a positive integer, got {b}")
+        mu, s = Rational(mu), Rational(s)
+        if mu < 0:
+            raise ValueError(f"mu must be non-negative, got {mu}")
+        self.__dict__.update(ell=ell, mu=mu, b=b, s=s)
 
 
-@dataclass(frozen=True)
-class PrimitiveVector:
+class PrimitiveVector(Record):
     """A primitive vector (r; a_0, a_1, a_2) of one of the two shapes.
 
     Shape V1 requires gcd(r, a_2) = 1; both shapes require 0 <= a_i < r
     and a_0 + a_1 + a_2 < r.
     """
 
-    kind: str
-    r: int
-    a: tuple[int, int, int]
+    _fields = ("kind", "r", "a")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (V1, V2):
-            raise ValueError(f"kind must be V1 or V2, got {self.kind!r}")
-        if self.r < 1:
-            raise ValueError(f"index r must be positive, got {self.r}")
-        a = tuple(int(x) for x in self.a)
+    def __init__(self, kind: str, r: int, a: tuple[int, int, int]) -> None:
+        if kind not in (V1, V2):
+            raise ValueError(f"kind must be V1 or V2, got {kind!r}")
+        if r < 1:
+            raise ValueError(f"index r must be positive, got {r}")
+        a = tuple(int(x) for x in a)
         if len(a) != 3:
             raise ValueError("a must be a triple")
-        object.__setattr__(self, "a", a)
-        if any(not 0 <= x < self.r for x in a):
-            raise ValueError(f"entries of {a} must lie in [0, {self.r})")
-        if sum(a) >= self.r:
-            raise ValueError(f"sum of {a} must be smaller than r = {self.r}")
-        if self.kind == V1 and gcd(self.r, a[2]) != 1:
-            raise ValueError(f"V1 needs gcd(r, a_2) = 1, got gcd({self.r}, {a[2]})")
+        if any(not 0 <= x < r for x in a):
+            raise ValueError(f"entries of {a} must lie in [0, {r})")
+        if sum(a) >= r:
+            raise ValueError(f"sum of {a} must be smaller than r = {r}")
+        if kind == V1 and gcd(r, a[2]) != 1:
+            raise ValueError(f"V1 needs gcd(r, a_2) = 1, got gcd({r}, {a[2]})")
+        self.__dict__.update(kind=kind, r=r, a=a)
 
 
 def s_star(b: int, ell: int, mu) -> Rational:
@@ -161,21 +153,19 @@ def abelian_invariants(v: PrimitiveVector, ell: int) -> tuple[Rational, Rational
     return mu, s_star(1, ell, mu)
 
 
-@dataclass(frozen=True)
-class AbelianTableRow:
+class AbelianTableRow(Record):
     """One tabulated row: the vector plus the closed forms as coefficients.
 
     mu* = mu_num / (den * ell), s* = (den*ell - s_offset) / (den*ell), and
     the divisibility condition divisor | ell.
     """
 
-    number: int
-    table: str
-    vector: PrimitiveVector
-    mu_num: int
-    den: int
-    s_offset: int
-    divisor: int
+    _fields = ("number", "table", "vector", "mu_num", "den", "s_offset", "divisor")
+
+    def __init__(self, number: int, table: str, vector: PrimitiveVector, mu_num: int, den: int,
+                 s_offset: int, divisor: int) -> None:
+        self.__dict__.update(number=number, table=table, vector=vector, mu_num=mu_num, den=den,
+                             s_offset=s_offset, divisor=divisor)
 
     def mu_at(self, ell: int) -> Rational:
         return Rational(self.mu_num, self.den * ell)
@@ -231,13 +221,15 @@ C_STAR_VALUES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class RegeneratedRow:
+class RegeneratedRow(Record):
     """A table row with mu* and s* recomputed at sample twist indices."""
 
-    row: AbelianTableRow
-    evaluations: tuple[tuple[int, Rational, Rational, Rational, Rational], ...]
-    divisibility_ok: bool
+    _fields = ("row", "evaluations", "divisibility_ok")
+
+    def __init__(self, row: AbelianTableRow,
+                 evaluations: tuple[tuple[int, Rational, Rational, Rational, Rational], ...],
+                 divisibility_ok: bool) -> None:
+        self.__dict__.update(row=row, evaluations=evaluations, divisibility_ok=divisibility_ok)
 
     @property
     def matches(self) -> bool:

@@ -3,17 +3,17 @@
 Regenerates the embedded tables with a recompute-versus-literal cross-check,
 evaluates invariants from configuration files, and emits machine-readable
 reports.  Exit codes: 0 ok, 1 domain error or cross-check mismatch, 2 usage.
-Each command imports the package modules it computes with in its own body,
-so that a short run does not pay for compiling and loading the others.
+Each command imports the package modules it computes with, and ``json`` when
+it reads or writes JSON, in its own body, so that a short run does not pay
+for compiling and loading the others.
 """
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 
-from .core import KodairaLabel, ParseError, classical_euler, json_array, json_int, parse_rational
+from .core import (KodairaLabel, ParseError, Record, classical_euler, json_array, json_int,
+                   parse_rational)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -21,14 +21,18 @@ EXIT_DOMAIN = 1
 KNOWN_DISCREPANCY = "known discrepancy"
 
 
-@dataclass
-class Report:
-    """What every non-table command emits."""
+class Report(Record):
+    """What every non-table command emits; filled in as the command runs."""
 
-    command: str
-    inputs: dict
-    results: list = field(default_factory=list)
-    status: str = "OK"
+    _fields = ("command", "inputs", "results", "status")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, inputs: dict, results: list | None = None,
+                 status: str = "OK") -> None:
+        self.__dict__.update(command=command, inputs=inputs,
+                             results=[] if results is None else results, status=status)
 
     def to_json(self) -> dict:
         return {
@@ -41,6 +45,7 @@ class Report:
 
 def _emit_report(report: Report, fmt: str) -> int:
     if fmt == "json":
+        import json
         print(json.dumps(report.to_json(), indent=2))
     else:
         for name, value in report.results:
@@ -188,6 +193,7 @@ def cmd_tables(args) -> int:
         emitted[name] = {"columns": list(rows[0]), "rows": rows}
         mismatches.extend(bad)
     if args.format == "json":
+        import json
         payload = emitted[names[0]] if len(names) == 1 else emitted
         print(json.dumps(payload, indent=2))
     else:
@@ -210,6 +216,7 @@ class _NumberLiteral(str):
 
 def _read_json_file(path: str) -> dict:
     """The JSON object in the file; anything else raises ParseError."""
+    import json
     try:
         with open(path) as handle:
             data = json.load(handle, parse_float=_NumberLiteral)

@@ -5,16 +5,16 @@ Every coefficient in the toolkit is a ``fractions.Fraction`` (re-exported as
 also houses the local "different" multiplicity m_p of a curve germ inside a
 log surface with standard boundary, the coefficient rule for extracted
 divisors, two small enumerators shared by the fibration modules, the strict
-JSON readers, and the fibre-type labels ``KodairaLabel`` (with its Euler
-number ``classical_euler``) and ``FibreTypeLabel``, kept here so that the
-coefficient, height and fibration modules load no graph code.
+JSON readers, the ``Record`` base of the package's value types, and the
+fibre-type labels ``KodairaLabel`` (with its Euler number ``classical_euler``)
+and ``FibreTypeLabel``, kept here so that the coefficient, height and
+fibration modules load no graph code.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 
 # Trichotomy labels for the different multiplicity at a point.
@@ -105,17 +105,50 @@ def doubled_standard_coeff(b) -> Rational:
     return standard_coeff(b if b == INFINITY else 2 * b)
 
 
-@dataclass(frozen=True)
-class StandardCoeff:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields``; its ``__init__`` checks the
+    arguments and then stores exactly those fields, in that order, with one
+    ``self.__dict__.update``.  Record gives equality between instances of one
+    class with equal fields, the hash of the field tuple, the
+    ``Name(field=value, ...)`` repr, and AttributeError on assignment or
+    deletion (``cli.Report`` alone turns assignment back on, and so has no
+    hash).  The standard library generates such classes too, but importing
+    that module (with ``inspect``) and generating each class's methods cost a
+    short CLI run about 20 ms, more than most commands compute.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StandardCoeff(Record):
     """A standard boundary coefficient (b-1)/b, b a positive integer or INFINITY."""
 
-    b: int | str
+    _fields = ("b",)
 
-    def __post_init__(self) -> None:
-        if self.b == INFINITY:
-            return
-        if not isinstance(self.b, int) or self.b < 1:
-            raise ValueError(f"b must be a positive integer or INFINITY, got {self.b!r}")
+    def __init__(self, b: int | str) -> None:
+        if b != INFINITY and (not isinstance(b, int) or b < 1):
+            raise ValueError(f"b must be a positive integer or INFINITY, got {b!r}")
+        self.__dict__.update(b=b)
 
     def value(self) -> Rational:
         """The coefficient itself: (b-1)/b, with the INFINITY tag mapping to 1.
@@ -130,8 +163,7 @@ class StandardCoeff:
         return standard_coeff(self.b)
 
 
-@dataclass(frozen=True)
-class GermBoundaryData:
+class GermBoundaryData(Record):
     """Local data of a curve germ through a cyclic quotient point of order n.
 
     ``k`` maps each boundary parameter b >= 2 to the number k_b of boundary
@@ -139,17 +171,18 @@ class GermBoundaryData:
     may be omitted.  Sums k_b > 2 are representable; they classify NOT_LC.
     """
 
-    n: int
-    k: dict[int, int] = field(default_factory=dict)
+    _fields = ("n", "k")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"cyclic order n must be >= 1, got {self.n}")
-        for b, count in self.k.items():
+    def __init__(self, n: int, k: dict[int, int] | None = None) -> None:
+        k = {} if k is None else k
+        if n < 1:
+            raise ValueError(f"cyclic order n must be >= 1, got {n}")
+        for b, count in k.items():
             if b < 2:
                 raise ValueError(f"boundary parameter b must be >= 2, got {b}")
             if count < 0:
                 raise ValueError(f"branch count k_{b} must be >= 0, got {count}")
+        self.__dict__.update(n=n, k=k)
 
     def nonzero(self) -> dict[int, int]:
         return {b: c for b, c in self.k.items() if c > 0}
@@ -282,27 +315,25 @@ def hurwitz_double_cover_euler(branch_count: int) -> int:
 # Fibre-type labels, shared by the graph, coefficient, height and fibration modules.
 
 
-@dataclass(frozen=True)
-class KodairaLabel:
+class KodairaLabel(Record):
     """A Kodaira fibre type: I_b (b>=1), I*_b (b>=0), II..IV*, or SMOOTH."""
 
-    kind: str
-    b: int | None = None
-
+    _fields = ("kind", "b")
     _PLAIN = ("II", "III", "IV", "II*", "III*", "IV*", "SMOOTH")
 
-    def __post_init__(self) -> None:
-        if self.kind == "I":
-            if not isinstance(self.b, int) or self.b < 1:
+    def __init__(self, kind: str, b: int | None = None) -> None:
+        if kind == "I":
+            if not isinstance(b, int) or b < 1:
                 raise ValueError("I_b needs b >= 1")
-        elif self.kind == "I*":
-            if not isinstance(self.b, int) or self.b < 0:
+        elif kind == "I*":
+            if not isinstance(b, int) or b < 0:
                 raise ValueError("I*_b needs b >= 0")
-        elif self.kind in self._PLAIN:
-            if self.b is not None:
-                raise ValueError(f"{self.kind} takes no parameter")
+        elif kind in self._PLAIN:
+            if b is not None:
+                raise ValueError(f"{kind} takes no parameter")
         else:
-            raise ValueError(f"unknown Kodaira kind {self.kind!r}")
+            raise ValueError(f"unknown Kodaira kind {kind!r}")
+        self.__dict__.update(kind=kind, b=b)
 
     def __str__(self) -> str:
         if self.b is None:
@@ -331,30 +362,27 @@ def classical_euler(label: KodairaLabel) -> int:
     return table[label.kind]
 
 
-@dataclass(frozen=True)
-class FibreTypeLabel:
+class FibreTypeLabel(Record):
     """A marked degenerate-fibre type (I-1)_b .. (II-3)_{b,k}.
 
     ``b`` is the standard-coefficient parameter (a positive integer or
     INFINITY); the chain length ``k`` exists only for the kind II-3.
     """
 
-    kind: str
-    b: int | str
-    k: int | None = None
-
+    _fields = ("kind", "b", "k")
     _KINDS = ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3")
 
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown fibre type kind {self.kind!r}")
-        if self.b != INFINITY and (not isinstance(self.b, int) or self.b < 1):
-            raise ValueError(f"b must be a positive integer or INFINITY, got {self.b!r}")
-        if self.kind == "II-3":
-            if not isinstance(self.k, int) or self.k < 1:
+    def __init__(self, kind: str, b: int | str, k: int | None = None) -> None:
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown fibre type kind {kind!r}")
+        if b != INFINITY and (not isinstance(b, int) or b < 1):
+            raise ValueError(f"b must be a positive integer or INFINITY, got {b!r}")
+        if kind == "II-3":
+            if not isinstance(k, int) or k < 1:
                 raise ValueError("kind II-3 needs a chain length k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"kind {self.kind} takes no chain parameter")
+        elif k is not None:
+            raise ValueError(f"kind {kind} takes no chain parameter")
+        self.__dict__.update(kind=kind, b=b, k=k)
 
     def __str__(self) -> str:
         b = "inf" if self.b == INFINITY else self.b

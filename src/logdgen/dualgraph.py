@@ -20,7 +20,6 @@ use a backtracking search whose cost depends on the vertex names.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction as Rational
 
@@ -29,6 +28,7 @@ from .core import (
     NOT_LC,
     FibreTypeLabel,
     KodairaLabel,
+    Record,
     classical_euler,
     doubled_standard_coeff,
     json_array,
@@ -57,8 +57,7 @@ UNRECOGNIZED = "UNRECOGNIZED"
 _HALF = Rational(1, 2)
 
 
-@dataclass(frozen=True)
-class CurveVertex:
+class CurveVertex(Record):
     """One irreducible curve in a configuration.
 
     ``multiplicity`` is the coefficient in the fibre or divisor being
@@ -68,24 +67,21 @@ class CurveVertex:
     curves and from fibre components.
     """
 
-    id: str
-    self_int: int
-    genus: int = 0
-    multiplicity: int = 1
-    boundary_coeff: Rational = Rational(0)
-    role: str = EXCEPTIONAL
+    _fields = ("id", "self_int", "genus", "multiplicity", "boundary_coeff", "role")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-        coeff = Rational(self.boundary_coeff)
-        object.__setattr__(self, "boundary_coeff", coeff)
+    def __init__(self, id: str, self_int: int, genus: int = 0, multiplicity: int = 1,
+                 boundary_coeff: Rational = Rational(0), role: str = EXCEPTIONAL) -> None:
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+        coeff = Rational(boundary_coeff)
         if not 0 <= coeff <= 1:
             raise ValueError(f"boundary coefficient must lie in [0,1], got {coeff}")
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
+        if role not in _ROLES:
+            raise ValueError(f"unknown role {role!r}")
+        self.__dict__.update(id=id, self_int=self_int, genus=genus, multiplicity=multiplicity,
+                             boundary_coeff=coeff, role=role)
 
 
 class DualGraph:

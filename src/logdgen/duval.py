@@ -12,31 +12,38 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rational
+from functools import total_ordering
+
+from .core import Record
 
 # Marker for the index-1 case (canonical cover is the germ itself).
 GORENSTEIN = 0
 
 
-@dataclass(frozen=True, order=True)
-class DuValType:
-    """One of A_n (n >= 1), D_n (n >= 4), E_6, E_7, E_8."""
+@total_ordering
+class DuValType(Record):
+    """One of A_n (n >= 1), D_n (n >= 4), E_6, E_7, E_8; ordered by (family, index)."""
 
-    family: str
-    index: int
+    _fields = ("family", "index")
 
-    def __post_init__(self) -> None:
-        if self.family == "A":
-            ok = self.index >= 1
-        elif self.family == "D":
-            ok = self.index >= 4
-        elif self.family == "E":
-            ok = self.index in (6, 7, 8)
+    def __init__(self, family: str, index: int) -> None:
+        if family == "A":
+            ok = index >= 1
+        elif family == "D":
+            ok = index >= 4
+        elif family == "E":
+            ok = index in (6, 7, 8)
         else:
             ok = False
         if not ok:
-            raise ValueError(f"invalid Du Val type {self.family}_{self.index}")
+            raise ValueError(f"invalid Du Val type {family}_{index}")
+        self.__dict__.update(family=family, index=index)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.index) < (other.family, other.index)
+        return NotImplemented
 
     @property
     def curve_count(self) -> int:
@@ -98,8 +105,7 @@ _COVER_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class CoverCase:
+class CoverCase(Record):
     """An index-r point whose canonical cover is Du Val (or the point itself).
 
     case_id 1..6 are the six cover actions; case_id 0 (GORENSTEIN) is the
@@ -114,26 +120,24 @@ class CoverCase:
         6: E_6      -> E_7        (r = 2)
     """
 
-    case_id: int
-    r: int = 1
-    n: int | None = None
-    base: DuValType | None = None
+    _fields = ("case_id", "r", "n", "base")
 
-    def __post_init__(self) -> None:
-        cid, r, n = self.case_id, self.r, self.n
-        if cid == GORENSTEIN:
-            if r != 1 or self.base is None or n is not None:
+    def __init__(self, case_id: int, r: int = 1, n: int | None = None,
+                 base: DuValType | None = None) -> None:
+        if case_id == GORENSTEIN:
+            if r != 1 or base is None or n is not None:
                 raise ValueError("Gorenstein case needs r=1, a base type, no n")
-            return
-        if self.base is not None:
+        elif base is not None:
             raise ValueError("base is derived for cases 1..6")
-        if cid not in _COVER_CASES:
-            raise ValueError(f"case_id must be 0..6, got {cid}")
-        index, nmin = _COVER_CASES[cid][:2]
-        r_ok = r >= 2 if index is None else r == index
-        n_ok = n is None if nmin is None else n is not None and n >= nmin
-        if not (r_ok and n_ok):
-            raise ValueError(f"invalid parameters for case {cid}: r={r}, n={n}")
+        elif case_id not in _COVER_CASES:
+            raise ValueError(f"case_id must be 0..6, got {case_id}")
+        else:
+            index, nmin = _COVER_CASES[case_id][:2]
+            r_ok = r >= 2 if index is None else r == index
+            n_ok = n is None if nmin is None else n is not None and n >= nmin
+            if not (r_ok and n_ok):
+                raise ValueError(f"invalid parameters for case {case_id}: r={r}, n={n}")
+        self.__dict__.update(case_id=case_id, r=r, n=n, base=base)
 
     def base_type(self) -> DuValType:
         """Du Val type of the point downstairs."""
@@ -217,29 +221,28 @@ def delta_p(cover: CoverCase) -> Rational:
     return e_p(cover) - Rational(1, o_p(cover)) - c_p(cover)
 
 
-@dataclass(frozen=True)
-class DuValRecord:
+class DuValRecord(Record):
     """Assembled invariants of a cover case."""
 
-    cover: CoverCase
-    e_p: int
-    o_p: int
-    c_p: Rational
-    delta_p: Rational
+    _fields = ("cover", "e_p", "o_p", "c_p", "delta_p")
+
+    def __init__(self, cover: CoverCase, e_p: int, o_p: int, c_p: Rational,
+                 delta_p: Rational) -> None:
+        self.__dict__.update(cover=cover, e_p=e_p, o_p=o_p, c_p=c_p, delta_p=delta_p)
 
     @classmethod
     def from_cover(cls, cover: CoverCase) -> "DuValRecord":
         return cls(cover, e_p(cover), o_p(cover), c_p(cover), delta_p(cover))
 
 
-@dataclass(frozen=True)
-class DelPezzoEntry:
+class DelPezzoEntry(Record):
     """One row of the rank-one Gorenstein log del Pezzo catalog."""
 
-    row: int
-    degree: int
-    singularities: tuple[DuValType, ...]
-    e_orb: Rational
+    _fields = ("row", "degree", "singularities", "e_orb")
+
+    def __init__(self, row: int, degree: int, singularities: tuple[DuValType, ...],
+                 e_orb: Rational) -> None:
+        self.__dict__.update(row=row, degree=degree, singularities=singularities, e_orb=e_orb)
 
 
 def _types(*names: str) -> tuple[DuValType, ...]:

@@ -13,32 +13,29 @@ is constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 from math import gcd
 
+from .core import Record
 
-@dataclass(frozen=True)
-class FibreComponentData:
+
+class FibreComponentData(Record):
     """Numerical data of one fibre component: multiplicity, orbifold Euler
     number of the open part, and the local excesses at its special points."""
 
-    m: int
-    e_orb: Rational
-    deltas: tuple[Rational, ...] = ()
+    _fields = ("m", "e_orb", "deltas")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"multiplicity must be positive, got {self.m}")
-        object.__setattr__(self, "e_orb", Rational(self.e_orb))
-        deltas = tuple(Rational(d) for d in self.deltas)
+    def __init__(self, m: int, e_orb: Rational, deltas: tuple[Rational, ...] = ()) -> None:
+        if m < 1:
+            raise ValueError(f"multiplicity must be positive, got {m}")
+        e_orb = Rational(e_orb)
+        deltas = tuple(Rational(d) for d in deltas)
         if any(d < 0 for d in deltas):
             raise ValueError("local excesses must be non-negative")
-        object.__setattr__(self, "deltas", deltas)
+        self.__dict__.update(m=m, e_orb=e_orb, deltas=deltas)
 
 
-@dataclass(frozen=True)
-class ChiInput:
+class ChiInput(Record):
     """Aggregated intersection data of a divisor D = sum m_i D_i.
 
     ``components`` holds per-component tuples (m_i, chi_i, D_i^3, D_i^2.K);
@@ -47,27 +44,23 @@ class ChiInput:
     summed over the points of that component.
     """
 
-    components: tuple[tuple[int, Rational, Rational, Rational], ...]
-    total_D_cubed: Rational = Rational(0)
-    total_D_sq_K: Rational = Rational(0)
-    corrections: tuple[tuple[int, tuple[Rational, ...]], ...] = ()
+    _fields = ("components", "total_D_cubed", "total_D_sq_K", "corrections")
 
-    def __post_init__(self) -> None:
+    def __init__(self, components: tuple[tuple[int, Rational, Rational, Rational], ...],
+                 total_D_cubed: Rational = Rational(0), total_D_sq_K: Rational = Rational(0),
+                 corrections: tuple[tuple[int, tuple[Rational, ...]], ...] = ()) -> None:
         comps = tuple(
             (int(m), Rational(chi), Rational(d3), Rational(d2k))
-            for (m, chi, d3, d2k) in self.components
+            for (m, chi, d3, d2k) in components
         )
         if not comps:
             raise ValueError("a divisor needs at least one component")
         if any(m < 1 for (m, _, _, _) in comps):
             raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "total_D_cubed", Rational(self.total_D_cubed))
-        object.__setattr__(self, "total_D_sq_K", Rational(self.total_D_sq_K))
-        corr = tuple(
-            (int(m), tuple(Rational(c) for c in cs)) for (m, cs) in self.corrections
-        )
-        object.__setattr__(self, "corrections", corr)
+        total_D_cubed, total_D_sq_K = Rational(total_D_cubed), Rational(total_D_sq_K)
+        corr = tuple((int(m), tuple(Rational(c) for c in cs)) for (m, cs) in corrections)
+        self.__dict__.update(components=comps, total_D_cubed=total_D_cubed,
+                             total_D_sq_K=total_D_sq_K, corrections=corr)
 
 
 def orbifold_euler(e_top: int, orders) -> Rational:

@@ -20,13 +20,13 @@ Nothing here constructs surfaces; the checks only accept or reject records.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 
 from .core import (
     INFINITY,
     FibreTypeLabel,
     GermBoundaryData,
+    Record,
     doubled_standard_coeff,
     hurwitz_double_cover_euler,
     m_p,
@@ -82,25 +82,24 @@ def _label_key(label: FibreTypeLabel):
     return (label.kind, b_inf, 0 if b_inf else label.b, label.k or 0)
 
 
-@dataclass(frozen=True)
-class TypRecord:
+class TypRecord(Record):
     """Degenerate-fibre multiset plus the generic fibre type."""
 
-    special: tuple[FibreTypeLabel, ...]
-    generic: FibreTypeLabel
+    _fields = ("special", "generic")
 
-    def __post_init__(self) -> None:
-        for label in self.special:
+    def __init__(self, special: tuple[FibreTypeLabel, ...], generic: FibreTypeLabel) -> None:
+        for label in special:
             if not isinstance(label, FibreTypeLabel):
                 raise TypeError(f"expected FibreTypeLabel, got {type(label).__name__}")
-        object.__setattr__(self, "special", tuple(sorted(self.special, key=_label_key)))
-        g = self.generic
-        if not isinstance(g, FibreTypeLabel):
-            raise TypeError(f"expected FibreTypeLabel, got {type(g).__name__}")
-        if g.k is not None:
+        special = tuple(sorted(special, key=_label_key))
+        if not isinstance(generic, FibreTypeLabel):
+            raise TypeError(f"expected FibreTypeLabel, got {type(generic).__name__}")
+        if generic.k is not None:
             raise ValueError("the generic fibre type carries no chain parameter")
-        if not isinstance(g.b, int) or g.b < 1:
-            raise ValueError(f"the generic fibre type needs an integer b >= 1, got {g.b!r}")
+        if not isinstance(generic.b, int) or generic.b < 1:
+            raise ValueError(
+                f"the generic fibre type needs an integer b >= 1, got {generic.b!r}")
+        self.__dict__.update(special=special, generic=generic)
 
     def counts(self) -> Counter:
         return Counter(self.special)

@@ -10,12 +10,11 @@ component configurations compatible with a known height.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 from itertools import product
 from math import prod
 
-from .core import KodairaLabel, classical_euler
+from .core import KodairaLabel, Record, classical_euler
 
 # Most (po, hits) candidates solve_section_config will try.
 MAX_SECTION_CANDIDATES = 100_000
@@ -99,17 +98,15 @@ def contribution(fibre: KodairaLabel, i: int) -> Rational:
     return pair_contribution(fibre, i, i)
 
 
-@dataclass(frozen=True)
-class SectionConfig:
+class SectionConfig(Record):
     """One way a section can sit: (P.O) plus the component met per fibre."""
 
-    po: int
-    hits: tuple[int, ...]
+    _fields = ("po", "hits")
 
-    def __post_init__(self) -> None:
-        if self.po < 0:
-            raise ValueError(f"(P.O) must be non-negative, got {self.po}")
-        object.__setattr__(self, "hits", tuple(self.hits))
+    def __init__(self, po: int, hits: tuple[int, ...]) -> None:
+        if po < 0:
+            raise ValueError(f"(P.O) must be non-negative, got {po}")
+        self.__dict__.update(po=po, hits=tuple(hits))
 
 
 def height_self(chi: int, po: int, contribs) -> Rational:

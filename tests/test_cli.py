@@ -1,12 +1,13 @@
 """End-to-end checks of the command-line front end."""
 
+import ast
+import functools
 import io
 import json
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as Rational
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, sp_order
 from logdgen.cli import main
+from test_core import replace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -502,16 +504,22 @@ IMPORT_CASES = {
     "mw": ([["mw", str(FIXTURES / "mw_height_three_quarters.json")]], {"logdgen.mordellweil"}),
     "usage": ([["tables", "XI"], ["cbf", "mori", "1/0", "1", "3"]], set()),
 }
+# Runs each tab-joined argv of its arguments in turn, then prints the modules
+# loaded beyond those of a bare interpreter (``site`` may preload some).  It
+# imports nothing but ``io`` itself, so the list holds what the CLI loaded.
 _RUN_AND_LIST_MODULES = """
-import contextlib, io, json, sys
+import io, sys
+bare = set(sys.modules)
 from logdgen.cli import main
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            main(argv)
-        except SystemExit:
-            pass
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "logdgen")))
+for argv in sys.argv[1:]:
+    sys.stdout = sys.stderr = io.StringIO()
+    try:
+        main(argv.split("\\t"))
+    except SystemExit:
+        pass
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(repr(sorted(set(sys.modules) - bare)))
 """
 
 
@@ -519,19 +527,38 @@ def _loaded_modules(code, *args):
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return set(ast.literal_eval(proc.stdout))
+
+
+def _loaded_by_argvs(*argvs):
+    return _loaded_modules(_RUN_AND_LIST_MODULES, *map("\t".join, argvs))
+
+
+@functools.cache
+def _loaded_by(kind):
+    """What the argvs of one IMPORT_CASES kind load, in one child run shared by the tests."""
+    return _loaded_by_argvs(*IMPORT_CASES[kind][0])
 
 
 @pytest.mark.parametrize("kind", sorted(IMPORT_CASES))
 def test_each_command_loads_only_the_modules_it_uses(kind):
-    argvs, modules = IMPORT_CASES[kind]
-    loaded = _loaded_modules(_RUN_AND_LIST_MODULES, json.dumps(argvs))
-    assert loaded == {"logdgen", "logdgen.cli", "logdgen.core"} | modules
+    package = {m for m in _loaded_by(kind) if m.partition(".")[0] == "logdgen"}
+    assert package == {"logdgen", "logdgen.cli", "logdgen.core"} | IMPORT_CASES[kind][1]
+
+
+@pytest.mark.parametrize("kind", sorted(IMPORT_CASES))
+def test_no_command_loads_dataclasses_or_inspect(kind):
+    assert not _loaded_by(kind) & {"dataclasses", "inspect"}
+
+
+def test_tsv_tables_and_cbf_load_no_json():
+    loaded = _loaded_by_argvs(["tables", "ALL", "--format", "tsv"], *IMPORT_CASES["cbf"][0])
+    assert "json" not in loaded
 
 
 def test_coefficient_height_and_fibration_modules_load_no_graph_code():
-    code = ("import json, sys, logdgen.cbf, logdgen.mordellweil, logdgen.fibration\n"
-            "print(json.dumps([m for m in sys.modules if m.startswith('logdgen')]))")
+    code = ("import sys, logdgen.cbf, logdgen.mordellweil, logdgen.fibration\n"
+            "print(repr([m for m in sys.modules if m.startswith('logdgen')]))")
     assert "logdgen.dualgraph" not in _loaded_modules(code)
 
 

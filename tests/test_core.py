@@ -1,8 +1,10 @@
-"""Core coefficient calculus: different multiplicities, enumerators, lcm."""
+"""Core coefficient calculus: different multiplicities, enumerators, lcm; the Record base."""
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +18,9 @@ from logdgen.core import (
     INFINITY,
     NOT_LC,
     GermBoundaryData,
+    FibreTypeLabel,
     KodairaLabel,
+    Record,
     StandardCoeff,
     enumerate_boundary_multisets,
     hurwitz_double_cover_euler,
@@ -24,6 +28,18 @@ from logdgen.core import (
     m_p,
     s_extraction_coeff,
 )
+from logdgen.cbf import ABELIAN_TABLE_ROWS, V1, FibreInvariants, PrimitiveVector, RegeneratedRow
+from logdgen.cli import Report
+from logdgen.dualgraph import EXCEPTIONAL, STRICT, CurveVertex
+from logdgen.duval import CoverCase, DuValRecord, DuValType, delpezzo_catalog
+from logdgen.eulerform import ChiInput, FibreComponentData
+from logdgen.fibration import TypRecord
+from logdgen.mordellweil import SectionConfig
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, built through its constructor and its checks."""
+    return type(record)(**{**vars(record), **changes})
 
 
 class TestStandardCoeff:
@@ -214,3 +230,110 @@ class TestKodairaLabelParse:
     def test_b_only_in_ascii_digits(self, text):
         with pytest.raises(ValueError):
             KodairaLabel.parse(text)
+
+
+# One instance of each value type in the package, with its repr as a frozen
+# dataclass printed it.
+RECORDS = [
+    (StandardCoeff(4), "StandardCoeff(b=4)"),
+    (GermBoundaryData(2, {2: 1}), "GermBoundaryData(n=2, k={2: 1})"),
+    (KodairaLabel("I", 3), "KodairaLabel(kind='I', b=3)"),
+    (FibreTypeLabel("II-3", INFINITY, 2), "FibreTypeLabel(kind='II-3', b='INFINITY', k=2)"),
+    (FibreInvariants(2, F(1, 2), 1, 0),
+     "FibreInvariants(ell=2, mu=Fraction(1, 2), b=1, s=Fraction(0, 1))"),
+    (PrimitiveVector(V1, 8, [3, 1, 3]), "PrimitiveVector(kind='V1', r=8, a=(3, 1, 3))"),
+    (ABELIAN_TABLE_ROWS[0],
+     "AbelianTableRow(number=1, table='VI', vector=PrimitiveVector(kind='V1', r=3, a=(1, 0, 1)), "
+     "mu_num=1, den=1, s_offset=2, divisor=3)"),
+    (RegeneratedRow(ABELIAN_TABLE_ROWS[0], ((3, F(1, 3), F(1, 3), F(1, 3), F(1, 3)),), True),
+     "RegeneratedRow(row=AbelianTableRow(number=1, table='VI', vector=PrimitiveVector(kind='V1', "
+     "r=3, a=(1, 0, 1)), mu_num=1, den=1, s_offset=2, divisor=3), evaluations=((3, "
+     "Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),), divisibility_ok=True)"),
+    (DuValType("D", 5), "DuValType(family='D', index=5)"),
+    (CoverCase(2, r=4, n=3), "CoverCase(case_id=2, r=4, n=3, base=None)"),
+    (DuValRecord.from_cover(CoverCase(4, r=3)),
+     "DuValRecord(cover=CoverCase(case_id=4, r=3, n=None, base=None), e_p=7, o_p=24, "
+     "c_p=Fraction(16, 3), delta_p=Fraction(13, 8))"),
+    (delpezzo_catalog()[0],
+     "DelPezzoEntry(row=1, degree=8, singularities=(DuValType(family='A', index=1),), "
+     "e_orb=Fraction(5, 2))"),
+    (FibreComponentData(2, 1, [F(1, 2)]),
+     "FibreComponentData(m=2, e_orb=Fraction(1, 1), deltas=(Fraction(1, 2),))"),
+    (ChiInput([(1, 1, 0, 0)]),
+     "ChiInput(components=((1, Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)),), "
+     "total_D_cubed=Fraction(0, 1), total_D_sq_K=Fraction(0, 1), corrections=())"),
+    (CurveVertex("E1", -2, boundary_coeff=F(1, 2), role=STRICT),
+     "CurveVertex(id='E1', self_int=-2, genus=0, multiplicity=1, boundary_coeff=Fraction(1, 2), "
+     "role='STRICT')"),
+    (TypRecord((FibreTypeLabel("II-1", 2), FibreTypeLabel("I-1", 3)), FibreTypeLabel("I-1", 1)),
+     "TypRecord(special=(FibreTypeLabel(kind='I-1', b=3, k=None), FibreTypeLabel(kind='II-1', "
+     "b=2, k=None)), generic=FibreTypeLabel(kind='I-1', b=1, k=None))"),
+    (SectionConfig(1, [0, 2]), "SectionConfig(po=1, hits=(0, 2))"),
+    (Report("cbf", {"x": 1}, [("N", "2")]),
+     "Report(command='cbf', inputs={'x': 1}, results=[('N', '2')], status='OK')"),
+]
+
+
+def test_records_cover_every_value_type():
+    assert {type(record) for record, _ in RECORDS} == set(Record.__subclasses__())
+    assert len(RECORDS) == 18
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_record_value_semantics(record, text):
+    cls = type(record)
+    assert repr(record) == text
+    assert list(vars(record)) == list(cls._fields)
+    values = tuple(vars(record).values())
+    twin = replace(record)  # keyword construction from the fields
+    assert twin is not record and twin == record and not twin != record
+    try:
+        expected = hash(values)
+    except TypeError:  # a dict or list field
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == expected
+    # the same fields and values under another class are a different value
+    other = object.__new__(type(cls.__name__, (Record,), {"_fields": cls._fields}))
+    other.__dict__.update(vars(record))
+    assert record.__eq__(other) is NotImplemented
+    assert record != other and not record == other
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    if cls is Report:
+        return
+    for name in (cls._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert vars(record) == dict(zip(cls._fields, values))
+
+
+def test_keyword_construction_takes_the_defaults():
+    assert GermBoundaryData(n=3) == GermBoundaryData(3, {})
+    assert KodairaLabel(kind="II") == KodairaLabel("II", None)
+    assert FibreTypeLabel(kind="I-1", b=2) == FibreTypeLabel("I-1", 2, None)
+    assert CoverCase(case_id=4, r=3) == CoverCase(4, 3, None, None)
+    assert CoverCase(case_id=0, base=DuValType("A", 1)) == CoverCase(0, 1, None, DuValType("A", 1))
+    assert FibreComponentData(m=1, e_orb=2) == FibreComponentData(1, 2, ())
+    assert ChiInput(components=[(1, 1, 0, 0)]) == ChiInput(((1, 1, 0, 0),), 0, 0, ())
+    assert CurveVertex(id="E", self_int=-2) == CurveVertex("E", -2, 0, 1, F(0), EXCEPTIONAL)
+    assert Report(command="c", inputs={}) == Report("c", {}, [], "OK")
+
+
+def test_default_containers_are_not_shared():
+    first, second = GermBoundaryData(2), GermBoundaryData(2)
+    assert first.k == {} and first.k is not second.k
+    report, other = Report("c", {}), Report("c", {})
+    report.results.append(("N", "2"))
+    report.status = "DomainError: x"
+    assert (other.results, other.status) == ([], "OK")
+
+
+def test_duval_types_sort_by_family_then_index():
+    types = [DuValType.parse(t) for t in ("E8", "A3", "D10", "A1", "E6", "D4", "A10")]
+    assert [str(t) for t in sorted(types)] == ["A_1", "A_3", "A_10", "D_4", "D_10", "E_6", "E_8"]
+    assert DuValType("A", 2) <= DuValType("A", 2) < DuValType("D", 4) >= DuValType("A", 9)
+    with pytest.raises(TypeError):
+        DuValType("A", 1) < ("A", 2)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logdgen.duval import delpezzo_catalog, exceptional_euler
+from logdgen.duval import DuValType, delpezzo_catalog, exceptional_euler
 from logdgen.eulerform import (
+    TYPE3_OFFSETS,
     ChiInput,
     FibreComponentData,
     chi_structure_sheaf,
@@ -165,6 +166,18 @@ class TestType3Numerology:
 
     def test_remaining_pattern(self):
         assert type3_numerology("A_1+A_2+A_5", 1, 1) == 1
+
+    def test_offsets_are_twelve_minus_the_total_duval_index(self):
+        totals = {}
+        for pattern, offset in TYPE3_OFFSETS.items():
+            types = []
+            for part in pattern.split("+"):  # "2A_3" is two A_3 points
+                count, name = (int(part[0]), part[1:]) if part[0].isdigit() else (1, part)
+                types += [DuValType.parse(name)] * count
+            totals[pattern] = sum(t.curve_count for t in types)
+            assert offset == 12 - totals[pattern]
+            assert offset == noether_e_top(1, 0, [exceptional_euler(t) for t in types])
+        assert totals == {"4A_1": 4, "3A_2": 6, "A_1+2A_3": 7, "A_1+A_2+A_5": 8}
 
     def test_validation(self):
         with pytest.raises(ValueError):
