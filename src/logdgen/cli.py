@@ -5,7 +5,7 @@ evaluates invariants from configuration files, and emits machine-readable
 reports.  Exit codes: 0 ok, 1 domain error or cross-check mismatch, 2 usage.
 Each command imports the package modules it computes with, and ``json`` when
 it reads or writes JSON, in its own body, so that a short run does not pay
-for compiling and loading the others.
+for compiling and loading the others.  ``_run`` alone sets a report's status.
 """
 
 import argparse
@@ -35,16 +35,48 @@ class Report(Record):
                              results=[] if results is None else results, status=status)
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": [[name, value] for name, value in self.results],
-            "status": self.status,
-        }
+        return dict(self.__dict__)  # the fields in order; json writes each pair as an array
 
 
-def _emit_report(report: Report, fmt: str) -> int:
-    if fmt == "json":
+class _NumberLiteral(str):
+    """A non-integer JSON number kept as written, so that parse_rational reads it exactly."""
+
+    __repr__ = str.__str__  # json_int's refusal prints it as written
+
+
+def _read_json_file(path: str) -> dict:
+    """The JSON object in the file; anything else raises ParseError."""
+    import json
+    try:
+        with open(path) as handle:
+            data = json.load(handle, parse_float=_NumberLiteral)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # an unreadable file, undecodable bytes, a huge integer, deep nesting
+        raise ParseError(str(exc)) from None
+    if not isinstance(data, dict):
+        raise ParseError(f"top level must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _run(args, inputs: dict, read, compute, invalid: str = "DomainError",
+         failed: str = "DomainError") -> int:
+    """Emit the report of ``compute(read(the JSON object in args.file))``, or of
+    the error that stopped it; ``read`` is None when argparse reads every input."""
+    report = Report(args.command, inputs)
+    try:
+        data = read(_read_json_file(args.file)) if read else None
+    except (KeyError, TypeError, ParseError) as exc:
+        report.status = f"ParseError: {exc}"
+    except ValueError as exc:
+        report.status = f"{invalid}: {exc}"
+    else:
+        try:
+            report.results = compute(data)
+        except ValueError as exc:
+            report.status = f"{failed}: {exc}"
+    if args.format == "json":
         import json
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -177,13 +209,6 @@ def _render_cell(column: str, value) -> str:
     return str(value)
 
 
-def _emit_table_tsv(name: str, columns: list[str], rows: list[dict]) -> None:
-    print(f"# Table {name}")
-    print("\t".join(columns))
-    for row in rows:
-        print("\t".join(_render_cell(col, row[col]) for col in columns))
-
-
 def cmd_tables(args) -> int:
     names = list(_TABLES) if args.which == "ALL" else [args.which]
     mismatches = []
@@ -200,7 +225,11 @@ def cmd_tables(args) -> int:
         for i, name in enumerate(names):
             if i:
                 print()
-            _emit_table_tsv(name, emitted[name]["columns"], emitted[name]["rows"])
+            columns = emitted[name]["columns"]
+            print(f"# Table {name}")
+            print("\t".join(columns))
+            for row in emitted[name]["rows"]:
+                print("\t".join(_render_cell(col, row[col]) for col in columns))
     for line in mismatches:
         print(f"cross-check mismatch: {line}", file=sys.stderr)
     return EXIT_DOMAIN if mismatches else EXIT_OK
@@ -208,63 +237,34 @@ def cmd_tables(args) -> int:
 
 # ---------------------------------------------------------------- graph
 
-class _NumberLiteral(str):
-    """A non-integer JSON number kept as written, so that parse_rational reads it exactly."""
-
-    __repr__ = str.__str__  # json_int's refusal prints it as written
-
-
-def _read_json_file(path: str) -> dict:
-    """The JSON object in the file; anything else raises ParseError."""
-    import json
-    try:
-        with open(path) as handle:
-            data = json.load(handle, parse_float=_NumberLiteral)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    except (OSError, ValueError, RecursionError) as exc:
-        # an unreadable file, undecodable bytes, a huge integer, deep nesting
-        raise ParseError(str(exc)) from None
-    if not isinstance(data, dict):
-        raise ParseError(f"top level must be a JSON object, got {type(data).__name__}")
-    return data
-
-
 def cmd_graph(args) -> int:
     from .dualgraph import (classify_pair, graph_from_json, pullback_coefficients, recognize_duval,
                             recognize_fibre_type, recognize_half_catalog, recognize_kodaira)
-    report = Report("graph", {"file": args.file, "action": args.action})
-    try:
-        graph = graph_from_json(_read_json_file(args.file))
-    except (KeyError, TypeError, ValueError) as exc:
-        report.status = f"ParseError: {exc}"
-        return _emit_report(report, args.format)
-    try:
+
+    def compute(graph):
         if args.action == "recognize":
-            report.results = [
+            return [
                 ("duval", str(recognize_duval(graph))),
                 ("kodaira", str(recognize_kodaira(graph))),
                 ("half_catalog", str(recognize_half_catalog(graph))),
                 ("fibre_type", str(recognize_fibre_type(graph))),
             ]
-        elif args.action == "discrepancies":
+        if args.action == "discrepancies":
             coeffs = pullback_coefficients(graph)
-            report.results = [(vid, str(coeffs[vid])) for vid in sorted(coeffs)]
-        else:
-            report.results = [("class", classify_pair(graph))]
-    except ValueError as exc:
-        report.status = f"SolverError: {exc}"
-    return _emit_report(report, args.format)
+            return [(vid, str(coeffs[vid])) for vid in sorted(coeffs)]
+        return [("class", classify_pair(graph))]
+
+    return _run(args, {"file": args.file, "action": args.action}, graph_from_json, compute,
+                invalid="ParseError", failed="SolverError")
 
 
 # ---------------------------------------------------------------- euler
 
 def cmd_euler(args) -> int:
     from .eulerform import FibreComponentData, euler_degenerate_fibre
-    report = Report("euler", {"file": args.file})
-    try:
-        data = _read_json_file(args.file)
-        components = [
+
+    def read(data):
+        return [
             FibreComponentData(
                 m=json_int(entry, "m"),
                 e_orb=parse_rational(entry["e_orb"]),
@@ -274,21 +274,15 @@ def cmd_euler(args) -> int:
             )
             for entry in json_array(data["components"], "components")
         ]
-    except (KeyError, TypeError, ParseError) as exc:
-        report.status = f"ParseError: {exc}"
-        return _emit_report(report, args.format)
-    except ValueError as exc:
-        report.status = f"ValidationError: {exc}"
-        return _emit_report(report, args.format)
-    try:
-        value = euler_degenerate_fibre(components)
-        report.results = [
+
+    def compute(components):
+        value = euler_degenerate_fibre(components)  # may be too long to print
+        return [
             ("euler", str(value)),
             ("chi_zero_consistent", "true" if value == 0 else "false"),
         ]
-    except ValueError as exc:  # a value too long to print
-        report.status = f"DomainError: {exc}"
-    return _emit_report(report, args.format)
+
+    return _run(args, {"file": args.file}, read, compute, invalid="ValidationError")
 
 
 # ---------------------------------------------------------------- cbf
@@ -296,45 +290,43 @@ def cmd_euler(args) -> int:
 def cmd_cbf(args) -> int:
     from .cbf import (INFEASIBLE, V1, V2, PrimitiveVector, abelian_invariants, fibre_bound,
                       mori_feasible, n_of_x)
-    report = Report("cbf", {"subaction": args.subaction})
-    try:
+    inputs = {"subaction": args.subaction}
+
+    def compute(_):
         if args.subaction == "invariants":
             kind = V1 if args.kind == "v1" else V2
-            report.inputs.update(
+            inputs.update(
                 {"kind": args.kind, "r": args.r, "a": [args.a0, args.a1, args.a2], "ell": args.ell}
             )
             vector = PrimitiveVector(kind, args.r, (args.a0, args.a1, args.a2))
             mu, s = abelian_invariants(vector, args.ell)
-            report.results = [
+            return [
                 ("mu_star", str(mu)),
                 ("s_star", str(s)),
                 ("c_star", str(mu * args.ell)),
             ]
-        elif args.subaction == "bound":
-            report.inputs.update({"d": args.d, "n_va": args.n_va})
-            report.results = [("bound", str(fibre_bound(args.d, args.n_va)))]
-        elif args.subaction == "mori":
-            report.inputs.update({"s": str(args.s), "b": args.b, "N": args.N})
+        if args.subaction == "bound":
+            inputs.update({"d": args.d, "n_va": args.n_va})
+            return [("bound", str(fibre_bound(args.d, args.n_va)))]
+        if args.subaction == "mori":
+            inputs.update({"s": str(args.s), "b": args.b, "N": args.N})
             answer = mori_feasible(args.s, args.b, args.N)
             if answer == INFEASIBLE:
-                report.results = [("mori", INFEASIBLE)]
-            else:
-                report.results = [("u", str(answer[0])), ("v", str(answer[1]))]
-        else:
-            report.inputs.update({"x": args.x})
-            report.results = [("N", str(n_of_x(args.x)))]
-    except ValueError as exc:
-        report.status = f"DomainError: {exc}"
-    return _emit_report(report, args.format)
+                return [("mori", INFEASIBLE)]
+            return [("u", str(answer[0])), ("v", str(answer[1]))]
+        inputs.update({"x": args.x})
+        return [("N", str(n_of_x(args.x)))]
+
+    return _run(args, inputs, None, compute)
 
 
 # ---------------------------------------------------------------- mw
 
 def cmd_mw(args) -> int:
     from .mordellweil import solve_section_config
-    report = Report("mw", {"file": args.file})
-    try:
-        data = _read_json_file(args.file)
+    inputs = {"file": args.file}
+
+    def read(data):
         fibres = [
             (KodairaLabel.parse(str(entry["label"])), json_int(entry, "components"))
             for entry in json_array(data.get("fibres", []), "fibres")
@@ -344,30 +336,25 @@ def cmd_mw(args) -> int:
         po_max = json_int(data, "po_max", 2)
         if chi < 1:
             raise ValueError(f"chi must be a positive integer, got {chi}")
-    except (KeyError, TypeError, ParseError) as exc:
-        report.status = f"ParseError: {exc}"
-        return _emit_report(report, args.format)
-    except ValueError as exc:
-        report.status = f"DomainError: {exc}"
-        return _emit_report(report, args.format)
-    report.inputs.update(
-        {
-            "fibres": [[str(label), count] for label, count in fibres],
-            "chi": str(chi),
-            "target": str(target),
-            "po_max": po_max,
-        }
-    )
-    try:
-        configs = solve_section_config(target, fibres, chi=chi, po_max=po_max)
-    except ValueError as exc:
-        report.status = f"DomainError: {exc}"
-        return _emit_report(report, args.format)
-    report.results = [("count", str(len(configs)))]
-    for i, config in enumerate(configs):
-        hits = ",".join(str(h) for h in config.hits)
-        report.results.append((f"config_{i}", f"po={config.po} hits=({hits})"))
-    return _emit_report(report, args.format)
+        inputs.update(
+            {
+                "fibres": [[str(label), count] for label, count in fibres],
+                "chi": str(chi),
+                "target": str(target),
+                "po_max": po_max,
+            }
+        )
+        return target, fibres, chi, po_max
+
+    def compute(search):
+        configs = solve_section_config(*search)
+        results = [("count", str(len(configs)))]
+        for i, config in enumerate(configs):
+            hits = ",".join(str(h) for h in config.hits)
+            results.append((f"config_{i}", f"po={config.po} hits=({hits})"))
+        return results
+
+    return _run(args, inputs, read, compute)
 
 
 # ---------------------------------------------------------------- parser
@@ -380,63 +367,50 @@ def _rational_arg(text: str) -> Rational:
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logdgen",
         description="Exact invariants of surface degenerations and fibrations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
-    p_tables = sub.add_parser("tables", help="regenerate an embedded table with cross-checks")
+    p_tables = sub.add_parser("tables", parents=[fmt],
+                              help="regenerate an embedded table with cross-checks")
     p_tables.add_argument("which", choices=(*_TABLES, "ALL"))
-    _add_format(p_tables)
     p_tables.set_defaults(func=cmd_tables)
 
-    p_graph = sub.add_parser("graph", help="run dual-graph recognizers and solvers on a file")
+    p_graph = sub.add_parser("graph", parents=[fmt],
+                             help="run dual-graph recognizers and solvers on a file")
     p_graph.add_argument("file")
     p_graph.add_argument("action", choices=("recognize", "discrepancies", "classify"))
-    _add_format(p_graph)
     p_graph.set_defaults(func=cmd_graph)
 
-    p_euler = sub.add_parser("euler", help="Euler number of a degenerate fibre from a file")
+    p_euler = sub.add_parser("euler", parents=[fmt],
+                             help="Euler number of a degenerate fibre from a file")
     p_euler.add_argument("file")
-    _add_format(p_euler)
     p_euler.set_defaults(func=cmd_euler)
 
     p_cbf = sub.add_parser("cbf", help="coefficient invariants, bounds, and feasibility")
+    p_cbf.set_defaults(func=cmd_cbf)  # for every subcommand
     cbf_sub = p_cbf.add_subparsers(dest="subaction", required=True)
-    p_inv = cbf_sub.add_parser("invariants")
+    p_inv = cbf_sub.add_parser("invariants", parents=[fmt])
     p_inv.add_argument("kind", choices=("v1", "v2"))
-    p_inv.add_argument("r", type=int)
-    p_inv.add_argument("a0", type=int)
-    p_inv.add_argument("a1", type=int)
-    p_inv.add_argument("a2", type=int)
-    p_inv.add_argument("ell", type=int)
-    _add_format(p_inv)
-    p_inv.set_defaults(func=cmd_cbf)
-    p_bound = cbf_sub.add_parser("bound")
+    for name in ("r", "a0", "a1", "a2", "ell"):
+        p_inv.add_argument(name, type=int)
+    p_bound = cbf_sub.add_parser("bound", parents=[fmt])
     p_bound.add_argument("d", type=int)
     p_bound.add_argument("n_va", type=int)
-    _add_format(p_bound)
-    p_bound.set_defaults(func=cmd_cbf)
-    p_mori = cbf_sub.add_parser("mori")
+    p_mori = cbf_sub.add_parser("mori", parents=[fmt])
     p_mori.add_argument("s", type=_rational_arg)
     p_mori.add_argument("b", type=int)
     p_mori.add_argument("N", type=int)
-    _add_format(p_mori)
-    p_mori.set_defaults(func=cmd_cbf)
-    p_nx = cbf_sub.add_parser("nx")
+    p_nx = cbf_sub.add_parser("nx", parents=[fmt])
     p_nx.add_argument("x", type=int)
-    _add_format(p_nx)
-    p_nx.set_defaults(func=cmd_cbf)
 
-    p_mw = sub.add_parser("mw", help="feasible section configurations from a file")
+    p_mw = sub.add_parser("mw", parents=[fmt], help="feasible section configurations from a file")
     p_mw.add_argument("file")
-    _add_format(p_mw)
     p_mw.set_defaults(func=cmd_mw)
 
     return parser

@@ -146,7 +146,7 @@ class StandardCoeff(Record):
     _fields = ("b",)
 
     def __init__(self, b: int | str) -> None:
-        if b != INFINITY and (not isinstance(b, int) or b < 1):
+        if b != INFINITY and (type(b) is not int or b < 1):
             raise ValueError(f"b must be a positive integer or INFINITY, got {b!r}")
         self.__dict__.update(b=b)
 
@@ -323,10 +323,10 @@ class KodairaLabel(Record):
 
     def __init__(self, kind: str, b: int | None = None) -> None:
         if kind == "I":
-            if not isinstance(b, int) or b < 1:
+            if type(b) is not int or b < 1:
                 raise ValueError("I_b needs b >= 1")
         elif kind == "I*":
-            if not isinstance(b, int) or b < 0:
+            if type(b) is not int or b < 0:
                 raise ValueError("I*_b needs b >= 0")
         elif kind in self._PLAIN:
             if b is not None:
@@ -375,10 +375,10 @@ class FibreTypeLabel(Record):
     def __init__(self, kind: str, b: int | str, k: int | None = None) -> None:
         if kind not in self._KINDS:
             raise ValueError(f"unknown fibre type kind {kind!r}")
-        if b != INFINITY and (not isinstance(b, int) or b < 1):
+        if b != INFINITY and (type(b) is not int or b < 1):
             raise ValueError(f"b must be a positive integer or INFINITY, got {b!r}")
         if kind == "II-3":
-            if not isinstance(k, int) or k < 1:
+            if type(k) is not int or k < 1:
                 raise ValueError("kind II-3 needs a chain length k >= 1")
         elif k is not None:
             raise ValueError(f"kind {kind} takes no chain parameter")

@@ -36,7 +36,7 @@ class DuValType(Record):
             ok = index in (6, 7, 8)
         else:
             ok = False
-        if not ok:
+        if not ok or type(index) is not int:
             raise ValueError(f"invalid Du Val type {family}_{index}")
         self.__dict__.update(family=family, index=index)
 

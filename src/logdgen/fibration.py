@@ -29,6 +29,8 @@ from .core import (
     Record,
     doubled_standard_coeff,
     hurwitz_double_cover_euler,
+    json_array,
+    json_int,
     m_p,
     standard_coeff,
 )
@@ -205,10 +207,8 @@ def _label_to_json(label: FibreTypeLabel) -> dict:
 
 
 def _label_from_json(data: dict) -> FibreTypeLabel:
-    b = data["b"]
-    if b == "inf":
-        b = INFINITY
-    return FibreTypeLabel(data["kind"], b, data.get("k"))
+    b = INFINITY if data["b"] == "inf" else json_int(data, "b")
+    return FibreTypeLabel(data["kind"], b, json_int(data, "k") if "k" in data else None)
 
 
 def typ_to_json(rec: TypRecord) -> dict:
@@ -220,7 +220,8 @@ def typ_to_json(rec: TypRecord) -> dict:
 
 
 def typ_from_json(data: dict) -> TypRecord:
+    """The record read back; a non-array special, or a non-integer b or k, raises TypeError."""
     return TypRecord(
-        tuple(_label_from_json(d) for d in data.get("special", ())),
+        tuple(_label_from_json(d) for d in json_array(data.get("special", []), "special")),
         _label_from_json(data["generic"]),
     )

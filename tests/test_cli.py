@@ -328,6 +328,26 @@ class TestReportShape:
         _, data, _ = run_json(capsys, "cbf", "invariants", "v1", 8, 3, 1, 3, 8)
         assert ["s_star", "5/6"] in data["results"]
 
+    @pytest.mark.parametrize("argv,content,inputs", [
+        # mw records what it read only once the whole file has been read
+        (["mw", "FILE"], {"fibres": [], "target": "0", "chi": 0}, {}),
+        (["mw", "FILE"], {"fibres": [], "target": "2", "po_max": -1},
+         {"fibres": [], "chi": "1", "target": "2", "po_max": -1}),
+        # cbf records its arguments before it computes
+        (["cbf", "invariants", "v1", 8, 2, 1, 2, 8], None,
+         {"subaction": "invariants", "kind": "v1", "r": 8, "a": [2, 1, 2], "ell": 8}),
+    ])
+    def test_a_failed_report_keeps_the_inputs_read(self, capsys, tmp_path, argv, content,
+                                                    inputs):
+        if "FILE" in argv:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(content))
+            argv = [str(path) if a == "FILE" else a for a in argv]
+            inputs = {"file": str(path), **inputs}
+        code, data, _ = run_json(capsys, *argv)
+        assert code == 1 and data["status"].startswith("DomainError: ")
+        assert list(data["inputs"].items()) == list(inputs.items())
+
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "logdgen.cli", "cbf", "nx", "1"],
@@ -348,7 +368,8 @@ B = {"id": "B", "self_int": -2}
 # command with FILE standing for the input file, the file content, and the
 # status prefix the file ends in; a command-line case (no file) ends in a
 # usage error instead
-PARSE, DOMAIN, SOLVER = "ParseError: ", "DomainError: ", "SolverError: "
+PARSE, VALIDATION, DOMAIN, SOLVER = ("ParseError: ", "ValidationError: ", "DomainError: ",
+                                     "SolverError: ")
 CHAIN_5000 = _graph(*({"id": f"E{i}", "self_int": -2} for i in range(5000)),
                     edges=[{"a": f"E{i}", "b": f"E{i + 1}"} for i in range(4999)])
 MALFORMED = {
@@ -361,6 +382,14 @@ MALFORMED = {
     "weight_float": (["graph", "FILE", "recognize"],
                      _graph(E, B, edges=[{"a": "E", "b": "B", "w": 1.5}]), PARSE),
     "tangency_float": (["graph", "FILE", "recognize"], _graph(E, tangency={"E": 1.0}), PARSE),
+    "duplicate_vertex_id": (["graph", "FILE", "recognize"], _graph(E, E),
+                            PARSE + "duplicate vertex id 'E'"),
+    "edge_to_unknown_vertex": (["graph", "FILE", "recognize"],
+                               _graph(E, edges=[{"a": "E", "b": "X"}]), PARSE),
+    "boundary_above_one": (["graph", "FILE", "recognize"],
+                           _graph(E, {"id": "B", "self_int": 0, "role": "strict",
+                                      "boundary": "3/2"}, edges=[{"a": "E", "b": "B"}]), PARSE),
+    "role_unknown": (["graph", "FILE", "classify"], _graph({**E, "role": "bogus"}), PARSE),
     "tangency_array": (["graph", "FILE", "recognize"], _graph(E, tangency=[]), PARSE),
     "boundary_zero_den": (["graph", "FILE", "recognize"],
                           _graph(E, {"id": "B", "self_int": 0, "role": "strict", "boundary": "1/0"},
@@ -374,6 +403,8 @@ MALFORMED = {
                                PARSE),
     "m_float": (["euler", "FILE"], {"components": [{"m": 2.9, "e_orb": "1"}]}, PARSE),
     "m_bool": (["euler", "FILE"], {"components": [{"m": True, "e_orb": "1"}]}, PARSE),
+    "m_zero": (["euler", "FILE"], {"components": [{"m": 0, "e_orb": "1"}]},
+               VALIDATION + "multiplicity must be positive, got 0"),
     "e_orb_zero_den": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1/0"}]}, PARSE),
     "e_orb_unreadable": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "abc"}]}, PARSE),
     "e_orb_huge_exponent": (["euler", "FILE"], {"components": [{"m": 1, "e_orb": "1e5000"}]},
@@ -560,6 +591,30 @@ def test_coefficient_height_and_fibration_modules_load_no_graph_code():
     code = ("import sys, logdgen.cbf, logdgen.mordellweil, logdgen.fibration\n"
             "print(repr([m for m in sys.modules if m.startswith('logdgen')]))")
     assert "logdgen.dualgraph" not in _loaded_modules(code)
+
+
+# Exit code, stdout and stderr of every IMPORT_CASES argv and of each fixture
+# under each command that reads a file, in both formats, recorded before the
+# report commands shared one runner.  Files are named relative to FIXTURES.
+REPORTS = FIXTURES / "reports.json"
+
+
+def _report_argvs():
+    files = sorted(p.name for p in FIXTURES.glob("*.json") if p != REPORTS)
+    argvs = [[Path(a).name if a.startswith(str(FIXTURES)) else a for a in argv]
+             for kind in sorted(IMPORT_CASES) for argv in IMPORT_CASES[kind][0]]
+    argvs += [["graph", name, action] for name in files
+              for action in ("recognize", "discrepancies", "classify")]
+    argvs += [[command, name] for command in ("euler", "mw") for name in files]
+    return [argv + fmt for argv in argvs
+            for fmt in ([[]] if "--format" in argv else [[], ["--format", "json"]])]
+
+
+def test_reports_match_the_recorded_output(monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    got = {"\t".join(argv): list(_main_captured(argv)) for argv in _report_argvs()}
+    assert got == json.loads(REPORTS.read_text())
 
 
 _KEYS = ("vertices", "edges", "tangency", "coincident", "id", "self_int", "genus", "mult",

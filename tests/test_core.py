@@ -55,6 +55,11 @@ class TestStandardCoeff:
         with pytest.raises(ValueError):
             StandardCoeff(-3)
 
+    @pytest.mark.parametrize("b", [True, 2.0])
+    def test_rejects_a_bool_or_float_b(self, b):
+        with pytest.raises(ValueError, match=f"^b must be a positive integer or INFINITY, got {b}"):
+            StandardCoeff(b)
+
 
 class TestMp:
     def test_smooth_point_zero_different(self):
@@ -223,6 +228,27 @@ class TestHurwitz:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             hurwitz_double_cover_euler(-2)
+
+
+class TestLabelParameters:
+    @pytest.mark.parametrize("kind,b,message", [
+        ("I", True, "I_b needs b >= 1"), ("I", 3.0, "I_b needs b >= 1"),
+        ("I*", False, "I\\*_b needs b >= 0"), ("I*", True, "I\\*_b needs b >= 0"),
+    ])
+    def test_kodaira_label_refuses_a_bool_or_float_b(self, kind, b, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KodairaLabel(kind, b)
+
+    @pytest.mark.parametrize("kind,b,k,message", [
+        ("II-3", True, True, "b must be a positive integer or INFINITY, got True"),
+        ("I-1", True, None, "b must be a positive integer or INFINITY, got True"),
+        ("I-2", 2.0, None, "b must be a positive integer or INFINITY, got 2.0"),
+        ("II-3", 2, True, "kind II-3 needs a chain length k >= 1"),
+        ("II-3", INFINITY, 1.0, "kind II-3 needs a chain length k >= 1"),
+    ])
+    def test_fibre_type_label_refuses_a_bool_or_float_parameter(self, kind, b, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FibreTypeLabel(kind, b, k)
 
 
 class TestKodairaLabelParse:

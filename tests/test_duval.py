@@ -78,6 +78,11 @@ class TestDuValType:
         with pytest.raises(ValueError):
             DuValType(family, index)
 
+    @pytest.mark.parametrize("family,index", [("A", True), ("D", 4.0), ("E", 6.0)])
+    def test_bool_or_float_index_rejected(self, family, index):
+        with pytest.raises(ValueError, match=f"^invalid Du Val type {family}_{index}$"):
+            DuValType(family, index)
+
     def test_orders(self):
         assert duval_order(DuValType("A", 3)) == 4
         assert duval_order(DuValType("D", 5)) == 12

@@ -270,6 +270,21 @@ class TestJson:
         assert by_kind["II-3"] == {"kind": "II-3", "b": 2, "k": 1}
         assert "k" not in by_kind["I-2"]
 
+    def test_special_must_be_an_array(self):
+        data = {"special": "ab", "generic": {"kind": "II-1", "b": 1}}
+        with pytest.raises(TypeError, match="^special must be an array, got 'ab'$"):
+            typ_from_json(data)
+
+    @pytest.mark.parametrize("label", [
+        {"kind": "I-2", "b": True},
+        {"kind": "I-2", "b": 2.0},
+        {"kind": "II-3", "b": 2, "k": True},
+        {"kind": "II-3", "b": "inf", "k": 1.5},
+    ])
+    def test_bool_or_float_parameter_is_a_type_error(self, label):
+        with pytest.raises(TypeError, match=r"^[bk] must be an integer, got "):
+            typ_from_json({"special": [label], "generic": {"kind": "II-1", "b": 1}})
+
     @given(st.lists(special_label, max_size=5))
     def test_round_trip_property(self, labels):
         r = rec(labels, PAIR_GENERIC)
