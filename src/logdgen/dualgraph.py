@@ -118,7 +118,7 @@ class DualGraph:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex")
             if a == b:
                 raise ValueError(f"self-edge at {a!r}; use a tangency count instead")
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
             norm_edges.append((min(a, b), max(a, b), w))
         norm_edges.sort()
@@ -126,7 +126,7 @@ class DualGraph:
         for vid, count in tang.items():
             if vid not in index:
                 raise ValueError(f"tangency count on unknown vertex {vid!r}")
-            if not isinstance(count, int) or count < 0:
+            if type(count) is not int or count < 0:
                 raise ValueError(f"tangency count must be a non-negative integer, got {count!r}")
         groups = []
         for grp in coincident:
@@ -1048,6 +1048,14 @@ def graph_to_json(g: DualGraph) -> dict:
     return out
 
 
+def _role(written) -> str:
+    """The role a JSON vertex names, in any case; an unknown one is quoted as written."""
+    role = str(written).upper()
+    if role not in _ROLES:
+        raise ValueError(f"unknown role {written!r}")
+    return role
+
+
 def graph_from_json(data: dict) -> DualGraph:
     """Rebuild a graph from its plain-data form; missing fields default.
 
@@ -1066,7 +1074,7 @@ def graph_from_json(data: dict) -> DualGraph:
                 genus=json_int(item, "genus", 0),
                 multiplicity=json_int(item, "mult", 1),
                 boundary_coeff=parse_rational(item.get("boundary", 0)),
-                role=str(item.get("role", "exceptional")).upper(),
+                role=_role(item.get("role", "exceptional")),
             )
         )
     edges = [

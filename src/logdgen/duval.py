@@ -28,7 +28,9 @@ class DuValType(Record):
     _fields = ("family", "index")
 
     def __init__(self, family: str, index: int) -> None:
-        if family == "A":
+        if type(index) is not int:
+            ok = False
+        elif family == "A":
             ok = index >= 1
         elif family == "D":
             ok = index >= 4
@@ -36,7 +38,7 @@ class DuValType(Record):
             ok = index in (6, 7, 8)
         else:
             ok = False
-        if not ok or type(index) is not int:
+        if not ok:
             raise ValueError(f"invalid Du Val type {family}_{index}")
         self.__dict__.update(family=family, index=index)
 

@@ -4,19 +4,21 @@ The canonical height of a section, and the pairing of two sections, differ
 from the naive intersection numbers by local contributions at reducible
 fibres, depending only on which simple component each section meets.  This
 module carries those contributions in closed form for every Kodaira type,
-the two height formulas, and a small exhaustive solver that recovers all
-component configurations compatible with a known height.
+the two height formulas, and a solver that recovers all component
+configurations compatible with a known height by a dynamic program over
+partial sums of the corrections.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as Rational
-from itertools import product
-from math import prod
+from math import lcm
 
 from .core import KodairaLabel, Record, classical_euler
 
-# Most (po, hits) candidates solve_section_config will try.
+# Most (P.O) values, simple components of one fibre, partial sums kept, or
+# configurations returned that solve_section_config allows.
 MAX_SECTION_CANDIDATES = 100_000
 
 # Fibre types of fixed shape with more than one simple component: how many,
@@ -135,33 +137,94 @@ def height_pair(chi: int, po: int, qo: int, pq: int, contribs) -> Rational:
     )
 
 
+def _exceeds(what: str) -> ValueError:
+    return ValueError(f"section search exceeds {MAX_SECTION_CANDIDATES} {what}")
+
+
 def solve_section_config(target_height, fibres, chi: int = 1, po_max: int = 2):
     """All (po, component hits) giving the target canonical height.
 
     ``fibres`` lists (KodairaLabel, component count) pairs; the counts are
-    validated against the labels.  The search is exhaustive over
-    po in [0, po_max] and all simple-component choices, returned in
-    canonical (po, hits) order.  A negative po_max, or a search of more
-    than MAX_SECTION_CANDIDATES candidates, raises ValueError before any
-    correction is computed.
+    validated against the labels.  Configurations with po in [0, po_max]
+    are returned in canonical (po, hits) order.  A section of the target
+    height has correction sum 2 chi + 2 po - target, so a backward pass
+    keeps, for each fibre position, the correction sums of the fibres from
+    there on with their configuration counts, and a forward walk follows
+    only the components whose remaining sum is one of them: the work is
+    the partial sums plus the configurations returned.
+
+    A negative po_max raises ValueError.  So do more than
+    MAX_SECTION_CANDIDATES values of po, simple components on one fibre,
+    partial sums kept over all positions, or configurations; the first two
+    are checked before any correction is computed, the last before any
+    configuration is built.
     """
     if po_max < 0:
         raise ValueError(f"po_max must be >= 0, got {po_max}")
+    if po_max + 1 > MAX_SECTION_CANDIDATES:
+        raise _exceeds("values of (P.O)")
     target = Rational(target_height)
-    labels = [label for label, _ in fibres]
-    counts = [_simple_count(label) for label in labels]
-    if (po_max + 1) * prod(counts) > MAX_SECTION_CANDIDATES:
-        raise ValueError(f"section search exceeds {MAX_SECTION_CANDIDATES} candidates")
+    counts = []
     for label, count in fibres:
+        simple = _simple_count(label)
+        if simple > MAX_SECTION_CANDIDATES:
+            raise _exceeds(f"simple components on {label}")
         expected = component_count(label)
         if count != expected:
             raise ValueError(f"{label} has {expected} components, got {count}")
-    corrections = [[contribution(label, i) for i in range(n)] for label, n in zip(labels, counts)]
-    # product() walks the hits in lexicographic order, so out is already sorted.
-    out = []
+        counts.append(simple)
+    corrections = [[contribution(label, i) for i in range(n)]
+                   for (label, _), n in zip(fibres, counts)]
+    # Scaled to integers over a common denominator, so the sums are ints.
+    scale = lcm(1, *(c.denominator for row in corrections for c in row))
+    rows = [[c.numerator * (scale // c.denominator) for c in row] for row in corrections]
+
+    # reach[k]: correction sum of fibres k.. -> how many hits give it.  A
+    # fibre with one simple component (correction 0) shares its tail's map.
+    reach = [{0: 1}]
+    kept = 1
+    for row in reversed(rows):
+        tail = reach[-1]
+        if len(row) > 1:
+            step = Counter(row).items()
+            sums = {}
+            for s, ways in tail.items():
+                for c, m in step:
+                    sums[s + c] = sums.get(s + c, 0) + ways * m
+                if kept + len(sums) > MAX_SECTION_CANDIDATES:
+                    raise _exceeds("partial sums")
+            kept += len(sums)
+            tail = sums
+        reach.append(tail)
+    reach.reverse()
+
+    needs = []
     for po in range(po_max + 1):
-        for hits in product(*map(range, counts)):
-            contribs = [c[i] for c, i in zip(corrections, hits)]
-            if height_self(chi, po, contribs) == target:
-                out.append(SectionConfig(po=po, hits=hits))
+        need = (2 * chi + 2 * po - target) * scale
+        if need.denominator == 1 and need.numerator in reach[0]:
+            needs.append((po, need.numerator))
+    if sum(reach[0][need] for _, need in needs) > MAX_SECTION_CANDIDATES:
+        raise _exceeds("configurations")
+
+    # Depth-first in lexicographic order, without recursion: hits[k] is the
+    # component tried at fibre k, rest[k] the sum fibres k.. must still give.
+    n = len(rows)
+    out = []
+    for po, need in needs:
+        hits, rest = [0] * n, [need] + [0] * n
+        k, i = 0, 0
+        while k >= 0:
+            if k == n:
+                out.append(SectionConfig(po=po, hits=tuple(hits)))
+            else:
+                row, after = rows[k], reach[k + 1]
+                while i < len(row) and rest[k] - row[i] not in after:
+                    i += 1
+                if i < len(row):
+                    hits[k], rest[k + 1] = i, rest[k] - row[i]
+                    k, i = k + 1, 0
+                    continue
+            k -= 1
+            if k >= 0:
+                i = hits[k] + 1
     return out

@@ -175,6 +175,19 @@ class TestNOfX:
         for index in (2, 3, 4, 6, 8, 12):
             assert n21 % index == 0
 
+    def test_prime_power_closed_form(self):
+        # phi(p^k m) >= phi(p^k) with equality at n = p^k, so the largest power
+        # of p dividing the lcm is the largest p^k with phi(p^k) <= x.
+        for x in range(1, 61):
+            closed = 1
+            for p in range(2, x + 2):
+                if all(p % q for q in range(2, p)):
+                    k = 1
+                    while p**k * (p - 1) <= x:
+                        k += 1
+                    closed *= p**k
+            assert n_of_x(x) == closed, x
+
     def test_monotone_divisibility_tower(self):
         values = [n_of_x(x) for x in range(1, 8)]
         for small, big in zip(values, values[1:]):

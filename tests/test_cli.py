@@ -305,6 +305,27 @@ class TestMw:
                                   **{f"config_{i}": f"po=0 hits={hits}"
                                      for i, hits in enumerate(configs)}}
 
+    def test_seven_i9_fibres_answered_at_once(self, capsys, tmp_path):
+        # 3 * 9^7 (po, hits) candidates; only the 1779 hits are walked
+        path = tmp_path / "i9.json"
+        path.write_text(json.dumps({"fibres": [{"label": "I_9", "components": 9}] * 7,
+                                    "target": "2"}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "mw", path)
+        assert time.perf_counter() - start < 1
+        pairs = tsv_pairs(out)
+        assert code == 0 and pairs["count"] == "1779"
+        assert pairs["config_0"] == "po=0 hits=(0,0,0,0,0,0,0)"
+
+    @pytest.mark.parametrize("case", ["mw_po_max_huge", "mw_fibre_huge", "mw_fibre_enormous"])
+    def test_oversized_searches_refused_at_once(self, capsys, tmp_path, case):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(MALFORMED[case][1]))
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, "mw", path)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and data["status"].startswith("DomainError: section search exceeds")
+
     def test_unsupported_fibre_label(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"fibres": [{"label": "X_9", "components": 1}], "target": "0"}))
@@ -389,7 +410,8 @@ MALFORMED = {
     "boundary_above_one": (["graph", "FILE", "recognize"],
                            _graph(E, {"id": "B", "self_int": 0, "role": "strict",
                                       "boundary": "3/2"}, edges=[{"a": "E", "b": "B"}]), PARSE),
-    "role_unknown": (["graph", "FILE", "classify"], _graph({**E, "role": "bogus"}), PARSE),
+    "role_unknown": (["graph", "FILE", "classify"], _graph({**E, "role": "bogus"}),
+                     PARSE + "unknown role 'bogus'"),
     "tangency_array": (["graph", "FILE", "recognize"], _graph(E, tangency=[]), PARSE),
     "boundary_zero_den": (["graph", "FILE", "recognize"],
                           _graph(E, {"id": "B", "self_int": 0, "role": "strict", "boundary": "1/0"},

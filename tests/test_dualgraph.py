@@ -110,6 +110,19 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             DualGraph([exc("E", -2), exc("F", -2)], [("E", "F", 0)])
 
+    @pytest.mark.parametrize("edges,tangency", [([("E", "F", True)], {}),
+                                                ([("E", "F", 1.0)], {}),
+                                                ([("E", "F")], {"E": True})])
+    def test_bool_or_float_weight_or_tangency_rejected(self, edges, tangency):
+        with pytest.raises(ValueError, match="must be a"):
+            DualGraph([exc("E", -2), exc("F", -2)], edges, tangency)
+
+    def test_json_role_any_case_and_unknown_quoted_as_written(self):
+        vertex = {"id": "B", "self_int": 0, "role": "Strict"}
+        assert graph_from_json({"vertices": [vertex]}).vertices[0].role == STRICT
+        with pytest.raises(ValueError, match=r"^unknown role 'bogus'$"):
+            graph_from_json({"vertices": [{**vertex, "role": "bogus"}]})
+
     def test_coincident_pair_rejected(self):
         with pytest.raises(ValueError):
             DualGraph([exc("E", -2), exc("F", -2)], [("E", "F")], coincident=[("E", "F")])

@@ -1,10 +1,13 @@
 """Local contributions, height formulas, and the configuration solver."""
 
+from collections import Counter
 from fractions import Fraction as Rational
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import logdgen.mordellweil as mordellweil
 from logdgen.dualgraph import KodairaLabel, _eliminate, intersection_matrix, kodaira_graph
 from logdgen.mordellweil import (
     MAX_SECTION_CANDIDATES,
@@ -223,12 +226,47 @@ class TestSolver:
         import logdgen.dualgraph as dualgraph
 
         monkeypatch.setattr(dualgraph, "kodaira_graph", None)  # any graph build would fail
-        with pytest.raises(ValueError, match="exceeds"):
+        monkeypatch.setattr(mordellweil, "contribution", None)  # so would any correction
+        with pytest.raises(ValueError, match="exceeds 100000 values of"):
             solve_section_config(2, [], chi=1, po_max=MAX_SECTION_CANDIDATES)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="exceeds 100000 simple components on I_200000"):
             solve_section_config(2, [(lab("I", 200_000), 200_000)], chi=1, po_max=0)
-        with pytest.raises(ValueError, match="exceeds"):
-            solve_section_config(2, [(lab("I", 9), 9)] * 6, chi=1, po_max=0)
+        with pytest.raises(ValueError, match="exceeds 100000 simple components"):
+            solve_section_config(2, [(lab("I", 10**18), 10**18)], chi=1, po_max=0)
+
+    def test_seven_i9_fibres_against_a_convolution(self):
+        # 3 * 9^7 candidates, far more than the limit; the answer is not
+        i9 = lab("I", 9)
+        fibres = [(i9, 9)] * 7
+        values = [contribution(i9, i) for i in range(9)]
+        sums = Counter({Rational(0): 1})
+        for _ in fibres:
+            step = Counter()
+            for total, ways in sums.items():
+                for value in values:
+                    step[total + value] += ways
+            sums = step
+        target = Rational(2)
+        got = solve_section_config(target, fibres, chi=1, po_max=2)
+        assert len(got) == sum(sums[2 + 2 * po - target] for po in range(3)) == 1779
+        keys = [(c.po, c.hits) for c in got]
+        assert keys == sorted(set(keys))
+        for cfg in got:
+            assert height_self(1, cfg.po, [values[i] for i in cfg.hits]) == target
+
+    def test_more_configurations_than_the_limit_refused_before_any_is_built(self, monkeypatch):
+        monkeypatch.setattr(mordellweil, "SectionConfig", None)
+        with pytest.raises(ValueError, match="exceeds 100000 configurations"):
+            solve_section_config(-4, [(lab("I", 9), 9)] * 7, chi=1, po_max=2)
+
+    def test_more_partial_sums_than_the_limit_refused(self):
+        with pytest.raises(ValueError, match="exceeds 100000 partial sums"):
+            solve_section_config(Rational(1, 3), [(lab("I", 2), 2)] * 10_000, chi=1, po_max=0)
+
+    def test_ten_thousand_fibres_walked_without_recursion(self):
+        fibres = [(lab("II"), 1)] * 9_999 + [(lab("I", 2), 2)]
+        got = solve_section_config(Rational(3, 2), fibres, chi=1, po_max=2)
+        assert got == [SectionConfig(po=0, hits=(0,) * 9_999 + (1,))]
 
     def test_torsion_sections_on_two_torsion_square_surface(self):
         # I*_2 + 2 I_2 with full 2-torsion: height-zero sections come in
@@ -251,24 +289,49 @@ class TestSolver:
             assert height_self(1, cfg.po, contribs) == 0
 
     def test_completeness_against_direct_enumeration(self):
-        from itertools import product as iproduct
-
         fibres = [(lab("I", 4), 4), (lab("I*", 1), 6)]
-        target = Rational(1, 4)
-        got = solve_section_config(target, fibres, chi=1, po_max=1)
-        expect = []
-        for po in (0, 1):
-            for hits in iproduct(range(4), (0, 1, 2, 3)):
-                contribs = [
-                    contribution(lab("I", 4), hits[0]),
-                    contribution(lab("I*", 1), hits[1]),
-                ]
-                if height_self(1, po, contribs) == target:
-                    expect.append(SectionConfig(po=po, hits=hits))
-        expect.sort(key=lambda c: (c.po, c.hits))
-        assert got == expect
+        got = solve_section_config(Rational(1, 4), fibres, chi=1, po_max=1)
+        assert got == _product_walk(Rational(1, 4), fibres, chi=1, po_max=1)
         assert got  # the probe target is actually attainable
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SectionConfig(po=-1, hits=())
+
+
+def _product_walk(target_height, fibres, chi=1, po_max=2):
+    """Every (po, hits) candidate in turn: the search the solver replaced."""
+    target = Rational(target_height)
+    corrections = [[contribution(label, i) for i in component_choices(label)]
+                   for label, _ in fibres]
+    out = []
+    for po in range(po_max + 1):
+        for hits in product(*(range(len(row)) for row in corrections)):
+            if height_self(chi, po, [row[i] for row, i in zip(corrections, hits)]) == target:
+                out.append(SectionConfig(po=po, hits=hits))
+    return out
+
+
+_LABELS = (st.sampled_from(_FIXED_TYPES)
+           | st.builds(lab, st.just("I"), st.integers(1, 12))
+           | st.builds(lab, st.just("I*"), st.integers(0, 8)))
+
+
+@settings(deadline=None)
+@given(data=st.data(), po_max=st.integers(0, 3), chi=st.integers(1, 3))
+def test_solver_equals_the_product_walk(data, po_max, chi):
+    labels, candidates = [], po_max + 1
+    for label in data.draw(st.lists(_LABELS, max_size=6)):
+        if candidates * len(component_choices(label)) > 2000:
+            break
+        labels.append(label)
+        candidates *= len(component_choices(label))
+    fibres = [(label, component_count(label)) for label in labels]
+    corrections = [[contribution(label, i) for i in component_choices(label)]
+                   for label in labels]
+    heights = {height_self(chi, po, combo)
+               for po in range(po_max + 1) for combo in product(*corrections)}
+    target = data.draw(st.sampled_from(sorted(heights))
+                       | st.fractions(-4, 2 * chi + 2 * po_max, max_denominator=60))
+    want = _product_walk(target, fibres, chi, po_max)
+    assert solve_section_config(target, fibres, chi, po_max) == want
