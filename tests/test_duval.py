@@ -78,10 +78,14 @@ class TestDuValType:
         with pytest.raises(ValueError):
             DuValType(family, index)
 
-    @pytest.mark.parametrize("family,index", [("A", True), ("D", 4.0), ("E", 6.0), ("A", "3")])
-    def test_non_integer_index_rejected(self, family, index):
+    @pytest.mark.parametrize("family,index", [("A", True), ("D", 4.0), ("E", 6.0)])
+    def test_bool_or_float_index_rejected(self, family, index):
         with pytest.raises(ValueError, match=f"^invalid Du Val type {family}_{index}$"):
             DuValType(family, index)
+
+    def test_string_index_rejected(self):
+        with pytest.raises(ValueError, match="^invalid Du Val type A_3$"):
+            DuValType("A", "3")
 
     def test_orders(self):
         assert duval_order(DuValType("A", 3)) == 4
