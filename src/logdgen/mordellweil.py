@@ -17,8 +17,8 @@ from math import lcm
 
 from .core import KodairaLabel, Record, classical_euler
 
-# Most (P.O) values, simple components of one fibre, partial sums kept, or
-# configurations returned that solve_section_config allows.
+# Most (P.O) values, simple components over all fibres, partial sums
+# computed, or configurations returned that solve_section_config allows.
 MAX_SECTION_CANDIDATES = 100_000
 
 # Fibre types of fixed shape with more than one simple component: how many,
@@ -150,50 +150,53 @@ def solve_section_config(target_height, fibres, chi: int = 1, po_max: int = 2):
     height has correction sum 2 chi + 2 po - target, so a backward pass
     keeps, for each fibre position, the correction sums of the fibres from
     there on with their configuration counts, and a forward walk follows
-    only the components whose remaining sum is one of them: the work is
-    the partial sums plus the configurations returned.
+    only the components whose remaining sum is one of them.  The backward
+    pass computes (sums kept) x (distinct corrections) partial sums at each
+    fibre; the walk visits only prefixes of returned configurations and
+    scans the next fibre's components once at each.
 
     A negative po_max raises ValueError.  So do more than
-    MAX_SECTION_CANDIDATES values of po, simple components on one fibre,
-    partial sums kept over all positions, or configurations; the first two
-    are checked before any correction is computed, the last before any
-    configuration is built.
+    MAX_SECTION_CANDIDATES values of po, simple components over all fibres,
+    partial sums computed, or configurations; the first two are checked
+    before any correction is computed, the partial sums before each fibre's
+    are computed, and the configurations before any is built.
     """
     if po_max < 0:
         raise ValueError(f"po_max must be >= 0, got {po_max}")
     if po_max + 1 > MAX_SECTION_CANDIDATES:
         raise _exceeds("values of (P.O)")
     target = Rational(target_height)
-    counts = []
+    counts, total = [], 0
     for label, count in fibres:
-        simple = _simple_count(label)
-        if simple > MAX_SECTION_CANDIDATES:
-            raise _exceeds(f"simple components on {label}")
         expected = component_count(label)
         if count != expected:
             raise ValueError(f"{label} has {expected} components, got {count}")
-        counts.append(simple)
+        counts.append(_simple_count(label))
+        total += counts[-1]
+        if total > MAX_SECTION_CANDIDATES:
+            raise _exceeds("simple components")
     corrections = [[contribution(label, i) for i in range(n)]
                    for (label, _), n in zip(fibres, counts)]
-    # Scaled to integers over a common denominator, so the sums are ints.
+    # Scaled to integers over a common denominator: a step on Fraction sums
+    # costs about ten times as much, so the step limit would take a second.
     scale = lcm(1, *(c.denominator for row in corrections for c in row))
     rows = [[c.numerator * (scale // c.denominator) for c in row] for row in corrections]
 
     # reach[k]: correction sum of fibres k.. -> how many hits give it.  A
     # fibre with one simple component (correction 0) shares its tail's map.
     reach = [{0: 1}]
-    kept = 1
+    work = 0
     for row in reversed(rows):
         tail = reach[-1]
         if len(row) > 1:
             step = Counter(row).items()
+            work += len(tail) * len(step)
+            if work > MAX_SECTION_CANDIDATES:
+                raise _exceeds("partial sums")
             sums = {}
             for s, ways in tail.items():
                 for c, m in step:
                     sums[s + c] = sums.get(s + c, 0) + ways * m
-                if kept + len(sums) > MAX_SECTION_CANDIDATES:
-                    raise _exceeds("partial sums")
-            kept += len(sums)
             tail = sums
         reach.append(tail)
     reach.reverse()

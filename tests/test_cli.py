@@ -317,7 +317,8 @@ class TestMw:
         assert code == 0 and pairs["count"] == "1779"
         assert pairs["config_0"] == "po=0 hits=(0,0,0,0,0,0,0)"
 
-    @pytest.mark.parametrize("case", ["mw_po_max_huge", "mw_fibre_huge", "mw_fibre_enormous"])
+    @pytest.mark.parametrize("case", ["mw_po_max_huge", "mw_fibre_huge", "mw_fibre_enormous",
+                                      "mw_fibres_many", "mw_fibres_wide"])
     def test_oversized_searches_refused_at_once(self, capsys, tmp_path, case):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(MALFORMED[case][1]))
@@ -466,6 +467,12 @@ MALFORMED = {
     "mw_fibre_enormous": (["mw", "FILE"],
                           {"fibres": [{"label": f"I_{10**18}", "components": 10**18}],
                            "target": "2", "po_max": 0}, DOMAIN),
+    "mw_fibres_many": (["mw", "FILE"],
+                       {"fibres": [{"label": "I_99999", "components": 99_999}] * 1000,
+                        "target": "2", "po_max": 0}, DOMAIN),
+    "mw_fibres_wide": (["mw", "FILE"],
+                       {"fibres": [{"label": "I_400", "components": 400}] * 3,
+                        "target": "2", "po_max": 0}, DOMAIN),
     "mw_label_two_parameters": (["mw", "FILE"],
                                 {"fibres": [{"label": "I_3_4", "components": 34}], "target": "2"},
                                 DOMAIN),

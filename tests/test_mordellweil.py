@@ -229,10 +229,10 @@ class TestSolver:
         monkeypatch.setattr(mordellweil, "contribution", None)  # so would any correction
         with pytest.raises(ValueError, match="exceeds 100000 values of"):
             solve_section_config(2, [], chi=1, po_max=MAX_SECTION_CANDIDATES)
-        with pytest.raises(ValueError, match="exceeds 100000 simple components on I_200000"):
-            solve_section_config(2, [(lab("I", 200_000), 200_000)], chi=1, po_max=0)
-        with pytest.raises(ValueError, match="exceeds 100000 simple components"):
-            solve_section_config(2, [(lab("I", 10**18), 10**18)], chi=1, po_max=0)
+        for fibres in ([(lab("I", 200_000), 200_000)], [(lab("I", 10**18), 10**18)],
+                       [(lab("I", 99_999), 99_999)] * 1000):
+            with pytest.raises(ValueError, match="exceeds 100000 simple components$"):
+                solve_section_config(2, fibres, chi=1, po_max=0)
 
     def test_seven_i9_fibres_against_a_convolution(self):
         # 3 * 9^7 candidates, far more than the limit; the answer is not
@@ -260,8 +260,12 @@ class TestSolver:
             solve_section_config(-4, [(lab("I", 9), 9)] * 7, chi=1, po_max=2)
 
     def test_more_partial_sums_than_the_limit_refused(self):
-        with pytest.raises(ValueError, match="exceeds 100000 partial sums"):
-            solve_section_config(Rational(1, 3), [(lab("I", 2), 2)] * 10_000, chi=1, po_max=0)
+        # 10000 I_2 keep at most 10001 sums per position, but computing them
+        # takes about 10^8 steps; three I_400 keep fewer than 14000 sums, but
+        # the third fibre alone takes 13788 sums x 201 distinct corrections
+        for fibres in ([(lab("I", 2), 2)] * 10_000, [(lab("I", 400), 400)] * 3):
+            with pytest.raises(ValueError, match="exceeds 100000 partial sums"):
+                solve_section_config(Rational(1, 3), fibres, chi=1, po_max=0)
 
     def test_ten_thousand_fibres_walked_without_recursion(self):
         fibres = [(lab("II"), 1)] * 9_999 + [(lab("I", 2), 2)]
