@@ -433,7 +433,7 @@ def _isomorphic(g: DualGraph, h: DualGraph, key) -> bool:
 
     ``key(graph, vertex)`` computes the label that must be preserved;
     edge entry multisets between mapped pairs, and coincident groups,
-    must correspond exactly.  Backtracking is fine at this scale.
+    must correspond exactly.  Its time can depend on the vertex names.
     """
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return False
@@ -875,12 +875,10 @@ def half_catalog_minimal_graph(family: str, k: int = 0) -> DualGraph:
     return DualGraph(vs, edges, coincident=[("E1", "B1", "B2")])
 
 
-def _half_key(g: DualGraph, v: CurveVertex):
+def _half_tree_key(v: CurveVertex, degree: int):
     # Strict branches are germs: their self-intersections are not part of
     # the figure and must not block recognition.
-    if v.role == EXCEPTIONAL:
-        return ("E", v.self_int, g.tangency.get(v.id, 0))
-    return ("S", g.tangency.get(v.id, 0))
+    return ("E", v.self_int) if v.role == EXCEPTIONAL else ("S",)
 
 
 def recognize_half_catalog(g: DualGraph):
@@ -894,16 +892,18 @@ def recognize_half_catalog(g: DualGraph):
     >>> recognize_half_catalog(DualGraph([CurveVertex("B", 0, role=STRICT)]))
     'A_0/2'
     """
-    n_exc = len(g.by_role(EXCEPTIONAL))
-    n_str = len(g.by_role(STRICT))
-    if g.by_role(FIBRE):
+    if g.by_role(FIBRE) or g.tangency or g.coincident:  # every family is a plain tree
         return UNRECOGNIZED
+    n_exc, n_str = len(g.by_role(EXCEPTIONAL)), len(g.by_role(STRICT))
+    form = None
     for family, (kmin, label, chain, hung, bullets) in _HALF_CATALOG.items():
         # every parametric family adds one chain curve per step of k
         k = n_exc - len(chain(0)) - len(hung)
         if len(bullets) != n_str or k < kmin or (isinstance(label, str) and k):
             continue
-        if _isomorphic(g, half_catalog_graph(family, k), _half_key):
+        if form is None:  # computed once; () for a graph that is no tree matches no family
+            form = _tree_form(g, _half_tree_key) or ()
+        if form == _catalog_form(_half_tree_key, half_catalog_graph, family, k):
             return half_catalog_label(family, k)
     return UNRECOGNIZED
 

@@ -4,6 +4,7 @@ import ast
 import functools
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, sp_order
 from logdgen.cli import main
+from logdgen.core import MAX_LITERAL_DIGITS
+from logdgen.dualgraph import graph_to_json, half_catalog_graph, half_catalog_label
 from test_core import replace
+from test_dualgraph import ORACLE_CATALOGS, renamed, renaming
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,6 +184,32 @@ class TestGraph:
         assert code == 0
         assert tsv_pairs(out)["duval"] == "A_5000"
 
+    @pytest.mark.parametrize("family", ["D-alpha", "beta", "D-epsilon", "delta"])
+    def test_renamed_long_half_catalog_member_recognized_at_once(self, capsys, tmp_path, family):
+        g = half_catalog_graph(family, 30)
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps(graph_to_json(renamed(g, random.Random(30)))))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "graph", path, "recognize")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert tsv_pairs(out)["half_catalog"] == half_catalog_label(family, 30)
+
+    @pytest.mark.parametrize("action", ["recognize", "discrepancies", "classify"])
+    def test_answers_do_not_depend_on_vertex_names(self, capsys, tmp_path, action):
+        rng = random.Random(15)
+        path = tmp_path / "graph.json"
+        for g in [g for share in ORACLE_CATALOGS for g in share if len(g.vertices) <= 12]:
+            copy, fresh = renaming(g, rng)
+            answers = []
+            for graph in (g, copy):
+                path.write_text(json.dumps(graph_to_json(graph)))
+                code, out, err = run(capsys, "graph", path, action)
+                answers.append([code, tsv_pairs(out), err])
+            if action == "discrepancies":
+                answers[0][1] = {fresh[vid]: c for vid, c in answers[0][1].items()}
+            assert answers[0] == answers[1], graph_to_json(g)
+
     def test_malformed_file_reports_parse_position(self, capsys):
         code, data, _ = run_json(capsys, "graph", FIXTURES / "malformed.json", "recognize")
         assert code == 1
@@ -225,6 +255,20 @@ class TestEuler:
         assert data["status"].startswith("ValidationError")
 
 
+    @pytest.mark.parametrize("digits", [MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1])
+    def test_literal_at_and_above_the_limit(self, capsys, tmp_path, digits):
+        literal = "1" + "0" * (digits - 1)
+        path = tmp_path / "fibre.json"
+        path.write_text(json.dumps({"components": [{"m": 1, "e_orb": literal}]}))
+        code, data, _ = run_json(capsys, "euler", path)
+        if digits <= MAX_LITERAL_DIGITS:
+            assert code == 0 and dict(data["results"])["euler"] == literal
+        else:
+            assert code == 1
+            assert data["status"] == (f"ParseError: rational literal {literal[:20]!r} "
+                                      f"exceeds {MAX_LITERAL_DIGITS} digits")
+
+
 class TestCbf:
     def test_invariants_example(self, capsys):
         code, out, _ = run(capsys, "cbf", "invariants", "v1", 8, 3, 1, 3, 8)
@@ -263,6 +307,16 @@ class TestCbf:
         assert time.perf_counter() - start < 1
         assert code == 1
         assert data["status"] == f"DomainError: x = 100000 exceeds {MAX_TOTIENT_X}"
+
+
+    @pytest.mark.parametrize("x", [MAX_TOTIENT_X, MAX_TOTIENT_X + 1])
+    def test_nx_at_and_above_the_limit(self, capsys, x):
+        code, data, _ = run_json(capsys, "cbf", "nx", x)
+        if x <= MAX_TOTIENT_X:
+            assert code == 0 and int(dict(data["results"])["N"]) > 0
+        else:
+            assert code == 1
+            assert data["status"] == f"DomainError: x = {x} exceeds {MAX_TOTIENT_X}"
 
 
 class TestMw:

@@ -52,7 +52,7 @@ from logdgen.dualgraph import (
     recognize_half_catalog,
     recognize_kodaira,
 )
-from logdgen.dualgraph import FIBRE, _eliminate, _half_key, _infer_b, _isomorphic
+from logdgen.dualgraph import _HALF_CATALOG, FIBRE, _eliminate, _infer_b, _isomorphic
 from test_core import replace
 
 
@@ -597,9 +597,25 @@ class TestHalfCatalog:
         DualGraph([exc("E", -4), CurveVertex("B", 0, boundary_coeff=F(1, 2), role=STRICT)],
                   [("E", "B")]),
         DualGraph([exc("X", -3), exc("Y", -3)], [("X", "Y", 2)]),
+        DualGraph([exc("X", -3), exc("Y", -2), exc("Z", -3)], [("X", "Y"), ("Y", "Z")],
+                  {"Y": 1}),
     ])
     def test_perturbed_graphs_unrecognized(self, graph):
         assert recognize_half_catalog(graph) == UNRECOGNIZED
+
+    def test_recognized_without_the_isomorphism_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("isomorphism search")
+
+        monkeypatch.setattr(dualgraph, "_isomorphic", refuse)
+        rng = random.Random(15)
+        for family in HALF_CATALOG_FAMILIES:
+            ks = range(_HALF_CATALOG[family][0], 7) if family in PARAMETRIC else (0,)
+            for k in ks:
+                g = half_catalog_graph(family, k)
+                label = half_catalog_label(family, k)
+                assert recognize_half_catalog(g) == label
+                assert recognize_half_catalog(renamed(g, rng)) == label
 
 
 FIBRE_GRID = [("I-1", b, None) for b in (1, 2, 3, 7, INFINITY)]
@@ -681,8 +697,8 @@ class TestFibreTypes:
 
 
 # ---------------------------------------------------------------------------
-# The hand-walked Du Val and fibre-type recognizers, kept as oracles for the
-# tree-form recognizers.
+# The hand-walked Du Val and fibre-type recognizers and the isomorphism-search
+# half-catalog recognizer, kept as oracles for the tree-form recognizers.
 
 Rational = F
 _HALF = F(1, 2)
@@ -881,8 +897,37 @@ def walk_recognize_fibre_type(g: DualGraph):
     return UNRECOGNIZED
 
 
+def _half_key(g: DualGraph, v: CurveVertex):
+    # Strict branches are germs: their self-intersections are not part of
+    # the figure and must not block recognition.
+    if v.role == EXCEPTIONAL:
+        return ("E", v.self_int, g.tangency.get(v.id, 0))
+    return ("S", g.tangency.get(v.id, 0))
+
+
+def walk_recognize_half_catalog(g: DualGraph):
+    """Match a graph against the fifteen drawn catalog families by isomorphism search."""
+    n_exc = len(g.by_role(EXCEPTIONAL))
+    n_str = len(g.by_role(STRICT))
+    if g.by_role(FIBRE):
+        return UNRECOGNIZED
+    for family, (kmin, label, chain, hung, bullets) in _HALF_CATALOG.items():
+        # every parametric family adds one chain curve per step of k
+        k = n_exc - len(chain(0)) - len(hung)
+        if len(bullets) != n_str or k < kmin or (isinstance(label, str) and k):
+            continue
+        if _isomorphic(g, half_catalog_graph(family, k), _half_key):
+            return half_catalog_label(family, k)
+    return UNRECOGNIZED
+
+
 def renamed(g: DualGraph, rng: random.Random) -> DualGraph:
     """The same graph under fresh random vertex names, vertices and edges reordered."""
+    return renaming(g, rng)[0]
+
+
+def renaming(g: DualGraph, rng: random.Random) -> tuple[DualGraph, dict[str, str]]:
+    """``renamed(g, rng)`` and the fresh name of each vertex of ``g``."""
     fresh = dict(zip(g.ids(), (f"v{i}" for i in rng.sample(range(10**6), len(g.vertices)))))
     vs = [CurveVertex(fresh[v.id], v.self_int, v.genus, v.multiplicity, v.boundary_coeff, v.role)
           for v in g.vertices]
@@ -890,7 +935,7 @@ def renamed(g: DualGraph, rng: random.Random) -> DualGraph:
     edges = [(fresh[a], fresh[b], w) for a, b, w in g.edges]
     rng.shuffle(edges)
     return DualGraph(vs, edges, {fresh[v]: c for v, c in g.tangency.items()},
-                     [[fresh[v] for v in grp] for grp in g.coincident])
+                     [[fresh[v] for v in grp] for grp in g.coincident]), fresh
 
 
 # Du Val trees, marked fibre types, and other catalog graphs, drawn from in equal shares.
@@ -967,6 +1012,7 @@ def catalog_variants(draw) -> DualGraph:
 def test_tree_form_recognizers_agree_with_the_walks(g):
     assert recognize_duval(g) == walk_recognize_duval(g)
     assert recognize_fibre_type(g) == walk_recognize_fibre_type(g)
+    assert recognize_half_catalog(g) == walk_recognize_half_catalog(g)
 
 
 class TestJson:
