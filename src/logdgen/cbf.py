@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction as Rational
 from math import gcd, lcm, isqrt
 
-from .core import KodairaLabel, Record
+from .core import KodairaLabel, Record, classical_euler
 
 V1 = "V1"
 V2 = "V2"
@@ -83,17 +83,23 @@ def s_star(b: int, ell: int, mu) -> Rational:
     return b * (Rational(ell - 1, ell) - mu)
 
 
-# Table V, the elliptic table: kind -> (ell*, mu*, s*).  The multiple-fibre
-# column _mI_b is parametric in m and handled in elliptic_table; a smooth
-# fibre counts as its b = 0 member.
+def _elliptic_column(label: KodairaLabel) -> tuple[int, Rational, Rational]:
+    """(ell*, mu*, s*) of a Kodaira column from Kodaira's s* = e(F)/12.
+
+    ell* is the denominator of s* and mu* = (ell*-1)/ell* - s*, so that
+    s* = b((ell*-1)/ell* - mu*) holds at b = 1.
+    """
+    s = Rational(classical_euler(label), 12)
+    return s.denominator, Rational(s.denominator - 1, s.denominator) - s, s
+
+
+# Table V, the elliptic table: kind -> (ell*, mu*, s*), derived from the
+# Euler number of the b = 0 member (I*_b has s* = 1/2 for every b).  The
+# multiple-fibre column _mI_b is parametric in m and handled in
+# elliptic_table; a smooth fibre counts as its b = 0 member.
 ELLIPTIC_COLUMNS = {
-    "I*": (2, Rational(0), Rational(1, 2)),
-    "II": (6, Rational(2, 3), Rational(1, 6)),
-    "II*": (6, Rational(0), Rational(5, 6)),
-    "III": (4, Rational(1, 2), Rational(1, 4)),
-    "III*": (4, Rational(0), Rational(3, 4)),
-    "IV": (3, Rational(1, 3), Rational(1, 3)),
-    "IV*": (3, Rational(0), Rational(2, 3)),
+    kind: _elliptic_column(KodairaLabel(kind, 0) if kind == "I*" else KodairaLabel(kind))
+    for kind in ("I*", "II", "II*", "III", "III*", "IV", "IV*")
 }
 
 

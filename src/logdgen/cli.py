@@ -322,13 +322,21 @@ def cmd_cbf(args) -> int:
 
 # ---------------------------------------------------------------- mw
 
+def _json_label(entry: dict) -> str:
+    """The fibre's label; a number, an array or any other non-string raises TypeError."""
+    label = entry["label"]
+    if type(label) is not str:  # not isinstance: a _NumberLiteral is a str
+        raise TypeError(f"label must be a string, got {label!r}")
+    return label
+
+
 def cmd_mw(args) -> int:
     from .mordellweil import solve_section_config
     inputs = {"file": args.file}
 
     def read(data):
         fibres = [
-            (KodairaLabel.parse(str(entry["label"])), json_int(entry, "components"))
+            (KodairaLabel.parse(_json_label(entry)), json_int(entry, "components"))
             for entry in json_array(data.get("fibres", []), "fibres")
         ]
         chi = json_int(data, "chi", 1)

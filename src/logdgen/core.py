@@ -140,29 +140,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class StandardCoeff(Record):
-    """A standard boundary coefficient (b-1)/b, b a positive integer or INFINITY."""
-
-    _fields = ("b",)
-
-    def __init__(self, b: int | str) -> None:
-        if b != INFINITY and (type(b) is not int or b < 1):
-            raise ValueError(f"b must be a positive integer or INFINITY, got {b!r}")
-        self.__dict__.update(b=b)
-
-    def value(self) -> Rational:
-        """The coefficient itself: (b-1)/b, with the INFINITY tag mapping to 1.
-
-        >>> StandardCoeff(1).value()
-        Fraction(0, 1)
-        >>> StandardCoeff(4).value()
-        Fraction(3, 4)
-        >>> StandardCoeff(INFINITY).value()
-        Fraction(1, 1)
-        """
-        return standard_coeff(self.b)
-
-
 class GermBoundaryData(Record):
     """Local data of a curve germ through a cyclic quotient point of order n.
 

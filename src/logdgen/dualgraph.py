@@ -11,10 +11,11 @@ catalog, and the marked fibre-component types of degenerate fibres with
 standard coefficients.
 
 All arithmetic is exact (``fractions.Fraction``); no numerical tolerance
-appears anywhere.  The Du Val and fibre-type recognizers build the catalog
-member their counts point to and compare canonical tree forms, so they do
-not depend on vertex names; the Kodaira and half-catalog recognizers still
-use a backtracking search whose cost depends on the vertex names.
+appears anywhere.  The Du Val, fibre-type and half-catalog recognizers
+build the catalog member their counts point to and compare canonical tree
+forms, so they do not depend on vertex names; only the starred Kodaira
+types (I*_b, IV*, III*, II*) still use a backtracking search whose cost
+depends on the vertex names.
 """
 
 from __future__ import annotations
@@ -743,20 +744,22 @@ def recognize_kodaira(g: DualGraph):
         n >= 3
         and len(g.edges) == n
         and all(v.multiplicity == 1 for v in vs)
-        and all(g.incidence(v.id) == 2 for v in vs)
         and all(w == 1 for (_, _, w) in g.edges)
     ):
-        # Connected 2-regular graph on >= 3 vertices: a cycle.
-        seen = {vs[0].id}
-        frontier = [vs[0].id]
-        while frontier:
-            for u in g.neighbors(frontier.pop()):
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        if len(seen) == n:
-            return KodairaLabel("I", n)
-        return UNRECOGNIZED
+        around = {v.id: [] for v in vs}  # built once: incidence and neighbors scan every edge
+        for a, b, _ in g.edges:
+            around[a].append(b)
+            around[b].append(a)
+        if all(len(us) == 2 for us in around.values()):
+            # Connected 2-regular graph on >= 3 vertices: a cycle.
+            seen = {vs[0].id}
+            frontier = [vs[0].id]
+            while frontier:
+                for u in around[frontier.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        frontier.append(u)
+            return KodairaLabel("I", n) if len(seen) == n else UNRECOGNIZED
     candidates = []
     if n >= 5:
         candidates.append(KodairaLabel("I*", n - 5))
@@ -1022,30 +1025,7 @@ def recognize_fibre_type(g: DualGraph):
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange.
-
-
-def graph_to_json(g: DualGraph) -> dict:
-    """Plain-data form of a graph (rationals as "p/q" strings)."""
-    out = {
-        "vertices": [
-            {
-                "id": v.id,
-                "self_int": v.self_int,
-                "genus": v.genus,
-                "mult": v.multiplicity,
-                "boundary": str(v.boundary_coeff),
-                "role": v.role.lower(),
-            }
-            for v in g.vertices
-        ],
-        "edges": [{"a": a, "b": b, "w": w} for (a, b, w) in g.edges],
-    }
-    if g.tangency:
-        out["tangency"] = dict(g.tangency)
-    if g.coincident:
-        out["coincident"] = [list(grp) for grp in g.coincident]
-    return out
+# JSON input.
 
 
 def _role(written) -> str:

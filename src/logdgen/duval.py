@@ -223,20 +223,6 @@ def delta_p(cover: CoverCase) -> Rational:
     return e_p(cover) - Rational(1, o_p(cover)) - c_p(cover)
 
 
-class DuValRecord(Record):
-    """Assembled invariants of a cover case."""
-
-    _fields = ("cover", "e_p", "o_p", "c_p", "delta_p")
-
-    def __init__(self, cover: CoverCase, e_p: int, o_p: int, c_p: Rational,
-                 delta_p: Rational) -> None:
-        self.__dict__.update(cover=cover, e_p=e_p, o_p=o_p, c_p=c_p, delta_p=delta_p)
-
-    @classmethod
-    def from_cover(cls, cover: CoverCase) -> "DuValRecord":
-        return cls(cover, e_p(cover), o_p(cover), c_p(cover), delta_p(cover))
-
-
 class DelPezzoEntry(Record):
     """One row of the rank-one Gorenstein log del Pezzo catalog."""
 

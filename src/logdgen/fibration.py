@@ -29,8 +29,6 @@ from .core import (
     Record,
     doubled_standard_coeff,
     hurwitz_double_cover_euler,
-    json_array,
-    json_int,
     m_p,
     standard_coeff,
 )
@@ -198,30 +196,3 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     # sections are smooth copies of the base: rational or elliptic
     return floor_total in (Rational(0), Rational(2))
 
-
-def _label_to_json(label: FibreTypeLabel) -> dict:
-    out = {"kind": label.kind, "b": "inf" if label.b == INFINITY else label.b}
-    if label.k is not None:
-        out["k"] = label.k
-    return out
-
-
-def _label_from_json(data: dict) -> FibreTypeLabel:
-    b = INFINITY if data["b"] == "inf" else json_int(data, "b")
-    return FibreTypeLabel(data["kind"], b, json_int(data, "k") if "k" in data else None)
-
-
-def typ_to_json(rec: TypRecord) -> dict:
-    """Plain-data form: {"special": [{kind, b[, k]}...], "generic": {kind, b}}."""
-    return {
-        "special": [_label_to_json(l) for l in rec.special],
-        "generic": _label_to_json(rec.generic),
-    }
-
-
-def typ_from_json(data: dict) -> TypRecord:
-    """The record read back; a non-array special, or a non-integer b or k, raises TypeError."""
-    return TypRecord(
-        tuple(_label_from_json(d) for d in json_array(data.get("special", []), "special")),
-        _label_from_json(data["generic"]),
-    )

@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, n_of_x, sp_order
 from logdgen.cli import main
 from logdgen.core import MAX_LITERAL_DIGITS
-from logdgen.dualgraph import graph_to_json, half_catalog_graph, half_catalog_label
+from logdgen.dualgraph import half_catalog_graph, half_catalog_label
 from test_core import replace
-from test_dualgraph import ORACLE_CATALOGS, renamed, renaming
+from test_dualgraph import ORACLE_CATALOGS, graph_to_json, renamed, renaming
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +172,19 @@ class TestGraph:
         code, out, _ = run(capsys, "graph", FIXTURES / "i3_cycle.json", "recognize")
         assert code == 0
         assert tsv_pairs(out)["kodaira"] == "I_3"
+
+    def test_long_kodaira_cycle_recognized_at_once(self, capsys, tmp_path):
+        # a ring of 20000 fibre (-2)-curves; an edge scan per vertex ran past 30 s
+        n = 20_000
+        ring = {"vertices": [{"id": f"C{i}", "self_int": -2, "role": "fibre"} for i in range(n)],
+                "edges": [{"a": f"C{i}", "b": f"C{(i + 1) % n}"} for i in range(n)]}
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(ring))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "graph", path, "recognize")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert tsv_pairs(out)["kodaira"] == "I_20000"
 
     def test_long_chain_is_recognized(self, capsys, tmp_path):
         # 5000 (-2)-curves in a row, far past the interpreter's recursion limit
@@ -522,6 +535,16 @@ MALFORMED = {
     "mw_fibres_wide": (["mw", "FILE"],
                        {"fibres": [{"label": "I_400", "components": 400}] * 3,
                         "target": "2", "po_max": 0}, DOMAIN),
+    "mw_label_not_a_string": (["mw", "FILE"],
+                              {"fibres": [{"label": 5, "components": 5}], "target": "2"},
+                              PARSE + "label must be a string, got 5"),
+    "mw_label_array": (["mw", "FILE"],
+                       {"fibres": [{"label": ["I_3"], "components": 3}], "target": "2"},
+                       PARSE + "label must be a string, got ['I_3']"),
+    # read as cli._NumberLiteral, a str subclass, and refused all the same
+    "mw_label_non_integer_number": (["mw", "FILE"],
+                                    {"fibres": [{"label": 2.5, "components": 3}], "target": "2"},
+                                    PARSE + "label must be a string, got 2.5"),
     "mw_label_two_parameters": (["mw", "FILE"],
                                 {"fibres": [{"label": "I_3_4", "components": 34}], "target": "2"},
                                 DOMAIN),

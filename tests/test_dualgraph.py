@@ -39,7 +39,6 @@ from logdgen.dualgraph import (
     duval_graph,
     dynkin_fibre_graph,
     graph_from_json,
-    graph_to_json,
     half_catalog_graph,
     half_catalog_label,
     half_catalog_minimal_graph,
@@ -919,6 +918,29 @@ def walk_recognize_half_catalog(g: DualGraph):
         if _isomorphic(g, half_catalog_graph(family, k), _half_key):
             return half_catalog_label(family, k)
     return UNRECOGNIZED
+
+
+def graph_to_json(g: DualGraph) -> dict:
+    """Plain-data form of a graph (rationals as "p/q" strings), as graph_from_json reads it."""
+    out = {
+        "vertices": [
+            {
+                "id": v.id,
+                "self_int": v.self_int,
+                "genus": v.genus,
+                "mult": v.multiplicity,
+                "boundary": str(v.boundary_coeff),
+                "role": v.role.lower(),
+            }
+            for v in g.vertices
+        ],
+        "edges": [{"a": a, "b": b, "w": w} for (a, b, w) in g.edges],
+    }
+    if g.tangency:
+        out["tangency"] = dict(g.tangency)
+    if g.coincident:
+        out["coincident"] = [list(grp) for grp in g.coincident]
+    return out
 
 
 def renamed(g: DualGraph, rng: random.Random) -> DualGraph:

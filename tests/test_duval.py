@@ -11,7 +11,6 @@ from logdgen.duval import (
     COVER_TABLE_ROWS,
     GORENSTEIN,
     CoverCase,
-    DuValRecord,
     DuValType,
     c_p,
     delpezzo_catalog,
@@ -191,9 +190,9 @@ class TestDefectTable:
                 assert tabulated_o_p == degree(CoverCase(case_id, r=r, n=n)), (case_id, r, n)
 
     def test_record_assembly(self):
-        rec = DuValRecord.from_cover(CoverCase(2, r=4, n=3))
-        assert (rec.e_p, rec.o_p) == (8, 20)
-        assert rec.delta_p == rec.e_p - F(1, rec.o_p) - rec.c_p
+        cover = CoverCase(2, r=4, n=3)
+        assert (e_p(cover), o_p(cover)) == (8, 20)
+        assert delta_p(cover) == e_p(cover) - F(1, o_p(cover)) - c_p(cover)
 
 
 # The cover cases written out one case_id at a time, kept as the oracle for

@@ -24,8 +24,6 @@ from logdgen.fibration import (
     branch_count,
     budget_contribution,
     check_typ,
-    typ_from_json,
-    typ_to_json,
 )
 from logdgen.fibration import _FLOOR_WEIGHTS, _GENERIC_FOR, _require_profile
 
@@ -251,44 +249,6 @@ class TestCheckTyp:
         got = {tuple(sorted((Rational(l.b - 1, l.b) for l in row), reverse=True)) for row in rows}
         assert got == set(expected)
         assert len(rows) == len(expected) == 4
-
-
-class TestJson:
-    def test_round_trip(self):
-        for _, special, generic, _ in ZERO_EULER_CONFIGS + LC_BOUNDARY_CONFIGS:
-            r = TypRecord(special, generic)
-            assert typ_from_json(typ_to_json(r)) == r
-
-    def test_infinite_b_spelled_inf(self):
-        data = typ_to_json(rec([lab("II-1", INFINITY)], PAIR_GENERIC))
-        assert data["special"][0] == {"kind": "II-1", "b": "inf"}
-        assert data["generic"] == {"kind": "II-1", "b": 1}
-
-    def test_chain_parameter_only_when_present(self):
-        data = typ_to_json(rec([lab("II-3", 2, 1), lab("I-2", 1)], PAIR_GENERIC))
-        by_kind = {entry["kind"]: entry for entry in data["special"]}
-        assert by_kind["II-3"] == {"kind": "II-3", "b": 2, "k": 1}
-        assert "k" not in by_kind["I-2"]
-
-    def test_special_must_be_an_array(self):
-        data = {"special": "ab", "generic": {"kind": "II-1", "b": 1}}
-        with pytest.raises(TypeError, match="^special must be an array, got 'ab'$"):
-            typ_from_json(data)
-
-    @pytest.mark.parametrize("label", [
-        {"kind": "I-2", "b": True},
-        {"kind": "I-2", "b": 2.0},
-        {"kind": "II-3", "b": 2, "k": True},
-        {"kind": "II-3", "b": "inf", "k": 1.5},
-    ])
-    def test_bool_or_float_parameter_is_a_type_error(self, label):
-        with pytest.raises(TypeError, match=r"^[bk] must be an integer, got "):
-            typ_from_json({"special": [label], "generic": {"kind": "II-1", "b": 1}})
-
-    @given(st.lists(special_label, max_size=5))
-    def test_round_trip_property(self, labels):
-        r = rec(labels, PAIR_GENERIC)
-        assert typ_from_json(typ_to_json(r)) == r
 
 
 # check_typ with the allowed kinds and the floor weights written out per
