@@ -1,17 +1,20 @@
 """Exact-arithmetic invariants of degenerating surfaces and their fibrations.
 
 Everything is computed over the rationals with stdlib ``fractions.Fraction``;
-no floating point is used anywhere.  The subpackages:
+no floating point is used anywhere.  The modules:
 
-- ``core``: standard-boundary coefficients, different multiplicities,
-  multiset enumeration, index lcm, and the Kodaira and marked fibre-type
-  labels.
+- ``core``: exact rationals, standard-boundary coefficients, multiset
+  enumeration, the strict JSON readers, and the Kodaira and marked
+  fibre-type labels.
 - ``duval``: Du Val singularity data, the six index-r canonical-cover cases,
   the covering defect ``delta_p``, and the rank-one Gorenstein log del Pezzo
   catalog.
-- ``dualgraph``: weighted dual graphs, the log-pullback solver, blow-downs,
-  and recognizers (Du Val, elliptic fibre types, the index-two half-point
-  catalog, conic-fibre types).
+- ``graph``: weighted dual graphs and their JSON reader, the exact
+  intersection-matrix solvers, the log-pullback solver and pair classifier,
+  and blow-downs.
+- ``dualgraph``: the recognizers (Du Val, elliptic fibre types, the
+  index-two half-point catalog, conic-fibre types) and their catalog
+  builders; it re-exports the solvers and reader of ``graph``.
 - ``eulerform``: Riemann-Roch corrections and the Euler-number formula for
   a degenerate fibre, plus the rational-surface numerology helpers.
 - ``cbf``: canonical-bundle-formula coefficients (elliptic and abelian),
@@ -19,8 +22,11 @@ no floating point is used anywhere.  The subpackages:
   bound.
 - ``mordellweil``: local correction terms and height pairings of sections
   of an elliptic surface, and the exhaustive section-configuration solver.
-- ``fibration``: fibre-type bookkeeping for boundary budgets and the
-  catalog of admissible fibre configurations.
+- ``fibration``: the germ calculus (different multiplicities m_p, extraction
+  coefficients, index lcm) and fibre-type bookkeeping for boundary budgets
+  and the catalog of admissible fibre configurations.
+- ``cli`` and ``tables``: the command line; ``tables`` holds the table
+  builders and their cross-checks, which only the ``tables`` command loads.
 """
 
 from fractions import Fraction as Rational

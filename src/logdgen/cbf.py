@@ -10,8 +10,6 @@ the totient-LCM function bounding local indices, symplectic group orders,
 and the resulting global bound on the number of singular fibres.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Rational
 from math import gcd, lcm, isqrt
 

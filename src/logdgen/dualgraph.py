@@ -1,428 +1,33 @@
-"""Weighted dual graphs of curve configurations on a smooth surface.
+"""Recognizers of the catalog configurations among weighted dual graphs.
 
-A :class:`DualGraph` records irreducible curves (vertices, carrying
-self-intersection, genus, fibre multiplicity and boundary coefficient) and
-their mutual intersections (edges, one entry per intersection point with the
-local intersection multiplicity as weight).  On top of that sit the exact
-intersection-matrix utilities, the log-pullback linear solver and the
-discrepancy-threshold classifier, the blow-down of a (-1)-curve, and four
-recognizers: Du Val graphs, Kodaira fibre types, the coefficient-1/2 germ
-catalog, and the marked fibre-component types of degenerate fibres with
-standard coefficients.
+Four recognizers: Du Val graphs, Kodaira fibre types, the coefficient-1/2
+germ catalog, and the marked fibre-component types of degenerate fibres with
+standard coefficients, each beside the builders of its catalog members.  The
+graphs themselves, their JSON reader and the exact solvers live in ``graph``;
+this module re-exports the names its callers have always imported from here.
 
-All arithmetic is exact (``fractions.Fraction``); no numerical tolerance
-appears anywhere.  The Du Val, fibre-type and half-catalog recognizers
-build the catalog member their counts point to and compare canonical tree
-forms, so they do not depend on vertex names; only the starred Kodaira
-types (I*_b, IV*, III*, II*) still use a backtracking search whose cost
-depends on the vertex names.
+All arithmetic is exact (``fractions.Fraction``).  The Du Val, fibre-type and
+half-catalog recognizers build the catalog member their counts point to and
+compare canonical tree forms, so they do not depend on vertex names; only the
+starred Kodaira types (I*_b, IV*, III*, II*) still use a backtracking search
+whose cost depends on the vertex names.
 """
-
-from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction as Rational
 
-from .core import (
-    INFINITY,
-    NOT_LC,
-    FibreTypeLabel,
-    KodairaLabel,
-    Record,
-    classical_euler,
-    doubled_standard_coeff,
-    json_array,
-    json_int,
-    parse_rational,
-    standard_coeff,
-)
+from .core import (INFINITY, FibreTypeLabel, KodairaLabel, doubled_standard_coeff,
+                   standard_coeff)
 from .duval import DuValType
-
-# Vertex roles.
-EXCEPTIONAL = "EXCEPTIONAL"
-STRICT = "STRICT"
-FIBRE = "FIBRE"
-_ROLES = (EXCEPTIONAL, STRICT, FIBRE)
-
-# Log-pair classes, ordered from most to least special.  NOT_LC is shared
-# with the germ trichotomy in core.
-TERMINAL = "TERMINAL"
-CANONICAL = "CANONICAL"
-PLT = "PLT"
-LT = "LT"
-LC = "LC"
+from .graph import EXCEPTIONAL, FIBRE, STRICT, CurveVertex, DualGraph
+# The solvers and the reader, under the names callers import from this module.
+from .graph import (blow_down, classify_pair, graph_from_json, intersection_matrix,
+                    is_negative_definite, pullback_coefficients)
 
 UNRECOGNIZED = "UNRECOGNIZED"
 
 _HALF = Rational(1, 2)
-
-
-class CurveVertex(Record):
-    """One irreducible curve in a configuration.
-
-    ``multiplicity`` is the coefficient in the fibre or divisor being
-    modelled; ``boundary_coeff`` is the coefficient in the boundary divisor
-    (0 for curves not appearing there).  ``role`` separates exceptional
-    curves of the map being studied from strict transforms of boundary
-    curves and from fibre components.
-    """
-
-    _fields = ("id", "self_int", "genus", "multiplicity", "boundary_coeff", "role")
-
-    def __init__(self, id: str, self_int: int, genus: int = 0, multiplicity: int = 1,
-                 boundary_coeff: Rational = Rational(0), role: str = EXCEPTIONAL) -> None:
-        if genus < 0:
-            raise ValueError(f"genus must be >= 0, got {genus}")
-        if multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-        coeff = Rational(boundary_coeff)
-        if not 0 <= coeff <= 1:
-            raise ValueError(f"boundary coefficient must lie in [0,1], got {coeff}")
-        if role not in _ROLES:
-            raise ValueError(f"unknown role {role!r}")
-        self.__dict__.update(id=id, self_int=self_int, genus=genus, multiplicity=multiplicity,
-                             boundary_coeff=coeff, role=role)
-
-
-class DualGraph:
-    """A finite weighted multigraph of curves.
-
-    Each edge entry ``(a, b, w)`` is one intersection point of the two
-    curves, of local intersection multiplicity ``w`` (so two transverse
-    points give two entries, one tangency of order two gives a single
-    entry of weight 2).  ``tangency`` counts nodes of a single curve with
-    itself.  A ``coincident`` group lists three or more curves whose listed
-    mutual intersections all happen at one common point; it changes no
-    intersection number, only the topology of the support.
-
-    Instances are immutable by convention: all containers are tuples and
-    no method mutates.
-    """
-
-    __slots__ = ("vertices", "edges", "tangency", "coincident", "_index")
-
-    def __init__(self, vertices, edges=(), tangency=None, coincident=()):
-        vs = tuple(vertices)
-        index = {}
-        for v in vs:
-            if not isinstance(v, CurveVertex):
-                raise TypeError(f"expected CurveVertex, got {type(v).__name__}")
-            if v.id in index:
-                raise ValueError(f"duplicate vertex id {v.id!r}")
-            index[v.id] = v
-        norm_edges = []
-        for entry in edges:
-            a, b, *rest = entry
-            w = rest[0] if rest else 1
-            if a not in index or b not in index:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex")
-            if a == b:
-                raise ValueError(f"self-edge at {a!r}; use a tangency count instead")
-            if type(w) is not int or w < 1:
-                raise ValueError(f"edge weight must be a positive integer, got {w!r}")
-            norm_edges.append((min(a, b), max(a, b), w))
-        norm_edges.sort()
-        tang = dict(tangency or {})
-        for vid, count in tang.items():
-            if vid not in index:
-                raise ValueError(f"tangency count on unknown vertex {vid!r}")
-            if type(count) is not int or count < 0:
-                raise ValueError(f"tangency count must be a non-negative integer, got {count!r}")
-        groups = []
-        for grp in coincident:
-            ids = tuple(grp)
-            if len(set(ids)) != len(ids) or len(ids) < 3:
-                raise ValueError("a coincident group needs at least three distinct curves")
-            for vid in ids:
-                if vid not in index:
-                    raise ValueError(f"coincident group references unknown vertex {vid!r}")
-            groups.append(tuple(sorted(ids)))
-        self.vertices = vs
-        self.edges = tuple(norm_edges)
-        self.tangency = {k: v for k, v in sorted(tang.items()) if v > 0}
-        self.coincident = tuple(sorted(groups))
-        self._index = index
-
-    def vertex(self, vid: str) -> CurveVertex:
-        try:
-            return self._index[vid]
-        except KeyError:
-            raise ValueError(f"unknown vertex id {vid!r}") from None
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
-
-    def by_role(self, role: str) -> tuple[CurveVertex, ...]:
-        return tuple(v for v in self.vertices if v.role == role)
-
-    def entries(self, a: str, b: str) -> tuple[int, ...]:
-        """Sorted weights of all intersection points of the two curves."""
-        key = (min(a, b), max(a, b))
-        return tuple(sorted(w for (x, y, w) in self.edges if (x, y) == key))
-
-    def pair_weight(self, a: str, b: str) -> int:
-        return sum(self.entries(a, b))
-
-    def neighbors(self, vid: str) -> tuple[str, ...]:
-        out = {y if x == vid else x for (x, y, w) in self.edges if vid in (x, y)}
-        return tuple(sorted(out))
-
-    def incidence(self, vid: str) -> int:
-        """Number of edge entries touching the vertex."""
-        return sum(1 for (x, y, w) in self.edges if vid in (x, y))
-
-    def _canonical(self):
-        return (
-            tuple(sorted(self.vertices, key=lambda v: v.id)),
-            self.edges,
-            tuple(sorted(self.tangency.items())),
-            self.coincident,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DualGraph):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
-    def __hash__(self) -> int:
-        return hash(self._canonical())
-
-    def __repr__(self) -> str:
-        return (
-            f"DualGraph({len(self.vertices)} vertices, {len(self.edges)} edges"
-            + (f", tangency={self.tangency}" if self.tangency else "")
-            + (f", coincident={self.coincident}" if self.coincident else "")
-            + ")"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Intersection matrices and exact linear algebra.
-
-
-def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
-    """Intersection matrix of the named curves, in the given order.
-
-    Diagonal entries are the recorded self-intersections; off-diagonal
-    entries are total intersection numbers (sums of entry weights).
-
-    >>> a2 = DualGraph([CurveVertex("E1", -2), CurveVertex("E2", -2)], [("E1", "E2")])
-    >>> intersection_matrix(a2)
-    [[-2, 1], [1, -2]]
-    """
-    ids = list(subset) if subset is not None else list(g.ids())
-    for vid in ids:
-        g.vertex(vid)
-    return [
-        [g.vertex(a).self_int if a == b else g.pair_weight(a, b) for b in ids]
-        for a in ids
-    ]
-
-
-def _eliminate(m, rhs=None):
-    """Gauss-Jordan elimination of ``m`` over the rationals, exactly.
-
-    Each column's pivot is its first nonzero entry at or below the current
-    row.  ``rhs``, when given, rides along as one more column that is never
-    pivoted on.  Returns ``(pivots, swaps, rows)``: the pivot values in
-    order, the number of row swaps and the reduced rows.  So the rank is
-    ``len(pivots)``; a square ``m`` of full rank has determinant
-    ``(-1)**swaps * prod(pivots)``, and row i then reads
-    ``pivots[i] * x_i = rows[i][-1]``.
-
-    >>> pivots, swaps, rows = _eliminate([[0, 1], [2, 3]], [1, 5])
-    >>> pivots, swaps, [row[-1] for row in rows]
-    ([Fraction(2, 1), Fraction(1, 1)], 1, [Fraction(2, 1), Fraction(1, 1)])
-    """
-    rows = [[Rational(x) for x in row] for row in m]
-    if rhs is not None:
-        for row, r in zip(rows, rhs):
-            row.append(Rational(r))
-    pivots, swaps = [], 0
-    for col in range(len(m[0]) if m else 0):
-        k = len(pivots)
-        found = next((i for i in range(k, len(rows)) if rows[i][col] != 0), None)
-        if found is None:
-            continue
-        if found != k:
-            rows[k], rows[found] = rows[found], rows[k]
-            swaps += 1
-        pivot_row = rows[k]
-        pivot = pivot_row[col]
-        for i, row in enumerate(rows):
-            if i != k and row[col] != 0:
-                factor = row[col] / pivot
-                rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
-        pivots.append(pivot)
-    return pivots, swaps, rows
-
-
-def _negative_pivots(pivots, swaps, n) -> bool:
-    """Sylvester's criterion for an n x n symmetric matrix, from its elimination.
-
-    Without row swaps the k-th pivot is the ratio of the k-th to the
-    (k-1)-th leading principal minor, so n negative pivots say exactly that
-    every leading principal minor of the negated matrix is positive.
-    """
-    return swaps == 0 and len(pivots) == n and all(p < 0 for p in pivots)
-
-
-def is_negative_definite(m) -> bool:
-    """Whether the symmetric matrix is negative definite.
-
-    Checked exactly: all leading principal minors of ``-m`` must be
-    positive.
-
-    >>> is_negative_definite([[-2, 1], [1, -2]])
-    True
-    >>> is_negative_definite([[-2, 2], [2, -2]])
-    False
-    >>> is_negative_definite([[-1]])
-    True
-    """
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix must be symmetric")
-    pivots, swaps, _ = _eliminate(m)
-    return _negative_pivots(pivots, swaps, n)
-
-
-# ---------------------------------------------------------------------------
-# Log pullback, classification, blow-down.
-
-# Most exceptional curves pullback_coefficients solves for: its elimination
-# over Fraction grows as the cube of the count.
-MAX_PULLBACK_CURVES = 100
-
-
-def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
-    """Coefficients a_i of the exceptional curves in the log pullback.
-
-    Solves, for every exceptional curve E_j, the system
-
-        (K + sum_C coeff(C) * C + sum_i a_i E_i) . E_j = 0
-
-    over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
-    curves must be smooth rational).  The discrepancy of E_i is -a_i.
-    More than MAX_PULLBACK_CURVES exceptional curves raise ValueError
-    before the system is built.
-
-    >>> g = DualGraph([CurveVertex("E", -4)])
-    >>> pullback_coefficients(g)
-    {'E': Fraction(1, 2)}
-    """
-    exc = g.by_role(EXCEPTIONAL)
-    if len(exc) > MAX_PULLBACK_CURVES:
-        raise ValueError(f"{len(exc)} exceptional curves exceed {MAX_PULLBACK_CURVES}")
-    for v in exc:
-        if v.genus != 0:
-            raise ValueError(f"exceptional curve {v.id!r} must be rational")
-        if g.tangency.get(v.id, 0):
-            raise ValueError(f"exceptional curve {v.id!r} must be smooth (no self-tangency)")
-    ids = [v.id for v in exc]
-    m = intersection_matrix(g, ids)
-    others = [v for v in g.vertices if v.role != EXCEPTIONAL]
-    rhs = []
-    for v in exc:
-        boundary_hit = sum(
-            (c.boundary_coeff * g.pair_weight(c.id, v.id) for c in others),
-            Rational(0),
-        )
-        rhs.append(Rational(2 + v.self_int) - boundary_hit)
-    pivots, swaps, rows = _eliminate(m, rhs)
-    if not _negative_pivots(pivots, swaps, len(ids)):
-        raise ValueError("singular system (not negative definite)")
-    return {vid: row[-1] / pivot for vid, row, pivot in zip(ids, rows, pivots)}
-
-
-def classify_pair(g: DualGraph) -> str:
-    """Singularity class of the pair presented by the graph.
-
-    The graph must be a simple-normal-crossing resolution; the verdict
-    certifies thresholds on this resolution only.  With a_i the pullback
-    coefficients and the reduced boundary the curves of coefficient 1:
-    max a_i > 1 is NOT_LC; max a_i = 1, or two reduced-boundary curves
-    meeting, is LC; otherwise a reduced boundary curve forces PLT, and a
-    boundary-free graph grades into LT / CANONICAL / TERMINAL as the
-    maximal a_i sits in (0,1), = 0, or < 0 (vacuously TERMINAL when
-    nothing is exceptional).
-
-    >>> a3 = duval_graph(DuValType("A", 3))
-    >>> classify_pair(a3)
-    'CANONICAL'
-    >>> classify_pair(DualGraph([CurveVertex("E", -4)]))
-    'LT'
-    """
-    coeffs = pullback_coefficients(g)
-    values = list(coeffs.values())
-    mx = max(values) if values else None
-    floor_ids = {
-        v.id for v in g.vertices if v.role != EXCEPTIONAL and v.boundary_coeff == 1
-    }
-    floor_meets_floor = any(
-        a in floor_ids and b in floor_ids for (a, b, w) in g.edges
-    ) or any(g.tangency.get(vid, 0) for vid in floor_ids)
-    if mx is not None and mx > 1:
-        return NOT_LC
-    if mx == 1 or floor_meets_floor:
-        return LC
-    if floor_ids:
-        return PLT
-    if mx is None or mx < 0:
-        return TERMINAL
-    if mx == 0:
-        return CANONICAL
-    return LT
-
-
-def blow_down(g: DualGraph, vid: str) -> DualGraph:
-    """Contract a (-1)-curve, adjusting its neighbours.
-
-    The curve must be exceptional, rational, of self-intersection -1,
-    smooth in the configuration (no tangency, no coincident group) and
-    meet each neighbour in a single transverse point.  Each neighbour
-    gains +1 self-intersection, and all former neighbours acquire one
-    common point (a coincident group when there are three or more).
-    """
-    v = g.vertex(vid)
-    if v.role != EXCEPTIONAL or v.genus != 0 or v.self_int != -1:
-        raise ValueError(f"{vid!r} is not a contractible (-1)-curve")
-    if g.tangency.get(vid, 0):
-        raise ValueError(f"{vid!r} has a self-tangency; not a smooth (-1)-curve")
-    if any(vid in grp for grp in g.coincident):
-        raise ValueError(f"{vid!r} sits in a coincident group; configuration not normal crossing")
-    neighbors = []
-    for (a, b, w) in g.edges:
-        if vid not in (a, b):
-            continue
-        other = b if a == vid else a
-        if w != 1 or other in neighbors:
-            raise ValueError(f"{vid!r} does not meet {other!r} in a single transverse point")
-        neighbors.append(other)
-    bumped = set(neighbors)
-    new_vertices = []
-    for u in g.vertices:
-        if u.id == vid:
-            continue
-        if u.id in bumped:
-            u = CurveVertex(
-                u.id, u.self_int + 1, u.genus, u.multiplicity, u.boundary_coeff, u.role
-            )
-        new_vertices.append(u)
-    new_edges = [(a, b, w) for (a, b, w) in g.edges if vid not in (a, b)]
-    for i, a in enumerate(neighbors):
-        for b in neighbors[i + 1 :]:
-            new_edges.append((a, b, 1))
-    new_groups = list(g.coincident)
-    if len(neighbors) >= 3:
-        new_groups.append(tuple(sorted(neighbors)))
-    return DualGraph(new_vertices, new_edges, g.tangency, new_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,49 +629,3 @@ def recognize_fibre_type(g: DualGraph):
     return UNRECOGNIZED
 
 
-# ---------------------------------------------------------------------------
-# JSON input.
-
-
-def _role(written) -> str:
-    """The role a JSON vertex names, in any case; an unknown one is quoted as written."""
-    role = str(written).upper()
-    if role not in _ROLES:
-        raise ValueError(f"unknown role {written!r}")
-    return role
-
-
-def graph_from_json(data: dict) -> DualGraph:
-    """Rebuild a graph from its plain-data form; missing fields default.
-
-    Integer fields must hold JSON integers: a bool or a float raises
-    TypeError instead of being truncated.  List fields, and each coincident
-    group, must hold JSON arrays: a string there raises TypeError instead of
-    being read one character at a time.  An unreadable or oversized
-    boundary literal raises ``core.ParseError`` (see ``core.parse_rational``).
-    """
-    vertices = []
-    for item in json_array(data.get("vertices", []), "vertices"):
-        vertices.append(
-            CurveVertex(
-                id=str(item["id"]),
-                self_int=json_int(item, "self_int"),
-                genus=json_int(item, "genus", 0),
-                multiplicity=json_int(item, "mult", 1),
-                boundary_coeff=parse_rational(item.get("boundary", 0)),
-                role=_role(item.get("role", "exceptional")),
-            )
-        )
-    edges = [
-        (str(e["a"]), str(e["b"]), json_int(e, "w", 1))
-        for e in json_array(data.get("edges", []), "edges")
-    ]
-    tangency = data.get("tangency", {})
-    if not isinstance(tangency, dict):
-        raise TypeError(f"tangency must be an object, got {tangency!r}")
-    tangency = {str(k): json_int(tangency, k) for k in tangency}
-    coincident = [
-        tuple(str(x) for x in json_array(grp, "coincident group"))
-        for grp in json_array(data.get("coincident", []), "coincident")
-    ]
-    return DualGraph(vertices, edges, tangency, coincident)

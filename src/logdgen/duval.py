@@ -10,8 +10,6 @@ the 27 rank-one Gorenstein log del Pezzo surfaces with their orbifold Euler
 numbers.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Rational
 from functools import total_ordering
 

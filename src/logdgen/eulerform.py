@@ -11,8 +11,6 @@ Everything works on per-component numerical aggregates; no threefold model
 is constructed.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Rational
 from math import gcd
 

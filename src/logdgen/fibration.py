@@ -1,4 +1,9 @@
-"""Fibre-configuration records for conic fibrations over a curve.
+"""Fibre-configuration records for conic fibrations over a curve, and the germ calculus.
+
+The germ calculus gives the local "different" multiplicity m_p of a curve
+germ inside a log surface with standard boundary, the coefficient rule for
+extracted divisors, the index lcm of a set of coefficients, and the Euler
+number of a double cover of the line.
 
 A configuration record lists the degenerate-fibre types of a relative-rank-one
 fibration together with the generic type.  The checks here are the numeric
@@ -17,21 +22,133 @@ with a standard boundary and orbifold Euler number zero:
 Nothing here constructs surfaces; the checks only accept or reject records.
 """
 
-from __future__ import annotations
-
+import math
 from collections import Counter
 from fractions import Fraction as Rational
 
-from .core import (
-    INFINITY,
-    FibreTypeLabel,
-    GermBoundaryData,
-    Record,
-    doubled_standard_coeff,
-    hurwitz_double_cover_euler,
-    m_p,
-    standard_coeff,
-)
+from .core import INFINITY, NOT_LC, FibreTypeLabel, Record, doubled_standard_coeff, standard_coeff
+
+# ---------------------------------------------------------------------------
+# The germ calculus: the different multiplicity m_p of a curve germ inside a
+# log surface with standard boundary, and the coefficient rule for extracted
+# divisors.
+
+# Trichotomy labels for the different multiplicity at a point; NOT_LC comes from core.
+CASE1 = "CASE1"
+CASE2 = "CASE2"
+CASE3 = "CASE3"
+
+
+class GermBoundaryData(Record):
+    """Local data of a curve germ through a cyclic quotient point of order n.
+
+    ``k`` maps each boundary parameter b >= 2 to the number k_b of boundary
+    branches with coefficient (b-1)/b meeting the germ there.  Zero counts
+    may be omitted.  Sums k_b > 2 are representable; they classify NOT_LC.
+    """
+
+    _fields = ("n", "k")
+
+    def __init__(self, n: int, k: dict[int, int] | None = None) -> None:
+        k = {} if k is None else k
+        if n < 1:
+            raise ValueError(f"cyclic order n must be >= 1, got {n}")
+        for b, count in k.items():
+            if b < 2:
+                raise ValueError(f"boundary parameter b must be >= 2, got {b}")
+            if count < 0:
+                raise ValueError(f"branch count k_{b} must be >= 0, got {count}")
+        self.__dict__.update(n=n, k=k)
+
+    def nonzero(self) -> dict[int, int]:
+        return {b: c for b, c in self.k.items() if c > 0}
+
+
+def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
+    """Different multiplicity of the germ and its case in the trichotomy.
+
+    The value is (n-1)/n + sum_b ((b-1)/b) * (k_b/n).  The case label:
+    no branches -> CASE1, a single branch -> CASE2, two half branches
+    (k_2 = 2) -> CASE3 (value exactly 1); every other pattern exceeds 1
+    and is NOT_LC.
+
+    >>> m_p(GermBoundaryData(1))
+    (Fraction(0, 1), 'CASE1')
+    >>> m_p(GermBoundaryData(1, {2: 1}))
+    (Fraction(1, 2), 'CASE2')
+    >>> m_p(GermBoundaryData(2, {2: 2}))
+    (Fraction(1, 1), 'CASE3')
+    """
+    n = data.n
+    counts = data.nonzero()
+    value = standard_coeff(n)
+    for b, k_b in counts.items():
+        value += standard_coeff(b) * Rational(k_b, n)
+
+    if not counts:
+        label = CASE1
+    elif sum(counts.values()) == 1:
+        label = CASE2
+    elif counts == {2: 2}:
+        label = CASE3
+    else:
+        label = NOT_LC
+    if value > 1:
+        label = NOT_LC
+    return value, label
+
+
+def s_extraction_coeff(
+    data: GermBoundaryData, strict_local_intersection: Rational
+) -> Rational:
+    """Boundary coefficient of the divisor extracted over the germ's point.
+
+    In CASE1 and CASE2 the extracted coefficient is m_p itself.  In CASE3
+    it is 1 minus the local intersection number with the strict boundary,
+    which must land in {0, 1/2, 1}.  NOT_LC germs admit no extraction.
+    """
+    value, label = m_p(data)
+    if label in (CASE1, CASE2):
+        return value
+    if label == CASE3:
+        result = 1 - Rational(strict_local_intersection)
+        if result not in (Rational(0), Rational(1, 2), Rational(1)):
+            raise ValueError(
+                f"inconsistent germ: extracted coefficient {result} not in {{0, 1/2, 1}}"
+            )
+        return result
+    raise ValueError("germ is not log canonical; no extraction coefficient")
+
+
+def index_lcm(coeffs: list[Rational]) -> int:
+    """Least common multiple of the reduced denominators.
+
+    >>> index_lcm([Rational(1, 2), Rational(2, 3), Rational(5, 6)])
+    6
+    >>> index_lcm([])
+    1
+    """
+    return math.lcm(*(Rational(c).denominator for c in coeffs)) if coeffs else 1
+
+
+def hurwitz_double_cover_euler(branch_count: int) -> int:
+    """Euler number of a double cover of the line with simple branch points.
+
+    A degree-2 cover of P^1 branched at m points has Euler number 4 - m;
+    m must be even for such a cover to exist.
+
+    >>> hurwitz_double_cover_euler(4)
+    0
+    """
+    if branch_count < 0:
+        raise ValueError(f"branch count must be >= 0, got {branch_count}")
+    if branch_count % 2:
+        raise ValueError(f"no double cover with an odd branch count ({branch_count})")
+    return 4 - branch_count
+
+
+# ---------------------------------------------------------------------------
+# Configuration records.
 
 # How the horizontal part of the boundary floor sits over the base.
 TWO_SECTIONS = "TWO_SECTIONS"

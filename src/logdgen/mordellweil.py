@@ -9,8 +9,6 @@ configurations compatible with a known height by a dynamic program over
 partial sums of the corrections.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction as Rational
 from math import lcm

@@ -23,17 +23,13 @@ from logdgen.cbf import (
     regenerate_table_vi_vii,
     sp_order,
 )
-from logdgen.core import enumerate_boundary_multisets
+from logdgen.core import classical_euler, enumerate_boundary_multisets
 from logdgen.dualgraph import (
-    LT,
     KodairaLabel,
-    classical_euler,
-    classify_pair,
     configuration_euler,
     duval_graph,
     half_catalog_minimal_graph,
     kodaira_graph,
-    pullback_coefficients,
     recognize_duval,
     recognize_kodaira,
 )
@@ -49,6 +45,7 @@ from logdgen.duval import (
 )
 from logdgen.eulerform import rr_correction_sum
 from logdgen.fibration import TypRecord, check_typ
+from logdgen.graph import LT, classify_pair, pullback_coefficients
 from logdgen.mordellweil import (
     SectionConfig,
     contribution,

@@ -626,10 +626,13 @@ def test_json_numbers_keep_their_written_value(case, tmp_path):
 # child interpreter; logdgen, logdgen.cli and logdgen.core always load.
 IMPORT_CASES = {
     "tables": ([["tables", which, "--format", fmt] for which in ("I", "IV", "V", "VI", "VII", "ALL")
-                for fmt in ("tsv", "json")], {"logdgen.cbf", "logdgen.duval"}),
-    "graph": ([["graph", str(FIXTURES / "a_half_gamma.json"), action]
-               for action in ("recognize", "discrepancies", "classify")],
-              {"logdgen.dualgraph", "logdgen.duval"}),
+                for fmt in ("tsv", "json")], {"logdgen.tables", "logdgen.cbf", "logdgen.duval"}),
+    "graph": ([["graph", str(FIXTURES / "a_half_gamma.json"), "recognize"]],
+              {"logdgen.graph", "logdgen.dualgraph", "logdgen.duval"}),
+    # the solvers, and a file refused before any recognizer runs
+    "graph_base": ([["graph", str(FIXTURES / "a_half_gamma.json"), action]
+                    for action in ("discrepancies", "classify")]
+                   + [["graph", str(FIXTURES / "malformed.json"), "recognize"]], {"logdgen.graph"}),
     "euler": ([["euler", str(FIXTURES / "one_component.json")]], {"logdgen.eulerform"}),
     "cbf": ([["cbf", "invariants", "v1", "8", "3", "1", "3", "8"], ["cbf", "bound", "1", "1"],
              ["cbf", "mori", "1/2", "1", "12"], ["cbf", "nx", "2"]], {"logdgen.cbf"}),
@@ -680,7 +683,13 @@ def test_each_command_loads_only_the_modules_it_uses(kind):
 
 @pytest.mark.parametrize("kind", sorted(IMPORT_CASES))
 def test_no_command_loads_dataclasses_or_inspect(kind):
-    assert not _loaded_by(kind) & {"dataclasses", "inspect"}
+    assert not _loaded_by(kind) & {"dataclasses", "inspect", "__future__"}
+
+
+def test_table_names_are_the_builders_in_order():
+    from logdgen.cli import TABLE_NAMES
+    from logdgen.tables import _TABLES
+    assert TABLE_NAMES == tuple(_TABLES)
 
 
 def test_tsv_tables_and_cbf_load_no_json():

@@ -1,4 +1,5 @@
-"""Core coefficient calculus: different multiplicities, enumerators, lcm; the Record base."""
+"""Core coefficients and enumerators, the germ calculus of fibration (different
+multiplicities, lcm), and the Record base."""
 
 from __future__ import annotations
 
@@ -12,30 +13,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdgen.core import (
-    CASE1,
-    CASE2,
-    CASE3,
     INFINITY,
     NOT_LC,
-    GermBoundaryData,
     FibreTypeLabel,
     KodairaLabel,
     Record,
     enumerate_boundary_multisets,
-    hurwitz_double_cover_euler,
-    index_lcm,
     json_array,
     json_int,
-    m_p,
-    s_extraction_coeff,
     standard_coeff,
 )
 from logdgen.cbf import ABELIAN_TABLE_ROWS, V1, FibreInvariants, PrimitiveVector, RegeneratedRow
 from logdgen.cli import Report
-from logdgen.dualgraph import EXCEPTIONAL, STRICT, CurveVertex
+from logdgen.graph import EXCEPTIONAL, STRICT, CurveVertex
 from logdgen.duval import CoverCase, DuValType, delpezzo_catalog
 from logdgen.eulerform import ChiInput, FibreComponentData
-from logdgen.fibration import TypRecord
+from logdgen.fibration import (
+    CASE1,
+    CASE2,
+    CASE3,
+    GermBoundaryData,
+    TypRecord,
+    hurwitz_double_cover_euler,
+    index_lcm,
+    m_p,
+    s_extraction_coeff,
+)
 from logdgen.mordellweil import SectionConfig
 
 

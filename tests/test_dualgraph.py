@@ -6,6 +6,7 @@ frozen before the solver existed.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import prod
@@ -14,44 +15,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logdgen.graph as graph_module
 from logdgen import dualgraph
-from logdgen.core import INFINITY, NOT_LC, doubled_standard_coeff, standard_coeff
+from logdgen.core import INFINITY, NOT_LC, classical_euler, doubled_standard_coeff, standard_coeff
 from logdgen.duval import DuValType, duval_order
 from logdgen.dualgraph import (
+    HALF_CATALOG_FAMILIES,
+    UNRECOGNIZED,
+    FibreTypeLabel,
+    KodairaLabel,
+    configuration_euler,
+    duval_graph,
+    dynkin_fibre_graph,
+    half_catalog_graph,
+    half_catalog_label,
+    half_catalog_minimal_graph,
+    kodaira_graph,
+    recognize_duval,
+    recognize_fibre_type,
+    recognize_half_catalog,
+    recognize_kodaira,
+)
+from logdgen.dualgraph import _HALF_CATALOG, _infer_b, _isomorphic
+from logdgen.graph import (
     CANONICAL,
     EXCEPTIONAL,
-    HALF_CATALOG_FAMILIES,
+    FIBRE,
     LC,
     LT,
     MAX_PULLBACK_CURVES,
     PLT,
     STRICT,
     TERMINAL,
-    UNRECOGNIZED,
     CurveVertex,
     DualGraph,
-    FibreTypeLabel,
-    KodairaLabel,
+    _eliminate,
     blow_down,
-    classical_euler,
     classify_pair,
-    configuration_euler,
-    duval_graph,
-    dynkin_fibre_graph,
     graph_from_json,
-    half_catalog_graph,
-    half_catalog_label,
-    half_catalog_minimal_graph,
     intersection_matrix,
     is_negative_definite,
-    kodaira_graph,
     pullback_coefficients,
-    recognize_duval,
-    recognize_fibre_type,
-    recognize_half_catalog,
-    recognize_kodaira,
 )
-from logdgen.dualgraph import _HALF_CATALOG, FIBRE, _eliminate, _infer_b, _isomorphic
 from test_core import replace
 
 
@@ -241,7 +246,7 @@ class TestPullback:
         def refuse(*args):
             raise MatrixBuilt
 
-        monkeypatch.setattr(dualgraph, "intersection_matrix", refuse)
+        monkeypatch.setattr(graph_module, "intersection_matrix", refuse)
         with pytest.raises(MatrixBuilt):
             pullback_coefficients(duval_graph(DuValType("A", MAX_PULLBACK_CURVES)))
         with pytest.raises(ValueError, match=f"^101 exceptional curves exceed {MAX_PULLBACK_CURVES}$"):
@@ -1067,6 +1072,57 @@ class TestJson:
         assert g.vertex("E").role == EXCEPTIONAL
         assert g.vertex("C").boundary_coeff == F(1, 2)
         assert g.pair_weight("E", "C") == 1
+
+
+def test_solvers_and_reader_keep_their_dualgraph_names():
+    for name in ("blow_down", "classify_pair", "graph_from_json", "intersection_matrix",
+                 "is_negative_definite", "pullback_coefficients"):
+        assert getattr(dualgraph, name) is getattr(graph_module, name)
+
+
+# ---------------------------------------------------------------------------
+# Growth pinned by a count, not a clock.  Each kernel is linear in the graph up
+# to a log factor, so one call on 4n vertices may cost at most about 4.4 times
+# one on n.  The cost is the number of sys.settrace events (calls, lines and
+# returns, comprehensions included), which repeats from run to run where a
+# timing would not.  Starred Kodaira types still backtrack, so they get no row.
+
+GROWTH_CASES = {
+    "graph_from_json_A_n": (lambda n: graph_to_json(duval_graph(DuValType("A", n))),
+                            graph_from_json),
+    "recognize_duval_A_n": (lambda n: duval_graph(DuValType("A", n)), recognize_duval),
+    "recognize_half_catalog_delta": (lambda n: half_catalog_graph("delta", n - 2),
+                                     recognize_half_catalog),
+    "recognize_fibre_type_II-3": (lambda n: dynkin_fibre_graph("II-3", 2, n - 4),
+                                  recognize_fibre_type),
+    "recognize_kodaira_I_n": (lambda n: kodaira_graph(KodairaLabel("I", n)), recognize_kodaira),
+}
+
+
+def trace_events(kernel, arg) -> int:
+    """The sys.settrace events of ``kernel(arg)``, catalog forms built afresh."""
+    count = 0
+
+    def tracer(frame, event, _):
+        nonlocal count
+        count += 1
+        return tracer
+
+    dualgraph._catalog_form.cache_clear()
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        kernel(arg)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_CASES))
+def test_kernel_grows_linearly(case):
+    build, kernel = GROWTH_CASES[case]
+    small, large = (trace_events(kernel, build(n)) for n in (60, 240))
+    assert large <= 4.4 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------

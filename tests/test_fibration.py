@@ -5,13 +5,7 @@ from fractions import Fraction as Rational
 import pytest
 from hypothesis import given, strategies as st
 
-from logdgen.core import (
-    INFINITY,
-    doubled_standard_coeff,
-    enumerate_boundary_multisets,
-    hurwitz_double_cover_euler,
-    standard_coeff,
-)
+from logdgen.core import INFINITY, doubled_standard_coeff, enumerate_boundary_multisets, standard_coeff
 from logdgen.dualgraph import FibreTypeLabel, KodairaLabel
 from logdgen.fibration import (
     BISECTION,
@@ -24,6 +18,7 @@ from logdgen.fibration import (
     branch_count,
     budget_contribution,
     check_typ,
+    hurwitz_double_cover_euler,
 )
 from logdgen.fibration import _FLOOR_WEIGHTS, _GENERIC_FOR, _require_profile
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logdgen.mordellweil as mordellweil
-from logdgen.dualgraph import KodairaLabel, _eliminate, intersection_matrix, kodaira_graph
+from logdgen.dualgraph import KodairaLabel, kodaira_graph
+from logdgen.graph import _eliminate, intersection_matrix
 from logdgen.mordellweil import (
     MAX_SECTION_CANDIDATES,
     SectionConfig,
