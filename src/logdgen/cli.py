@@ -2,17 +2,30 @@
 
 Regenerates the embedded tables with a recompute-versus-literal cross-check,
 evaluates invariants from configuration files, and emits machine-readable
-reports.  Exit codes: 0 ok, 1 domain error or cross-check mismatch, 2 usage.
+reports.  Exit codes: 0 ok, 1 domain error, cross-check mismatch or a write to
+stdout that failed, 2 usage.
 Each command imports the package modules it computes with, and ``json`` when
 it reads or writes JSON, in its own body, so that a short run does not pay
 for compiling and loading the others: ``tables`` loads ``tables``, and
 ``graph`` loads the recognizers of ``dualgraph`` only for ``recognize``.
 ``_run`` alone sets a report's status.
+
+A plainly written command line is parsed without loading ``argparse`` (and
+the ``gettext`` and ``locale`` it loads): the command word, for ``cbf`` the
+subcommand word, then exactly the positionals, each one its choices or
+converter accepts, and at most one ``--format tsv`` or ``--format json``
+anywhere after the command word (after the subcommand word for ``cbf``).
+Every other command line goes to ``build_parser``, which prints the help for
+``-h`` and the usage error for a refused value, ``--format=json``, an
+abbreviated option, ``--``, any other token starting with ``-``, or a token
+missing or too many.  One table, ``_COMMANDS``, gives both parsers the
+commands and their positionals.
 """
 
-import argparse
+import os
 import sys
 from fractions import Fraction as Rational
+from types import SimpleNamespace
 
 from .core import KodairaLabel, ParseError, Record, json_array, json_int, parse_rational
 
@@ -62,7 +75,7 @@ def _read_json_file(path: str) -> dict:
 def _run(args, inputs: dict, read, compute, invalid: str = "DomainError",
          failed: str = "DomainError") -> int:
     """Emit the report of ``compute(read(the JSON object in args.file))``, or of
-    the error that stopped it; ``read`` is None when argparse reads every input."""
+    the error that stopped it; ``read`` is None when the command line holds every input."""
     report = Report(args.command, inputs)
     try:
         data = read(_read_json_file(args.file)) if read else None
@@ -230,66 +243,117 @@ def cmd_mw(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _rational_arg(text: str) -> Rational:
-    """A rational argument; a malformed, oversized or k/0 literal is a usage error."""
-    try:
-        return parse_rational(text)
-    except ParseError:
-        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+def rational(text: str) -> Rational:
+    """A rational argument.  A malformed, oversized or k/0 literal raises
+    ParseError, a ValueError, which argparse reports under this function's
+    name: ``invalid rational value: '1/0'``."""
+    return parse_rational(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+FORMATS = ("tsv", "json")
+
+# Each command's help, function and positionals, as (name, choices or
+# converter); cbf maps each of its subcommands to the positionals.  Both
+# build_parser and _parse_plain read it.
+_COMMANDS = {
+    "tables": ("regenerate an embedded table with cross-checks", cmd_tables,
+               (("which", (*TABLE_NAMES, "ALL")),)),
+    "graph": ("run dual-graph recognizers and solvers on a file", cmd_graph,
+              (("file", str), ("action", ("recognize", "discrepancies", "classify")))),
+    "euler": ("Euler number of a degenerate fibre from a file", cmd_euler, (("file", str),)),
+    "cbf": ("coefficient invariants, bounds, and feasibility", cmd_cbf, {
+        "invariants": (("kind", ("v1", "v2")),
+                       *((name, int) for name in ("r", "a0", "a1", "a2", "ell"))),
+        "bound": (("d", int), ("n_va", int)),
+        "mori": (("s", rational), ("b", int), ("N", int)),
+        "nx": (("x", int),),
+    }),
+    "mw": ("feasible section configurations from a file", cmd_mw, (("file", str),)),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of every spelling, with the help and usage messages."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="logdgen",
         description="Exact invariants of surface degenerations and fibrations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    fmt.add_argument("--format", choices=FORMATS, default="tsv")
 
-    p_tables = sub.add_parser("tables", parents=[fmt],
-                              help="regenerate an embedded table with cross-checks")
-    p_tables.add_argument("which", choices=(*TABLE_NAMES, "ALL"))
-    p_tables.set_defaults(func=cmd_tables)
+    def add(subparsers, name, positionals, **kwargs):
+        p = subparsers.add_parser(name, parents=[fmt], **kwargs)
+        for dest, accept in positionals:
+            p.add_argument(dest, **{"choices" if type(accept) is tuple else "type": accept})
+        return p
 
-    p_graph = sub.add_parser("graph", parents=[fmt],
-                             help="run dual-graph recognizers and solvers on a file")
-    p_graph.add_argument("file")
-    p_graph.add_argument("action", choices=("recognize", "discrepancies", "classify"))
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_euler = sub.add_parser("euler", parents=[fmt],
-                             help="Euler number of a degenerate fibre from a file")
-    p_euler.add_argument("file")
-    p_euler.set_defaults(func=cmd_euler)
-
-    p_cbf = sub.add_parser("cbf", help="coefficient invariants, bounds, and feasibility")
-    p_cbf.set_defaults(func=cmd_cbf)  # for every subcommand
-    cbf_sub = p_cbf.add_subparsers(dest="subaction", required=True)
-    p_inv = cbf_sub.add_parser("invariants", parents=[fmt])
-    p_inv.add_argument("kind", choices=("v1", "v2"))
-    for name in ("r", "a0", "a1", "a2", "ell"):
-        p_inv.add_argument(name, type=int)
-    p_bound = cbf_sub.add_parser("bound", parents=[fmt])
-    p_bound.add_argument("d", type=int)
-    p_bound.add_argument("n_va", type=int)
-    p_mori = cbf_sub.add_parser("mori", parents=[fmt])
-    p_mori.add_argument("s", type=_rational_arg)
-    p_mori.add_argument("b", type=int)
-    p_mori.add_argument("N", type=int)
-    p_nx = cbf_sub.add_parser("nx", parents=[fmt])
-    p_nx.add_argument("x", type=int)
-
-    p_mw = sub.add_parser("mw", parents=[fmt], help="feasible section configurations from a file")
-    p_mw.add_argument("file")
-    p_mw.set_defaults(func=cmd_mw)
-
+    for name, (text, func, positionals) in _COMMANDS.items():
+        if type(positionals) is dict:
+            p = sub.add_parser(name, help=text)
+            subactions = p.add_subparsers(dest="subaction", required=True)
+            for subaction, sub_positionals in positionals.items():
+                add(subactions, subaction, sub_positionals)
+        else:
+            p = add(sub, name, positionals, help=text)
+        p.set_defaults(func=func)  # for every cbf subcommand too
     return parser
 
 
+def _parse_plain(argv):
+    """The namespace argparse makes of a plainly written command line, else None.
+
+    Plainly written is the command, the cbf subcommand, exactly their
+    positionals, each passing its choices or converter, and at most one
+    ``--format tsv|json`` anywhere after the command word (the subcommand
+    word for cbf).  Any other token that starts with ``-`` makes it None.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, positionals = _COMMANDS[argv[0]]
+    fields = {"command": argv[0], "func": func, "format": "tsv"}
+    rest = list(argv[1:])
+    if type(positionals) is dict:
+        subaction = rest.pop(0) if rest else None
+        if subaction not in positionals:
+            return None
+        fields["subaction"], positionals = subaction, positionals[subaction]
+    if "--format" in rest:
+        i = rest.index("--format")
+        fields["format"] = rest[i + 1] if i + 1 < len(rest) else None
+        del rest[i:i + 2]
+    if fields["format"] not in FORMATS or len(rest) != len(positionals):
+        return None
+    for (name, accept), text in zip(positionals, rest):
+        if text.startswith("-"):
+            return None
+        if type(accept) is tuple:
+            if text not in accept:
+                return None
+            fields[name] = text
+        else:
+            try:
+                fields[name] = accept(text)
+            except ValueError:
+                return None
+    return SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command line; a plainly written one is parsed without argparse."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout refused a write: a full disk, a closed pipe
+        print(f"OSError: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again as it exits; send that flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
+    return code
 
 
 if __name__ == "__main__":

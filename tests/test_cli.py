@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line front end."""
 
 import ast
+import errno
 import functools
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logdgen import cli
 from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, n_of_x, sp_order
 from logdgen.cli import main
 from logdgen.core import MAX_LITERAL_DIGITS
@@ -441,6 +444,27 @@ class TestReportShape:
         assert proc.returncode == 0
         assert proc.stdout == "N\t2\n"
 
+    # a short report fails as main flushes it, a long one while it prints
+    @pytest.mark.parametrize("target,argv,code", [
+        ("/dev/full", ["cbf", "nx", "2"], errno.ENOSPC),
+        ("closed pipe", ["tables", "ALL"], errno.EPIPE),
+    ])
+    def test_a_failed_write_to_stdout_ends_in_one_line(self, target, argv, code):
+        if target == "closed pipe":
+            read, stdout = os.pipe()
+            os.close(read)
+        elif os.path.exists(target):
+            stdout = os.open(target, os.O_WRONLY)
+        else:
+            pytest.skip(f"no {target} here")
+        try:
+            proc = subprocess.run([sys.executable, "-m", "logdgen.cli", *argv], stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 1
+        assert proc.stderr == f"OSError: [Errno {code}] {os.strerror(code)}\n"
+
 
 def _graph(*vertices, edges=(), **extra):
     return {"vertices": list(vertices), "edges": list(edges), **extra}
@@ -596,6 +620,76 @@ def test_malformed_input_ends_in_a_structured_error(case, tmp_path):
     assert json.loads(out)["status"].startswith(prefix)
 
 
+# Plain parsing against argparse.  The positionals of each command word, as
+# candidate tokens that their choices or converters accept or refuse, and the
+# option spellings inserted anywhere in a command line.
+_INTS = ["2", "0", "12", "-1", "1_0", " 4", "\u0663", "x", "1/2", ""]
+_FILES = ["in.json", "json", "tsv", "", "x y", "-", "-f", "--format"]
+_GRAMMAR = {
+    ("tables",): [["I", "IV", "V", "VI", "VII", "ALL", "XI", "all"]],
+    ("graph",): [_FILES, ["recognize", "discrepancies", "classify", "recog"]],
+    ("euler",): [_FILES],
+    ("mw",): [_FILES],
+    ("cbf", "invariants"): [["v1", "v2", "v3"]] + [_INTS] * 5,
+    ("cbf", "bound"): [_INTS] * 2,
+    ("cbf", "mori"): [["1/2", "3", "0.5", " 1/2", "1/0", "1e5000", "-1/2", "abc"], _INTS, _INTS],
+    ("cbf", "nx"): [_INTS],
+}
+_OPTIONS = [["--format", "tsv"], ["--format", "json"], ["--format", "xml"], ["--format"],
+            ["--format=json"], ["--form", "json"], ["-h"], ["--"],
+            ["--format", "json", "--format", "tsv"]]
+
+
+@st.composite
+def _argvs(draw):
+    words = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [*words, *(draw(st.sampled_from(tokens)) for tokens in _GRAMMAR[words])]
+    extra = draw(st.sampled_from([0, 0, 0, -1, 1]))  # a token missing, or one too many
+    if extra < 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif extra > 0:
+        argv.append(draw(st.sampled_from(_INTS + _FILES)))
+    for option in draw(st.lists(st.sampled_from(_OPTIONS), max_size=2)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = option
+    return argv
+
+
+@functools.cache
+def _parser():
+    return cli.build_parser()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_a_plain_parse_is_the_argparse_namespace(argv):
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(_parser().parse_args(argv))
+
+
+# the first nine are plainly written; the others go to argparse on either path
+MAIN_PARITY_ARGVS = [
+    ["tables", "I"], ["graph", "a_half_gamma.json", "--format", "json", "classify"],
+    ["euler", "one_component.json"], ["mw", "--format", "json", "mw_no_fibres.json"],
+    ["cbf", "invariants", "v1", "8", "--format", "json", "3", "1", "3", "8"],
+    ["cbf", "bound", "1", "1_0"], ["cbf", "mori", " 1/2", "1", "12"], ["cbf", "nx", "\u0663"],
+    ["cbf", "nx", "2", "--format", "json"],
+    ["cbf", "nx", "-1"], ["tables", "XI"], ["cbf", "mori", "1/0", "1", "3"],
+    ["euler", "--format=json", "one_component.json"], ["cbf", "nx", "2", "3"], ["mw", "-h"],
+]
+
+
+def test_main_answers_alike_without_plain_parsing(monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert [cli._parse_plain(argv) is not None for argv in MAIN_PARITY_ARGVS] == [True] * 9 + [
+        False] * (len(MAIN_PARITY_ARGVS) - 9)
+    plain = [_main_captured(argv) for argv in MAIN_PARITY_ARGVS]
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+    assert [_main_captured(argv) for argv in MAIN_PARITY_ARGVS] == plain
+
+
 # a JSON number that a float would round; each template reads it at X
 EXACT_NUMBER = "0.30000000000000001"
 EXACT_NUMBER_FILES = {
@@ -690,6 +784,12 @@ def test_table_names_are_the_builders_in_order():
     from logdgen.cli import TABLE_NAMES
     from logdgen.tables import _TABLES
     assert TABLE_NAMES == tuple(_TABLES)
+
+
+@pytest.mark.parametrize("kind", sorted(IMPORT_CASES))
+def test_only_usage_errors_load_argparse(kind):
+    modules = {"argparse", "gettext", "locale"}
+    assert _loaded_by(kind) & modules == (modules if kind == "usage" else set())
 
 
 def test_tsv_tables_and_cbf_load_no_json():

@@ -1096,6 +1096,10 @@ GROWTH_CASES = {
     "recognize_fibre_type_II-3": (lambda n: dynkin_fibre_graph("II-3", 2, n - 4),
                                   recognize_fibre_type),
     "recognize_kodaira_I_n": (lambda n: kodaira_graph(KodairaLabel("I", n)), recognize_kodaira),
+    "tree_form_A_n": (lambda n: duval_graph(DuValType("A", n)),
+                      lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
+    "tree_form_D_n": (lambda n: duval_graph(DuValType("D", n)),
+                      lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
 }
 
 
