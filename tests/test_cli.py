@@ -668,13 +668,15 @@ def test_a_plain_parse_is_the_argparse_namespace(argv):
         assert vars(plain) == vars(_parser().parse_args(argv))
 
 
-# the first nine are plainly written; the others go to argparse on either path
-MAIN_PARITY_ARGVS = [
+# plainly written command lines, and ones that go to argparse on either path
+PLAIN_ARGVS = [
     ["tables", "I"], ["graph", "a_half_gamma.json", "--format", "json", "classify"],
     ["euler", "one_component.json"], ["mw", "--format", "json", "mw_no_fibres.json"],
     ["cbf", "invariants", "v1", "8", "--format", "json", "3", "1", "3", "8"],
     ["cbf", "bound", "1", "1_0"], ["cbf", "mori", " 1/2", "1", "12"], ["cbf", "nx", "\u0663"],
     ["cbf", "nx", "2", "--format", "json"],
+]
+ARGPARSE_ARGVS = [
     ["cbf", "nx", "-1"], ["tables", "XI"], ["cbf", "mori", "1/0", "1", "3"],
     ["euler", "--format=json", "one_component.json"], ["cbf", "nx", "2", "3"], ["mw", "-h"],
 ]
@@ -683,11 +685,12 @@ MAIN_PARITY_ARGVS = [
 def test_main_answers_alike_without_plain_parsing(monkeypatch):
     monkeypatch.chdir(FIXTURES)
     monkeypatch.setenv("COLUMNS", "80")
-    assert [cli._parse_plain(argv) is not None for argv in MAIN_PARITY_ARGVS] == [True] * 9 + [
-        False] * (len(MAIN_PARITY_ARGVS) - 9)
-    plain = [_main_captured(argv) for argv in MAIN_PARITY_ARGVS]
+    assert all(cli._parse_plain(argv) for argv in PLAIN_ARGVS)
+    assert not any(cli._parse_plain(argv) for argv in ARGPARSE_ARGVS)
+    argvs = PLAIN_ARGVS + ARGPARSE_ARGVS
+    plain = [_main_captured(argv) for argv in argvs]
     monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
-    assert [_main_captured(argv) for argv in MAIN_PARITY_ARGVS] == plain
+    assert [_main_captured(argv) for argv in argvs] == plain
 
 
 # a JSON number that a float would round; each template reads it at X
