@@ -340,12 +340,27 @@ def _parse_plain(argv):
     return SimpleNamespace(**fields)
 
 
+def _parse_args(argv):
+    """argparse's namespace of ``argv``.  What argparse prints on stdout (the
+    help of ``-h``) is written here, since argparse drops a failed write."""
+    import io
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        return build_parser().parse_args(argv)
+    finally:
+        text, sys.stdout = sys.stdout.getvalue(), stdout
+        if text:
+            out = stdout or sys.stderr  # argparse's own choice when stdout is closed
+            out.write(text)
+            out.flush()
+
+
 def main(argv=None) -> int:
     """Run one command line; a plainly written one is parsed without argparse."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
+        args = _parse_plain(argv) or _parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
     except OSError as exc:  # stdout refused a write: a full disk, a closed pipe

@@ -11,6 +11,7 @@ command loads this module, so code that only one module uses lives there:
 the germ calculus (different multiplicity m_p and extraction coefficients)
 is in ``fibration``.
 """
+import math
 import re
 from fractions import Fraction as Rational
 
@@ -144,34 +145,44 @@ def enumerate_boundary_multisets(
 
     Each multiset is a tuple sorted in descending order; the returned list is
     sorted lexicographically by those tuples, which makes the output stable
-    for golden tests.
+    for golden tests.  The values are Fractions or ints; the search runs on
+    integers, every value and the target scaled by the lcm of their
+    denominators, and drops a prefix as soon as the free slots cannot hold
+    what remains of the target.
 
     >>> halves = enumerate_boundary_multisets({Rational(1, 2)}, Rational(1), 4)
     >>> halves
     [(Fraction(1, 2), Fraction(1, 2))]
     """
     values = sorted(allowed, reverse=True)
-    if any(v <= 0 for v in values):
+    if values and values[-1] <= 0:
         raise ValueError("allowed values must be positive")
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     target = Rational(target)
+    scale = math.lcm(target.denominator, *(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
     found: list[tuple[Rational, ...]] = []
+    prefix: list[Rational] = []
 
-    def extend(prefix: list[Rational], start: int, remaining: Rational) -> None:
+    def extend(start: int, remaining: int, free: int) -> None:
         if remaining == 0:
             found.append(tuple(prefix))
             return
-        if len(prefix) == max_len:
-            return
-        for i in range(start, len(values)):
-            v = values[i]
+        for i in range(start, len(scaled)):
+            v = scaled[i]
             if v > remaining:
                 continue
-            prefix.append(v)
-            extend(prefix, i, remaining - v)
+            if v * free < remaining:  # v is the largest usable value, and free copies fall short
+                return
+            prefix.append(values[i])
+            extend(i, remaining - v, free - 1)
             prefix.pop()
 
-    extend([], 0, target)
-    found.sort()
+    extend(0, target.numerator * (scale // target.denominator), max_len)
+    # Values are distinct and descending, so the search meets the multisets
+    # in descending lexicographic order.
+    found.reverse()
     return found
 
 

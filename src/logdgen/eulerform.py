@@ -77,6 +77,14 @@ def orbifold_euler(e_top: int, orders) -> Rational:
     )
 
 
+def _check_cyclic(r: int, a: int) -> None:
+    """Refuse a cyclic quotient type (r; a) with r < 1 or a not prime to r."""
+    if r < 1:
+        raise ValueError(f"index must be positive, got {r}")
+    if gcd(a, r) != 1:
+        raise ValueError(f"twist {a} is not coprime to the index {r}")
+
+
 def rr_correction_cyclic(r: int, a: int, l: int) -> Rational:
     """Correction term -a_l(r - a_l)/2r of the l-th twist at a cyclic
     quotient point of type (r; a), with a_l the residue of a*l mod r.
@@ -86,10 +94,7 @@ def rr_correction_cyclic(r: int, a: int, l: int) -> Rational:
     >>> rr_correction_cyclic(3, 1, 3)
     Fraction(0, 1)
     """
-    if r < 1:
-        raise ValueError(f"index must be positive, got {r}")
-    if gcd(a, r) != 1:
-        raise ValueError(f"twist {a} is not coprime to the index {r}")
+    _check_cyclic(r, a)
     residue = (a * l) % r
     return Rational(-residue * (r - residue), 2 * r)
 
@@ -98,18 +103,23 @@ def rr_correction_sum(r: int, a: int, m: int) -> Rational:
     """Brute-force sum of the cyclic corrections over l = 1..m-1.
 
     Kept as a literal sum on purpose; the closed form -m(r^2-1)/(12r)
-    is asserted against it in tests, never substituted here.
+    is asserted against it in tests, never substituted here.  The type
+    (r; a) is checked once and the numerators a_l(r - a_l) are added as
+    integers over the common denominator 2r.
 
     >>> rr_correction_sum(5, 2, 5)
     Fraction(-2, 1)
     """
     if m < 1:
         raise ValueError(f"multiplicity must be positive, got {m}")
-    if m % r != 0:
+    if r and m % r != 0:  # r = 0 is refused as an index below
         raise ValueError(f"index {r} must divide the multiplicity {m}")
-    return sum(
-        (rr_correction_cyclic(r, a, l) for l in range(1, m)), Rational(0)
-    )
+    _check_cyclic(r, a)
+    total = 0
+    for l in range(1, m):
+        residue = (a * l) % r
+        total += residue * (r - residue)
+    return Rational(-total, 2 * r)
 
 
 def chi_structure_sheaf(data: ChiInput, generalized: bool = False) -> Rational:

@@ -226,6 +226,10 @@ class TypRecord(Record):
         return f"({' + '.join(parts) if parts else '-'}; {self.generic})"
 
 
+# The orbifold Euler number spent by one order-2 point: m_p of a bare germ there.
+_ORDER_TWO = m_p(GermBoundaryData(2))[0]
+
+
 def budget_contribution(label: FibreTypeLabel) -> Rational:
     """Orbifold Euler number spent by the singular points on one fibre.
 
@@ -238,11 +242,10 @@ def budget_contribution(label: FibreTypeLabel) -> Rational:
     >>> budget_contribution(FibreTypeLabel("II-3", 1, 2))
     Fraction(7, 8)
     """
-    order_two = m_p(GermBoundaryData(2))[0]
     if label.kind == "I-2":
-        return 2 * order_two
+        return 2 * _ORDER_TWO
     if label.kind == "I-3":
-        return order_two
+        return _ORDER_TWO
     if label.kind == "II-3":
         return Rational(4 * label.k - 1, 4 * label.k)
     if label.kind in ("I-1", "II-1", "II-2"):

@@ -15,7 +15,7 @@ from .core import classical_euler
 KNOWN_DISCREPANCY = "known discrepancy"
 
 
-def _check_table_one() -> tuple[list[dict], list[str]]:
+def _check_table_one() -> dict[str, tuple[list[dict], list[str]]]:
     """Parametric rows, cross-checked on the tabulated sample grid."""
     from .duval import COVER_TABLE_ROWS, CoverCase, c_p, delta_p, e_p, o_p
     mismatches = []
@@ -30,10 +30,10 @@ def _check_table_one() -> tuple[list[dict], list[str]]:
                     f"table I case {case} at r={r}, n={n}: recomputed "
                     f"({', '.join(map(str, got))}), tabulated ({', '.join(map(str, want))})"
                 )
-    return rows, mismatches
+    return {"I": (rows, mismatches)}
 
 
-def _check_table_four() -> tuple[list[dict], list[str]]:
+def _check_table_four() -> dict[str, tuple[list[dict], list[str]]]:
     """27 catalog rows with the recomputed orbifold Euler column alongside."""
     from .duval import DELPEZZO_KNOWN_DISCREPANCIES, delpezzo_catalog, recompute_e_orb
     mismatches = []
@@ -58,10 +58,10 @@ def _check_table_four() -> tuple[list[dict], list[str]]:
                 "note": note,
             }
         )
-    return rows, mismatches
+    return {"IV": (rows, mismatches)}
 
 
-def _check_table_five() -> tuple[list[dict], list[str]]:
+def _check_table_five() -> dict[str, tuple[list[dict], list[str]]]:
     """Each row against s* = b((ell*-1)/ell* - mu*), each Kodaira column against s* = e(F)/12."""
     from .cbf import elliptic_table_rows, validate_fibre_invariants
     mismatches = []
@@ -79,18 +79,17 @@ def _check_table_five() -> tuple[list[dict], list[str]]:
         rows.append(
             {"column": column, "m": m, "ell": str(inv.ell), "mu": str(inv.mu), "s": str(inv.s)}
         )
-    return rows, mismatches
+    return {"V": (rows, mismatches)}
 
 
-def _check_table_abelian(name: str) -> tuple[list[dict], list[str]]:
-    """Tables VI/VII evaluated at ell = r and ell = 2r."""
+def _check_tables_abelian() -> dict[str, tuple[list[dict], list[str]]]:
+    """Tables VI and VII evaluated at ell = r and ell = 2r, from one regeneration."""
     from .cbf import C_STAR_VALUES, regenerate_table_vi_vii
-    mismatches = []
-    rows = []
+    tables = {"VI": ([], []), "VII": ([], [])}
     for regenerated in regenerate_table_vi_vii():
         tab = regenerated.row
-        if tab.table != name:
-            continue
+        name = tab.table
+        rows, mismatches = tables[name]
         c_star = tab.c_star()
         if c_star not in C_STAR_VALUES:
             mismatches.append(f"table {name} row {tab.number}: c* = {c_star} outside the known set")
@@ -114,17 +113,19 @@ def _check_table_abelian(name: str) -> tuple[list[dict], list[str]]:
                     "c": str(c_star),
                 }
             )
-    return rows, mismatches
+    return tables
 
 
-# Table name -> builder returning the rows and mismatches.  Every builder
-# writes its row dicts in column order, so the columns are the first row's keys.
+# Table name -> builder returning {table name: (rows, mismatches)} for the
+# tables it builds: its own, or both VI and VII, which one regeneration gives.
+# Every builder writes its row dicts in column order, so the columns are the
+# first row's keys.
 _TABLES = {
     "I": _check_table_one,
     "IV": _check_table_four,
     "V": _check_table_five,
-    "VI": lambda: _check_table_abelian("VI"),
-    "VII": lambda: _check_table_abelian("VII"),
+    "VI": _check_tables_abelian,
+    "VII": _check_tables_abelian,
 }
 
 
@@ -141,8 +142,11 @@ def print_tables(which: str, fmt: str) -> bool:
     names = list(_TABLES) if which == "ALL" else [which]
     mismatches = []
     emitted = {}
+    built = {}
     for name in names:
-        rows, bad = _TABLES[name]()
+        if name not in built:
+            built.update(_TABLES[name]())
+        rows, bad = built[name]
         emitted[name] = {"columns": list(rows[0]), "rows": rows}
         mismatches.extend(bad)
     if fmt == "json":

@@ -444,10 +444,13 @@ class TestReportShape:
         assert proc.returncode == 0
         assert proc.stdout == "N\t2\n"
 
-    # a short report fails as main flushes it, a long one while it prints
+    # a short report fails as main flushes it, a long one while it prints, and
+    # argparse's help as main writes it
     @pytest.mark.parametrize("target,argv,code", [
         ("/dev/full", ["cbf", "nx", "2"], errno.ENOSPC),
         ("closed pipe", ["tables", "ALL"], errno.EPIPE),
+        ("/dev/full", ["-h"], errno.ENOSPC),
+        ("/dev/full", ["cbf", "-h"], errno.ENOSPC),
     ])
     def test_a_failed_write_to_stdout_ends_in_one_line(self, target, argv, code):
         if target == "closed pipe":
@@ -787,6 +790,16 @@ def test_table_names_are_the_builders_in_order():
     from logdgen.cli import TABLE_NAMES
     from logdgen.tables import _TABLES
     assert TABLE_NAMES == tuple(_TABLES)
+
+
+@pytest.mark.parametrize("which,calls", [("ALL", 1), ("VI", 1), ("VII", 1), ("I", 0)])
+def test_tables_regenerate_vi_and_vii_once(which, calls, monkeypatch):
+    from logdgen import cbf
+    from logdgen.tables import print_tables
+    regenerate, made = cbf.regenerate_table_vi_vii, []
+    monkeypatch.setattr(cbf, "regenerate_table_vi_vii", lambda: made.append(1) or regenerate())
+    assert print_tables(which, "tsv")
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize("kind", sorted(IMPORT_CASES))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +46,26 @@ from logdgen.mordellweil import SectionConfig
 def replace(record, **changes):
     """A copy of ``record`` with ``changes``, built through its constructor and its checks."""
     return type(record)(**{**vars(record), **changes})
+
+
+def trace_events(kernel, *args) -> int:
+    """The sys.settrace events (calls, lines and returns, comprehensions
+    included) of ``kernel(*args)``: a cost that repeats from run to run where
+    a timing would not."""
+    count = 0
+
+    def tracer(frame, event, _):
+        nonlocal count
+        count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        kernel(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 class TestStandardCoeff:
@@ -171,6 +192,41 @@ def _brute_force_multisets(allowed, target, max_len):
     return out
 
 
+def _fraction_multisets(allowed, target, max_len):
+    """The enumerator as it was written on Fractions, kept as the oracle of the
+    integer search: same depth-first walk, with no pruning but the size bound."""
+    values = sorted(allowed, reverse=True)
+    target = F(target)
+    found = []
+
+    def extend(prefix, start, remaining):
+        if remaining == 0:
+            found.append(tuple(prefix))
+            return
+        if len(prefix) == max_len:
+            return
+        for i in range(start, len(values)):
+            v = values[i]
+            if v > remaining:
+                continue
+            prefix.append(v)
+            extend(prefix, i, remaining - v)
+            prefix.pop()
+
+    extend([], 0, target)
+    found.sort()
+    return found
+
+
+# Instances on which the Fraction walk visits many prefixes that cannot reach
+# the target in the slots left.
+LARGER_ENUMERATIONS = {
+    "standard_b_2_to_9": (frozenset(F(b - 1, b) for b in range(2, 10)), F(3), 6),
+    "standard_b_2_to_12": (frozenset(F(b - 1, b) for b in range(2, 13)), F(2), 4),
+    "inverses_1_to_6": (frozenset(F(1, b) for b in range(1, 7)), F(2), 6),
+}
+
+
 class TestEnumerateBoundaryMultisets:
     def test_fractional_fibre_patterns(self):
         # The four standard-coefficient patterns filling a degree-2 budget.
@@ -209,6 +265,28 @@ class TestEnumerateBoundaryMultisets:
         got = enumerate_boundary_multisets(allowed, target, max_len)
         assert set(got) == _brute_force_multisets(allowed, target, max_len)
         assert len(got) == len(set(got))
+        assert got == _fraction_multisets(allowed, target, max_len)
+
+    @pytest.mark.parametrize("case", sorted(LARGER_ENUMERATIONS))
+    def test_integer_search_costs_at_most_a_third_of_the_fraction_walk(self, case):
+        args = LARGER_ENUMERATIONS[case]
+        assert enumerate_boundary_multisets(*args) == _fraction_multisets(*args)
+        walk = trace_events(_fraction_multisets, *args)
+        search = trace_events(enumerate_boundary_multisets, *args)
+        assert 3 * search <= walk, (search, walk)
+
+    def test_ints_and_a_zero_target(self):
+        assert enumerate_boundary_multisets({1, F(1, 2)}, 1, 2) == [(F(1, 2), F(1, 2)), (1,)]
+        assert enumerate_boundary_multisets({F(1, 2)}, 0, 0) == [()]
+        assert enumerate_boundary_multisets({F(1, 2)}, F(-1), 3) == []
+
+    @pytest.mark.parametrize("allowed,max_len,message", [
+        ({F(1, 2)}, -1, "max_len must be non-negative, got -1"),
+        ({F(1, 2), F(0)}, 2, "allowed values must be positive"),
+    ])
+    def test_refuses_a_negative_size_or_value(self, allowed, max_len, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_boundary_multisets(allowed, F(1), max_len)
 
 
 class TestIndexLcm:

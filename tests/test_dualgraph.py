@@ -6,7 +6,6 @@ frozen before the solver existed.
 """
 
 import random
-import sys
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import prod
@@ -57,7 +56,8 @@ from logdgen.graph import (
     is_negative_definite,
     pullback_coefficients,
 )
-from test_core import replace
+from logdgen.eulerform import rr_correction_sum
+from test_core import replace, trace_events
 
 
 def kernel_det(m):
@@ -1082,9 +1082,9 @@ def test_solvers_and_reader_keep_their_dualgraph_names():
 
 # ---------------------------------------------------------------------------
 # Growth pinned by a count, not a clock.  Each kernel is linear in the graph up
-# to a log factor, so one call on 4n vertices may cost at most about 4.4 times
-# one on n.  The cost is the number of sys.settrace events (calls, lines and
-# returns, comprehensions included), which repeats from run to run where a
+# to a log factor (the Riemann-Roch sum in its multiplicity m = n r), so one
+# call on 4n vertices may cost at most about 4.4 times one on n.  The cost is
+# the number of sys.settrace events, which repeats from run to run where a
 # timing would not.  Starred Kodaira types still backtrack, so they get no row.
 
 GROWTH_CASES = {
@@ -1100,32 +1100,20 @@ GROWTH_CASES = {
                       lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
     "tree_form_D_n": (lambda n: duval_graph(DuValType("D", n)),
                       lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
+    "rr_correction_sum_m_nr": (lambda n: (7, 3, 7 * n), lambda args: rr_correction_sum(*args)),
 }
 
 
-def trace_events(kernel, arg) -> int:
+def catalog_trace_events(kernel, arg) -> int:
     """The sys.settrace events of ``kernel(arg)``, catalog forms built afresh."""
-    count = 0
-
-    def tracer(frame, event, _):
-        nonlocal count
-        count += 1
-        return tracer
-
     dualgraph._catalog_form.cache_clear()
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        kernel(arg)
-    finally:
-        sys.settrace(previous)
-    return count
+    return trace_events(kernel, arg)
 
 
 @pytest.mark.parametrize("case", sorted(GROWTH_CASES))
 def test_kernel_grows_linearly(case):
     build, kernel = GROWTH_CASES[case]
-    small, large = (trace_events(kernel, build(n)) for n in (60, 240))
+    small, large = (catalog_trace_events(kernel, build(n)) for n in (60, 240))
     assert large <= 4.4 * small, (small, large)
 
 

@@ -58,13 +58,21 @@ class TestRRCorrection:
         with pytest.raises(ValueError):
             rr_correction_sum(3, 1, 4)
 
+    @pytest.mark.parametrize("r,m", [(0, 5), (-1, 1), (-5, 5)])
+    def test_sum_refuses_a_non_positive_index(self, r, m):
+        with pytest.raises(ValueError, match=f"^index must be positive, got {r}$"):
+            rr_correction_sum(r, 1, m)
+
     @given(st.integers(1, 30), st.integers(1, 3), st.data())
     @settings(max_examples=60, deadline=None)
     def test_closed_form(self, r, mult, data):
         units = [a for a in range(1, r + 1) if gcd(a, r) == 1]
         a = data.draw(st.sampled_from(units))
         m = mult * r
-        assert rr_correction_sum(r, a, m) == F(-m * (r * r - 1), 12 * r)
+        total = rr_correction_sum(r, a, m)
+        assert total == F(-m * (r * r - 1), 12 * r)
+        assert total == sum((rr_correction_cyclic(r, a, l) for l in range(1, m)), F(0))
+        assert type(total) is F
 
     @given(st.integers(2, 25), st.data())
     @settings(max_examples=40, deadline=None)
