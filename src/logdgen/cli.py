@@ -22,6 +22,7 @@ missing or too many.  One table, ``_COMMANDS``, gives both parsers the
 commands and their positionals.
 """
 
+import errno
 import os
 import sys
 from fractions import Fraction as Rational
@@ -361,12 +362,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse_plain(argv) or _parse_args(argv)
+        if sys.stdout is None:  # started with stdout closed: no report can be written
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = args.func(args)
         sys.stdout.flush()
-    except OSError as exc:  # stdout refused a write: a full disk, a closed pipe
+    except OSError as exc:  # stdout refused a write: a full disk, a closed pipe or fd
         print(f"OSError: {exc}", file=sys.stderr)
-        # the interpreter flushes stdout again as it exits; send that flush nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            # the interpreter flushes stdout again as it exits; send that flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_DOMAIN
     return code
 

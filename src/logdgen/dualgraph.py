@@ -222,6 +222,8 @@ def recognize_duval(g: DualGraph):
             return UNRECOGNIZED
     n = len(exc)
     form = _tree_form(g, _duval_key, [v.id for v in exc])
+    if form is None:  # every Du Val graph is a tree
+        return UNRECOGNIZED
     for family, exists in (("A", True), ("D", n >= 4), ("E", 6 <= n <= 8)):
         if exists and form == _catalog_form(_duval_key, duval_graph, DuValType(family, n)):
             return DuValType(family, n)
@@ -509,8 +511,10 @@ def recognize_half_catalog(g: DualGraph):
         k = n_exc - len(chain(0)) - len(hung)
         if len(bullets) != n_str or k < kmin or (isinstance(label, str) and k):
             continue
-        if form is None:  # computed once; () for a graph that is no tree matches no family
-            form = _tree_form(g, _half_tree_key) or ()
+        if form is None:  # computed once; a graph that is no tree matches no family
+            form = _tree_form(g, _half_tree_key)
+            if form is None:
+                return UNRECOGNIZED
         if form == _catalog_form(_half_tree_key, half_catalog_graph, family, k):
             return half_catalog_label(family, k)
     return UNRECOGNIZED
@@ -623,6 +627,8 @@ def recognize_fibre_type(g: DualGraph):
     if b is None:
         return UNRECOGNIZED
     form = _tree_form(g, _fibre_key)
+    if form is None:  # every fibre type is a tree
+        return UNRECOGNIZED
     for kind, k in candidates:
         if form == _catalog_form(_fibre_key, dynkin_fibre_graph, kind, b, k):
             return FibreTypeLabel(kind, b, k)

@@ -154,44 +154,42 @@ def hurwitz_double_cover_euler(branch_count: int) -> int:
 TWO_SECTIONS = "TWO_SECTIONS"
 BISECTION = "BISECTION"
 SECTION_ONLY = "SECTION_ONLY"
-PROFILES = (TWO_SECTIONS, BISECTION, SECTION_ONLY)
 
-# Orbifold Euler number available to singular points on the fibres:
-# 4 for a degree-2 horizontal curve, 2 per section.
-PROFILE_BUDGETS = {
-    BISECTION: Rational(4),
-    TWO_SECTIONS: Rational(4),
-    SECTION_ONLY: Rational(2),
-}
-
-# Per profile, each fibre kind it can exhibit, with the boundary degree (a
-# function of b) that the fibre deposits on the horizontal floor curve(s).
+# One row per profile: the orbifold Euler number available to singular points
+# on the fibres (4 for a degree-2 horizontal curve, 2 per section), the generic
+# fibre, and each fibre kind the profile can exhibit, with the boundary degree
+# (a function of b) that the fibre deposits on the horizontal floor curve(s) and
+# whether a degree-2 horizontal curve ramifies over it.
 # One floor contact (kinds I-*) needs a multiplicity-2 central curve to host a
 # bisection, so I-2 and II-3 belong to the bisection; I-1, I-3 and II-2 carry
 # half-boundary marks and ride over a single section; two sections see only
 # II-1 fibres.  Each transverse contact with the central curve gives (b-1)/b
 # (II-1 meets a bisection twice, and each of two sections once); the floor
 # contact of an I-3 fibre runs through the order-2 point, giving (2b-1)/2b.
-_FLOOR_WEIGHTS = {
-    SECTION_ONLY: {"I-1": standard_coeff, "I-3": doubled_standard_coeff, "II-2": standard_coeff},
-    BISECTION: {"I-2": standard_coeff, "II-1": lambda b: 2 * standard_coeff(b),
-                "II-3": standard_coeff},
-    TWO_SECTIONS: {"II-1": standard_coeff},
+# The floor bisection ramifies over the I-2 / II-3 central curves, the
+# half-curve bisection over I-3 (multiplicity two) and II-2 (tangency).
+_PROFILE_TABLE = {
+    TWO_SECTIONS: (4, FibreTypeLabel("II-1", 1), {"II-1": (standard_coeff, False)}),
+    BISECTION: (4, FibreTypeLabel("II-1", 1), {
+        "I-2": (standard_coeff, True),
+        "II-1": (lambda b: 2 * standard_coeff(b), False),
+        "II-3": (standard_coeff, True),
+    }),
+    SECTION_ONLY: (2, FibreTypeLabel("I-1", 1), {
+        "I-1": (standard_coeff, False),
+        "I-3": (doubled_standard_coeff, True),
+        "II-2": (standard_coeff, True),
+    }),
 }
-
-# Fibres on which a degree-2 horizontal curve is ramified: the floor
-# bisection over the I-2 / II-3 central curves, the half-curve bisection
-# over I-3 (multiplicity two) and II-2 (tangency).
-_BRANCH_KINDS = {
-    SECTION_ONLY: frozenset({"I-3", "II-2"}),
-    BISECTION: frozenset({"I-2", "II-3"}),
-    TWO_SECTIONS: frozenset(),
-}
+PROFILES = tuple(_PROFILE_TABLE)
 
 
-def _require_profile(profile: str) -> None:
-    if profile not in PROFILES:
-        raise ValueError(f"unknown horizontal profile {profile!r}")
+def _profile(profile: str):
+    """The profile's row: (budget, generic fibre, {kind: (floor weight, ramified)})."""
+    try:
+        return _PROFILE_TABLE[profile]
+    except (KeyError, TypeError):  # TypeError: an unhashable profile
+        raise ValueError(f"unknown horizontal profile {profile!r}") from None
 
 
 def _label_key(label: FibreTypeLabel):
@@ -226,8 +224,13 @@ class TypRecord(Record):
         return f"({' + '.join(parts) if parts else '-'}; {self.generic})"
 
 
-# The orbifold Euler number spent by one order-2 point: m_p of a bare germ there.
-_ORDER_TWO = m_p(GermBoundaryData(2))[0]
+# The orders of the cyclic quotient points on each fibre kind, given the
+# chain length k of a (II-3)_{b,k} fibre.  A point of order n spends m_p of a
+# bare germ there, standard_coeff(n) = (n-1)/n.
+_POINT_ORDERS = {
+    "I-1": lambda k: (), "I-2": lambda k: (2, 2), "I-3": lambda k: (2,),
+    "II-1": lambda k: (), "II-2": lambda k: (), "II-3": lambda k: (4 * k,),
+}
 
 
 def budget_contribution(label: FibreTypeLabel) -> Rational:
@@ -242,77 +245,63 @@ def budget_contribution(label: FibreTypeLabel) -> Rational:
     >>> budget_contribution(FibreTypeLabel("II-3", 1, 2))
     Fraction(7, 8)
     """
-    if label.kind == "I-2":
-        return 2 * _ORDER_TWO
-    if label.kind == "I-3":
-        return _ORDER_TWO
-    if label.kind == "II-3":
-        return Rational(4 * label.k - 1, 4 * label.k)
-    if label.kind in ("I-1", "II-1", "II-2"):
-        return Rational(0)
-    raise ValueError(f"unsupported fibre type label {label!r}")
+    if not isinstance(label, FibreTypeLabel):
+        raise ValueError(f"unsupported fibre type label {label!r}")
+    return sum(map(standard_coeff, _POINT_ORDERS[label.kind](label.k)), Rational(0))
 
 
 def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
     """Total orbifold spend of the record's degenerate fibres.
 
-    The total is compared against PROFILE_BUDGETS by check_typ; the profile
-    is validated here but does not change the per-fibre values.
+    The total is compared against the profile's budget by check_typ; the
+    profile is validated here but does not change the per-fibre values.
 
     >>> rec = TypRecord((FibreTypeLabel("I-2", 1),) * 4, FibreTypeLabel("II-1", 1))
     >>> boundary_budget(rec, BISECTION)
     Fraction(4, 1)
     """
-    _require_profile(horizontal_profile)
+    _profile(horizontal_profile)
     return sum((budget_contribution(l) for l in rec.special), Rational(0))
 
 
 def branch_count(rec: TypRecord, profile: str) -> int:
     """Number of fibres ramifying the degree-2 horizontal curve."""
-    _require_profile(profile)
-    kinds = _BRANCH_KINDS[profile]
-    return sum(1 for l in rec.special if l.kind in kinds)
-
-
-_GENERIC_FOR = {
-    SECTION_ONLY: FibreTypeLabel("I-1", 1),
-    BISECTION: FibreTypeLabel("II-1", 1),
-    TWO_SECTIONS: FibreTypeLabel("II-1", 1),
-}
+    kinds = _profile(profile)[2]
+    return sum(1 for l in rec.special if kinds.get(l.kind, (None, False))[1])
 
 
 def check_typ(rec: TypRecord, profile: str) -> bool:
     """Whether the record satisfies every numeric constraint of its profile.
 
-    Checked in turn: the generic type matches the profile's floor contact
-    count; every special fibre kind can ride over the profile and none is
-    the generic germ in disguise; the ramified fibres of a degree-2
-    horizontal curve come in even number; the orbifold budget is not
-    overspent; and the boundary degree collected on the floor matches the
-    floor curve's Euler number (a degree-2 floor curve may carry one node).
+    Checked: the generic type matches the profile's floor contact count;
+    every special fibre kind can ride over the profile and none is the
+    generic germ in disguise; the ramified fibres of a degree-2 horizontal
+    curve come in even number; the orbifold budget is not overspent; and
+    the boundary degree collected on the floor matches the floor curve's
+    Euler number (a degree-2 floor curve may carry one node).
     """
-    _require_profile(profile)
-    if rec.generic != _GENERIC_FOR[profile]:
+    budget, generic, kinds = _profile(profile)
+    if rec.generic != generic:
         return False
-    weights = _FLOOR_WEIGHTS[profile]
+    ramified, points, floor_total = 0, [], 0
     for label in rec.special:
-        if label.kind not in weights or label == _GENERIC_FOR[profile]:
+        row = kinds.get(label.kind)
+        if row is None or label == generic:
             return False
+        weight, ramifies = row
+        ramified += ramifies
+        points += _POINT_ORDERS[label.kind](label.k)
+        floor_total += weight(label.b)
 
-    m = branch_count(rec, profile)
     try:
-        cover_euler = hurwitz_double_cover_euler(m)
+        cover_euler = hurwitz_double_cover_euler(ramified)
     except ValueError:
         return False
-
-    if boundary_budget(rec, profile) > PROFILE_BUDGETS[profile]:
+    if sum(map(standard_coeff, points)) > budget:
         return False
-
-    floor_total = sum((weights[l.kind](l.b) for l in rec.special), Rational(0))
     if profile == BISECTION:
         # adjunction on the normalized bisection: its Euler number splits
         # into floor boundary degree plus 2 per node, at most one node
-        return cover_euler - floor_total in (Rational(0), Rational(2))
+        return cover_euler - floor_total in (0, 2)
     # sections are smooth copies of the base: rational or elliptic
-    return floor_total in (Rational(0), Rational(2))
-
+    return floor_total in (0, 2)

@@ -176,10 +176,12 @@ class TestGraph:
         assert code == 0
         assert tsv_pairs(out)["kodaira"] == "I_3"
 
-    def test_long_kodaira_cycle_recognized_at_once(self, capsys, tmp_path):
-        # a ring of 20000 fibre (-2)-curves; an edge scan per vertex ran past 30 s
+    @pytest.mark.parametrize("role", ["fibre", "exceptional"])
+    def test_long_kodaira_cycle_recognized_at_once(self, capsys, tmp_path, role):
+        # a ring of 20000 (-2)-curves; an edge scan per vertex ran past 30 s, and
+        # exceptional curves made the tree recognizers build 20000-curve catalog graphs
         n = 20_000
-        ring = {"vertices": [{"id": f"C{i}", "self_int": -2, "role": "fibre"} for i in range(n)],
+        ring = {"vertices": [{"id": f"C{i}", "self_int": -2, "role": role} for i in range(n)],
                 "edges": [{"a": f"C{i}", "b": f"C{(i + 1) % n}"} for i in range(n)]}
         path = tmp_path / "ring.json"
         path.write_text(json.dumps(ring))
@@ -467,6 +469,21 @@ class TestReportShape:
             os.close(stdout)
         assert proc.returncode == 1
         assert proc.stderr == f"OSError: [Errno {code}] {os.strerror(code)}\n"
+
+    # Python sets sys.stdout to None when started with fd 1 closed
+    def test_a_closed_stdout_ends_in_one_line(self):
+        proc = subprocess.run([sys.executable, "-m", "logdgen.cli", "cbf", "nx", "2"],
+                              preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == f"OSError: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+
+    def test_help_with_a_closed_stdout_goes_to_stderr(self):
+        proc = subprocess.run([sys.executable, "-m", "logdgen.cli", "-h"],
+                              preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("usage: logdgen")
 
 
 def _graph(*vertices, edges=(), **extra):

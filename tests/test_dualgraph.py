@@ -57,6 +57,7 @@ from logdgen.graph import (
     pullback_coefficients,
 )
 from logdgen.eulerform import rr_correction_sum
+from logdgen.fibration import BISECTION, TypRecord, check_typ
 from test_core import replace, trace_events
 
 
@@ -1101,6 +1102,11 @@ GROWTH_CASES = {
     "tree_form_D_n": (lambda n: duval_graph(DuValType("D", n)),
                       lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
     "rr_correction_sum_m_nr": (lambda n: (7, 3, 7 * n), lambda args: rr_correction_sum(*args)),
+    # two ramified fibres and n - 2 plain ones pass every check up to the floor degree
+    "check_typ_bisection": (
+        lambda n: (TypRecord((FibreTypeLabel("I-2", 1),) * 2 + (FibreTypeLabel("II-1", 2),) * (n - 2),
+                             FibreTypeLabel("II-1", 1)), BISECTION),
+        lambda args: check_typ(*args)),
 }
 
 
@@ -1115,6 +1121,20 @@ def test_kernel_grows_linearly(case):
     build, kernel = GROWTH_CASES[case]
     small, large = (catalog_trace_events(kernel, build(n)) for n in (60, 240))
     assert large <= 4.4 * small, (small, large)
+
+
+def test_a_ring_is_refused_before_any_catalog_member_is_built(monkeypatch):
+    # a cycle has no tree form, so no catalog member can match it
+    def refuse(*args):
+        raise AssertionError("a catalog member was built for a graph that is no tree")
+
+    for builder in ("duval_graph", "half_catalog_graph", "dynkin_fibre_graph", "kodaira_graph"):
+        monkeypatch.setattr(dualgraph, builder, refuse)
+    dualgraph._catalog_form.cache_clear()
+    ring = DualGraph([CurveVertex(f"E{i}", -2) for i in range(12)],
+                     [(f"E{i}", f"E{(i + 1) % 12}") for i in range(12)])
+    for recognize in (recognize_duval, recognize_half_catalog, recognize_fibre_type):
+        assert recognize(ring) == UNRECOGNIZED
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Budgets, Hurwitz parity, and floor degrees for conic-fibration records."""
 
+import re
 from fractions import Fraction as Rational
 
 import pytest
@@ -9,7 +10,6 @@ from logdgen.core import INFINITY, doubled_standard_coeff, enumerate_boundary_mu
 from logdgen.dualgraph import FibreTypeLabel, KodairaLabel
 from logdgen.fibration import (
     BISECTION,
-    PROFILE_BUDGETS,
     PROFILES,
     SECTION_ONLY,
     TWO_SECTIONS,
@@ -17,10 +17,12 @@ from logdgen.fibration import (
     boundary_budget,
     branch_count,
     budget_contribution,
+    GermBoundaryData,
     check_typ,
     hurwitz_double_cover_euler,
+    m_p,
 )
-from logdgen.fibration import _FLOOR_WEIGHTS, _GENERIC_FOR, _require_profile
+from logdgen.fibration import _PROFILE_TABLE
 
 
 def lab(kind, b, k=None):
@@ -137,6 +139,13 @@ class TestBudgetContribution:
         with pytest.raises(ValueError):
             budget_contribution(KodairaLabel("II"))
 
+    def test_each_point_spends_m_p_of_a_bare_germ(self):
+        order_two = m_p(GermBoundaryData(2))[0]
+        assert budget_contribution(lab("I-2", 3)) == 2 * order_two
+        assert budget_contribution(lab("I-3", 3)) == order_two
+        for k in range(1, 6):
+            assert budget_contribution(lab("II-3", 2, k)) == m_p(GermBoundaryData(4 * k))[0]
+
 
 class TestBoundaryBudget:
     def test_four_branch_fibres_saturate_a_bisection(self):
@@ -246,12 +255,29 @@ class TestCheckTyp:
         assert len(rows) == len(expected) == 4
 
 
-# check_typ with the allowed kinds and the floor weights written out per
-# profile, kept as the oracle for the one-table-per-profile form.
+@pytest.mark.parametrize("profile", ["SECTIONS", "bisection", None, ["BISECTION"]])
+@pytest.mark.parametrize("check", [check_typ, boundary_budget, branch_count])
+def test_every_profile_check_refuses_an_unknown_profile(check, profile):
+    with pytest.raises(ValueError, match=f"^unknown horizontal profile {re.escape(repr(profile))}$"):
+        check(rec([lab("I-2", 1)], PAIR_GENERIC), profile)
+
+
+# check_typ with every fact of a profile written out by hand, kept as the
+# oracle for the one-row-per-profile table: the generic type, the orbifold
+# budget, the allowed kinds and their floor weights, the kinds over which a
+# degree-2 horizontal curve ramifies, and the orders of the cyclic quotient
+# points on each fibre.
+_GENERIC = {SECTION_ONLY: lab("I-1", 1), BISECTION: lab("II-1", 1), TWO_SECTIONS: lab("II-1", 1)}
+_BUDGET = {SECTION_ONLY: 2, BISECTION: 4, TWO_SECTIONS: 4}
 _ALLOWED_KINDS = {
     SECTION_ONLY: frozenset({"I-1", "I-3", "II-2"}),
     BISECTION: frozenset({"I-2", "II-1", "II-3"}),
     TWO_SECTIONS: frozenset({"II-1"}),
+}
+_RAMIFIED_KINDS = {
+    SECTION_ONLY: frozenset({"I-3", "II-2"}),
+    BISECTION: frozenset({"I-2", "II-3"}),
+    TWO_SECTIONS: frozenset(),
 }
 
 
@@ -274,24 +300,33 @@ def _floor_weight(label: FibreTypeLabel, profile: str) -> Rational:
     raise ValueError(f"fibre type {label} cannot ride over profile {profile}")
 
 
+def _point_orders(label: FibreTypeLabel) -> list[int]:
+    """Orders of the cyclic quotient points the fibre passes through."""
+    if label.kind == "II-3":
+        return [4 * label.k]
+    return {"I-2": [2, 2], "I-3": [2]}.get(label.kind, [])
+
+
 def hand_check_typ(rec: TypRecord, profile: str) -> bool:
-    _require_profile(profile)
-    if rec.generic != _GENERIC_FOR[profile]:
+    if profile not in (TWO_SECTIONS, BISECTION, SECTION_ONLY):
+        raise ValueError(f"unknown horizontal profile {profile!r}")
+    if rec.generic != _GENERIC[profile]:
         return False
-    allowed = _ALLOWED_KINDS[profile]
     for label in rec.special:
-        if label.kind not in allowed:
+        if label.kind not in _ALLOWED_KINDS[profile]:
             return False
-        if label == _GENERIC_FOR[profile]:
+        if label == _GENERIC[profile]:
             return False
 
-    m = branch_count(rec, profile)
-    try:
-        cover_euler = hurwitz_double_cover_euler(m)
-    except ValueError:
+    # a double cover of the line branched at m points exists for even m only,
+    # and has Euler number 4 - m
+    m = sum(1 for l in rec.special if l.kind in _RAMIFIED_KINDS[profile])
+    if m % 2:
         return False
+    cover_euler = 4 - m
 
-    if boundary_budget(rec, profile) > PROFILE_BUDGETS[profile]:
+    spend = sum(Rational(n - 1, n) for l in rec.special for n in _point_orders(l))
+    if spend > _BUDGET[profile]:
         return False
 
     floor_total = sum(
@@ -318,7 +353,7 @@ def typ_cases(draw):
     b = st.one_of(st.sampled_from((1, 2, INFINITY)), st.integers(1, 6))
     drawn = draw(st.lists(st.tuples(st.sampled_from(kinds), b, st.integers(1, 4)), max_size=6))
     special = [lab(kind, b, k if kind == "II-3" else None) for kind, b, k in drawn]
-    generic = draw(st.one_of(st.just(_GENERIC_FOR[profile]),
+    generic = draw(st.one_of(st.just(_GENERIC[profile]),
                              st.builds(lab, st.sampled_from(KINDS[:-1]), st.integers(1, 6))))
     return rec(special, generic), profile
 
@@ -330,11 +365,18 @@ def test_check_typ_agrees_with_the_hand_profiles(case):
 
 
 @pytest.mark.parametrize("profile", PROFILES)
+def test_profile_rows_agree_with_the_hand_profiles(profile):
+    budget, generic, kinds = _PROFILE_TABLE[profile]
+    assert budget == _BUDGET[profile] and generic == _GENERIC[profile]
+    assert {kind for kind, (_, ramified) in kinds.items() if ramified} == _RAMIFIED_KINDS[profile]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
 def test_floor_weights_agree_with_the_hand_profiles(profile):
     # every kind, b in 1..6 or INFINITY, k in 1..4: the same kinds ride over
     # the profile, with the same floor weight
-    weights = _FLOOR_WEIGHTS[profile]
-    assert set(weights) == _ALLOWED_KINDS[profile]
+    kinds = _PROFILE_TABLE[profile][2]
+    assert set(kinds) == _ALLOWED_KINDS[profile]
     for kind in KINDS:
         for b in (*range(1, 7), INFINITY):
             for k in range(1, 5) if kind == "II-3" else (None,):
@@ -342,6 +384,6 @@ def test_floor_weights_agree_with_the_hand_profiles(profile):
                 try:
                     want = _floor_weight(label, profile)
                 except ValueError:
-                    assert kind not in weights
+                    assert kind not in kinds
                     continue
-                assert weights[kind](b) == want, label
+                assert kinds[kind][0](b) == want, label
