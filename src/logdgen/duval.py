@@ -10,6 +10,7 @@ the 27 rank-one Gorenstein log del Pezzo surfaces with their orbifold Euler
 numbers.
 """
 
+import math
 from fractions import Fraction as Rational
 from functools import total_ordering
 
@@ -70,11 +71,18 @@ def duval_order(t: DuValType) -> int:
     >>> duval_order(DuValType("E", 7))
     48
     """
-    if t.family == "A":
-        return t.index + 1
-    if t.family == "D":
-        return 4 * (t.index - 2)
-    return {6: 24, 7: 48, 8: 120}[t.index]
+    return _order(t.family, t.index)
+
+
+_E_ORDERS = {6: 24, 7: 48, 8: 120}
+
+
+def _order(family: str, index: int) -> int:
+    if family == "A":
+        return index + 1
+    if family == "D":
+        return 4 * (index - 2)
+    return _E_ORDERS[index]
 
 
 def exceptional_euler(t: DuValType) -> int:
@@ -85,23 +93,18 @@ def exceptional_euler(t: DuValType) -> int:
 # One row per cover case 1..6: (r, nmin, base, cover, c), where
 #   r      is the index, or None for any r >= 2;
 #   nmin   is the smallest n, or None when the case takes no n;
-#   base   gives the Du Val type downstairs as a function of (r, n);
-#   cover  gives the Du Val type of the canonical cover (None when smooth) of (r, n);
-#   c      gives the correction c_p as a function of (r, n).
+#   base   gives the Du Val type downstairs as a (family, index) pair of (r, n);
+#   cover  gives the canonical cover's (family, index) (None when smooth) of (r, n);
+#   c      gives the correction c_p as an integer (numerator, denominator) of (r, n).
 _COVER_CASES = {
-    1: (None, 1, lambda r, n: DuValType("A", r * n - 1),
-        lambda r, n: DuValType("A", n - 1) if n >= 2 else None,
-        lambda r, n: n * (r - Rational(1, r))),
-    2: (4, 2, lambda r, n: DuValType("D", 2 * n + 1), lambda r, n: DuValType("A", 2 * n - 2),
-        lambda r, n: Rational(3 * (2 * n + 3), 4)),
-    3: (2, 2, lambda r, n: DuValType("D", n + 2), lambda r, n: DuValType("A", 2 * n - 1),
-        lambda r, n: Rational(3)),
-    4: (3, None, lambda r, n: DuValType("E", 6), lambda r, n: DuValType("D", 4),
-        lambda r, n: Rational(16, 3)),
-    5: (2, 3, lambda r, n: DuValType("D", 2 * n), lambda r, n: DuValType("D", n + 1),
-        lambda r, n: Rational(3 * n, 2)),
-    6: (2, None, lambda r, n: DuValType("E", 7), lambda r, n: DuValType("E", 6),
-        lambda r, n: Rational(9, 2)),
+    1: (None, 1, lambda r, n: ("A", r * n - 1), lambda r, n: ("A", n - 1) if n >= 2 else None,
+        lambda r, n: (n * (r * r - 1), r)),
+    2: (4, 2, lambda r, n: ("D", 2 * n + 1), lambda r, n: ("A", 2 * n - 2),
+        lambda r, n: (3 * (2 * n + 3), 4)),
+    3: (2, 2, lambda r, n: ("D", n + 2), lambda r, n: ("A", 2 * n - 1), lambda r, n: (3, 1)),
+    4: (3, None, lambda r, n: ("E", 6), lambda r, n: ("D", 4), lambda r, n: (16, 3)),
+    5: (2, 3, lambda r, n: ("D", 2 * n), lambda r, n: ("D", n + 1), lambda r, n: (3 * n, 2)),
+    6: (2, None, lambda r, n: ("E", 7), lambda r, n: ("E", 6), lambda r, n: (9, 2)),
 }
 
 
@@ -124,8 +127,10 @@ class CoverCase(Record):
 
     def __init__(self, case_id: int, r: int = 1, n: int | None = None,
                  base: DuValType | None = None) -> None:
+        if type(case_id) is not int:
+            raise ValueError(f"case_id must be 0..6, got {case_id!r}")
         if case_id == GORENSTEIN:
-            if r != 1 or base is None or n is not None:
+            if type(r) is not int or r != 1 or base is None or n is not None:
                 raise ValueError("Gorenstein case needs r=1, a base type, no n")
         elif base is not None:
             raise ValueError("base is derived for cases 1..6")
@@ -133,10 +138,10 @@ class CoverCase(Record):
             raise ValueError(f"case_id must be 0..6, got {case_id}")
         else:
             index, nmin = _COVER_CASES[case_id][:2]
-            r_ok = r >= 2 if index is None else r == index
-            n_ok = n is None if nmin is None else n is not None and n >= nmin
+            r_ok = type(r) is int and (r >= 2 if index is None else r == index)
+            n_ok = n is None if nmin is None else type(n) is int and n >= nmin
             if not (r_ok and n_ok):
-                raise ValueError(f"invalid parameters for case {case_id}: r={r}, n={n}")
+                raise ValueError(f"invalid parameters for case {case_id}: r={r!r}, n={n!r}")
         self.__dict__.update(case_id=case_id, r=r, n=n, base=base)
 
     def base_type(self) -> DuValType:
@@ -144,13 +149,28 @@ class CoverCase(Record):
         if self.case_id == GORENSTEIN:
             assert self.base is not None
             return self.base
-        return _COVER_CASES[self.case_id][2](self.r, self.n)
+        return DuValType(*_COVER_CASES[self.case_id][2](self.r, self.n))
 
     def cover_type(self) -> DuValType | None:
         """Du Val type of the canonical cover; None when the cover is smooth."""
         if self.case_id == GORENSTEIN:
             return self.base
-        return _COVER_CASES[self.case_id][3](self.r, self.n)
+        cover = _COVER_CASES[self.case_id][3](self.r, self.n)
+        return None if cover is None else DuValType(*cover)
+
+
+def _base(cover: CoverCase) -> tuple[str, int]:
+    """(family, index) of the Du Val type downstairs, without building it."""
+    if cover.case_id == GORENSTEIN:
+        return cover.base.family, cover.base.index
+    return _COVER_CASES[cover.case_id][2](cover.r, cover.n)
+
+
+def _correction(cover: CoverCase) -> tuple[int, int]:
+    """c_p as an integer (numerator, denominator)."""
+    if cover.case_id == GORENSTEIN:
+        return 0, 1
+    return _COVER_CASES[cover.case_id][4](cover.r, cover.n)
 
 
 # Table I as published: per cover case the closed forms of e_p, o_p, c_p and
@@ -189,12 +209,12 @@ COVER_TABLE_ROWS = (
 
 def e_p(cover: CoverCase) -> int:
     """Euler number of the exceptional fibre over the point."""
-    return exceptional_euler(cover.base_type())
+    return _base(cover)[1] + 1
 
 
 def o_p(cover: CoverCase) -> int:
     """Local fundamental group order at the point."""
-    return duval_order(cover.base_type())
+    return _order(*_base(cover))
 
 
 def c_p(cover: CoverCase) -> Rational:
@@ -205,20 +225,21 @@ def c_p(cover: CoverCase) -> Rational:
     >>> c_p(CoverCase(4, r=3))
     Fraction(16, 3)
     """
-    if cover.case_id == GORENSTEIN:
-        return Rational(0)
-    return _COVER_CASES[cover.case_id][4](cover.r, cover.n)
+    return Rational(*_correction(cover))
 
 
 def delta_p(cover: CoverCase) -> Rational:
-    """Covering defect e_p - 1/o_p - c_p.
+    """Covering defect e_p - 1/o_p - c_p, over the common denominator o_p * den(c_p).
 
     >>> delta_p(CoverCase(1, r=2, n=1))
     Fraction(0, 1)
     >>> delta_p(CoverCase(4, r=3))
     Fraction(13, 8)
     """
-    return e_p(cover) - Rational(1, o_p(cover)) - c_p(cover)
+    family, index = _base(cover)
+    e, o = index + 1, _order(family, index)
+    num, den = _correction(cover)
+    return Rational((e * o - 1) * den - num * o, o * den)
 
 
 class DelPezzoEntry(Record):
@@ -287,6 +308,10 @@ def recompute_e_orb(degree: int, singularities: tuple[DuValType, ...]) -> Ration
     corrections 1 - 1/o_p gives
 
         e_orb = (12 - degree - sum curve_count) - sum (1 - 1/o_p).
+
+    The 1/o_p terms are added as integers over the lcm of the orders.
     """
-    e_top = 12 - degree - sum(t.curve_count for t in singularities)
-    return e_top - sum(1 - Rational(1, duval_order(t)) for t in singularities)
+    orders = [duval_order(t) for t in singularities]
+    den = math.lcm(*orders)
+    whole = 12 - degree - sum(t.curve_count for t in singularities) - len(orders)
+    return Rational(whole * den + sum(den // o for o in orders), den)

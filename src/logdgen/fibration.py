@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from fractions import Fraction as Rational
 
-from .core import INFINITY, NOT_LC, FibreTypeLabel, Record, doubled_standard_coeff, standard_coeff
+from .core import INFINITY, NOT_LC, FibreTypeLabel, Record, standard_coeff
 
 # ---------------------------------------------------------------------------
 # The germ calculus: the different multiplicity m_p of a curve germ inside a
@@ -158,8 +158,9 @@ SECTION_ONLY = "SECTION_ONLY"
 # One row per profile: the orbifold Euler number available to singular points
 # on the fibres (4 for a degree-2 horizontal curve, 2 per section), the generic
 # fibre, and each fibre kind the profile can exhibit, with the boundary degree
-# (a function of b) that the fibre deposits on the horizontal floor curve(s) and
-# whether a degree-2 horizontal curve ramifies over it.
+# that the fibre deposits on the horizontal floor curve(s) and whether a
+# degree-2 horizontal curve ramifies over it.  A row (mult, scale, ramified)
+# deposits mult * (scale*b - 1)/(scale*b), or mult when b is INFINITY.
 # One floor contact (kinds I-*) needs a multiplicity-2 central curve to host a
 # bisection, so I-2 and II-3 belong to the bisection; I-1, I-3 and II-2 carry
 # half-boundary marks and ride over a single section; two sections see only
@@ -169,23 +170,23 @@ SECTION_ONLY = "SECTION_ONLY"
 # The floor bisection ramifies over the I-2 / II-3 central curves, the
 # half-curve bisection over I-3 (multiplicity two) and II-2 (tangency).
 _PROFILE_TABLE = {
-    TWO_SECTIONS: (4, FibreTypeLabel("II-1", 1), {"II-1": (standard_coeff, False)}),
+    TWO_SECTIONS: (4, FibreTypeLabel("II-1", 1), {"II-1": (1, 1, False)}),
     BISECTION: (4, FibreTypeLabel("II-1", 1), {
-        "I-2": (standard_coeff, True),
-        "II-1": (lambda b: 2 * standard_coeff(b), False),
-        "II-3": (standard_coeff, True),
+        "I-2": (1, 1, True),
+        "II-1": (2, 1, False),
+        "II-3": (1, 1, True),
     }),
     SECTION_ONLY: (2, FibreTypeLabel("I-1", 1), {
-        "I-1": (standard_coeff, False),
-        "I-3": (doubled_standard_coeff, True),
-        "II-2": (standard_coeff, True),
+        "I-1": (1, 1, False),
+        "I-3": (1, 2, True),
+        "II-2": (1, 1, True),
     }),
 }
 PROFILES = tuple(_PROFILE_TABLE)
 
 
 def _profile(profile: str):
-    """The profile's row: (budget, generic fibre, {kind: (floor weight, ramified)})."""
+    """The profile's row: (budget, generic fibre, {kind: (mult, scale, ramified)})."""
     try:
         return _PROFILE_TABLE[profile]
     except (KeyError, TypeError):  # TypeError: an unhashable profile
@@ -267,7 +268,7 @@ def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
 def branch_count(rec: TypRecord, profile: str) -> int:
     """Number of fibres ramifying the degree-2 horizontal curve."""
     kinds = _profile(profile)[2]
-    return sum(1 for l in rec.special if kinds.get(l.kind, (None, False))[1])
+    return sum(1 for l in rec.special if kinds.get(l.kind, (0, 0, False))[2])
 
 
 def check_typ(rec: TypRecord, profile: str) -> bool:
@@ -283,25 +284,37 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     budget, generic, kinds = _profile(profile)
     if rec.generic != generic:
         return False
-    ramified, points, floor_total = 0, [], 0
+    # The floor degree is whole - sum mult/d over the finite parameters d =
+    # scale*b, and the spend is len(orders) - sum 1/n over the quotient
+    # points; both fractional sums are kept as integers over an lcm.
+    ramified = whole = 0
+    mults, dens, orders = [], [], []
     for label in rec.special:
         row = kinds.get(label.kind)
         if row is None or label == generic:
             return False
-        weight, ramifies = row
+        mult, scale, ramifies = row
         ramified += ramifies
-        points += _POINT_ORDERS[label.kind](label.k)
-        floor_total += weight(label.b)
+        orders += _POINT_ORDERS[label.kind](label.k)
+        whole += mult
+        if label.b != INFINITY:
+            mults.append(mult)
+            dens.append(scale * label.b)
 
     try:
         cover_euler = hurwitz_double_cover_euler(ramified)
     except ValueError:
         return False
-    if sum(map(standard_coeff, points)) > budget:
+    lcm = math.lcm(*orders)
+    if (len(orders) - budget) * lcm > sum(lcm // n for n in orders):
         return False
+    lcm = math.lcm(*dens)
+    fraction = sum(m * (lcm // d) for m, d in zip(mults, dens))
     if profile == BISECTION:
         # adjunction on the normalized bisection: its Euler number splits
         # into floor boundary degree plus 2 per node, at most one node
-        return cover_euler - floor_total in (0, 2)
-    # sections are smooth copies of the base: rational or elliptic
-    return floor_total in (0, 2)
+        closed = (cover_euler, cover_euler - 2)
+    else:
+        # sections are smooth copies of the base: rational or elliptic
+        closed = (0, 2)
+    return fraction in ((whole - floor) * lcm for floor in closed)

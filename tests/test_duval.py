@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from math import isqrt, prod
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +23,9 @@ from logdgen.duval import (
     o_p,
     recompute_e_orb,
 )
+from logdgen.dualgraph import duval_graph
+from logdgen.graph import intersection_matrix
+from test_dualgraph import kernel_det
 
 # Closed forms of the defect table, one per cover case, kept here as the
 # independent oracle against the definition delta = e - 1/o - c.
@@ -130,6 +135,27 @@ class TestCoverCase:
         with pytest.raises(ValueError):
             CoverCase(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(case_id=True, r=2, n=2), "case_id must be 0..6, got True"),
+            (dict(case_id=1.0, r=2, n=2), "case_id must be 0..6, got 1.0"),
+            (dict(case_id="1", r=2, n=2), "case_id must be 0..6, got '1'"),
+            (dict(case_id=1, r=2, n=True), "invalid parameters for case 1: r=2, n=True"),
+            (dict(case_id=1, r=True, n=2), "invalid parameters for case 1: r=True, n=2"),
+            (dict(case_id=1, r=2.0, n=2), "invalid parameters for case 1: r=2.0, n=2"),
+            (dict(case_id=1, r=2, n=2.0), "invalid parameters for case 1: r=2, n=2.0"),
+            (dict(case_id=3, r=2, n="2"), "invalid parameters for case 3: r=2, n='2'"),
+            (dict(case_id=4, r=3.0), "invalid parameters for case 4: r=3.0, n=None"),
+            (dict(case_id=0, r=True, base=DuValType("A", 1)),
+             "Gorenstein case needs r=1, a base type, no n"),
+            (dict(case_id=False, r=1, base=DuValType("A", 1)), "case_id must be 0..6, got False"),
+        ],
+    )
+    def test_bool_float_or_string_parameter_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoverCase(**kwargs)
+
     def test_gorenstein(self):
         g = CoverCase(0, base=DuValType("A", 1))
         assert c_p(g) == 0
@@ -193,6 +219,49 @@ class TestDefectTable:
         cover = CoverCase(2, r=4, n=3)
         assert (e_p(cover), o_p(cover)) == (8, 20)
         assert delta_p(cover) == e_p(cover) - F(1, o_p(cover)) - c_p(cover)
+
+
+def _valid_covers():
+    """Every cover case with r <= 8 and n <= 11: the 108 the table admits there."""
+    covers = []
+    for case_id in range(1, 7):
+        for r in range(1, 9):
+            for n in (None, *range(1, 12)):
+                try:
+                    covers.append(CoverCase(case_id, r=r, n=n))
+                except ValueError:
+                    continue
+    return covers
+
+
+def _table_samples():
+    return [CoverCase(case_id, r=r, n=n)
+            for case_id, _, samples in COVER_TABLE_ROWS for r, n, *_ in samples]
+
+
+def fraction_delta_p(cover) -> F:
+    """The covering defect e_p - 1/o_p - c_p added up in Fractions."""
+    base = cover.base_type()
+    return exceptional_euler(base) - F(1, duval_order(base)) - hand_c_p(cover)
+
+
+def fraction_e_orb(degree, singularities) -> F:
+    """The orbifold Euler number with one Fraction per 1 - 1/o_p term."""
+    e_top = 12 - degree - sum(t.curve_count for t in singularities)
+    return e_top - sum(1 - F(1, duval_order(t)) for t in singularities)
+
+
+@pytest.mark.parametrize("covers", [_valid_covers, _table_samples], ids=["valid", "table_I"])
+def test_integer_cover_invariants_equal_the_fraction_formulas(covers):
+    covers = covers()
+    assert len(covers) in (108, len(_table_samples()))
+    for cover in covers + [CoverCase(0, base=DuValType.parse(t)) for t in ("A1", "D5", "E8")]:
+        base = cover.base_type()
+        assert e_p(cover) == exceptional_euler(base), cover
+        assert o_p(cover) == duval_order(base), cover
+        c, d = c_p(cover), delta_p(cover)
+        assert type(c) is F and c == hand_c_p(cover), cover
+        assert type(d) is F and d == fraction_delta_p(cover), cover
 
 
 # The cover cases written out one case_id at a time, kept as the oracle for
@@ -318,6 +387,12 @@ class TestDelPezzoCatalog:
         assert rows[25].singularities == (DuValType("A", 2),) * 4
         assert rows[25].e_orb == F(1, 3)
 
+    def test_recompute_equals_the_fraction_sum(self):
+        for entry in delpezzo_catalog():
+            got = recompute_e_orb(entry.degree, entry.singularities)
+            assert type(got) is F and got == fraction_e_orb(entry.degree, entry.singularities), entry
+        assert recompute_e_orb(1, ()) == 11
+
     def test_recompute_matches_all_but_row_17(self):
         for entry in delpezzo_catalog():
             recomputed = recompute_e_orb(entry.degree, entry.singularities)
@@ -342,3 +417,24 @@ class TestDelPezzoCatalog:
                 assert total == 9
             else:
                 assert total == 9 - entry.degree
+
+    def test_singularities_span_a_full_rank_sublattice_except_rows_12_and_17(self):
+        # In degree d <= 7, K-perp in the minimal resolution is the root
+        # lattice E_{9-d} of determinant d, so the singularities' lattice L
+        # must have rank 9 - d and, as det L = d [E_{9-d} : L]^2, det(L)/d a
+        # square.  Row 17 (E7+A2, degree 1) has rank 9; row 12 (D4+A3,
+        # degree 2) has det 16, and 16/2 = 8 is no square, so D4+A3 does not
+        # sit in E7.  In degree 8 the resolution is F_2, whose K-perp is
+        # spanned by its (-2)-curve: row 1's A_1 itself.
+        failing = set()
+        for entry in delpezzo_catalog():
+            if entry.degree == 8:
+                assert entry.singularities == (DuValType("A", 1),), entry
+                continue
+            rank = sum(t.curve_count for t in entry.singularities)
+            det = abs(prod(kernel_det(intersection_matrix(duval_graph(t)))
+                           for t in entry.singularities))
+            quotient, rest = divmod(det, entry.degree)
+            if rank != 9 - entry.degree or rest or isqrt(quotient) ** 2 != quotient:
+                failing.add(entry.row)
+        assert failing == {12, 17}
