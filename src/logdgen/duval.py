@@ -74,15 +74,12 @@ def duval_order(t: DuValType) -> int:
     return _order(t.family, t.index)
 
 
-_E_ORDERS = {6: 24, 7: 48, 8: 120}
-
-
 def _order(family: str, index: int) -> int:
     if family == "A":
         return index + 1
     if family == "D":
         return 4 * (index - 2)
-    return _E_ORDERS[index]
+    return {6: 24, 7: 48, 8: 120}[index]
 
 
 def exceptional_euler(t: DuValType) -> int:

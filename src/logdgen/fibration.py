@@ -159,8 +159,9 @@ SECTION_ONLY = "SECTION_ONLY"
 # on the fibres (4 for a degree-2 horizontal curve, 2 per section), the generic
 # fibre, and each fibre kind the profile can exhibit, with the boundary degree
 # that the fibre deposits on the horizontal floor curve(s) and whether a
-# degree-2 horizontal curve ramifies over it.  A row (mult, scale, ramified)
-# deposits mult * (scale*b - 1)/(scale*b), or mult when b is INFINITY.
+# degree-2 horizontal curve ramifies over it.  A row (contacts, scale, ramified)
+# meets the floor in that many contacts, each depositing (scale*b - 1)/(scale*b),
+# or 1 when b is INFINITY.
 # One floor contact (kinds I-*) needs a multiplicity-2 central curve to host a
 # bisection, so I-2 and II-3 belong to the bisection; I-1, I-3 and II-2 carry
 # half-boundary marks and ride over a single section; two sections see only
@@ -186,7 +187,7 @@ PROFILES = tuple(_PROFILE_TABLE)
 
 
 def _profile(profile: str):
-    """The profile's row: (budget, generic fibre, {kind: (mult, scale, ramified)})."""
+    """The profile's row: (budget, generic fibre, {kind: (contacts, scale, ramified)})."""
     try:
         return _PROFILE_TABLE[profile]
     except (KeyError, TypeError):  # TypeError: an unhashable profile
@@ -284,22 +285,21 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     budget, generic, kinds = _profile(profile)
     if rec.generic != generic:
         return False
-    # The floor degree is whole - sum mult/d over the finite parameters d =
-    # scale*b, and the spend is len(orders) - sum 1/n over the quotient
+    # The floor degree is whole - sum 1/d over the contacts with a finite
+    # d = scale*b, and the spend is len(orders) - sum 1/n over the quotient
     # points; both fractional sums are kept as integers over an lcm.
     ramified = whole = 0
-    mults, dens, orders = [], [], []
+    dens, orders = [], []
     for label in rec.special:
         row = kinds.get(label.kind)
         if row is None or label == generic:
             return False
-        mult, scale, ramifies = row
+        contacts, scale, ramifies = row
         ramified += ramifies
         orders += _POINT_ORDERS[label.kind](label.k)
-        whole += mult
+        whole += contacts
         if label.b != INFINITY:
-            mults.append(mult)
-            dens.append(scale * label.b)
+            dens += [scale * label.b] * contacts
 
     try:
         cover_euler = hurwitz_double_cover_euler(ramified)
@@ -309,7 +309,7 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     if (len(orders) - budget) * lcm > sum(lcm // n for n in orders):
         return False
     lcm = math.lcm(*dens)
-    fraction = sum(m * (lcm // d) for m, d in zip(mults, dens))
+    fraction = sum(lcm // d for d in dens)
     if profile == BISECTION:
         # adjunction on the normalized bisection: its Euler number splits
         # into floor boundary degree plus 2 per node, at most one node

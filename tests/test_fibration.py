@@ -408,6 +408,6 @@ def test_floor_weights_agree_with_the_hand_profiles(profile):
                 except ValueError:
                     assert kind not in kinds
                     continue
-                mult, scale, _ = kinds[kind]
-                got = Rational(mult) if b == INFINITY else Rational(mult * (scale * b - 1), scale * b)
+                contacts, scale, _ = kinds[kind]
+                got = contacts * (Rational(1) if b == INFINITY else Rational(scale * b - 1, scale * b))
                 assert got == want, label
