@@ -31,9 +31,9 @@ class FibreInvariants(Record):
     _fields = ("ell", "mu", "b", "s")
 
     def __init__(self, ell: int, mu: Rational, b: int, s: Rational) -> None:
-        if ell < 1:
+        if type(ell) is not int or ell < 1:
             raise ValueError(f"ell must be a positive integer, got {ell}")
-        if b < 1:
+        if type(b) is not int or b < 1:
             raise ValueError(f"b must be a positive integer, got {b}")
         mu, s = Rational(mu), Rational(s)
         if mu < 0:
@@ -53,11 +53,11 @@ class PrimitiveVector(Record):
     def __init__(self, kind: str, r: int, a: tuple[int, int, int]) -> None:
         if kind not in (V1, V2):
             raise ValueError(f"kind must be V1 or V2, got {kind!r}")
-        if r < 1:
+        if type(r) is not int or r < 1:
             raise ValueError(f"index r must be positive, got {r}")
-        a = tuple(int(x) for x in a)
-        if len(a) != 3:
-            raise ValueError("a must be a triple")
+        a = tuple(a)
+        if len(a) != 3 or any(type(x) is not int for x in a):
+            raise ValueError(f"a must be a triple of integers, got {a}")
         if any(not 0 <= x < r for x in a):
             raise ValueError(f"entries of {a} must lie in [0, {r})")
         if sum(a) >= r:

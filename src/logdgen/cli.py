@@ -8,7 +8,7 @@ Each command imports the package modules it computes with, and ``json`` when
 it reads or writes JSON, in its own body, so that a short run does not pay
 for compiling and loading the others: ``tables`` loads ``tables``, and
 ``graph`` loads the recognizers of ``dualgraph`` only for ``recognize``.
-``_run`` alone sets a report's status.
+``_run`` alone builds a report, once its results and status are known.
 
 A plainly written command line is parsed without loading ``argparse`` (and
 the ``gettext`` and ``locale`` it loads): the command word, for ``cbf`` the
@@ -35,17 +35,12 @@ EXIT_DOMAIN = 1
 
 
 class Report(Record):
-    """What every non-table command emits; filled in as the command runs."""
+    """What every non-table command emits."""
 
     _fields = ("command", "inputs", "results", "status")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, command: str, inputs: dict, results: list | None = None,
-                 status: str = "OK") -> None:
-        self.__dict__.update(command=command, inputs=inputs,
-                             results=[] if results is None else results, status=status)
+    def __init__(self, command: str, inputs: dict, results: list, status: str) -> None:
+        self.__dict__.update(command=command, inputs=inputs, results=results, status=status)
 
     def to_json(self) -> dict:
         return dict(self.__dict__)  # the fields in order; json writes each pair as an array
@@ -77,18 +72,19 @@ def _run(args, inputs: dict, read, compute, invalid: str = "DomainError",
          failed: str = "DomainError") -> int:
     """Emit the report of ``compute(read(the JSON object in args.file))``, or of
     the error that stopped it; ``read`` is None when the command line holds every input."""
-    report = Report(args.command, inputs)
+    results, status = [], "OK"
     try:
         data = read(_read_json_file(args.file)) if read else None
     except (KeyError, TypeError, ParseError) as exc:
-        report.status = f"ParseError: {exc}"
+        status = f"ParseError: {exc}"
     except ValueError as exc:
-        report.status = f"{invalid}: {exc}"
+        status = f"{invalid}: {exc}"
     else:
         try:
-            report.results = compute(data)
+            results = compute(data)
         except ValueError as exc:
-            report.status = f"{failed}: {exc}"
+            status = f"{failed}: {exc}"
+    report = Report(args.command, inputs, results, status)
     if args.format == "json":
         import json
         print(json.dumps(report.to_json(), indent=2))

@@ -4,12 +4,12 @@ Every coefficient in the toolkit is a ``fractions.Fraction`` (re-exported as
 ``Rational``); nothing here or downstream touches floating point.  The module
 holds the standard coefficients (b-1)/b, the boundary-multiset enumerator, the
 strict JSON readers and rational parser, the ``Record`` base of the package's
-value types, and the fibre-type labels ``KodairaLabel`` (with its Euler
-number ``classical_euler``) and ``FibreTypeLabel``, kept here so that the
-coefficient, height and fibration modules load no graph code.  Every CLI
-command loads this module, so code that only one module uses lives there:
-the germ calculus (different multiplicity m_p and extraction coefficients)
-is in ``fibration``.
+value types, the quotient defect sum(1 - 1/o), and the fibre-type labels
+``KodairaLabel`` (with ``classical_euler`` and ``component_count``) and
+``FibreTypeLabel``, kept here so that the coefficient, height and fibration
+modules load no graph code.  Every CLI command loads this module, so code
+that only one module uses lives there: the germ calculus (different
+multiplicity m_p and extraction coefficients) is in ``fibration``.
 """
 import math
 import re
@@ -109,8 +109,7 @@ class Record:
     ``self.__dict__.update``.  Record gives equality between instances of one
     class with equal fields, the hash of the field tuple, the
     ``Name(field=value, ...)`` repr, and AttributeError on assignment or
-    deletion (``cli.Report`` alone turns assignment back on, and so has no
-    hash).  The standard library generates such classes too, but importing
+    deletion.  The standard library generates such classes too, but importing
     that module (with ``inspect``) and generating each class's methods cost a
     short CLI run about 20 ms, more than most commands compute.
     """
@@ -190,11 +189,16 @@ def enumerate_boundary_multisets(
 # Fibre-type labels, shared by the graph, coefficient, height and fibration modules.
 
 
+# The Kodaira kinds without a parameter: the Euler number of the fibre and its
+# number of simple (multiplicity-one) components.
+PLAIN_KODAIRA = {"II": (2, 1), "III": (3, 2), "IV": (4, 3), "II*": (10, 1), "III*": (9, 2),
+                 "IV*": (8, 3), "SMOOTH": (0, 1)}
+
+
 class KodairaLabel(Record):
     """A Kodaira fibre type: I_b (b>=1), I*_b (b>=0), II..IV*, or SMOOTH."""
 
     _fields = ("kind", "b")
-    _PLAIN = ("II", "III", "IV", "II*", "III*", "IV*", "SMOOTH")
 
     def __init__(self, kind: str, b: int | None = None) -> None:
         if kind == "I":
@@ -203,7 +207,7 @@ class KodairaLabel(Record):
         elif kind == "I*":
             if type(b) is not int or b < 0:
                 raise ValueError("I*_b needs b >= 0")
-        elif kind in self._PLAIN:
+        elif kind in PLAIN_KODAIRA:
             if b is not None:
                 raise ValueError(f"{kind} takes no parameter")
         else:
@@ -229,12 +233,38 @@ class KodairaLabel(Record):
 
 def classical_euler(label: KodairaLabel) -> int:
     """Topological Euler number of the fibre, by type."""
-    table = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10, "SMOOTH": 0}
     if label.kind == "I":
         return label.b
     if label.kind == "I*":
         return label.b + 6
-    return table[label.kind]
+    return PLAIN_KODAIRA[label.kind][0]
+
+
+def component_count(label: KodairaLabel) -> int:
+    """Number of irreducible components of the fibre type.
+
+    From the Euler number e(F) (Kodaira): b = e(F) for I_b, one for SMOOTH,
+    and e(F) - 1 for every additive type.
+    """
+    if label.kind == "SMOOTH":
+        return 1
+    if label.kind == "I":
+        return label.b
+    return classical_euler(label) - 1
+
+
+def quotient_defect(orders) -> tuple[int, int]:
+    """The defect sum(1 - 1/o) of quotient points of local group orders o,
+    as an integer numerator over the lcm of the orders.
+
+    >>> quotient_defect([2, 3]), quotient_defect([])
+    ((7, 6), (0, 1))
+    """
+    orders = list(orders)
+    if any(o < 1 for o in orders):
+        raise ValueError("local group orders must be positive")
+    lcm = math.lcm(*orders)
+    return len(orders) * lcm - sum(lcm // o for o in orders), lcm
 
 
 class FibreTypeLabel(Record):

@@ -17,8 +17,8 @@ from collections import Counter
 from functools import lru_cache
 from fractions import Fraction as Rational
 
-from .core import (INFINITY, FibreTypeLabel, KodairaLabel, doubled_standard_coeff,
-                   standard_coeff)
+from .core import (INFINITY, PLAIN_KODAIRA, FibreTypeLabel, KodairaLabel, component_count,
+                   doubled_standard_coeff, standard_coeff)
 from .duval import DuValType
 from .graph import EXCEPTIONAL, FIBRE, STRICT, CurveVertex, DualGraph
 # The solvers and the reader, under the names callers import from this module.
@@ -367,17 +367,10 @@ def recognize_kodaira(g: DualGraph):
                         seen.add(u)
                         frontier.append(u)
             return KodairaLabel("I", n) if len(seen) == n else UNRECOGNIZED
-    candidates = []
-    if n >= 5:
-        candidates.append(KodairaLabel("I*", n - 5))
-    if n == 7:
-        candidates.append(KodairaLabel("IV*"))
-    if n == 8:
-        candidates.append(KodairaLabel("III*"))
-    if n == 9:
-        candidates.append(KodairaLabel("II*"))
-    for label in candidates:
-        if _isomorphic(g, kodaira_graph(label), _kodaira_key):
+    starred = [KodairaLabel("I*", n - 5)] if n >= 5 else []
+    starred += (KodairaLabel(kind) for kind in PLAIN_KODAIRA if kind.endswith("*"))
+    for label in starred:
+        if component_count(label) == n and _isomorphic(g, kodaira_graph(label), _kodaira_key):
             return label
     return UNRECOGNIZED
 

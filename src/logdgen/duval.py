@@ -10,11 +10,10 @@ the 27 rank-one Gorenstein log del Pezzo surfaces with their orbifold Euler
 numbers.
 """
 
-import math
 from fractions import Fraction as Rational
 from functools import total_ordering
 
-from .core import Record
+from .core import Record, quotient_defect
 
 # Marker for the index-1 case (canonical cover is the germ itself).
 GORENSTEIN = 0
@@ -305,10 +304,7 @@ def recompute_e_orb(degree: int, singularities: tuple[DuValType, ...]) -> Ration
     corrections 1 - 1/o_p gives
 
         e_orb = (12 - degree - sum curve_count) - sum (1 - 1/o_p).
-
-    The 1/o_p terms are added as integers over the lcm of the orders.
     """
-    orders = [duval_order(t) for t in singularities]
-    den = math.lcm(*orders)
-    whole = 12 - degree - sum(t.curve_count for t in singularities) - len(orders)
-    return Rational(whole * den + sum(den // o for o in orders), den)
+    defect, lcm = quotient_defect(duval_order(t) for t in singularities)
+    whole = 12 - degree - sum(t.curve_count for t in singularities)
+    return Rational(whole * lcm - defect, lcm)

@@ -14,7 +14,7 @@ is constructed.
 from fractions import Fraction as Rational
 from math import gcd
 
-from .core import Record
+from .core import Record, quotient_defect
 
 
 class FibreComponentData(Record):
@@ -24,7 +24,7 @@ class FibreComponentData(Record):
     _fields = ("m", "e_orb", "deltas")
 
     def __init__(self, m: int, e_orb: Rational, deltas: tuple[Rational, ...] = ()) -> None:
-        if m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError(f"multiplicity must be positive, got {m}")
         e_orb = Rational(e_orb)
         deltas = tuple(Rational(d) for d in deltas)
@@ -48,15 +48,14 @@ class ChiInput(Record):
                  total_D_cubed: Rational = Rational(0), total_D_sq_K: Rational = Rational(0),
                  corrections: tuple[tuple[int, tuple[Rational, ...]], ...] = ()) -> None:
         comps = tuple(
-            (int(m), Rational(chi), Rational(d3), Rational(d2k))
-            for (m, chi, d3, d2k) in components
+            (m, Rational(chi), Rational(d3), Rational(d2k)) for (m, chi, d3, d2k) in components
         )
         if not comps:
             raise ValueError("a divisor needs at least one component")
-        if any(m < 1 for (m, _, _, _) in comps):
+        corr = tuple((m, tuple(Rational(c) for c in cs)) for (m, cs) in corrections)
+        if any(type(m) is not int or m < 1 for (m, *_) in comps + corr):
             raise ValueError("multiplicities must be positive")
         total_D_cubed, total_D_sq_K = Rational(total_D_cubed), Rational(total_D_sq_K)
-        corr = tuple((int(m), tuple(Rational(c) for c in cs)) for (m, cs) in corrections)
         self.__dict__.update(components=comps, total_D_cubed=total_D_cubed,
                              total_D_sq_K=total_D_sq_K, corrections=corr)
 
@@ -69,12 +68,8 @@ def orbifold_euler(e_top: int, orders) -> Rational:
     >>> orbifold_euler(3, [3, 3, 3])
     Fraction(1, 1)
     """
-    orders = list(orders)
-    if any(o < 1 for o in orders):
-        raise ValueError("local group orders must be positive")
-    return Rational(e_top) - sum(
-        (1 - Rational(1, o) for o in orders), Rational(0)
-    )
+    defect, lcm = quotient_defect(orders)
+    return Rational(e_top * lcm - defect, lcm)
 
 
 def _check_cyclic(r: int, a: int) -> None:

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from fractions import Fraction as Rational
 
-from .core import INFINITY, NOT_LC, FibreTypeLabel, Record, standard_coeff
+from .core import INFINITY, NOT_LC, FibreTypeLabel, Record, quotient_defect, standard_coeff
 
 # ---------------------------------------------------------------------------
 # The germ calculus: the different multiplicity m_p of a curve germ inside a
@@ -51,12 +51,12 @@ class GermBoundaryData(Record):
 
     def __init__(self, n: int, k: dict[int, int] | None = None) -> None:
         k = {} if k is None else k
-        if n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"cyclic order n must be >= 1, got {n}")
         for b, count in k.items():
-            if b < 2:
+            if type(b) is not int or b < 2:
                 raise ValueError(f"boundary parameter b must be >= 2, got {b}")
-            if count < 0:
+            if type(count) is not int or count < 0:
                 raise ValueError(f"branch count k_{b} must be >= 0, got {count}")
         self.__dict__.update(n=n, k=k)
 
@@ -228,7 +228,7 @@ class TypRecord(Record):
 
 # The orders of the cyclic quotient points on each fibre kind, given the
 # chain length k of a (II-3)_{b,k} fibre.  A point of order n spends m_p of a
-# bare germ there, standard_coeff(n) = (n-1)/n.
+# bare germ there, (n-1)/n = 1 - 1/n.
 _POINT_ORDERS = {
     "I-1": lambda k: (), "I-2": lambda k: (2, 2), "I-3": lambda k: (2,),
     "II-1": lambda k: (), "II-2": lambda k: (), "II-3": lambda k: (4 * k,),
@@ -249,7 +249,7 @@ def budget_contribution(label: FibreTypeLabel) -> Rational:
     """
     if not isinstance(label, FibreTypeLabel):
         raise ValueError(f"unsupported fibre type label {label!r}")
-    return sum(map(standard_coeff, _POINT_ORDERS[label.kind](label.k)), Rational(0))
+    return Rational(*quotient_defect(_POINT_ORDERS[label.kind](label.k)))
 
 
 def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
@@ -286,8 +286,8 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     if rec.generic != generic:
         return False
     # The floor degree is whole - sum 1/d over the contacts with a finite
-    # d = scale*b, and the spend is len(orders) - sum 1/n over the quotient
-    # points; both fractional sums are kept as integers over an lcm.
+    # d = scale*b, and the spend is the quotient defect of the points; both
+    # are kept as integers over an lcm.
     ramified = whole = 0
     dens, orders = [], []
     for label in rec.special:
@@ -305,8 +305,8 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
         cover_euler = hurwitz_double_cover_euler(ramified)
     except ValueError:
         return False
-    lcm = math.lcm(*orders)
-    if (len(orders) - budget) * lcm > sum(lcm // n for n in orders):
+    spent, lcm = quotient_defect(orders)
+    if spent > budget * lcm:
         return False
     lcm = math.lcm(*dens)
     fraction = sum(lcm // d for d in dens)

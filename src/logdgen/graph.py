@@ -47,9 +47,11 @@ class CurveVertex(Record):
 
     def __init__(self, id: str, self_int: int, genus: int = 0, multiplicity: int = 1,
                  boundary_coeff: Rational = Rational(0), role: str = EXCEPTIONAL) -> None:
-        if genus < 0:
+        if type(self_int) is not int:
+            raise ValueError(f"self-intersection must be an integer, got {self_int!r}")
+        if type(genus) is not int or genus < 0:
             raise ValueError(f"genus must be >= 0, got {genus}")
-        if multiplicity < 1:
+        if type(multiplicity) is not int or multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
         coeff = Rational(boundary_coeff)
         if not 0 <= coeff <= 1:
@@ -136,9 +138,6 @@ class DualGraph:
         key = (min(a, b), max(a, b))
         return tuple(sorted(w for (x, y, w) in self.edges if (x, y) == key))
 
-    def pair_weight(self, a: str, b: str) -> int:
-        return sum(self.entries(a, b))
-
     def neighbors(self, vid: str) -> tuple[str, ...]:
         out = {y if x == vid else x for (x, y, w) in self.edges if vid in (x, y)}
         return tuple(sorted(out))
@@ -179,20 +178,25 @@ class DualGraph:
 def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     """Intersection matrix of the named curves, in the given order.
 
-    Diagonal entries are the recorded self-intersections; off-diagonal
-    entries are total intersection numbers (sums of entry weights).
+    A cell pairing a curve with itself (a repeated id too) holds its recorded
+    self-intersection; every other cell holds the total intersection number
+    (the sum of entry weights), all added up in one pass over the edges.
 
     >>> a2 = DualGraph([CurveVertex("E1", -2), CurveVertex("E2", -2)], [("E1", "E2")])
     >>> intersection_matrix(a2)
     [[-2, 1], [1, -2]]
     """
     ids = list(subset) if subset is not None else list(g.ids())
-    for vid in ids:
-        g.vertex(vid)
-    return [
-        [g.vertex(a).self_int if a == b else g.pair_weight(a, b) for b in ids]
-        for a in ids
-    ]
+    rows = {}
+    for i, vid in enumerate(ids):
+        rows.setdefault(vid, []).append(i)
+    m = [[g.vertex(a).self_int if a == b else 0 for b in ids] for a in ids]
+    for a, b, w in g.edges:
+        for i in rows.get(a, ()):
+            for j in rows.get(b, ()):
+                m[i][j] += w
+                m[j][i] += w
+    return m
 
 
 def _eliminate(m, rhs=None):
@@ -302,15 +306,13 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
             raise ValueError(f"exceptional curve {v.id!r} must be smooth (no self-tangency)")
     ids = [v.id for v in exc]
     m = intersection_matrix(g, ids)
-    others = [v for v in g.vertices if v.role != EXCEPTIONAL]
-    rhs = []
-    for v in exc:
-        boundary_hit = sum(
-            (c.boundary_coeff * g.pair_weight(c.id, v.id) for c in others),
-            Rational(0),
-        )
-        rhs.append(Rational(2 + v.self_int) - boundary_hit)
-    pivots, swaps, rows = _eliminate(m, rhs)
+    # The boundary term, sum_C coeff(C) * C.E_j, in one pass over the edges.
+    rhs = {v.id: Rational(2 + v.self_int) for v in exc}
+    for a, b, w in g.edges:
+        if (a in rhs) != (b in rhs):
+            e, c = (a, b) if a in rhs else (b, a)
+            rhs[e] -= g.vertex(c).boundary_coeff * w
+    pivots, swaps, rows = _eliminate(m, list(rhs.values()))
     if not _negative_pivots(pivots, swaps, len(ids)):
         raise ValueError("singular system (not negative definite)")
     return {vid: row[-1] / pivot for vid, row, pivot in zip(ids, rows, pivots)}

@@ -13,33 +13,16 @@ from collections import Counter
 from fractions import Fraction as Rational
 from math import lcm
 
-from .core import KodairaLabel, Record, classical_euler
+from .core import PLAIN_KODAIRA, KodairaLabel, Record, component_count
 
 # Most (P.O) values, simple components over all fibres, partial sums
 # computed, or configurations returned that solve_section_config allows.
 MAX_SECTION_CANDIDATES = 100_000
 
-# Fibre types of fixed shape with more than one simple component: how many,
-# and the correction on the diagonal; off the diagonal it is half of that.
-_FIXED = {
-    "III": (2, Rational(1, 2)),
-    "IV": (3, Rational(2, 3)),
-    "III*": (2, Rational(3, 2)),
-    "IV*": (3, Rational(4, 3)),
-}
-
-
-def component_count(label: KodairaLabel) -> int:
-    """Number of irreducible components of the fibre type.
-
-    From the Euler number e(F) (Kodaira): b = e(F) for I_b, one for SMOOTH,
-    and e(F) - 1 for every additive type.
-    """
-    if label.kind == "SMOOTH":
-        return 1
-    if label.kind == "I":
-        return label.b
-    return classical_euler(label) - 1
+# Fibre types of fixed shape with more than one simple component: the
+# correction on the diagonal; off the diagonal it is half of that.
+_DIAGONAL = {"III": Rational(1, 2), "IV": Rational(2, 3), "III*": Rational(3, 2),
+             "IV*": Rational(4, 3)}
 
 
 def _simple_count(label: KodairaLabel) -> int:
@@ -47,7 +30,7 @@ def _simple_count(label: KodairaLabel) -> int:
         return label.b
     if label.kind == "I*":
         return 4
-    return _FIXED.get(label.kind, (1,))[0]
+    return PLAIN_KODAIRA[label.kind][1]
 
 
 def component_choices(label: KodairaLabel) -> tuple[int, ...]:
@@ -83,7 +66,7 @@ def pair_contribution(fibre: KodairaLabel, i: int, j: int) -> Rational:
     if fibre.kind == "I*":
         far = Rational(fibre.b, 4) if i > 1 else 0  # i > 1: both components are far
         return (Rational(1) if i == j else Rational(1, 2)) + far
-    diagonal = _FIXED[fibre.kind][1]
+    diagonal = _DIAGONAL[fibre.kind]
     return diagonal if i == j else diagonal / 2
 
 
@@ -104,9 +87,12 @@ class SectionConfig(Record):
     _fields = ("po", "hits")
 
     def __init__(self, po: int, hits: tuple[int, ...]) -> None:
-        if po < 0:
+        hits = tuple(hits)
+        if type(po) is not int or po < 0:
             raise ValueError(f"(P.O) must be non-negative, got {po}")
-        self.__dict__.update(po=po, hits=tuple(hits))
+        if any(type(i) is not int or i < 0 for i in hits):
+            raise ValueError(f"component indices must be non-negative integers, got {hits}")
+        self.__dict__.update(po=po, hits=hits)
 
 
 def height_self(chi: int, po: int, contribs) -> Rational:

@@ -23,7 +23,8 @@ from logdgen.cli import main
 from logdgen.core import MAX_LITERAL_DIGITS
 from logdgen.dualgraph import half_catalog_graph, half_catalog_label
 from test_core import replace
-from test_dualgraph import ORACLE_CATALOGS, graph_to_json, renamed, renaming
+from test_dualgraph import (ORACLE_CATALOGS, exceptional_chain_and_strict_chain, graph_to_json, renamed,
+                            renaming)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -201,6 +202,17 @@ class TestGraph:
         code, out, _ = run(capsys, "graph", path, "recognize")
         assert code == 0
         assert tsv_pairs(out)["duval"] == "A_5000"
+
+    def test_wide_pullback_system_answers_at_once(self, capsys, tmp_path):
+        # 10 exceptional and 16000 strict curves; reading the boundary term one
+        # pair of curves at a time, each by an edge scan, ran past 60 s
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(graph_to_json(exceptional_chain_and_strict_chain(10, 16_000))))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "graph", path, "discrepancies")
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert tsv_pairs(out) == {f"E{i}": str(Rational(i + 1, 22)) for i in range(10)}
 
     @pytest.mark.parametrize("family", ["D-alpha", "beta", "D-epsilon", "delta"])
     def test_renamed_long_half_catalog_member_recognized_at_once(self, capsys, tmp_path, family):

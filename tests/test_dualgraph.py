@@ -49,6 +49,7 @@ from logdgen.graph import (
     CurveVertex,
     DualGraph,
     _eliminate,
+    _negative_pivots,
     blow_down,
     classify_pair,
     graph_from_json,
@@ -92,6 +93,33 @@ def minor_rank(m):
 
 def exc(vid, s):
     return CurveVertex(vid, s)
+
+
+# The intersection matrix and the pullback system read one pair of curves at
+# a time, each pair by a scan of the whole edge list: the oracles for the
+# one-pass builds.
+
+def pair_weight(g, a, b):
+    return sum(g.entries(a, b))
+
+
+def per_pair_intersection_matrix(g, subset=None):
+    ids = list(subset) if subset is not None else list(g.ids())
+    for vid in ids:
+        g.vertex(vid)
+    return [[g.vertex(a).self_int if a == b else pair_weight(g, a, b) for b in ids] for a in ids]
+
+
+def per_pair_pullback_coefficients(g):
+    exc_curves = g.by_role(EXCEPTIONAL)
+    ids = [v.id for v in exc_curves]
+    others = [v for v in g.vertices if v.role != EXCEPTIONAL]
+    rhs = [2 + v.self_int - sum((c.boundary_coeff * pair_weight(g, c.id, v.id) for c in others), F(0))
+           for v in exc_curves]
+    pivots, swaps, rows = _eliminate(per_pair_intersection_matrix(g, ids), rhs)
+    if not _negative_pivots(pivots, swaps, len(ids)):
+        raise ValueError("singular system (not negative definite)")
+    return {vid: row[-1] / pivot for vid, row, pivot in zip(ids, rows, pivots)}
 
 
 def strict(vid, coeff, s=0):
@@ -159,6 +187,15 @@ class TestIntersectionMatrix:
         g = duval_graph(DuValType("A", 3))
         m = intersection_matrix(g, ["E3", "E1"])
         assert m == [[-2, 0], [0, -2]]
+
+    def test_a_repeated_id_pairs_the_curve_with_itself(self):
+        g = duval_graph(DuValType("A", 2))
+        assert intersection_matrix(g, ["E1", "E1"]) == [[-2, -2], [-2, -2]]
+        assert intersection_matrix(g, ["E1", "E2", "E1"]) == [[-2, 1, -2], [1, -2, 1], [-2, 1, -2]]
+
+    def test_unknown_id_refused(self):
+        with pytest.raises(ValueError, match="unknown vertex id 'X'"):
+            intersection_matrix(duval_graph(DuValType("A", 2)), ["E1", "X"])
 
     def test_negative_definite(self):
         assert is_negative_definite([[-2, 1], [1, -2]])
@@ -278,8 +315,48 @@ def test_pullback_solution_satisfies_the_system(g):
     a = pullback_coefficients(g)
     for j, vid in enumerate(ids):
         rhs = 2 + g.vertex(vid).self_int - sum(
-            c.boundary_coeff * g.pair_weight(c.id, vid) for c in g.by_role(STRICT))
+            c.boundary_coeff * pair_weight(g, c.id, vid) for c in g.by_role(STRICT))
         assert sum(a[ids[i]] * m[i][j] for i in range(len(ids))) == rhs
+
+
+@st.composite
+def mixed_graphs(draw):
+    """A graph of exceptional, strict and fibre curves, with multi-edges,
+    tangencies and coincident groups, and a list of its ids that may repeat."""
+    vertices = [exc(f"E{i}", draw(st.integers(-5, -1))) for i in range(draw(st.integers(0, 4)))]
+    for role in (STRICT, FIBRE):
+        vertices += [CurveVertex(f"{role[0]}{i}", draw(st.integers(-3, 1)), role=role,
+                                 boundary_coeff=F(draw(st.sampled_from(["0", "1/3", "1/2", "1"]))))
+                     for i in range(draw(st.integers(0, 3)))]
+    ids = [v.id for v in vertices]
+    if not ids:
+        return DualGraph([]), []
+    pairs = list(combinations(ids, 2))
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 3)), max_size=10)
+                 if pairs else st.just([]))
+    tangency = draw(st.dictionaries(st.sampled_from(ids), st.integers(0, 2), max_size=2))
+    coincident = [draw(st.permutations(ids))[:3]] if len(ids) >= 3 and draw(st.booleans()) else []
+    g = DualGraph(vertices, [(a, b, w) for (a, b), w in edges], tangency, coincident)
+    return g, draw(st.lists(st.sampled_from(ids), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs())
+def test_one_pass_builds_agree_with_the_per_pair_oracles(case):
+    g, subset = case
+    assert intersection_matrix(g) == per_pair_intersection_matrix(g)
+    assert intersection_matrix(g, subset) == per_pair_intersection_matrix(g, subset)
+    if any(g.tangency.get(v.id) for v in g.by_role(EXCEPTIONAL)):
+        with pytest.raises(ValueError, match="must be smooth"):
+            pullback_coefficients(g)
+        return
+    try:
+        expected = per_pair_pullback_coefficients(g)
+    except ValueError:
+        with pytest.raises(ValueError, match="not negative definite"):
+            pullback_coefficients(g)
+    else:
+        assert pullback_coefficients(g) == expected
 
 
 class TestClassify:
@@ -334,7 +411,7 @@ class TestBlowDown:
         assert h.coincident == (("B1", "E2", "E4"),)
         assert h.vertex("E2").self_int == -1
         assert h.vertex("E4").self_int == -3
-        assert h.pair_weight("E2", "E4") == 1
+        assert h.entries("E2", "E4") == (1,)
 
     def test_two_point_contraction_joins_neighbors(self):
         g = half_catalog_graph("delta", 1)  # (-3)-(-2)-(-3)
@@ -1072,7 +1149,7 @@ class TestJson:
         })
         assert g.vertex("E").role == EXCEPTIONAL
         assert g.vertex("C").boundary_coeff == F(1, 2)
-        assert g.pair_weight("E", "C") == 1
+        assert g.entries("E", "C") == (1,)
 
 
 def test_solvers_and_reader_keep_their_dualgraph_names():
@@ -1087,6 +1164,17 @@ def test_solvers_and_reader_keep_their_dualgraph_names():
 # call on 4n vertices may cost at most about 4.4 times one on n.  The cost is
 # the number of sys.settrace events, which repeats from run to run where a
 # timing would not.  Starred Kodaira types still backtrack, so they get no row.
+
+
+def exceptional_chain_and_strict_chain(exceptional: int, strict_count: int) -> DualGraph:
+    """A chain of (-2)-curves, its last curve meeting the first of a chain of
+    half-boundary strict curves."""
+    vertices = [exc(f"E{i}", -2) for i in range(exceptional)]
+    vertices += [strict(f"C{i}", F(1, 2)) for i in range(strict_count)]
+    edges = [(f"E{i}", f"E{i + 1}") for i in range(exceptional - 1)]
+    edges += [(f"C{i}", f"C{i + 1}") for i in range(strict_count - 1)]
+    return DualGraph(vertices, edges + [(f"E{exceptional - 1}", "C0")])
+
 
 GROWTH_CASES = {
     "graph_from_json_A_n": (lambda n: graph_to_json(duval_graph(DuValType("A", n))),
@@ -1107,6 +1195,10 @@ GROWTH_CASES = {
         lambda n: (TypRecord((FibreTypeLabel("I-2", 1),) * 2 + (FibreTypeLabel("II-1", 2),) * (n - 2),
                              FibreTypeLabel("II-1", 1)), BISECTION),
         lambda args: check_typ(*args)),
+    # the exceptional chain stays at ten curves: the Fraction elimination of a
+    # 100-curve chain is 3.8e7 events by itself, which would hide the growth
+    "pullback_coefficients_strict_n": (lambda n: exceptional_chain_and_strict_chain(10, n),
+                                       pullback_coefficients),
 }
 
 

@@ -162,7 +162,10 @@ class TestComponentBookkeeping:
         labels = [lab(kind) for kind in ("II", "III", "IV", "II*", "III*", "IV*", "SMOOTH")]
         labels += [lab("I", b) for b in range(1, 31)] + [lab("I*", b) for b in range(31)]
         for label in labels:
-            assert component_count(label) == len(kodaira_graph(label).vertices), label
+            vertices = kodaira_graph(label).vertices
+            assert component_count(label) == len(vertices), label
+            simple = sum(v.multiplicity == 1 for v in vertices)
+            assert len(component_choices(label)) == simple, label
 
     def test_choices(self):
         assert component_choices(lab("I", 4)) == (0, 1, 2, 3)
