@@ -261,7 +261,7 @@ def quotient_defect(orders) -> tuple[int, int]:
     ((7, 6), (0, 1))
     """
     orders = list(orders)
-    if any(o < 1 for o in orders):
+    if min(orders, default=1) < 1:
         raise ValueError("local group orders must be positive")
     lcm = math.lcm(*orders)
     return len(orders) * lcm - sum(lcm // o for o in orders), lcm

@@ -285,10 +285,10 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     budget, generic, kinds = _profile(profile)
     if rec.generic != generic:
         return False
-    # The floor degree is whole - sum 1/d over the contacts with a finite
-    # d = scale*b, and the spend is the quotient defect of the points; both
-    # are kept as integers over an lcm.
-    ramified = whole = 0
+    # The floor degree is 1 per contact with b = INFINITY plus the quotient
+    # defect of the other contacts' d = scale*b, and the spend is the quotient
+    # defect of the points; both are kept as integers over an lcm.
+    ramified = reduced = 0
     dens, orders = [], []
     for label in rec.special:
         row = kinds.get(label.kind)
@@ -297,8 +297,9 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
         contacts, scale, ramifies = row
         ramified += ramifies
         orders += _POINT_ORDERS[label.kind](label.k)
-        whole += contacts
-        if label.b != INFINITY:
+        if label.b == INFINITY:
+            reduced += contacts
+        else:
             dens += [scale * label.b] * contacts
 
     try:
@@ -308,8 +309,7 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     spent, lcm = quotient_defect(orders)
     if spent > budget * lcm:
         return False
-    lcm = math.lcm(*dens)
-    fraction = sum(lcm // d for d in dens)
+    degree, lcm = quotient_defect(dens)
     if profile == BISECTION:
         # adjunction on the normalized bisection: its Euler number splits
         # into floor boundary degree plus 2 per node, at most one node
@@ -317,4 +317,4 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     else:
         # sections are smooth copies of the base: rational or elliptic
         closed = (0, 2)
-    return fraction in ((whole - floor) * lcm for floor in closed)
+    return degree in ((floor - reduced) * lcm for floor in closed)

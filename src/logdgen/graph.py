@@ -187,13 +187,13 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     [[-2, 1], [1, -2]]
     """
     ids = list(subset) if subset is not None else list(g.ids())
-    rows = {}
+    places = {}
     for i, vid in enumerate(ids):
-        rows.setdefault(vid, []).append(i)
+        places.setdefault(vid, []).append(i)
     m = [[g.vertex(a).self_int if a == b else 0 for b in ids] for a in ids]
     for a, b, w in g.edges:
-        for i in rows.get(a, ()):
-            for j in rows.get(b, ()):
+        for i in places.get(a, ()):
+            for j in places.get(b, ()):
                 m[i][j] += w
                 m[j][i] += w
     return m
