@@ -92,13 +92,19 @@ def _isomorphic(g: DualGraph, h: DualGraph, key) -> bool:
 def _tree_form(g: DualGraph, key, ids=None):
     """Canonical form of the tree spanned by ``ids`` (default: every vertex).
 
-    None unless the curves carry exactly n - 1 edge entries among them and
-    their support is connected, i.e. they span a tree.  ``key(vertex,
-    degree)`` labels each vertex, ``degree`` counting its neighbours in the
-    tree.  Two trees have equal forms exactly when some isomorphism keeps
-    the labels and the entry weights.  This is the tree isomorphism of Aho,
-    Hopcroft and Ullman (1974): see ``_rooted_form``; a tree with two
-    centres takes the smaller of their two forms.
+    ``key(vertex, degree)`` labels each vertex, ``degree`` counting its
+    neighbours in the tree.  Two trees have equal forms exactly when some
+    isomorphism keeps the labels and the entry weights (Aho, Hopcroft and
+    Ullman 1974).  One pass peels leaves: a vertex peeled in round h has one
+    neighbour left, its parent, and is labelled (key, weight of the entry to
+    its parent, sorted ranks of the vertices peeled into it).  The ranks are
+    global, each round's sorted distinct labels numbered on from the earlier
+    rounds', because the vertices peeled into one vertex come from different
+    rounds.  The form is the rounds' label lists, the sorted (key, ranks) of
+    the one or two centres never peeled, and the weight between two centres
+    (0 for one).  None unless the n curves carry n - 1 entries on n - 1
+    distinct pairs and the peel neither stalls on a cycle nor meets a vertex
+    with no neighbour left: then they span a tree.
     """
     inside = set(g.ids() if ids is None else ids)
     adjacent = {vid: {} for vid in inside}
@@ -107,71 +113,37 @@ def _tree_form(g: DualGraph, key, ids=None):
         if a in inside and b in inside:
             adjacent[a][b] = adjacent[b][a] = w
             entries += 1
-    if not inside or entries != len(inside) - 1:
-        return None
-    # Connected with n - 1 entries, so no pair carries two entries: one weight per edge.
-    start = next(iter(inside))
-    seen, stack = {start}, [start]
-    while stack:
-        for u in adjacent[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(inside):
+    if not inside or entries != len(inside) - 1 or sum(map(len, adjacent.values())) != 2 * entries:
         return None
     keys = {vid: key(g.vertex(vid), len(nbrs)) for vid, nbrs in adjacent.items()}
-    # Peel leaves until at most two vertices are left: the centres.
-    remaining = {vid: len(nbrs) for vid, nbrs in adjacent.items()}
-    layer = [vid for vid, d in remaining.items() if d <= 1]
-    left = len(inside)
-    while left > 2:
-        left -= len(layer)
-        peeled = []
+    left = {vid: len(nbrs) for vid, nbrs in adjacent.items()}  # neighbours not yet peeled
+    below = {vid: [] for vid in inside}  # ranks of the vertices peeled into each vertex
+    layer = [vid for vid, d in left.items() if d <= 1]
+    form, offset = [], 0
+    while len(left) > 2:
+        if not layer:
+            return None
         for vid in layer:
-            for u in adjacent[vid]:
-                remaining[u] -= 1
-                if remaining[u] == 1:
-                    peeled.append(u)
-        layer = peeled
-    return min(_rooted_form(adjacent, keys, root) for root in layer)
-
-
-def _rooted_form(adjacent, keys, root):
-    """Canonical form of a tree rooted at ``root``, level by level.
-
-    Bottom up, each vertex gets the label (key, weight of the entry to its
-    parent, sorted ranks of its children), and its rank is the position of
-    that label among the sorted distinct labels at its depth.  The form is
-    the tuple of those sorted label lists, deepest first; the root's label
-    unfolds through it to the whole tree, so equal forms mean isomorphic
-    trees.
-    """
-    parent = {root: None}
-    levels = [[root]]
-    while levels[-1]:
-        below = []
-        for vid in levels[-1]:
-            for u in adjacent[vid]:
-                if u != parent[vid]:
-                    parent[u] = vid
-                    below.append(u)
-        levels.append(below)
-    levels.pop()
-    child_ranks = {vid: [] for vid in parent}
-    form = []
-    for level in reversed(levels):
-        labels = {}
-        for vid in level:
-            up = parent[vid]
-            weight = 0 if up is None else adjacent[vid][up]
-            labels[vid] = (keys[vid], weight, tuple(sorted(child_ranks[vid])))
-        distinct = sorted(set(labels.values()))
-        rank = {label: i for i, label in enumerate(distinct)}
-        for vid, label in labels.items():
-            if parent[vid] is not None:
-                child_ranks[parent[vid]].append(rank[label])
+            del left[vid]
+        labels, peeled = [], []
+        for vid in layer:
+            up = next((u for u in adjacent[vid] if u in left), None)
+            if up is None:
+                return None
+            labels.append((up, (keys[vid], adjacent[vid][up], tuple(sorted(below[vid])))))
+            left[up] -= 1
+            if left[up] == 1:
+                peeled.append(up)
+        distinct = sorted({label for _, label in labels})
+        rank = {label: offset + i for i, label in enumerate(distinct)}
+        for up, label in labels:
+            below[up].append(rank[label])
+        offset += len(distinct)
         form.append(tuple(distinct))
-    return tuple(form)
+        layer = peeled
+    centre, *other = left
+    weight = adjacent[centre][other[0]] if other else 0
+    return tuple(form), tuple(sorted((keys[c], tuple(sorted(below[c]))) for c in left)), weight
 
 
 @lru_cache(maxsize=64)

@@ -15,6 +15,7 @@ appears anywhere.
 """
 
 from fractions import Fraction as Rational
+from math import lcm, prod
 
 from .core import NOT_LC, Record, json_array, json_int, parse_rational
 
@@ -278,6 +279,9 @@ def is_negative_definite(m) -> bool:
 # Most exceptional curves pullback_coefficients solves for: its elimination
 # over Fraction grows as the cube of the count.
 MAX_PULLBACK_CURVES = 100
+# Most digits of a coefficient's numerator or denominator: what str() prints of an int.
+MAX_ANSWER_DIGITS = 4300
+_ANSWER_CEILING = 10**MAX_ANSWER_DIGITS
 
 
 def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
@@ -290,7 +294,8 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
     over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
     curves must be smooth rational).  The discrepancy of E_i is -a_i.
     More than MAX_PULLBACK_CURVES exceptional curves raise ValueError
-    before the system is built.
+    before the system is built, and so does a system whose answer could
+    outgrow MAX_ANSWER_DIGITS, before it is eliminated.
 
     >>> g = DualGraph([CurveVertex("E", -4)])
     >>> pullback_coefficients(g)
@@ -312,6 +317,13 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
         if (a in rhs) != (b in rhs):
             e, c = (a, b) if a in rhs else (b, a)
             rhs[e] -= g.vertex(c).boundary_coeff * w
+    # Cramer and Hadamard: with D the lcm of the right-hand side's denominators,
+    # no reduced numerator or denominator exceeds D * prod_j (sum_k |m_jk| + |D rhs_j|).
+    d = lcm(*(r.denominator for r in rhs.values()))
+    bound = d * prod(sum(map(abs, row)) + abs(r.numerator) * (d // r.denominator)
+                     for row, r in zip(m, rhs.values()))
+    if bound >= _ANSWER_CEILING:
+        raise ValueError(f"the coefficients could have more than {MAX_ANSWER_DIGITS} digits")
     pivots, swaps, rows = _eliminate(m, list(rhs.values()))
     if not _negative_pivots(pivots, swaps, len(ids)):
         raise ValueError("singular system (not negative definite)")

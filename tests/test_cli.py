@@ -22,6 +22,7 @@ from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, n_of_x, sp_order
 from logdgen.cli import main
 from logdgen.core import MAX_LITERAL_DIGITS
 from logdgen.dualgraph import half_catalog_graph, half_catalog_label
+from logdgen.graph import MAX_ANSWER_DIGITS
 from test_core import replace
 from test_dualgraph import (ORACLE_CATALOGS, exceptional_chain_and_strict_chain, graph_to_json, renamed,
                             renaming)
@@ -213,6 +214,21 @@ class TestGraph:
         assert time.perf_counter() - start < 10
         assert code == 0
         assert tsv_pairs(out) == {f"E{i}": str(Rational(i + 1, 22)) for i in range(10)}
+
+    def test_unprintable_pullback_answer_is_refused_at_once(self, capsys, tmp_path):
+        # 30 curves, every other one of self-intersection -(10^1500 - 1): the
+        # elimination ran 15 s before printing the answer failed on str()
+        chain = {"vertices": [{"id": f"E{i:03d}", "self_int": -2 if i % 2 else 1 - 10**1500}
+                              for i in range(30)],
+                 "edges": [{"a": f"E{i:03d}", "b": f"E{i + 1:03d}"} for i in range(29)]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain))
+        start = time.perf_counter()
+        code, data, err = run_json(capsys, "graph", path, "discrepancies")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert data["status"] == f"SolverError: the coefficients could have more than {MAX_ANSWER_DIGITS} digits"
+        assert "set_int_max_str_digits" not in data["status"] + err
 
     @pytest.mark.parametrize("family", ["D-alpha", "beta", "D-epsilon", "delta"])
     def test_renamed_long_half_catalog_member_recognized_at_once(self, capsys, tmp_path, family):

@@ -8,10 +8,10 @@ frozen before the solver existed.
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logdgen.graph as graph_module
@@ -42,6 +42,7 @@ from logdgen.graph import (
     FIBRE,
     LC,
     LT,
+    MAX_ANSWER_DIGITS,
     MAX_PULLBACK_CURVES,
     PLT,
     STRICT,
@@ -110,13 +111,15 @@ def per_pair_intersection_matrix(g, subset=None):
     return [[g.vertex(a).self_int if a == b else pair_weight(g, a, b) for b in ids] for a in ids]
 
 
-def per_pair_pullback_coefficients(g):
-    exc_curves = g.by_role(EXCEPTIONAL)
-    ids = [v.id for v in exc_curves]
+def per_pair_rhs(g):
     others = [v for v in g.vertices if v.role != EXCEPTIONAL]
-    rhs = [2 + v.self_int - sum((c.boundary_coeff * pair_weight(g, c.id, v.id) for c in others), F(0))
-           for v in exc_curves]
-    pivots, swaps, rows = _eliminate(per_pair_intersection_matrix(g, ids), rhs)
+    return [2 + v.self_int - sum((c.boundary_coeff * pair_weight(g, c.id, v.id) for c in others), F(0))
+            for v in g.by_role(EXCEPTIONAL)]
+
+
+def per_pair_pullback_coefficients(g):
+    ids = [v.id for v in g.by_role(EXCEPTIONAL)]
+    pivots, swaps, rows = _eliminate(per_pair_intersection_matrix(g, ids), per_pair_rhs(g))
     if not _negative_pivots(pivots, swaps, len(ids)):
         raise ValueError("singular system (not negative definite)")
     return {vid: row[-1] / pivot for vid, row, pivot in zip(ids, rows, pivots)}
@@ -289,6 +292,49 @@ class TestPullback:
             pullback_coefficients(duval_graph(DuValType("A", MAX_PULLBACK_CURVES)))
         with pytest.raises(ValueError, match=f"^101 exceptional curves exceed {MAX_PULLBACK_CURVES}$"):
             pullback_coefficients(duval_graph(DuValType("A", MAX_PULLBACK_CURVES + 1)))
+
+    def test_answer_that_could_not_print_is_refused_before_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eliminated a system whose answer could not print")
+
+        # every other curve of self-intersection -(10^1500 - 1): the bound has 4503 digits
+        chain = DualGraph([exc(f"E{i}", -2 if i % 2 else 1 - 10**1500) for i in range(5)],
+                          [(f"E{i}", f"E{i + 1}") for i in range(4)])
+        monkeypatch.setattr(graph_module, "_eliminate", refuse)
+        with pytest.raises(ValueError, match=f"^the coefficients could have more than {MAX_ANSWER_DIGITS} digits$"):
+            pullback_coefficients(chain)
+
+    def test_answer_under_the_digit_limit_still_answers(self):
+        # a chain of three curves of 1425 digits: the bound has 4273 digits
+        g = DualGraph([exc(f"E{i}", -10**1424 - i) for i in range(3)], [("E0", "E1"), ("E1", "E2")])
+        coeffs = pullback_coefficients(g)
+        assert coeffs == per_pair_pullback_coefficients(g)
+        assert max(len(str(c.denominator)) for c in coeffs.values()) > 2800
+
+
+def answer_bound(g: DualGraph) -> int:
+    """D * prod_j (sum_k |m_jk| + |D rhs_j|) for the pullback system written out
+    pair by pair, D the lcm of the right-hand side's denominators."""
+    m = per_pair_intersection_matrix(g, [v.id for v in g.by_role(EXCEPTIONAL)])
+    rhs = per_pair_rhs(g)
+    d = lcm(*(r.denominator for r in rhs))
+    return d * prod(sum(map(abs, row)) + abs(d * r) for row, r in zip(m, rhs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_answers_stay_within_the_cramer_hadamard_bound(data):
+    g = data.draw(small_graphs())
+    big = [replace(v, self_int=v.self_int * 10 ** data.draw(st.integers(0, 40)))
+           if v.role == EXCEPTIONAL else v for v in g.vertices]
+    g = DualGraph(big, g.edges)
+    try:
+        coeffs = pullback_coefficients(g)
+    except ValueError:
+        return
+    bound = answer_bound(g)
+    for c in coeffs.values():
+        assert abs(c.numerator) <= bound and c.denominator <= bound
 
 
 @st.composite
@@ -1120,6 +1166,81 @@ def test_tree_form_recognizers_agree_with_the_walks(g):
     assert recognize_half_catalog(g) == walk_recognize_half_catalog(g)
 
 
+# ---------------------------------------------------------------------------
+# The tree form against the backtracking search, on small labelled trees.
+
+
+def _self_int_key(v: CurveVertex, degree: int):
+    return v.self_int
+
+
+def labelled_tree(parents, self_ints, weights) -> DualGraph:
+    """Curve i > 0 joined to curve ``parents[i - 1]`` < i by an entry of weight ``weights[i - 1]``."""
+    vs = [exc(f"T{i}", s) for i, s in enumerate(self_ints)]
+    return DualGraph(vs, [(f"T{i}", f"T{p}", w)
+                          for i, (p, w) in enumerate(zip(parents, weights), 1)])
+
+
+@st.composite
+def labelled_trees(draw, n: int, letters: int) -> DualGraph:
+    """A random tree on ``n`` curves, self-intersections from ``letters`` values, weights 1 or 2."""
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    return labelled_tree(parents, draw(st.lists(st.integers(-1 - letters, -2), min_size=n, max_size=n)),
+                         draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1)))
+
+
+@st.composite
+def tree_pairs(draw) -> tuple[DualGraph, DualGraph]:
+    """Two trees of one size, the second a renamed copy of the first half the time."""
+    n, letters = draw(st.integers(1, 12)), draw(st.integers(2, 3))
+    g = draw(labelled_trees(n, letters))
+    h = g if draw(st.booleans()) else draw(labelled_trees(n, letters))
+    return g, renamed(h, draw(st.randoms(use_true_random=False)))
+
+
+# Two 11-curve (-2)-trees, not isomorphic, whose forms coincide when each
+# peeling round is ranked on its own instead of after all earlier rounds.
+ROUND_RANK_PAIR = tuple(labelled_tree(parents, [-2] * 11, [1] * 10)
+                        for parents in ((0, 0, 2, 0, 0, 1, 3, 0, 2, 4), (0, 1, 1, 1, 0, 0, 1, 6, 5, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_pairs())
+@example(ROUND_RANK_PAIR)
+def test_tree_forms_are_equal_exactly_for_isomorphic_trees(pair):
+    g, h = pair
+    same = dualgraph._tree_form(g, _self_int_key) == dualgraph._tree_form(h, _self_int_key)
+    assert same == _isomorphic(g, h, lambda graph, v: v.self_int)
+
+
+@st.composite
+def near_trees(draw) -> DualGraph:
+    """A tree with one extra entry, or with one entry moved onto the pair of
+    another (n - 1 entries on n - 2 pairs), or a cycle beside a lone curve."""
+    kind = draw(st.sampled_from(["extra entry", "doubled entry", "cycle and lone curve"]))
+    n = draw(st.integers({"extra entry": 2, "doubled entry": 3}.get(kind, 4), 12))
+    g = draw(labelled_trees(n, 2))
+    edges = list(g.edges)
+    if kind == "extra entry":
+        a, b = draw(st.permutations(g.ids()))[:2]
+        edges.append((a, b, draw(st.integers(1, 2))))
+    elif kind == "doubled entry":
+        i, j = draw(st.permutations(range(n - 1)))[:2]
+        edges[i] = edges[j]
+    else:
+        edges = [(f"T{i}", f"T{i % (n - 1) + 1}", 1) for i in range(1, n)]
+    return renamed(DualGraph(g.vertices, edges), draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_trees())
+# two chains of three, one entry doubled: the peel ends at two centres, one per chain
+@example(DualGraph([exc(f"T{i}", -2) for i in range(6)],
+                   [("T0", "T1"), ("T0", "T1"), ("T1", "T2"), ("T3", "T4"), ("T4", "T5")]))
+def test_a_graph_that_is_no_tree_has_no_form(g):
+    assert dualgraph._tree_form(g, _self_int_key) is None
+
+
 class TestJson:
     def test_minimal_shape(self):
         g = DualGraph([exc("E1", -4)])
@@ -1163,7 +1284,8 @@ def test_solvers_and_reader_keep_their_dualgraph_names():
 # to a log factor (the Riemann-Roch sum in its multiplicity m = n r), so one
 # call on 4n vertices may cost at most about 4.4 times one on n.  The cost is
 # the number of sys.settrace events, which repeats from run to run where a
-# timing would not.  Starred Kodaira types still backtrack, so they get no row.
+# timing would not.  recognize_kodaira still backtracks on the starred types,
+# so only their tree form gets a row.
 
 
 def exceptional_chain_and_strict_chain(exceptional: int, strict_count: int) -> DualGraph:
@@ -1189,6 +1311,12 @@ GROWTH_CASES = {
                       lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
     "tree_form_D_n": (lambda n: duval_graph(DuValType("D", n)),
                       lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
+    # one centre and n - 1 leaves, so a single round of n - 1 labels
+    "tree_form_star_n": (lambda n: DualGraph([exc(f"E{i}", -2) for i in range(n)],
+                                             [("E0", f"E{i}") for i in range(1, n)]),
+                         lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
+    "tree_form_I*_b": (lambda n: kodaira_graph(KodairaLabel("I*", n - 5)),
+                       lambda g: dualgraph._tree_form(g, dualgraph._duval_key)),
     "rr_correction_sum_m_nr": (lambda n: (7, 3, 7 * n), lambda args: rr_correction_sum(*args)),
     # two ramified fibres and n - 2 plain ones pass every check up to the floor degree
     "check_typ_bisection": (
