@@ -6,16 +6,20 @@ standard coefficients, each beside the builders of its catalog members.  The
 graphs themselves, their JSON reader and the exact solvers live in ``graph``;
 this module re-exports the names its callers have always imported from here.
 
-All arithmetic is exact (``fractions.Fraction``).  The Du Val, fibre-type and
-half-catalog recognizers build the catalog member their counts point to and
-compare canonical tree forms, so they do not depend on vertex names; only the
-starred Kodaira types (I*_b, IV*, III*, II*) still use a backtracking search
-whose cost depends on the vertex names.
+All arithmetic is exact (``fractions.Fraction``).  The Du Val trees, the
+half-catalog families and the marked fibre types are rows of one table: the
+three recognizers read each fitting row's parameter from the counts of curves,
+build that member and compare canonical tree forms, so each shape is written
+once, in its builder, and no answer depends on vertex names.  Configurations
+of at most three curves are read from ``kodaira_graph`` by an exact signature;
+only the starred Kodaira types (I*_b, IV*, III*, II*) still use a backtracking
+search whose cost depends on the vertex names.
 """
 
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction as Rational
+from itertools import combinations
 
 from .core import (INFINITY, PLAIN_KODAIRA, FibreTypeLabel, KodairaLabel, component_count,
                    doubled_standard_coeff, standard_coeff)
@@ -192,14 +196,7 @@ def recognize_duval(g: DualGraph):
     for v in exc:
         if v.self_int != -2 or v.genus != 0 or g.tangency.get(v.id, 0):
             return UNRECOGNIZED
-    n = len(exc)
-    form = _tree_form(g, _duval_key, [v.id for v in exc])
-    if form is None:  # every Du Val graph is a tree
-        return UNRECOGNIZED
-    for family, exists in (("A", True), ("D", n >= 4), ("E", 6 <= n <= 8)):
-        if exists and form == _catalog_form(_duval_key, duval_graph, DuValType(family, n)):
-            return DuValType(family, n)
-    return UNRECOGNIZED
+    return _recognize(g, ("A", "D", "E"), len(exc), 0, [v.id for v in exc])
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +275,23 @@ def _kodaira_key(g: DualGraph, v: CurveVertex):
     return (v.genus, v.self_int, v.multiplicity, g.tangency.get(v.id, 0))
 
 
+def _small_signature(g: DualGraph):
+    """The sorted curve keys, each pair's entry weights keyed by its two curves'
+    keys, and the number of coincident groups (each is all three curves).  On at
+    most three curves it is exact: any permutation of equally keyed pairs comes
+    from one of the curves, so equal signatures mean isomorphic configurations.
+    """
+    keys = {v.id: _kodaira_key(g, v) for v in g.vertices}
+    pairs = sorted((tuple(sorted((keys[a], keys[b]))), g.entries(a, b))
+                   for a, b in combinations(keys, 2))
+    return tuple(sorted(keys.values())), tuple(pairs), len(g.coincident)
+
+
+# Every Kodaira type of at most three curves, by its signature.
+_SMALL_KODAIRA = {_small_signature(kodaira_graph(label)): label for label in
+                  map(KodairaLabel.parse, ("SMOOTH", "I_1", "II", "I_2", "III", "I_3", "IV"))}
+
+
 def recognize_kodaira(g: DualGraph):
     """Match a configuration against the standard degenerate fibre types.
 
@@ -288,49 +302,18 @@ def recognize_kodaira(g: DualGraph):
     """
     vs = g.vertices
     n = len(vs)
-    if n == 1:
-        v = vs[0]
-        tang = g.tangency.get(v.id, 0)
-        if v.self_int != 0 or v.multiplicity != 1 or g.edges:
-            return UNRECOGNIZED
-        if v.genus == 1 and tang == 0:
-            return KodairaLabel("SMOOTH")
-        if v.genus == 0 and tang == 1:
-            return KodairaLabel("I", 1)
-        if v.genus == 0 and tang == 0:
-            return KodairaLabel("II")
+    if n <= 3:
+        return _SMALL_KODAIRA.get(_small_signature(g), UNRECOGNIZED)
+    if any(v.genus != 0 or v.self_int != -2 for v in vs) or g.tangency or g.coincident:
         return UNRECOGNIZED
-    if any(v.genus != 0 or v.self_int != -2 for v in vs) or g.tangency:
-        return UNRECOGNIZED
-    if n == 2 and all(v.multiplicity == 1 for v in vs):
-        weights = g.entries(vs[0].id, vs[1].id)
-        if weights == (1, 1):
-            return KodairaLabel("I", 2)
-        if weights == (2,):
-            return KodairaLabel("III")
-        return UNRECOGNIZED
-    if (
-        n == 3
-        and len(g.coincident) == 1
-        and set(g.coincident[0]) == set(g.ids())
-        and all(v.multiplicity == 1 for v in vs)
-        and all(g.entries(a, b) == (1,) for i, a in enumerate(g.ids()) for b in g.ids()[i + 1 :])
-    ):
-        return KodairaLabel("IV")
-    if g.coincident:
-        return UNRECOGNIZED
-    if (
-        n >= 3
-        and len(g.edges) == n
-        and all(v.multiplicity == 1 for v in vs)
-        and all(w == 1 for (_, _, w) in g.edges)
-    ):
+    if len(g.edges) == n and all(v.multiplicity == 1 for v in vs) and all(
+            w == 1 for (_, _, w) in g.edges):
         around = {v.id: [] for v in vs}  # built once: incidence and neighbors scan every edge
         for a, b, _ in g.edges:
             around[a].append(b)
             around[b].append(a)
         if all(len(us) == 2 for us in around.values()):
-            # Connected 2-regular graph on >= 3 vertices: a cycle.
+            # Connected 2-regular graph on >= 4 vertices: a cycle.
             seen = {vs[0].id}
             frontier = [vs[0].id]
             while frontier:
@@ -469,20 +452,8 @@ def recognize_half_catalog(g: DualGraph):
     """
     if g.by_role(FIBRE) or g.tangency or g.coincident:  # every family is a plain tree
         return UNRECOGNIZED
-    n_exc, n_str = len(g.by_role(EXCEPTIONAL)), len(g.by_role(STRICT))
-    form = None
-    for family, (kmin, label, chain, hung, bullets) in _HALF_CATALOG.items():
-        # every parametric family adds one chain curve per step of k
-        k = n_exc - len(chain(0)) - len(hung)
-        if len(bullets) != n_str or k < kmin or (isinstance(label, str) and k):
-            continue
-        if form is None:  # computed once; a graph that is no tree matches no family
-            form = _tree_form(g, _half_tree_key)
-            if form is None:
-                return UNRECOGNIZED
-        if form == _catalog_form(_half_tree_key, half_catalog_graph, family, k):
-            return half_catalog_label(family, k)
-    return UNRECOGNIZED
+    n_exc = len(g.by_role(EXCEPTIONAL))
+    return _recognize(g, _HALF_CATALOG, n_exc, len(g.vertices) - n_exc)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +477,25 @@ def _marked(vid: str, coeff, self_int: int = 0, role: str = STRICT) -> CurveVert
     return CurveVertex(vid, self_int, 0, 1, Rational(coeff), role)
 
 
+# One row per marked fibre type: the self-intersection of its central strict curve C
+# and, as a function of the chain length k of II-3, the curves after the strict curve
+# S1 in drawing order as (id, coefficient, the curve it meets[, weight of that entry]).
+# Curves named X or Y are exceptional (-2)-curves, the others strict, drawn with
+# self-intersection 0 apart from C.  The coefficient "c" is the standard coefficient
+# (b-1)/b, "h" half of it and "x" the doubled one.
+_FIBRE_TYPES = {
+    "I-1": (0, lambda k: [("C", "c", "S1"), ("H1", _HALF, "C"), ("H2", _HALF, "C")]),
+    "I-2": (-1, lambda k: [("C", "c", "S1"), ("X1", "h", "C"), ("X2", "h", "C")]),
+    "I-3": (-1, lambda k: [("X1", "x", "S1"), ("C", "c", "X1"), ("H1", _HALF, "C"),
+                           ("X2", "h", "C")]),
+    "II-1": (0, lambda k: [("C", "c", "S1"), ("S2", 1, "C")]),
+    "II-2": (0, lambda k: [("C", "c", "S1"), ("H1", _HALF, "C", 2)]),
+    "II-3": (-1, lambda k: [("C", "c", "S1"), ("X1", "c", "C")]
+             + [(f"X{i}", "c", f"X{i - 1}") for i in range(2, k + 1)]
+             + [("Y1", "h", f"X{k}"), ("Y2", "h", f"X{k}")]),
+}
+
+
 def dynkin_fibre_graph(kind: str, b, k: int | None = None) -> DualGraph:
     """The marked dual graph of a degenerate fibre type over a boundary point.
 
@@ -514,44 +504,15 @@ def dynkin_fibre_graph(kind: str, b, k: int | None = None) -> DualGraph:
     are all (-2).
     """
     FibreTypeLabel(kind, b, k)  # validates the parameter set
-    cb, xb = standard_coeff(b), doubled_standard_coeff(b)
-    hb = cb / 2  # (b-1)/2b on the halved exceptional pair
-    if kind == "I-1":
-        vs = [_marked("S1", 1), _marked("C", cb), _marked("H1", _HALF), _marked("H2", _HALF)]
-        edges = [("S1", "C"), ("C", "H1"), ("C", "H2")]
-    elif kind == "I-2":
-        vs = [
-            _marked("S1", 1),
-            _marked("C", cb, self_int=-1),
-            _marked("X1", hb, self_int=-2, role=EXCEPTIONAL),
-            _marked("X2", hb, self_int=-2, role=EXCEPTIONAL),
-        ]
-        edges = [("S1", "C"), ("C", "X1"), ("C", "X2")]
-    elif kind == "I-3":
-        vs = [
-            _marked("S1", 1),
-            _marked("X1", xb, self_int=-2, role=EXCEPTIONAL),
-            _marked("C", cb, self_int=-1),
-            _marked("H1", _HALF),
-            _marked("X2", hb, self_int=-2, role=EXCEPTIONAL),
-        ]
-        edges = [("S1", "X1"), ("X1", "C"), ("C", "H1"), ("C", "X2")]
-    elif kind == "II-1":
-        vs = [_marked("S1", 1), _marked("C", cb), _marked("S2", 1)]
-        edges = [("S1", "C"), ("C", "S2")]
-    elif kind == "II-2":
-        vs = [_marked("S1", 1), _marked("C", cb), _marked("H1", _HALF)]
-        edges = [("S1", "C"), ("C", "H1", 2)]
-    else:  # II-3
-        vs = [_marked("S1", 1), _marked("C", cb, self_int=-1)]
-        vs += [_marked(f"X{i}", cb, self_int=-2, role=EXCEPTIONAL) for i in range(1, k + 1)]
-        vs += [
-            _marked("Y1", hb, self_int=-2, role=EXCEPTIONAL),
-            _marked("Y2", hb, self_int=-2, role=EXCEPTIONAL),
-        ]
-        edges = [("S1", "C"), ("C", "X1")]
-        edges += [(f"X{i}", f"X{i+1}") for i in range(1, k)]
-        edges += [(f"X{k}", "Y1"), (f"X{k}", "Y2")]
+    centre, curves = _FIBRE_TYPES[kind]
+    cb = standard_coeff(b)
+    coeffs = {"c": cb, "h": cb / 2, "x": doubled_standard_coeff(b)}
+    vs, edges = [_marked("S1", 1)], []
+    for vid, coeff, met, *weight in curves(k):
+        role = EXCEPTIONAL if vid[0] in "XY" else STRICT
+        self_int = -2 if role == EXCEPTIONAL else centre if vid == "C" else 0
+        vs.append(_marked(vid, coeffs.get(coeff, coeff), self_int, role))
+        edges.append((met, vid, *weight))
     return DualGraph(vs, edges)
 
 
@@ -579,24 +540,62 @@ def recognize_fibre_type(g: DualGraph):
     """
     if g.tangency or g.coincident:
         return UNRECOGNIZED
-    n, n_exc = len(g.vertices), len(g.by_role(EXCEPTIONAL))
-    if n_exc >= 3 and n == n_exc + 2:
-        candidates = [("II-3", n_exc - 2)]
-    else:
-        shapes = {(3, 0): ("II-1", "II-2"), (4, 0): ("I-1",), (4, 2): ("I-2",), (5, 2): ("I-3",)}
-        candidates = [(kind, None) for kind in shapes.get((n, n_exc), ())]
-    if not candidates:
-        return UNRECOGNIZED
-    centres = [v for v in g.by_role(STRICT) if len(g.neighbors(v.id)) >= 2]
+    # how many distinct curves each curve meets, in one pass over the pairs
+    met = Counter(vid for pair in {(a, c) for a, c, _ in g.edges} for vid in pair)
+    centres = [v for v in g.by_role(STRICT) if met[v.id] >= 2]
     b = _infer_b(centres[0].boundary_coeff) if len(centres) == 1 else None
     if b is None:
         return UNRECOGNIZED
-    form = _tree_form(g, _fibre_key)
-    if form is None:  # every fibre type is a tree
-        return UNRECOGNIZED
-    for kind, k in candidates:
-        if form == _catalog_form(_fibre_key, dynkin_fibre_graph, kind, b, k):
-            return FibreTypeLabel(kind, b, k)
+    n_exc = len(g.by_role(EXCEPTIONAL))
+    return _recognize(g, _FIBRE_TYPES, n_exc, len(g.vertices) - n_exc, b=b)
+
+
+# ---------------------------------------------------------------------------
+# One table drives the tree recognizers: family -> (key, count rule, builder, label).
+# The rows of one recognizer share their tree-form key.  The count rule (exc, other,
+# kmin, kmax) says that the member of parameter k, kmin <= k <= kmax (kmax None: no
+# bound), has exc + k - kmin exceptional curves and `other` other curves.  Builder and
+# label take (family, k, b), b being a fibre type's standard-coefficient parameter.
+
+
+def _catalog() -> dict:
+    """The rows of ``_CATALOG``, each count rule read off its builder's data."""
+    duval = (lambda family, n, b: duval_graph(DuValType(family, n)),
+             lambda family, n, b: DuValType(family, n))
+    half = (lambda family, k, b: half_catalog_graph(family, k),
+            lambda family, k, b: half_catalog_label(family, k))
+    fibre = (lambda kind, k, b: dynkin_fibre_graph(kind, b, k or None),
+             lambda kind, k, b: FibreTypeLabel(kind, b, k or None))  # k = 0: no chain
+    rows = {}
+    for family, kmin, kmax in (("A", 1, None), ("D", 4, None), ("E", 6, 8)):
+        rows[family] = (_duval_key, (kmin, 0, kmin, kmax), *duval)  # A_n, D_n, E_n: n curves
+    for family, (kmin, label, chain, hung, bullets) in _HALF_CATALOG.items():
+        kmax = kmin if isinstance(label, str) else None
+        rows[family] = (_half_tree_key, (len(chain(kmin)) + len(hung), len(bullets), kmin, kmax),
+                        *half)
+    for kind, (_, curves) in _FIBRE_TYPES.items():
+        kmin, kmax = (1, None) if kind == "II-3" else (0, 0)
+        exc = sum(vid[0] in "XY" for vid, *_ in curves(kmin))
+        rows[kind] = (_fibre_key, (exc, 1 + len(curves(kmin)) - exc, kmin, kmax), *fibre)
+    return rows
+
+
+_CATALOG = _catalog()
+
+
+def _recognize(g: DualGraph, families, n_exc: int, n_other: int, ids=None, b=None):
+    """The label of the first of ``families`` whose member with these counts of
+    curves has the tree form of ``g`` (of its curves ``ids``), or UNRECOGNIZED."""
+    form = None
+    for family in families:
+        key, (exc, other, kmin, kmax), build, label = _CATALOG[family]
+        k = kmin + n_exc - exc
+        if n_other != other or k < kmin or kmax is not None and k > kmax:
+            continue
+        if form is None:  # computed once; a graph that is no tree matches no family
+            form = _tree_form(g, key, ids)
+            if form is None:
+                return UNRECOGNIZED
+        if form == _catalog_form(key, build, family, k, b):
+            return label(family, k, b)
     return UNRECOGNIZED
-
-

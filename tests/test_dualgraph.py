@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import logdgen.graph as graph_module
 from logdgen import dualgraph
-from logdgen.core import INFINITY, NOT_LC, classical_euler, doubled_standard_coeff, standard_coeff
+from logdgen.core import (INFINITY, NOT_LC, classical_euler, component_count,
+                          doubled_standard_coeff, standard_coeff)
 from logdgen.duval import DuValType, duval_order
 from logdgen.dualgraph import (
     HALF_CATALOG_FAMILIES,
@@ -1241,6 +1242,228 @@ def test_a_graph_that_is_no_tree_has_no_form(g):
     assert dualgraph._tree_form(g, _self_int_key) is None
 
 
+# ---------------------------------------------------------------------------
+# Every recognizer against the isomorphism search over the catalog builders.
+# The oracles enumerate the parameters themselves, so they share nothing with
+# the one table the recognizers read.
+
+_FIXED_FIBRE_KINDS = ("I-1", "I-2", "I-3", "II-1", "II-2")
+
+
+def _oracle_duval_key(g: DualGraph, v: CurveVertex):
+    return (v.self_int, v.genus, g.tangency.get(v.id, 0))
+
+
+def _oracle_fibre_key(g: DualGraph, v: CurveVertex):
+    inner = v.role == EXCEPTIONAL or len(g.neighbors(v.id)) >= 2
+    return (v.role, v.genus, v.boundary_coeff, inner, v.self_int if inner else 0,
+            g.tangency.get(v.id, 0))
+
+
+def _built(build, *args):
+    """``build(*args)``, or None when the parameters name no catalog member."""
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+def oracle_duval(g: DualGraph) -> set:
+    """Every Du Val type whose tree is isomorphic to the exceptional curves of ``g``."""
+    exc_ids = {v.id for v in g.by_role(EXCEPTIONAL)}
+    sub = DualGraph(g.by_role(EXCEPTIONAL), [e for e in g.edges if {e[0], e[1]} <= exc_ids],
+                    {v: c for v, c in g.tangency.items() if v in exc_ids})
+    types = (_built(DuValType, family, len(exc_ids)) for family in "ADE")
+    return {t for t in types
+            if t is not None and _isomorphic(sub, duval_graph(t), _oracle_duval_key)}
+
+
+def oracle_half_catalog(g: DualGraph) -> set:
+    """Every half-catalog label whose drawn graph is isomorphic to ``g``; no
+    member has a fibre curve."""
+    found = set()
+    if g.by_role(FIBRE):
+        return found
+    for family in HALF_CATALOG_FAMILIES:
+        for k in range(len(g.vertices) + 1) if family in PARAMETRIC else (0,):
+            member = _built(half_catalog_graph, family, k)
+            if member is not None and _isomorphic(g, member, _half_key):
+                found.add(half_catalog_label(family, k))
+    return found
+
+
+def oracle_fibre_type(g: DualGraph) -> set:
+    """Every marked fibre type, for every b some curve's coefficient names, isomorphic to ``g``."""
+    bs = {_infer_b(v.boundary_coeff) for v in g.vertices} - {None}
+    kinds = [(kind, None) for kind in _FIXED_FIBRE_KINDS]
+    kinds += [("II-3", k) for k in range(1, len(g.vertices))]
+    return {FibreTypeLabel(kind, b, k) for b in bs for kind, k in kinds
+            if _isomorphic(g, dynkin_fibre_graph(kind, b, k), _oracle_fibre_key)}
+
+
+def oracle_kodaira(g: DualGraph) -> set:
+    """Every Kodaira type of as many curves as ``g`` whose configuration is isomorphic to it."""
+    n = len(g.vertices)
+    labels = [KodairaLabel(kind) for kind in ("SMOOTH", "II", "III", "IV", "IV*", "III*", "II*")]
+    labels += [KodairaLabel("I", n)] if n else []
+    labels += [KodairaLabel("I*", n - 5)] if n >= 5 else []
+    return {label for label in labels if component_count(label) == n
+            and _isomorphic(g, kodaira_graph(label), dualgraph._kodaira_key)}
+
+
+SMALL_KODAIRA = [KodairaLabel.parse(text) for text in ("SMOOTH", "I_1", "II", "I_2", "III", "IV")]
+
+# Catalog members of at most 12 curves.
+CATALOG_MEMBERS = (
+    [duval_graph(t) for t in (_built(DuValType, f, n) for f in "ADE" for n in range(1, 13)) if t]
+    + [half_catalog_graph(family, k) for family in HALF_CATALOG_FAMILIES
+       for k in ((1, 2, 3) if family == "zeta" else (0, 1, 2, 3) if family in PARAMETRIC else (0,))]
+    + [dynkin_fibre_graph(kind, b) for kind in _FIXED_FIBRE_KINDS for b in (1, 2, 3, INFINITY)]
+    + [dynkin_fibre_graph("II-3", b, k) for b in (1, 2, INFINITY) for k in range(1, 9)]
+    + [kodaira_graph(label) for label in SMALL_KODAIRA]
+    + [kodaira_graph(KodairaLabel("I", n)) for n in range(3, 13)]
+    + [kodaira_graph(KodairaLabel("I*", b)) for b in range(0, 8)]
+    + [kodaira_graph(KodairaLabel(kind)) for kind in ("IV*", "III*", "II*")]
+)
+
+
+@st.composite
+def small_configurations(draw) -> DualGraph:
+    """One to three curves: a small Kodaira type with its keys, entries, tangency or
+    coincident group redrawn at random, each with probability about one half."""
+    g = kodaira_graph(draw(st.sampled_from(SMALL_KODAIRA + [KodairaLabel("I", 3)])))
+    ids = g.ids()
+    if draw(st.booleans()):  # add a curve or drop some
+        add = len(ids) < 3 and draw(st.booleans())
+        ids = ids + ("C9",) if add else ids[:draw(st.integers(1, len(ids)))]
+    maybe = lambda value, choices: draw(st.sampled_from(choices)) if draw(st.booleans()) else value
+    old = {v.id: v for v in g.vertices}
+    vs = [CurveVertex(vid, maybe(old[vid].self_int if vid in old else -2, (0, -2, -1)),
+                      maybe(old[vid].genus if vid in old else 0, (0, 1)),
+                      maybe(old[vid].multiplicity if vid in old else 1, (1, 2)), role=FIBRE)
+          for vid in ids]
+    tangency = {vid: maybe(g.tangency.get(vid, 0), (0, 1)) for vid in ids}
+    edges = []
+    for a, b in combinations(ids, 2):
+        weights = g.entries(a, b) if a in old and b in old else ()
+        edges += [(a, b, w) for w in maybe(weights, ((), (1,), (2,), (1, 1), (1, 2)))]
+    groups = [ids] * maybe(len(g.coincident), (0, 1, 2)) if len(ids) == 3 else []
+    return DualGraph(vs, edges, tangency, groups)
+
+
+@st.composite
+def catalog_members_and_configurations(draw) -> DualGraph:
+    if draw(st.booleans()):
+        return draw(small_configurations())
+    g = draw(st.sampled_from(CATALOG_MEMBERS))
+    if draw(st.integers(0, 3)) == 0:
+        g = draw(one_edit(g))
+    return renamed(g, draw(st.randoms(use_true_random=False)))
+
+
+def _agrees(recognize, oracle, g) -> None:
+    found, label = oracle(g), recognize(g)
+    assert len(found) <= 1, found
+    assert {label} - {UNRECOGNIZED} == found, (label, found)
+
+
+@settings(max_examples=250, deadline=None)
+@given(catalog_members_and_configurations())
+@example(kodaira_graph(KodairaLabel("IV")))
+@example(DualGraph(kodaira_graph(KodairaLabel("IV")).vertices, kodaira_graph(KodairaLabel("IV")).edges))
+def test_each_recognizer_agrees_with_the_isomorphism_search(g):
+    _agrees(recognize_duval, oracle_duval, g)
+    _agrees(recognize_half_catalog, oracle_half_catalog, g)
+    _agrees(recognize_fibre_type, oracle_fibre_type, g)
+    _agrees(recognize_kodaira, oracle_kodaira, g)
+
+
+def test_catalog_members_are_recognized_across_recognizers():
+    # zeta_k draws a chain of k (-2)-curves, and the exceptional curves of
+    # (II-3)_{b,k} are a chain of k curves forked at its end: A_3 or D_{k+2}
+    for k in range(1, 9):
+        assert recognize_duval(half_catalog_graph("zeta", k)) == DuValType("A", k)
+        assert oracle_duval(half_catalog_graph("zeta", k)) == {DuValType("A", k)}
+        for b in (1, 2, INFINITY):
+            want = DuValType("A", 3) if k == 1 else DuValType("D", k + 2)
+            assert recognize_duval(dynkin_fibre_graph("II-3", b, k)) == want
+            assert oracle_duval(dynkin_fibre_graph("II-3", b, k)) == {want}
+
+
+# Three curves, two of them alike: the pair of like curves meets once in one
+# configuration and twice in the other, so only a signature that keys each
+# pair by its curves tells them apart.
+UNLIKE_PAIRS = tuple(
+    DualGraph([CurveVertex("C0", -2, role=FIBRE), CurveVertex("C1", -2, role=FIBRE),
+               CurveVertex("C2", -2, 0, 2, role=FIBRE)], edges)
+    for edges in ([("C0", "C1"), ("C0", "C2"), ("C0", "C2")],
+                  [("C0", "C1"), ("C0", "C1"), ("C0", "C2")]))
+
+
+@st.composite
+def small_configuration_pairs(draw) -> tuple[DualGraph, DualGraph]:
+    """Two configurations of at most three curves: the second renamed, or its
+    entries moved between pairs, or drawn afresh."""
+    g = draw(small_configurations())
+    how = draw(st.sampled_from(["renamed", "entries moved", "fresh"]))
+    if how == "fresh":
+        h = draw(small_configurations())
+    elif how == "entries moved":
+        pairs = list(combinations(g.ids(), 2))
+        moved = dict(zip(pairs, draw(st.permutations([g.entries(a, b) for a, b in pairs]))))
+        h = DualGraph(g.vertices, [(a, b, w) for (a, b), ws in moved.items() for w in ws],
+                      g.tangency, g.coincident)
+    else:
+        h = g
+    return g, renamed(h, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_configuration_pairs())
+@example((kodaira_graph(KodairaLabel("IV")), kodaira_graph(KodairaLabel("I", 3))))
+@example(UNLIKE_PAIRS)
+def test_small_signatures_are_equal_exactly_for_isomorphic_configurations(pair):
+    g, h = pair
+    same = dualgraph._small_signature(g) == dualgraph._small_signature(h)
+    assert same == _isomorphic(g, h, dualgraph._kodaira_key)
+
+
+# ---------------------------------------------------------------------------
+# The one table: each row's count rule and builder agree.
+
+_RECOGNIZER_FAMILIES = {
+    dualgraph._duval_key: ("A", "D", "E"),
+    dualgraph._half_tree_key: HALF_CATALOG_FAMILIES,
+    dualgraph._fibre_key: ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3"),
+}
+
+
+def test_the_table_holds_every_family_once_with_its_recognizers_key():
+    assert list(dualgraph._CATALOG) == [f for fs in _RECOGNIZER_FAMILIES.values() for f in fs]
+    for key, families in _RECOGNIZER_FAMILIES.items():
+        assert {dualgraph._CATALOG[family][0] for family in families} == {key}
+
+
+@pytest.mark.parametrize("family", list(dualgraph._CATALOG))
+def test_each_row_reads_its_members_back_from_their_counts(family):
+    # The member of each parameter from the smallest on maps back to its own
+    # parameter under the row's count rule; past kmax the builder refuses or
+    # adds no curve, and below kmin it refuses.
+    _, (_, _, kmin, kmax), build, label = dualgraph._CATALOG[family]
+    rng = random.Random(family)
+    for b in (1, 2, INFINITY):
+        assert _built(build, family, kmin - 1, b) is None
+        for k in range(kmin, kmin + 8):
+            member = _built(build, family, k, b)
+            if kmax is not None and k > kmax:
+                assert member is None or len(member.vertices) == len(build(family, kmax, b).vertices)
+                continue
+            member = renamed(member, rng)
+            n_exc = len(member.by_role(EXCEPTIONAL))
+            got = dualgraph._recognize(member, [family], n_exc, len(member.vertices) - n_exc, b=b)
+            assert got == label(family, k, b), (family, k, b)
+
+
 class TestJson:
     def test_minimal_shape(self):
         g = DualGraph([exc("E1", -4)])
@@ -1522,3 +1745,54 @@ def test_catalog_rows_agree_with_the_hand_builders(family):
             assert got == want, (family, k)
         assert _outcome(half_catalog_label, family, k) == _outcome(
             hand_half_catalog_label, family, k), (family, k)
+
+
+# The marked fibre types written out one kind at a time, kept as the oracle
+# for the one-row-per-kind builder.
+
+
+def _marked(vid: str, coeff, self_int: int = 0, role: str = STRICT) -> CurveVertex:
+    return CurveVertex(vid, self_int, 0, 1, F(coeff), role)
+
+
+def hand_dynkin_fibre_graph(kind: str, b, k=None) -> DualGraph:
+    FibreTypeLabel(kind, b, k)
+    cb, xb = standard_coeff(b), doubled_standard_coeff(b)
+    hb = cb / 2
+    half = F(1, 2)
+    if kind == "I-1":
+        vs = [_marked("S1", 1), _marked("C", cb), _marked("H1", half), _marked("H2", half)]
+        edges = [("S1", "C"), ("C", "H1"), ("C", "H2")]
+    elif kind == "I-2":
+        vs = [_marked("S1", 1), _marked("C", cb, -1), _marked("X1", hb, -2, EXCEPTIONAL),
+              _marked("X2", hb, -2, EXCEPTIONAL)]
+        edges = [("S1", "C"), ("C", "X1"), ("C", "X2")]
+    elif kind == "I-3":
+        vs = [_marked("S1", 1), _marked("X1", xb, -2, EXCEPTIONAL), _marked("C", cb, -1),
+              _marked("H1", half), _marked("X2", hb, -2, EXCEPTIONAL)]
+        edges = [("S1", "X1"), ("X1", "C"), ("C", "H1"), ("C", "X2")]
+    elif kind == "II-1":
+        vs = [_marked("S1", 1), _marked("C", cb), _marked("S2", 1)]
+        edges = [("S1", "C"), ("C", "S2")]
+    elif kind == "II-2":
+        vs = [_marked("S1", 1), _marked("C", cb), _marked("H1", half)]
+        edges = [("S1", "C"), ("C", "H1", 2)]
+    else:
+        vs = [_marked("S1", 1), _marked("C", cb, -1)]
+        vs += [_marked(f"X{i}", cb, -2, EXCEPTIONAL) for i in range(1, k + 1)]
+        vs += [_marked("Y1", hb, -2, EXCEPTIONAL), _marked("Y2", hb, -2, EXCEPTIONAL)]
+        edges = [("S1", "C"), ("C", "X1")] + [(f"X{i}", f"X{i+1}") for i in range(1, k)]
+        edges += [(f"X{k}", "Y1"), (f"X{k}", "Y2")]
+    return DualGraph(vs, edges)
+
+
+@pytest.mark.parametrize("kind", ["I-1", "I-2", "I-3", "II-1", "II-2", "II-3", "III"])
+def test_fibre_rows_agree_with_the_hand_builders(kind):
+    for b in (1, 2, 3, 7, INFINITY, 0):
+        for k in (None, 0, 1, 2, 5, 11):
+            got = _outcome(dynkin_fibre_graph, kind, b, k)
+            want = _outcome(hand_dynkin_fibre_graph, kind, b, k)
+            if isinstance(want, DualGraph):
+                assert (got.vertices, got.edges) == (want.vertices, want.edges), (kind, b, k)
+            else:
+                assert got == want, (kind, b, k)

@@ -23,8 +23,9 @@ from logdgen.duval import (
     o_p,
     recompute_e_orb,
 )
-from logdgen.dualgraph import duval_graph
-from logdgen.graph import intersection_matrix
+from logdgen.core import KodairaLabel
+from logdgen.dualgraph import duval_graph, kodaira_graph, recognize_duval
+from logdgen.graph import CurveVertex, DualGraph, intersection_matrix
 from test_dualgraph import kernel_det
 
 # Closed forms of the defect table, one per cover case, kept here as the
@@ -368,6 +369,67 @@ def test_cover_case_rows_agree_with_the_hand_cases():
     assert points == 109  # the accepted points; the other 1997 are refused alike
 
 
+
+# ---------------------------------------------------------------------------
+# Maximal-rank root subsystems (Borel and de Siebenthal 1949): delete one node
+# of the extended Dynkin diagram of a simple component and repeat on each
+# component of what is left.
+
+
+def extended_dynkin(t: DuValType) -> DualGraph:
+    """The extended Dynkin diagram of ``t`` as the Kodaira fibre whose dual graph
+    it is (I_{n+1}, I*_{n-4}, IV*, III*, II*), its curves made exceptional (-2)-curves."""
+    if t.family == "A":
+        label = KodairaLabel("I", t.index + 1)
+    elif t.family == "D":
+        label = KodairaLabel("I*", t.index - 4)
+    else:
+        label = KodairaLabel({6: "IV*", 7: "III*", 8: "II*"}[t.index])
+    g = kodaira_graph(label)
+    return DualGraph([CurveVertex(v.id, -2) for v in g.vertices], g.edges)
+
+
+def components(g: DualGraph, ids) -> list[DualGraph]:
+    """The connected components of the curves ``ids`` of ``g``."""
+    left, parts = set(ids), []
+    while left:
+        part, frontier = set(), [left.pop()]
+        while frontier:
+            vid = frontier.pop()
+            part.add(vid)
+            frontier += [u for u in g.neighbors(vid) if u in left]
+            left -= set(frontier)
+        parts.append(DualGraph([g.vertex(v) for v in sorted(part)],
+                               [e for e in g.edges if e[0] in part and e[1] in part]))
+    return parts
+
+
+def node_deletions(t: DuValType) -> set:
+    """The systems left by deleting one node of the extended diagram of ``t``."""
+    g = extended_dynkin(t)
+    return {tuple(sorted(recognize_duval(part) for part in components(g, set(g.ids()) - {v})))
+            for v in g.ids()}
+
+
+def maximal_rank_subsystems(system) -> set:
+    """Every maximal-rank root subsystem of ``system``, as sorted tuples of Du Val types."""
+    found, todo = set(), [tuple(sorted(system))]
+    while todo:
+        current = todo.pop()
+        if current not in found:
+            found.add(current)
+            todo += [tuple(sorted(current[:i] + current[i + 1:] + part))
+                     for i, t in enumerate(current) for part in node_deletions(t)]
+    return found
+
+
+# The roots of K-perp in a del Pezzo surface of degree d: E_{9-d}, that is E_8,
+# E_7, E_6, D_5, A_4, A_2 + A_1 and, in degree 7, A_1, which spans rank 1 of 2.
+E_ROOTS = {1: (DuValType("E", 8),), 2: (DuValType("E", 7),), 3: (DuValType("E", 6),),
+           4: (DuValType("D", 5),), 5: (DuValType("A", 4),),
+           6: (DuValType("A", 2), DuValType("A", 1)), 7: (DuValType("A", 1),)}
+
+
 class TestDelPezzoCatalog:
     def test_has_27_rows(self):
         assert len(delpezzo_catalog()) == 27
@@ -432,3 +494,31 @@ class TestDelPezzoCatalog:
             if rank != 9 - entry.degree or rest or isqrt(quotient) ** 2 != quotient:
                 failing.add(entry.row)
         assert failing == {12, 17}
+
+    def test_singularities_are_maximal_rank_root_subsystems_except_rows_12_and_17(self):
+        # A rank-one Gorenstein del Pezzo of degree d <= 7 has its singularities
+        # spanning a full-rank root subsystem of E_{9-d}.  Row 17 (E7+A2) has
+        # rank 9 in degree 1; row 12 (D4+A3) is no subsystem of E7, where
+        # D4+3A1 is.
+        failing = {entry.row for entry in delpezzo_catalog() if entry.degree <= 7
+                   and tuple(sorted(entry.singularities))
+                   not in maximal_rank_subsystems(E_ROOTS[entry.degree])}
+        assert failing == {12, 17}
+        e7 = maximal_rank_subsystems(E_ROOTS[2])
+        assert (DuValType("A", 1),) * 3 + (DuValType("D", 4),) in e7
+        assert (DuValType("A", 3), DuValType("D", 4)) not in e7
+
+    def test_maximal_rank_subsystems_have_full_rank_and_square_index(self):
+        # det L = det M [M : L]^2, so det(L) / det(M) is a square; E_8 has det 1
+        for d in (1, 2, 3, 4, 5):
+            roots = E_ROOTS[d]
+            whole = abs(prod(kernel_det(intersection_matrix(duval_graph(t))) for t in roots))
+            for system in maximal_rank_subsystems(roots):
+                assert sum(t.index for t in system) == 9 - d, system
+                det = abs(prod(kernel_det(intersection_matrix(duval_graph(t))) for t in system))
+                quotient, rest = divmod(det, whole)
+                assert not rest and isqrt(quotient) ** 2 == quotient, system
+        e8 = maximal_rank_subsystems(E_ROOTS[1])
+        for system in ("A1 " * 8, "A2 " * 4, "A4 A4", "E6 A2", "D4 D4", "A8", "D8", "E7 A1"):
+            types = tuple(sorted(DuValType(name[0], int(name[1:])) for name in system.split()))
+            assert types in e8, system
