@@ -4,8 +4,8 @@ Everything is computed over the rationals with stdlib ``fractions.Fraction``;
 no floating point is used anywhere.  The modules:
 
 - ``core``: exact rationals, standard-boundary coefficients, multiset
-  enumeration, the strict JSON readers, and the Kodaira and marked
-  fibre-type labels.
+  enumeration, the strict JSON readers, the orbifold Euler formula, and the
+  Kodaira and marked fibre-type labels.
 - ``duval``: Du Val singularity data, the six index-r canonical-cover cases,
   the covering defect ``delta_p``, and the rank-one Gorenstein log del Pezzo
   catalog.

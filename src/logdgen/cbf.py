@@ -28,8 +28,6 @@ class FibreInvariants(Record):
     be represented and rejected).
     """
 
-    _fields = ("ell", "mu", "b", "s")
-
     def __init__(self, ell: int, mu: Rational, b: int, s: Rational) -> None:
         if type(ell) is not int or ell < 1:
             raise ValueError(f"ell must be a positive integer, got {ell}")
@@ -47,8 +45,6 @@ class PrimitiveVector(Record):
     Shape V1 requires gcd(r, a_2) = 1; both shapes require 0 <= a_i < r
     and a_0 + a_1 + a_2 < r.
     """
-
-    _fields = ("kind", "r", "a")
 
     def __init__(self, kind: str, r: int, a: tuple[int, int, int]) -> None:
         if kind not in (V1, V2):
@@ -114,10 +110,7 @@ def elliptic_table(kodaira: KodairaLabel, m: int = 1) -> FibreInvariants:
         return FibreInvariants(ell=m, mu=Rational(0), b=1, s=Rational(m - 1, m))
     if m != 1:
         raise ValueError(f"only the I_b column takes a multiplicity, not {kodaira.kind}")
-    try:
-        ell, mu, s = ELLIPTIC_COLUMNS[kodaira.kind]
-    except KeyError:
-        raise ValueError(f"{kodaira} has no elliptic table column") from None
+    ell, mu, s = ELLIPTIC_COLUMNS[kodaira.kind]
     return FibreInvariants(ell=ell, mu=mu, b=1, s=s)
 
 
@@ -163,8 +156,6 @@ class AbelianTableRow(Record):
     mu* = mu_num / (den * ell), s* = (den*ell - s_offset) / (den*ell), and
     the divisibility condition divisor | ell.
     """
-
-    _fields = ("number", "table", "vector", "mu_num", "den", "s_offset", "divisor")
 
     def __init__(self, number: int, table: str, vector: PrimitiveVector, mu_num: int, den: int,
                  s_offset: int, divisor: int) -> None:
@@ -228,8 +219,6 @@ C_STAR_VALUES = frozenset({
 class RegeneratedRow(Record):
     """A table row with mu* and s* recomputed at sample twist indices."""
 
-    _fields = ("row", "evaluations", "divisibility_ok")
-
     def __init__(self, row: AbelianTableRow,
                  evaluations: tuple[tuple[int, Rational, Rational, Rational, Rational], ...],
                  divisibility_ok: bool) -> None:
@@ -264,9 +253,7 @@ def regenerate_table_vi_vii() -> list[RegeneratedRow]:
 
 
 def _totient(n: int) -> int:
-    """Euler's function by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"totient needs a positive integer, got {n}")
+    """Euler's function of a positive integer, by trial-division factorization."""
     result = n
     rest = n
     p = 2

@@ -37,8 +37,6 @@ EXIT_DOMAIN = 1
 class Report(Record):
     """What every non-table command emits."""
 
-    _fields = ("command", "inputs", "results", "status")
-
     def __init__(self, command: str, inputs: dict, results: list, status: str) -> None:
         self.__dict__.update(command=command, inputs=inputs, results=results, status=status)
 
@@ -149,7 +147,7 @@ def cmd_euler(args) -> int:
         ]
 
     def compute(components):
-        value = euler_degenerate_fibre(components)  # may be too long to print
+        value = euler_degenerate_fibre(components)
         return [
             ("euler", str(value)),
             ("chi_zero_consistent", "true" if value == 0 else "false"),

@@ -3,8 +3,10 @@
 Every coefficient in the toolkit is a ``fractions.Fraction`` (re-exported as
 ``Rational``); nothing here or downstream touches floating point.  The module
 holds the standard coefficients (b-1)/b, the boundary-multiset enumerator, the
-strict JSON readers and rational parser, the ``Record`` base of the package's
-value types, the quotient defect sum(1 - 1/o), and the fibre-type labels
+strict JSON readers and rational parser, the bound ``MAX_ANSWER_DIGITS`` on the
+digits of an answer, the ``Record`` base of the package's value types, the
+quotient defect sum(1 - 1/o) with the one orbifold Euler formula
+e_orb = e - sum(1 - 1/o) built on it, and the fibre-type labels
 ``KodairaLabel`` (with ``classical_euler`` and ``component_count``) and
 ``FibreTypeLabel``, kept here so that the coefficient, height and fibration
 modules load no graph code.  Every CLI command loads this module, so code
@@ -48,6 +50,12 @@ def json_array(value, name: str) -> list:
 # many digits, inside the 4300 digits that str() of an int allows.
 MAX_LITERAL_DIGITS = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+# Most digits of a numerator or denominator the package answers with: what
+# str() prints of an int.  An answer that could reach ANSWER_CEILING is refused.
+MAX_ANSWER_DIGITS = 4300
+ANSWER_CEILING = 10**MAX_ANSWER_DIGITS
 
 
 class ParseError(ValueError):
@@ -104,17 +112,15 @@ def doubled_standard_coeff(b) -> Rational:
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``_fields``; its ``__init__`` checks the
-    arguments and then stores exactly those fields, in that order, with one
-    ``self.__dict__.update``.  Record gives equality between instances of one
+    A subclass's ``__init__`` checks its arguments and then stores one field
+    per parameter, in parameter order, with one ``self.__dict__.update``; that
+    order is the field order.  Record gives equality between instances of one
     class with equal fields, the hash of the field tuple, the
     ``Name(field=value, ...)`` repr, and AttributeError on assignment or
     deletion.  The standard library generates such classes too, but importing
     that module (with ``inspect``) and generating each class's methods cost a
     short CLI run about 20 ms, more than most commands compute.
     """
-
-    _fields: tuple[str, ...] = ()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -125,7 +131,7 @@ class Record:
         return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -198,8 +204,6 @@ PLAIN_KODAIRA = {"II": (2, 1), "III": (3, 2), "IV": (4, 3), "II*": (10, 1), "III
 class KodairaLabel(Record):
     """A Kodaira fibre type: I_b (b>=1), I*_b (b>=0), II..IV*, or SMOOTH."""
 
-    _fields = ("kind", "b")
-
     def __init__(self, kind: str, b: int | None = None) -> None:
         if kind == "I":
             if type(b) is not int or b < 1:
@@ -267,6 +271,18 @@ def quotient_defect(orders) -> tuple[int, int]:
     return len(orders) * lcm - sum(lcm // o for o in orders), lcm
 
 
+def orbifold_euler(e_top: int, orders) -> Rational:
+    """e_top minus the quotient-point defects sum(1 - 1/o).
+
+    >>> orbifold_euler(3, [2])
+    Fraction(5, 2)
+    >>> orbifold_euler(3, [3, 3, 3])
+    Fraction(1, 1)
+    """
+    defect, lcm = quotient_defect(orders)
+    return Rational(e_top * lcm - defect, lcm)
+
+
 class FibreTypeLabel(Record):
     """A marked degenerate-fibre type (I-1)_b .. (II-3)_{b,k}.
 
@@ -274,7 +290,6 @@ class FibreTypeLabel(Record):
     INFINITY); the chain length ``k`` exists only for the kind II-3.
     """
 
-    _fields = ("kind", "b", "k")
     _KINDS = ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3")
 
     def __init__(self, kind: str, b: int | str, k: int | None = None) -> None:

@@ -461,12 +461,9 @@ def recognize_half_catalog(g: DualGraph):
 
 
 def _infer_b(coeff: Rational):
-    """Recover b from (b-1)/b; None when the value is not standard."""
-    coeff = Rational(coeff)
+    """Recover b from a curve's coefficient (b-1)/b in [0, 1]; None when it is not standard."""
     if coeff == 1:
         return INFINITY
-    if not 0 <= coeff < 1:
-        return None
     b = 1 / (1 - coeff)
     if b.denominator != 1:
         return None

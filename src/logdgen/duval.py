@@ -13,7 +13,7 @@ numbers.
 from fractions import Fraction as Rational
 from functools import total_ordering
 
-from .core import Record, quotient_defect
+from .core import Record, orbifold_euler
 
 # Marker for the index-1 case (canonical cover is the germ itself).
 GORENSTEIN = 0
@@ -22,8 +22,6 @@ GORENSTEIN = 0
 @total_ordering
 class DuValType(Record):
     """One of A_n (n >= 1), D_n (n >= 4), E_6, E_7, E_8; ordered by (family, index)."""
-
-    _fields = ("family", "index")
 
     def __init__(self, family: str, index: int) -> None:
         if type(index) is not int:
@@ -118,8 +116,6 @@ class CoverCase(Record):
         5: D_{n+1}  -> D_{2n}     (r = 2, n >= 3)
         6: E_6      -> E_7        (r = 2)
     """
-
-    _fields = ("case_id", "r", "n", "base")
 
     def __init__(self, case_id: int, r: int = 1, n: int | None = None,
                  base: DuValType | None = None) -> None:
@@ -241,8 +237,6 @@ def delta_p(cover: CoverCase) -> Rational:
 class DelPezzoEntry(Record):
     """One row of the rank-one Gorenstein log del Pezzo catalog."""
 
-    _fields = ("row", "degree", "singularities", "e_orb")
-
     def __init__(self, row: int, degree: int, singularities: tuple[DuValType, ...],
                  e_orb: Rational) -> None:
         self.__dict__.update(row=row, degree=degree, singularities=singularities, e_orb=e_orb)
@@ -305,6 +299,5 @@ def recompute_e_orb(degree: int, singularities: tuple[DuValType, ...]) -> Ration
 
         e_orb = (12 - degree - sum curve_count) - sum (1 - 1/o_p).
     """
-    defect, lcm = quotient_defect(duval_order(t) for t in singularities)
     whole = 12 - degree - sum(t.curve_count for t in singularities)
-    return Rational(whole * lcm - defect, lcm)
+    return orbifold_euler(whole, (duval_order(t) for t in singularities))

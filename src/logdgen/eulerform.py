@@ -1,27 +1,28 @@
 """Euler characteristics of degenerate fibres and the correction calculus.
 
-The pieces assembled here: orbifold Euler numbers, the cyclic-quotient
-Riemann-Roch correction terms and their telescoping sum, the structure-sheaf
-Euler characteristic of a normal-crossing divisor (with and without the
-correction terms for non-Gorenstein points), the top Euler number via
-Noether's equality, and two small numerology helpers for boundary surfaces
-fibred in conics.
+The pieces assembled here: the cyclic-quotient Riemann-Roch correction terms
+and their telescoping sum, the structure-sheaf Euler characteristic of a
+normal-crossing divisor (less the correction terms at its non-Gorenstein
+points, when it has any), the Euler number of a degenerate fibre, the top
+Euler number via Noether's equality, and two small numerology helpers for
+boundary surfaces fibred in conics.  The orbifold Euler number
+e_orb = e - sum(1 - 1/o), ``orbifold_euler``, is one formula for the whole
+package: it lives in ``core`` beside ``quotient_defect`` and is imported here
+under the same name.
 
 Everything works on per-component numerical aggregates; no threefold model
 is constructed.
 """
 
 from fractions import Fraction as Rational
-from math import gcd
+from math import gcd, lcm
 
-from .core import Record, quotient_defect
+from .core import ANSWER_CEILING, MAX_ANSWER_DIGITS, Record, orbifold_euler
 
 
 class FibreComponentData(Record):
     """Numerical data of one fibre component: multiplicity, orbifold Euler
     number of the open part, and the local excesses at its special points."""
-
-    _fields = ("m", "e_orb", "deltas")
 
     def __init__(self, m: int, e_orb: Rational, deltas: tuple[Rational, ...] = ()) -> None:
         if type(m) is not int or m < 1:
@@ -42,8 +43,6 @@ class ChiInput(Record):
     summed over the points of that component.
     """
 
-    _fields = ("components", "total_D_cubed", "total_D_sq_K", "corrections")
-
     def __init__(self, components: tuple[tuple[int, Rational, Rational, Rational], ...],
                  total_D_cubed: Rational = Rational(0), total_D_sq_K: Rational = Rational(0),
                  corrections: tuple[tuple[int, tuple[Rational, ...]], ...] = ()) -> None:
@@ -58,18 +57,6 @@ class ChiInput(Record):
         total_D_cubed, total_D_sq_K = Rational(total_D_cubed), Rational(total_D_sq_K)
         self.__dict__.update(components=comps, total_D_cubed=total_D_cubed,
                              total_D_sq_K=total_D_sq_K, corrections=corr)
-
-
-def orbifold_euler(e_top: int, orders) -> Rational:
-    """e_top minus the quotient-point defects sum(1 - 1/o).
-
-    >>> orbifold_euler(3, [2])
-    Fraction(5, 2)
-    >>> orbifold_euler(3, [3, 3, 3])
-    Fraction(1, 1)
-    """
-    defect, lcm = quotient_defect(orders)
-    return Rational(e_top * lcm - defect, lcm)
 
 
 def _check_cyclic(r: int, a: int) -> None:
@@ -117,37 +104,45 @@ def rr_correction_sum(r: int, a: int, m: int) -> Rational:
     return Rational(-total, 2 * r)
 
 
-def chi_structure_sheaf(data: ChiInput, generalized: bool = False) -> Rational:
+def chi_structure_sheaf(data: ChiInput) -> Rational:
     """Structure-sheaf Euler characteristic of a normal-crossing divisor.
 
     chi(O_D) = sum m_i chi_i + (D^3 - sum m_i D_i^3)/6
-             + (D^2.K - sum m_i D_i^2.K)/4,
-    and, in the generalized form, an extra -(1/12) sum_i m_i sum_p c_p for
-    the correction terms at non-Gorenstein points.
+             + (D^2.K - sum m_i D_i^2.K)/4
+             - (1/12) sum_i m_i sum_p c_p,
+    the last sum running over the correction terms at non-Gorenstein points;
+    an input without corrections gets the plain formula.
     """
     total = sum((m * chi for (m, chi, _, _) in data.components), Rational(0))
     cubed = sum((m * d3 for (m, _, d3, _) in data.components), Rational(0))
     sq_k = sum((m * d2k for (m, _, _, d2k) in data.components), Rational(0))
     total += (data.total_D_cubed - cubed) / 6
     total += (data.total_D_sq_K - sq_k) / 4
-    if generalized:
-        total -= (
-            sum((m * sum(cs, Rational(0)) for (m, cs) in data.corrections), Rational(0))
-            / 12
-        )
+    total -= sum((m * sum(cs, Rational(0)) for (m, cs) in data.corrections), Rational(0)) / 12
     return total
 
 
 def euler_degenerate_fibre(components) -> Rational:
     """Top Euler number of a degenerate fibre: sum m_i (e_orb_i + sum deltas).
 
+    The terms are added as integers over the running lcm of their
+    denominators.  Once that lcm or the numerator over it reaches
+    10^MAX_ANSWER_DIGITS the sum raises ValueError, so every answer can be
+    printed; a sum whose terms cancel may be refused too.
+
     >>> euler_degenerate_fibre([FibreComponentData(2, 3, [Rational(1, 2)])])
     Fraction(7, 1)
     """
-    return sum(
-        (c.m * (c.e_orb + sum(c.deltas, Rational(0))) for c in components),
-        Rational(0),
-    )
+    num, den = 0, 1
+    for c in components:
+        for term in (c.e_orb, *c.deltas):
+            common = lcm(den, term.denominator)
+            num = num * (common // den) + c.m * term.numerator * (common // term.denominator)
+            den = common
+            if den >= ANSWER_CEILING or abs(num) >= ANSWER_CEILING:
+                raise ValueError(
+                    f"the Euler number could have more than {MAX_ANSWER_DIGITS} digits")
+    return Rational(num, den)
 
 
 def noether_e_top(chi, k_sq, e_p_list) -> Rational:

@@ -14,10 +14,19 @@ with a standard boundary and orbifold Euler number zero:
   4 units of Euler number for a degree-2 horizontal curve and at most 2
   for a single section;
 * the Hurwitz constraint: the fibres on which a horizontal degree-2 curve
-  ramifies come in even number, and fix that curve's Euler number;
-* the adjunction constraint on the horizontal floor curve: the boundary
-  degree collected along it must equal its own Euler number, allowing one
-  node on a degree-2 floor curve.
+  ramifies come in even number r, and fix that curve's Euler number 4 - r;
+* the adjunction (floor) constraint on the horizontal floor curve: the
+  boundary degree collected along it, never negative, must equal its own
+  Euler number, allowing one node on a degree-2 floor curve.
+
+The floor constraint implies the budget, so ``check_typ`` tests only the
+other two (``boundary_budget`` still reports the spend).  Two sections admit
+only II-1 fibres, which spend nothing.  Over a bisection each I-2 or II-3
+fibre spends at most 1 and ramifies, and the floor degree must be 4 - r or
+2 - r; it is never negative, so r <= 4 and the spend is at most 4.  Over a
+single section each I-3 fibre spends 1/2 and puts at least 1/2 on a floor
+that must total 0 or 2, and the other kinds spend nothing, so the spend is
+at most 2.
 
 Nothing here constructs surfaces; the checks only accept or reject records.
 """
@@ -46,8 +55,6 @@ class GermBoundaryData(Record):
     branches with coefficient (b-1)/b meeting the germ there.  Zero counts
     may be omitted.  Sums k_b > 2 are representable; they classify NOT_LC.
     """
-
-    _fields = ("n", "k")
 
     def __init__(self, n: int, k: dict[int, int] | None = None) -> None:
         k = {} if k is None else k
@@ -155,13 +162,11 @@ TWO_SECTIONS = "TWO_SECTIONS"
 BISECTION = "BISECTION"
 SECTION_ONLY = "SECTION_ONLY"
 
-# One row per profile: the orbifold Euler number available to singular points
-# on the fibres (4 for a degree-2 horizontal curve, 2 per section), the generic
-# fibre, and each fibre kind the profile can exhibit, with the boundary degree
-# that the fibre deposits on the horizontal floor curve(s) and whether a
-# degree-2 horizontal curve ramifies over it.  A row (contacts, scale, ramified)
-# meets the floor in that many contacts, each depositing (scale*b - 1)/(scale*b),
-# or 1 when b is INFINITY.
+# One row per profile: the generic fibre, and each fibre kind the profile can
+# exhibit, with the boundary degree that the fibre deposits on the horizontal
+# floor curve(s) and whether a degree-2 horizontal curve ramifies over it.  A
+# row (contacts, scale, ramified) meets the floor in that many contacts, each
+# depositing (scale*b - 1)/(scale*b), or 1 when b is INFINITY.
 # One floor contact (kinds I-*) needs a multiplicity-2 central curve to host a
 # bisection, so I-2 and II-3 belong to the bisection; I-1, I-3 and II-2 carry
 # half-boundary marks and ride over a single section; two sections see only
@@ -171,13 +176,13 @@ SECTION_ONLY = "SECTION_ONLY"
 # The floor bisection ramifies over the I-2 / II-3 central curves, the
 # half-curve bisection over I-3 (multiplicity two) and II-2 (tangency).
 _PROFILE_TABLE = {
-    TWO_SECTIONS: (4, FibreTypeLabel("II-1", 1), {"II-1": (1, 1, False)}),
-    BISECTION: (4, FibreTypeLabel("II-1", 1), {
+    TWO_SECTIONS: (FibreTypeLabel("II-1", 1), {"II-1": (1, 1, False)}),
+    BISECTION: (FibreTypeLabel("II-1", 1), {
         "I-2": (1, 1, True),
         "II-1": (2, 1, False),
         "II-3": (1, 1, True),
     }),
-    SECTION_ONLY: (2, FibreTypeLabel("I-1", 1), {
+    SECTION_ONLY: (FibreTypeLabel("I-1", 1), {
         "I-1": (1, 1, False),
         "I-3": (1, 2, True),
         "II-2": (1, 1, True),
@@ -187,7 +192,7 @@ PROFILES = tuple(_PROFILE_TABLE)
 
 
 def _profile(profile: str):
-    """The profile's row: (budget, generic fibre, {kind: (contacts, scale, ramified)})."""
+    """The profile's row: (generic fibre, {kind: (contacts, scale, ramified)})."""
     try:
         return _PROFILE_TABLE[profile]
     except (KeyError, TypeError):  # TypeError: an unhashable profile
@@ -201,8 +206,6 @@ def _label_key(label: FibreTypeLabel):
 
 class TypRecord(Record):
     """Degenerate-fibre multiset plus the generic fibre type."""
-
-    _fields = ("special", "generic")
 
     def __init__(self, special: tuple[FibreTypeLabel, ...], generic: FibreTypeLabel) -> None:
         for label in special:
@@ -255,8 +258,9 @@ def budget_contribution(label: FibreTypeLabel) -> Rational:
 def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
     """Total orbifold spend of the record's degenerate fibres.
 
-    The total is compared against the profile's budget by check_typ; the
-    profile is validated here but does not change the per-fibre values.
+    A record that check_typ accepts spends at most the profile's budget (the
+    module docstring proves it); the profile is validated here but does not
+    change the per-fibre values.
 
     >>> rec = TypRecord((FibreTypeLabel("I-2", 1),) * 4, FibreTypeLabel("II-1", 1))
     >>> boundary_budget(rec, BISECTION)
@@ -268,7 +272,7 @@ def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
 
 def branch_count(rec: TypRecord, profile: str) -> int:
     """Number of fibres ramifying the degree-2 horizontal curve."""
-    kinds = _profile(profile)[2]
+    kinds = _profile(profile)[1]
     return sum(1 for l in rec.special if kinds.get(l.kind, (0, 0, False))[2])
 
 
@@ -278,25 +282,24 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     Checked: the generic type matches the profile's floor contact count;
     every special fibre kind can ride over the profile and none is the
     generic germ in disguise; the ramified fibres of a degree-2 horizontal
-    curve come in even number; the orbifold budget is not overspent; and
-    the boundary degree collected on the floor matches the floor curve's
-    Euler number (a degree-2 floor curve may carry one node).
+    curve come in even number; and the boundary degree collected on the
+    floor matches the floor curve's Euler number (a degree-2 floor curve may
+    carry one node).  A record passing the floor test is within the orbifold
+    budget (see the module docstring), so the budget is not tested again.
     """
-    budget, generic, kinds = _profile(profile)
+    generic, kinds = _profile(profile)
     if rec.generic != generic:
         return False
     # The floor degree is 1 per contact with b = INFINITY plus the quotient
-    # defect of the other contacts' d = scale*b, and the spend is the quotient
-    # defect of the points; both are kept as integers over an lcm.
+    # defect of the other contacts' d = scale*b, kept as an integer over an lcm.
     ramified = reduced = 0
-    dens, orders = [], []
+    dens = []
     for label in rec.special:
         row = kinds.get(label.kind)
         if row is None or label == generic:
             return False
         contacts, scale, ramifies = row
         ramified += ramifies
-        orders += _POINT_ORDERS[label.kind](label.k)
         if label.b == INFINITY:
             reduced += contacts
         else:
@@ -305,9 +308,6 @@ def check_typ(rec: TypRecord, profile: str) -> bool:
     try:
         cover_euler = hurwitz_double_cover_euler(ramified)
     except ValueError:
-        return False
-    spent, lcm = quotient_defect(orders)
-    if spent > budget * lcm:
         return False
     degree, lcm = quotient_defect(dens)
     if profile == BISECTION:

@@ -17,7 +17,8 @@ appears anywhere.
 from fractions import Fraction as Rational
 from math import lcm, prod
 
-from .core import NOT_LC, Record, json_array, json_int, parse_rational
+from .core import (ANSWER_CEILING, MAX_ANSWER_DIGITS, NOT_LC, Record, json_array, json_int,
+                   parse_rational)
 
 # Vertex roles.
 EXCEPTIONAL = "EXCEPTIONAL"
@@ -43,8 +44,6 @@ class CurveVertex(Record):
     curves of the map being studied from strict transforms of boundary
     curves and from fibre components.
     """
-
-    _fields = ("id", "self_int", "genus", "multiplicity", "boundary_coeff", "role")
 
     def __init__(self, id: str, self_int: int, genus: int = 0, multiplicity: int = 1,
                  boundary_coeff: Rational = Rational(0), role: str = EXCEPTIONAL) -> None:
@@ -279,9 +278,6 @@ def is_negative_definite(m) -> bool:
 # Most exceptional curves pullback_coefficients solves for: its elimination
 # over Fraction grows as the cube of the count.
 MAX_PULLBACK_CURVES = 100
-# Most digits of a coefficient's numerator or denominator: what str() prints of an int.
-MAX_ANSWER_DIGITS = 4300
-_ANSWER_CEILING = 10**MAX_ANSWER_DIGITS
 
 
 def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
@@ -322,7 +318,7 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
     d = lcm(*(r.denominator for r in rhs.values()))
     bound = d * prod(sum(map(abs, row)) + abs(r.numerator) * (d // r.denominator)
                      for row, r in zip(m, rhs.values()))
-    if bound >= _ANSWER_CEILING:
+    if bound >= ANSWER_CEILING:
         raise ValueError(f"the coefficients could have more than {MAX_ANSWER_DIGITS} digits")
     pivots, swaps, rows = _eliminate(m, list(rhs.values()))
     if not _negative_pivots(pivots, swaps, len(ids)):

@@ -84,8 +84,6 @@ def contribution(fibre: KodairaLabel, i: int) -> Rational:
 class SectionConfig(Record):
     """One way a section can sit: (P.O) plus the component met per fibre."""
 
-    _fields = ("po", "hits")
-
     def __init__(self, po: int, hits: tuple[int, ...]) -> None:
         hits = tuple(hits)
         if type(po) is not int or po < 0:

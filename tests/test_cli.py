@@ -137,6 +137,24 @@ class TestTables:
         assert "table VII row 23" in err
         assert run(capsys, "tables", "VI")[0] == 0
 
+    @pytest.mark.parametrize("index, field, value, line", [
+        # c* = mu_num/den = 7 is in no table row's known set
+        (0, "mu_num", 7, "table VI row 1: c* = 7 outside the known set"),
+        # 3 divides neither sample ell = r = 4 nor 2r = 8
+        (1, "divisor", 3, "table VI row 2: divisor 3 fails"),
+    ])
+    def test_tampered_abelian_row_fails_the_structural_checks(self, capsys, monkeypatch,
+                                                              index, field, value, line):
+        import logdgen.cbf as cbf
+
+        rows = list(cbf.ABELIAN_TABLE_ROWS)
+        rows[index] = replace(rows[index], **{field: value})
+        monkeypatch.setattr(cbf, "ABELIAN_TABLE_ROWS", tuple(rows))
+        code, _, err = run(capsys, "tables", "VI")
+        assert code == 1
+        assert f"cross-check mismatch: {line}" in err.splitlines()
+        assert run(capsys, "tables", "VII")[0] == 0
+
     @pytest.mark.parametrize("tampered", [
         (4, Rational(1, 2), Rational(1, 3)),  # s*
         (4, Rational(1, 3), Rational(1, 4)),  # mu*
@@ -311,6 +329,20 @@ class TestEuler:
         assert code == 1
         assert data["status"] == (f"ParseError: rational literal {literal[:20]!r} "
                                   f"exceeds {MAX_LITERAL_DIGITS} digits")
+
+    def test_unprintable_sum_is_refused_at_once(self, capsys, tmp_path):
+        # 800 components with distinct odd 990-digit denominators: adding one
+        # Fraction at a time took 17.9 s, and printing the answer then failed
+        # on str() of a 790 000-digit denominator
+        comps = [{"m": 1, "e_orb": f"1/{10**989 + 2 * i + 1}"} for i in range(800)]
+        path = tmp_path / "fibre.json"
+        path.write_text(json.dumps({"components": comps}))
+        start = time.perf_counter()
+        code, data, err = run_json(capsys, "euler", path)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert data["status"] == f"DomainError: the Euler number could have more than {MAX_ANSWER_DIGITS} digits"
+        assert "set_int_max_str_digits" not in data["status"] + err
 
 
 class TestCbf:

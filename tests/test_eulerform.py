@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logdgen.core import MAX_ANSWER_DIGITS
 from logdgen.duval import DuValType, delpezzo_catalog, exceptional_euler
 from logdgen.eulerform import (
     TYPE3_OFFSETS,
@@ -112,8 +113,7 @@ class TestChiStructureSheaf:
             components=[(1, F(1), F(0), F(0))],
             corrections=[(2, [F(-3, 4)])],
         )
-        v = chi_structure_sheaf(base, generalized=True)
-        assert chi_structure_sheaf(with_corr, generalized=True) == v + F(1, 8)
+        assert chi_structure_sheaf(with_corr) == chi_structure_sheaf(base) + F(1, 8)
 
     def test_plain_equals_generalized_without_corrections(self):
         data = ChiInput(
@@ -121,7 +121,9 @@ class TestChiStructureSheaf:
             total_D_cubed=F(7),
             total_D_sq_K=F(1, 2),
         )
-        assert chi_structure_sheaf(data, False) == chi_structure_sheaf(data, True)
+        # the plain formula, sum m_i chi_i + (D^3 - sum m_i D_i^3)/6 + (D^2.K - sum m_i D_i^2.K)/4
+        plain = 3 * F(1, 3) + (F(7) - 3 * 2) / 6 + (F(1, 2) - 3 * -5) / 4
+        assert chi_structure_sheaf(data) == plain == F(121, 24)
 
     def test_empty_divisor_rejected(self):
         with pytest.raises(ValueError):
@@ -149,6 +151,22 @@ class TestEulerDegenerateFibre:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             FibreComponentData(1, F(0), [F(-1, 2)])
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.fractions(max_denominator=60),
+                              st.lists(st.fractions(0, 5, max_denominator=60), max_size=3)),
+                    max_size=6))
+    def test_integer_sum_agrees_with_the_fraction_sum(self, drawn):
+        comps = [FibreComponentData(m, e, deltas) for m, e, deltas in drawn]
+        oracle = sum((c.m * (c.e_orb + sum(c.deltas, F(0))) for c in comps), F(0))
+        assert euler_degenerate_fibre(comps) == oracle
+
+    @pytest.mark.parametrize("term", [F(10**MAX_ANSWER_DIGITS), F(1, 10**MAX_ANSWER_DIGITS)])
+    def test_a_sum_past_the_printable_digits_is_refused(self, term):
+        below = term - 1 if term > 1 else F(1, 10**MAX_ANSWER_DIGITS - 1)
+        assert euler_degenerate_fibre([FibreComponentData(1, below)]) == below
+        with pytest.raises(ValueError, match=f"^the Euler number could have more than "
+                                             f"{MAX_ANSWER_DIGITS} digits$"):
+            euler_degenerate_fibre([FibreComponentData(1, term)])
 
 
 class TestNoether:

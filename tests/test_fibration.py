@@ -204,6 +204,7 @@ class TestCheckTyp:
         assert check_typ(TypRecord(special, generic), profile)
 
     def test_five_branch_fibres_overrun_the_budget(self):
+        # spend 5 > 4, but five branch points are odd, so the parity rule refuses it
         r = rec([lab("I-2", 1)] * 5, PAIR_GENERIC)
         assert not check_typ(r, BISECTION)
 
@@ -265,9 +266,10 @@ def test_every_profile_check_refuses_an_unknown_profile(check, profile):
 
 # check_typ with every fact of a profile written out by hand, kept as the
 # oracle for the one-row-per-profile table: the generic type, the orbifold
-# budget, the allowed kinds and their floor weights, the kinds over which a
-# degree-2 horizontal curve ramifies, and the orders of the cyclic quotient
-# points on each fibre.
+# budget (which check_typ leaves to the floor rule that implies it), the
+# allowed kinds and their floor weights, the kinds over which a degree-2
+# horizontal curve ramifies, and the orders of the cyclic quotient points on
+# each fibre.
 _GENERIC = {SECTION_ONLY: lab("I-1", 1), BISECTION: lab("II-1", 1), TWO_SECTIONS: lab("II-1", 1)}
 _BUDGET = {SECTION_ONLY: 2, BISECTION: 4, TWO_SECTIONS: 4}
 _ALLOWED_KINDS = {
@@ -386,10 +388,47 @@ def test_check_typ_agrees_with_the_hand_profiles_on_the_benchmark_records():
     assert (seen, accepted) == (47031, 228)
 
 
+def test_check_typ_agrees_with_the_hand_profiles_on_five_to_seven_labels():
+    # check_typ leaves the budget to the floor rule, and only records of five
+    # or more labels can overspend it; the benchmark's kinds with b in 1, 2 or
+    # INFINITY and k = 1 give 11 901 such records (its full label sets give
+    # millions)
+    seen = accepted = 0
+    for profile in PROFILES:
+        labels = [lab(kind, b, 1 if kind == "II-3" else None)
+                  for kind in sorted(_ALLOWED_KINDS[profile]) for b in (1, 2, INFINITY)]
+        labels.remove(_GENERIC[profile])
+        for size in range(5, 8):
+            for combo in combinations_with_replacement(labels, size):
+                r = rec(combo, _GENERIC[profile])
+                got = check_typ(r, profile)
+                assert got == hand_check_typ(r, profile), (r, profile)
+                seen += 1
+                accepted += got
+    assert (seen, accepted) == (11901, 60)
+
+
+# Records whose ramified fibres come in even number but spend more than the
+# budget: the floor rule alone refuses them.  Five I-3 fibres need a sixth
+# ramified fibre, a II-2 one that spends nothing, to pass the parity rule.
+@pytest.mark.parametrize("b", [1, 2, INFINITY])
+@pytest.mark.parametrize("kinds, profile", [
+    (("I-2",) * 6, BISECTION),
+    (("I-3",) * 5 + ("II-2",), SECTION_ONLY),
+    (("I-3",) * 6, SECTION_ONLY),
+], ids=["six-I-2", "five-I-3", "six-I-3"])
+def test_even_branch_records_over_the_budget_are_refused(kinds, profile, b):
+    r = rec([lab(kind, b) for kind in kinds], _GENERIC[profile])
+    assert branch_count(r, profile) % 2 == 0
+    assert boundary_budget(r, profile) > _BUDGET[profile]
+    assert not check_typ(r, profile)
+    assert not hand_check_typ(r, profile)
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_profile_rows_agree_with_the_hand_profiles(profile):
-    budget, generic, kinds = _PROFILE_TABLE[profile]
-    assert budget == _BUDGET[profile] and generic == _GENERIC[profile]
+    generic, kinds = _PROFILE_TABLE[profile]
+    assert generic == _GENERIC[profile]
     assert {kind for kind, (*_, ramified) in kinds.items() if ramified} == _RAMIFIED_KINDS[profile]
 
 
@@ -397,7 +436,7 @@ def test_profile_rows_agree_with_the_hand_profiles(profile):
 def test_floor_weights_agree_with_the_hand_profiles(profile):
     # every kind, b in 1..6 or INFINITY, k in 1..4: the same kinds ride over
     # the profile, with the same floor weight
-    kinds = _PROFILE_TABLE[profile][2]
+    kinds = _PROFILE_TABLE[profile][1]
     assert set(kinds) == _ALLOWED_KINDS[profile]
     for kind in KINDS:
         for b in (*range(1, 7), INFINITY):
