@@ -332,7 +332,7 @@ class TestEuler:
 
     def test_unprintable_sum_is_refused_at_once(self, capsys, tmp_path):
         # 800 components with distinct odd 990-digit denominators: adding one
-        # Fraction at a time took 17.9 s, and printing the answer then failed
+        # Fraction at a time took 15-18 s, and printing the answer then failed
         # on str() of a 790 000-digit denominator
         comps = [{"m": 1, "e_orb": f"1/{10**989 + 2 * i + 1}"} for i in range(800)]
         path = tmp_path / "fibre.json"
