@@ -13,7 +13,7 @@ and the resulting global bound on the number of singular fibres.
 from fractions import Fraction as Rational
 from math import gcd, lcm, isqrt
 
-from .core import KodairaLabel, Record, classical_euler
+from .core import KodairaLabel, Record, bounded, classical_euler
 
 V1 = "V1"
 V2 = "V2"
@@ -145,9 +145,10 @@ def mu_star(v: PrimitiveVector, ell: int) -> Rational:
 
 
 def abelian_invariants(v: PrimitiveVector, ell: int) -> tuple[Rational, Rational]:
-    """mu* of a primitive vector at twist index ell, and s* at b = 1."""
-    mu = mu_star(v, ell)
-    return mu, s_star(1, ell, mu)
+    """mu* of a primitive vector at twist index ell, and s* at b = 1; either
+    one past MAX_ANSWER_DIGITS digits raises ValueError."""
+    mu = bounded(mu_star(v, ell), "mu*")
+    return mu, bounded(s_star(1, ell, mu), "s*")
 
 
 class AbelianTableRow(Record):
@@ -223,13 +224,6 @@ class RegeneratedRow(Record):
                  evaluations: tuple[tuple[int, Rational, Rational, Rational, Rational], ...],
                  divisibility_ok: bool) -> None:
         self.__dict__.update(row=row, evaluations=evaluations, divisibility_ok=divisibility_ok)
-
-    @property
-    def matches(self) -> bool:
-        return self.divisibility_ok and all(
-            mu_calc == mu_tab and s_calc == s_tab
-            for (_, mu_calc, mu_tab, s_calc, s_tab) in self.evaluations
-        )
 
 
 def regenerate_table_vi_vii() -> list[RegeneratedRow]:
@@ -323,11 +317,12 @@ def fibre_bound(d: int, n_va: int) -> int:
 
     d is the polarization degree; n_va is the very-ampleness constant of
     the family, which is not computable from first principles here and
-    must be supplied.
+    must be supplied.  A bound with more than MAX_ANSWER_DIGITS digits
+    raises ValueError.
     """
     if d < 1 or n_va < 1:
         raise ValueError("d and n_va must be positive integers")
-    return 16 * d * n_va * sp_order(16, 3)
+    return bounded(16 * d * n_va * sp_order(16, 3), "the bound")
 
 
 def mori_feasible(s, b: int, big_n: int):
@@ -336,7 +331,8 @@ def mori_feasible(s, b: int, big_n: int):
     v = Nu(b - s) must be a positive integer with v <= bN.  For s = p/q in
     lowest terms, v is integral exactly when u is a multiple of
     q / gcd(q, N(bq - p)), and v grows with u, so that smallest multiple
-    is the only candidate.  Returns the pair, or INFEASIBLE.
+    is the only candidate.  Returns the pair, or INFEASIBLE; u or v with
+    more than MAX_ANSWER_DIGITS digits raises ValueError.
 
     >>> mori_feasible(Rational(1, 2), 1, 12)
     (1, 6)
@@ -349,7 +345,7 @@ def mori_feasible(s, b: int, big_n: int):
     p, q = s.numerator, s.denominator
     g = gcd(q, big_n * (b * q - p))
     u, v = q // g, big_n * (b * q - p) // g
-    return (u, v) if v <= b * big_n else INFEASIBLE
+    return (bounded(u, "u"), bounded(v, "v")) if v <= b * big_n else INFEASIBLE
 
 
 def validate_fibre_invariants(inv: FibreInvariants) -> bool:

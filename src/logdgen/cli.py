@@ -12,8 +12,9 @@ for compiling and loading the others: ``tables`` loads ``tables``, and
 
 A plainly written command line is parsed without loading ``argparse`` (and
 the ``gettext`` and ``locale`` it loads): the command word, for ``cbf`` the
-subcommand word, then exactly the positionals, each one its choices or
-converter accepts, and at most one ``--format tsv`` or ``--format json``
+subcommand word, then exactly the positionals, each one at most
+``MAX_LITERAL_DIGITS`` characters long and accepted by its choices or
+converter, and at most one ``--format tsv`` or ``--format json``
 anywhere after the command word (after the subcommand word for ``cbf``).
 Every other command line goes to ``build_parser``, which prints the help for
 ``-h`` and the usage error for a refused value, ``--format=json``, an
@@ -28,7 +29,8 @@ import sys
 from fractions import Fraction as Rational
 from types import SimpleNamespace
 
-from .core import KodairaLabel, ParseError, Record, json_array, json_int, parse_rational
+from .core import (MAX_LITERAL_DIGITS, KodairaLabel, ParseError, Record, json_array, json_int,
+                   parse_rational)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -238,11 +240,26 @@ def cmd_mw(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _literal(text: str, kind: str) -> str:
+    """``text``, unless it is longer than MAX_LITERAL_DIGITS characters: then
+    argparse's ArgumentTypeError, whose usage error names the bound."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        import argparse  # such a command line ends in argparse's usage error anyway
+        raise argparse.ArgumentTypeError(
+            f"{kind} literal {text[:20]!r} exceeds {MAX_LITERAL_DIGITS} digits")
+    return text
+
+
 def rational(text: str) -> Rational:
-    """A rational argument.  A malformed, oversized or k/0 literal raises
-    ParseError, a ValueError, which argparse reports under this function's
-    name: ``invalid rational value: '1/0'``."""
-    return parse_rational(text)
+    """A rational argument.  A malformed or k/0 literal, or one whose exponent
+    is too large, raises ParseError, a ValueError, which argparse reports
+    under this function's name: ``invalid rational value: '1/0'``."""
+    return parse_rational(_literal(text, "rational"))
+
+
+def integer(text: str) -> int:
+    """An integer argument: ``int`` alone would read up to 4300 digits."""
+    return int(_literal(text, "integer"))
 
 
 FORMATS = ("tsv", "json")
@@ -258,10 +275,10 @@ _COMMANDS = {
     "euler": ("Euler number of a degenerate fibre from a file", cmd_euler, (("file", str),)),
     "cbf": ("coefficient invariants, bounds, and feasibility", cmd_cbf, {
         "invariants": (("kind", ("v1", "v2")),
-                       *((name, int) for name in ("r", "a0", "a1", "a2", "ell"))),
-        "bound": (("d", int), ("n_va", int)),
-        "mori": (("s", rational), ("b", int), ("N", int)),
-        "nx": (("x", int),),
+                       *((name, integer) for name in ("r", "a0", "a1", "a2", "ell"))),
+        "bound": (("d", integer), ("n_va", integer)),
+        "mori": (("s", rational), ("b", integer), ("N", integer)),
+        "nx": (("x", integer),),
     }),
     "mw": ("feasible section configurations from a file", cmd_mw, (("file", str),)),
 }
@@ -300,9 +317,10 @@ def _parse_plain(argv):
     """The namespace argparse makes of a plainly written command line, else None.
 
     Plainly written is the command, the cbf subcommand, exactly their
-    positionals, each passing its choices or converter, and at most one
-    ``--format tsv|json`` anywhere after the command word (the subcommand
-    word for cbf).  Any other token that starts with ``-`` makes it None.
+    positionals, each at most MAX_LITERAL_DIGITS characters and passing its
+    choices or converter, and at most one ``--format tsv|json`` anywhere
+    after the command word (the subcommand word for cbf).  Any other token
+    that starts with ``-`` makes it None.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -321,7 +339,7 @@ def _parse_plain(argv):
     if fields["format"] not in FORMATS or len(rest) != len(positionals):
         return None
     for (name, accept), text in zip(positionals, rest):
-        if text.startswith("-"):
+        if text.startswith("-") or len(text) > MAX_LITERAL_DIGITS:
             return None
         if type(accept) is tuple:
             if text not in accept:

@@ -4,7 +4,8 @@ Every coefficient in the toolkit is a ``fractions.Fraction`` (re-exported as
 ``Rational``); nothing here or downstream touches floating point.  The module
 holds the standard coefficients (b-1)/b, the boundary-multiset enumerator, the
 strict JSON readers and rational parser, the bound ``MAX_ANSWER_DIGITS`` on the
-digits of an answer, the ``Record`` base of the package's value types, the
+digits of an answer, which ``bounded`` applies, the ``Record`` base of the
+package's value types, the
 quotient defect sum(1 - 1/o) with the one orbifold Euler formula
 e_orb = e - sum(1 - 1/o) built on it, and the fibre-type labels
 ``KodairaLabel`` (with ``classical_euler`` and ``component_count``) and
@@ -56,6 +57,20 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 # str() prints of an int.  An answer that could reach ANSWER_CEILING is refused.
 MAX_ANSWER_DIGITS = 4300
 ANSWER_CEILING = 10**MAX_ANSWER_DIGITS
+
+
+def bounded(value, what: str):
+    """``value``, an int or Fraction whose numerator and denominator stay
+    below ANSWER_CEILING; a longer one raises ValueError naming the bound.
+
+    >>> bounded(Rational(1, 10**MAX_ANSWER_DIGITS), "mu*")
+    Traceback (most recent call last):
+    ...
+    ValueError: mu* has more than 4300 digits
+    """
+    if abs(value.numerator) >= ANSWER_CEILING or value.denominator >= ANSWER_CEILING:
+        raise ValueError(f"{what} has more than {MAX_ANSWER_DIGITS} digits")
+    return value
 
 
 class ParseError(ValueError):

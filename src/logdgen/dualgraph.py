@@ -308,7 +308,7 @@ def recognize_kodaira(g: DualGraph):
         return UNRECOGNIZED
     if len(g.edges) == n and all(v.multiplicity == 1 for v in vs) and all(
             w == 1 for (_, _, w) in g.edges):
-        around = {v.id: [] for v in vs}  # built once: incidence and neighbors scan every edge
+        around = {v.id: [] for v in vs}  # built once: incidence scans every edge per call
         for a, b, _ in g.edges:
             around[a].append(b)
             around[b].append(a)
@@ -405,32 +405,6 @@ def half_catalog_graph(family: str, k: int = 0) -> DualGraph:
         ends = {0: "E1", -1: f"E{n}"}
         edges += [(ends[end], f"B{i}") for i, end in enumerate(bullets, 1)]
     return DualGraph(vs, edges)
-
-
-def half_catalog_minimal_graph(family: str, k: int = 0) -> DualGraph:
-    """The minimal-resolution dual graph of a singular-point catalog member.
-
-    Only the seven singular-point families resolve nontrivially; the
-    smooth-point families have nothing exceptional on the minimal
-    resolution.  The A-series figures are already minimal; the three
-    D-series germs contract to a single (-2)-curve met by the branch with
-    total multiplicity two (the deeper structure of the branch is what
-    distinguishes them, and it is invisible to the dual graph).
-    """
-    _check_family(family, k)
-    if family in HALF_CATALOG_FAMILIES[:8]:
-        raise ValueError(f"family {family!r} has a smooth center; no minimal resolution graph")
-    if family in ("gamma", "delta", "epsilon", "zeta"):
-        return half_catalog_graph(family, k)
-    if family == "D-gamma" or family == "D-epsilon":
-        # One branch, tangent to the curve: a single weight-2 point.
-        vs = [CurveVertex("E1", -2), _bullet(1)]
-        return DualGraph(vs, [("E1", "B1", 2)])
-    # D-delta: two branches through one point of the curve, meeting each
-    # other there with contact k+1.
-    vs = [CurveVertex("E1", -2), _bullet(1), _bullet(2)]
-    edges = [("E1", "B1"), ("E1", "B2"), ("B1", "B2", k + 1)]
-    return DualGraph(vs, edges, coincident=[("E1", "B1", "B2")])
 
 
 def _half_tree_key(v: CurveVertex, degree: int):

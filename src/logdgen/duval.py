@@ -79,11 +79,6 @@ def _order(family: str, index: int) -> int:
     return {6: 24, 7: 48, 8: 120}[index]
 
 
-def exceptional_euler(t: DuValType) -> int:
-    """Euler number of the exceptional fibre: a tree of curve_count spheres."""
-    return t.curve_count + 1
-
-
 # One row per cover case 1..6: (r, nmin, base, cover, c), where
 #   r      is the index, or None for any r >= 2;
 #   nmin   is the smallest n, or None when the case takes no n;
@@ -135,13 +130,6 @@ class CoverCase(Record):
             if not (r_ok and n_ok):
                 raise ValueError(f"invalid parameters for case {case_id}: r={r!r}, n={n!r}")
         self.__dict__.update(case_id=case_id, r=r, n=n, base=base)
-
-    def base_type(self) -> DuValType:
-        """Du Val type of the point downstairs."""
-        if self.case_id == GORENSTEIN:
-            assert self.base is not None
-            return self.base
-        return DuValType(*_COVER_CASES[self.case_id][2](self.r, self.n))
 
     def cover_type(self) -> DuValType | None:
         """Du Val type of the canonical cover; None when the cover is smooth."""
@@ -200,7 +188,7 @@ COVER_TABLE_ROWS = (
 
 
 def e_p(cover: CoverCase) -> int:
-    """Euler number of the exceptional fibre over the point."""
+    """Euler number of the exceptional fibre over the point: curve_count + 1."""
     return _base(cover)[1] + 1
 
 

@@ -1,11 +1,8 @@
 """Euler characteristics of degenerate fibres and the correction calculus.
 
 The pieces assembled here: the cyclic-quotient Riemann-Roch correction terms
-and their telescoping sum, the structure-sheaf Euler characteristic of a
-normal-crossing divisor (less the correction terms at its non-Gorenstein
-points, when it has any), the Euler number of a degenerate fibre, the top
-Euler number via Noether's equality, and two small numerology helpers for
-boundary surfaces fibred in conics.  The orbifold Euler number
+and their telescoping sum, the Euler number of a degenerate fibre, and the
+top Euler number via Noether's equality.  The orbifold Euler number
 e_orb = e - sum(1 - 1/o), ``orbifold_euler``, is one formula for the whole
 package: it lives in ``core`` beside ``quotient_defect`` and is imported here
 under the same name.
@@ -32,31 +29,6 @@ class FibreComponentData(Record):
         if any(d < 0 for d in deltas):
             raise ValueError("local excesses must be non-negative")
         self.__dict__.update(m=m, e_orb=e_orb, deltas=deltas)
-
-
-class ChiInput(Record):
-    """Aggregated intersection data of a divisor D = sum m_i D_i.
-
-    ``components`` holds per-component tuples (m_i, chi_i, D_i^3, D_i^2.K);
-    the two totals are D^3 and D^2.K of the full divisor.  ``corrections``
-    pairs each multiplicity with the list of local correction values c_p
-    summed over the points of that component.
-    """
-
-    def __init__(self, components: tuple[tuple[int, Rational, Rational, Rational], ...],
-                 total_D_cubed: Rational = Rational(0), total_D_sq_K: Rational = Rational(0),
-                 corrections: tuple[tuple[int, tuple[Rational, ...]], ...] = ()) -> None:
-        comps = tuple(
-            (m, Rational(chi), Rational(d3), Rational(d2k)) for (m, chi, d3, d2k) in components
-        )
-        if not comps:
-            raise ValueError("a divisor needs at least one component")
-        corr = tuple((m, tuple(Rational(c) for c in cs)) for (m, cs) in corrections)
-        if any(type(m) is not int or m < 1 for (m, *_) in comps + corr):
-            raise ValueError("multiplicities must be positive")
-        total_D_cubed, total_D_sq_K = Rational(total_D_cubed), Rational(total_D_sq_K)
-        self.__dict__.update(components=comps, total_D_cubed=total_D_cubed,
-                             total_D_sq_K=total_D_sq_K, corrections=corr)
 
 
 def _check_cyclic(r: int, a: int) -> None:
@@ -104,24 +76,6 @@ def rr_correction_sum(r: int, a: int, m: int) -> Rational:
     return Rational(-total, 2 * r)
 
 
-def chi_structure_sheaf(data: ChiInput) -> Rational:
-    """Structure-sheaf Euler characteristic of a normal-crossing divisor.
-
-    chi(O_D) = sum m_i chi_i + (D^3 - sum m_i D_i^3)/6
-             + (D^2.K - sum m_i D_i^2.K)/4
-             - (1/12) sum_i m_i sum_p c_p,
-    the last sum running over the correction terms at non-Gorenstein points;
-    an input without corrections gets the plain formula.
-    """
-    total = sum((m * chi for (m, chi, _, _) in data.components), Rational(0))
-    cubed = sum((m * d3 for (m, _, d3, _) in data.components), Rational(0))
-    sq_k = sum((m * d2k for (m, _, _, d2k) in data.components), Rational(0))
-    total += (data.total_D_cubed - cubed) / 6
-    total += (data.total_D_sq_K - sq_k) / 4
-    total -= sum((m * sum(cs, Rational(0)) for (m, cs) in data.corrections), Rational(0)) / 12
-    return total
-
-
 def euler_degenerate_fibre(components) -> Rational:
     """Top Euler number of a degenerate fibre: sum m_i (e_orb_i + sum deltas).
 
@@ -156,40 +110,3 @@ def noether_e_top(chi, k_sq, e_p_list) -> Rational:
         - Rational(k_sq)
         - sum((Rational(e - 1) for e in e_p_list), Rational(0))
     )
-
-
-# The four Gorenstein singularity patterns occurring on the rank-one surfaces
-# of the conic-bundle boundary analysis, with the constant that Noether's
-# equality produces for each.
-TYPE3_OFFSETS = {
-    "4A_1": 8,
-    "3A_2": 6,
-    "A_1+2A_3": 5,
-    "A_1+A_2+A_5": 4,
-}
-
-
-def type3_numerology(sing: str, rho: int, s: int) -> int:
-    """Degree d = -2 rho - s + offset for the four singularity patterns.
-
-    >>> type3_numerology("3A_2", 1, 1)
-    3
-    """
-    if sing not in TYPE3_OFFSETS:
-        raise ValueError(f"unknown singularity pattern {sing!r}")
-    if rho < 1:
-        raise ValueError(f"Picard rank must be positive, got {rho}")
-    if s not in (0, 1, 2):
-        raise ValueError(f"section count s must be 0, 1 or 2, got {s}")
-    return -2 * rho - s + TYPE3_OFFSETS[sing]
-
-
-def rank_one_square(d: int, gamma_dot_d) -> Rational:
-    """Self-intersection pinned by a rank-one Picard group: (2/d)(G.D)^2.
-
-    >>> rank_one_square(2, 2)
-    Fraction(4, 1)
-    """
-    if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
-    return Rational(2, d) * Rational(gamma_dot_d) ** 2

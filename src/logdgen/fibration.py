@@ -1,9 +1,8 @@
 """Fibre-configuration records for conic fibrations over a curve, and the germ calculus.
 
 The germ calculus gives the local "different" multiplicity m_p of a curve
-germ inside a log surface with standard boundary, the coefficient rule for
-extracted divisors, the index lcm of a set of coefficients, and the Euler
-number of a double cover of the line.
+germ inside a log surface with standard boundary, the index lcm of a set of
+coefficients, and the Euler number of a double cover of the line.
 
 A configuration record lists the degenerate-fibre types of a relative-rank-one
 fibration together with the generic type.  The checks here are the numeric
@@ -39,8 +38,7 @@ from .core import INFINITY, NOT_LC, FibreTypeLabel, Record, quotient_defect, sta
 
 # ---------------------------------------------------------------------------
 # The germ calculus: the different multiplicity m_p of a curve germ inside a
-# log surface with standard boundary, and the coefficient rule for extracted
-# divisors.
+# log surface with standard boundary.
 
 # Trichotomy labels for the different multiplicity at a point; NOT_LC comes from core.
 CASE1 = "CASE1"
@@ -105,28 +103,6 @@ def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
     return value, label
 
 
-def s_extraction_coeff(
-    data: GermBoundaryData, strict_local_intersection: Rational
-) -> Rational:
-    """Boundary coefficient of the divisor extracted over the germ's point.
-
-    In CASE1 and CASE2 the extracted coefficient is m_p itself.  In CASE3
-    it is 1 minus the local intersection number with the strict boundary,
-    which must land in {0, 1/2, 1}.  NOT_LC germs admit no extraction.
-    """
-    value, label = m_p(data)
-    if label in (CASE1, CASE2):
-        return value
-    if label == CASE3:
-        result = 1 - Rational(strict_local_intersection)
-        if result not in (Rational(0), Rational(1, 2), Rational(1)):
-            raise ValueError(
-                f"inconsistent germ: extracted coefficient {result} not in {{0, 1/2, 1}}"
-            )
-        return result
-    raise ValueError("germ is not log canonical; no extraction coefficient")
-
-
 def index_lcm(coeffs: list[Rational]) -> int:
     """Least common multiple of the reduced denominators.
 
@@ -188,7 +164,6 @@ _PROFILE_TABLE = {
         "II-2": (1, 1, True),
     }),
 }
-PROFILES = tuple(_PROFILE_TABLE)
 
 
 def _profile(profile: str):
@@ -238,36 +213,22 @@ _POINT_ORDERS = {
 }
 
 
-def budget_contribution(label: FibreTypeLabel) -> Rational:
-    """Orbifold Euler number spent by the singular points on one fibre.
-
-    An I-2 fibre passes through two order-2 points, an I-3 fibre through
-    one, and a (II-3)_{b,k} fibre through a single point of order 4k; the
-    remaining kinds carry no singular points at all.
-
-    >>> budget_contribution(FibreTypeLabel("I-2", 1))
-    Fraction(1, 1)
-    >>> budget_contribution(FibreTypeLabel("II-3", 1, 2))
-    Fraction(7, 8)
-    """
-    if not isinstance(label, FibreTypeLabel):
-        raise ValueError(f"unsupported fibre type label {label!r}")
-    return Rational(*quotient_defect(_POINT_ORDERS[label.kind](label.k)))
-
-
 def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
-    """Total orbifold spend of the record's degenerate fibres.
+    """Orbifold Euler number spent by the quotient points on the record's fibres.
 
     A record that check_typ accepts spends at most the profile's budget (the
     module docstring proves it); the profile is validated here but does not
-    change the per-fibre values.
+    change the spend.
 
     >>> rec = TypRecord((FibreTypeLabel("I-2", 1),) * 4, FibreTypeLabel("II-1", 1))
     >>> boundary_budget(rec, BISECTION)
     Fraction(4, 1)
+    >>> boundary_budget(TypRecord((FibreTypeLabel("II-3", 1, 2),), rec.generic), BISECTION)
+    Fraction(7, 8)
     """
     _profile(horizontal_profile)
-    return sum((budget_contribution(l) for l in rec.special), Rational(0))
+    orders = (o for label in rec.special for o in _POINT_ORDERS[label.kind](label.k))
+    return Rational(*quotient_defect(orders))
 
 
 def branch_count(rec: TypRecord, profile: str) -> int:

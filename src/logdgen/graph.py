@@ -138,10 +138,6 @@ class DualGraph:
         key = (min(a, b), max(a, b))
         return tuple(sorted(w for (x, y, w) in self.edges if (x, y) == key))
 
-    def neighbors(self, vid: str) -> tuple[str, ...]:
-        out = {y if x == vid else x for (x, y, w) in self.edges if vid in (x, y)}
-        return tuple(sorted(out))
-
     def incidence(self, vid: str) -> int:
         """Number of edge entries touching the vertex."""
         return sum(1 for (x, y, w) in self.edges if vid in (x, y))

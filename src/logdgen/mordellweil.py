@@ -4,7 +4,7 @@ The canonical height of a section, and the pairing of two sections, differ
 from the naive intersection numbers by local contributions at reducible
 fibres, depending only on which simple component each section meets.  This
 module carries those contributions in closed form for every Kodaira type,
-the two height formulas, and a solver that recovers all component
+the canonical height of a section, and a solver that recovers all component
 configurations compatible with a known height by a dynamic program over
 partial sums of the corrections.
 """
@@ -26,21 +26,13 @@ _DIAGONAL = {"III": Rational(1, 2), "IV": Rational(2, 3), "III*": Rational(3, 2)
 
 
 def _simple_count(label: KodairaLabel) -> int:
+    """How many simple components a section can meet, numbered in ``kodaira_graph``
+    vertex order: 0 meets the zero section; for I*_b, 1 is near, 2 and 3 far."""
     if label.kind == "I":
         return label.b
     if label.kind == "I*":
         return 4
     return PLAIN_KODAIRA[label.kind][1]
-
-
-def component_choices(label: KodairaLabel) -> tuple[int, ...]:
-    """Indices a section can meet: the simple (multiplicity-one) components.
-
-    They are numbered in ``kodaira_graph`` vertex order, 0 being the one
-    that meets the zero section; for I*_b, 1 is the near one and 2 and 3
-    the two far ones.
-    """
-    return tuple(range(_simple_count(label)))
 
 
 def pair_contribution(fibre: KodairaLabel, i: int, j: int) -> Rational:
@@ -101,21 +93,6 @@ def height_self(chi: int, po: int, contribs) -> Rational:
     """
     return 2 * Rational(chi) + 2 * Rational(po) - sum(
         (Rational(c) for c in contribs), Rational(0)
-    )
-
-
-def height_pair(chi: int, po: int, qo: int, pq: int, contribs) -> Rational:
-    """Height pairing of two sections: chi + (P.O) + (Q.O) - (P.Q) - sum.
-
-    >>> height_pair(1, 0, 0, 0, [Rational(5, 4)])
-    Fraction(-1, 4)
-    """
-    return (
-        Rational(chi)
-        + Rational(po)
-        + Rational(qo)
-        - Rational(pq)
-        - sum((Rational(c) for c in contribs), Rational(0))
     )
 
 

@@ -28,7 +28,6 @@ from logdgen.dualgraph import (
     KodairaLabel,
     configuration_euler,
     duval_graph,
-    half_catalog_minimal_graph,
     kodaira_graph,
     recognize_duval,
     recognize_kodaira,
@@ -49,12 +48,13 @@ from logdgen.graph import LT, classify_pair, pullback_coefficients
 from logdgen.mordellweil import (
     SectionConfig,
     contribution,
-    height_pair,
     height_self,
     pair_contribution,
     solve_section_config,
 )
+from test_dualgraph import half_catalog_minimal_graph
 from test_fibration import LC_BOUNDARY_CONFIGS, ZERO_EULER_CONFIGS
+from test_mordellweil import height_pair
 
 _T0 = perf_counter()
 
@@ -156,7 +156,9 @@ def test_criterion_06_abelian_fibre_tables_regenerate():
     assert len(rows) == 27
     assert len(C_STAR_VALUES) == 13
     for row in rows:
-        assert row.matches, row.row.number
+        assert row.divisibility_ok, row.row.number
+        for _, mu, mu_tab, s, s_tab in row.evaluations:
+            assert (mu, s) == (mu_tab, s_tab), row.row.number
         assert tuple(ell for ell, *_ in row.evaluations) == (
             row.row.vector.r,
             2 * row.row.vector.r,

@@ -22,7 +22,9 @@ from logdgen.cbf import (
     V2,
     FibreInvariants,
     PrimitiveVector,
+    abelian_invariants,
     elliptic_table,
+    elliptic_table_rows,
     fibre_bound,
     mori_feasible,
     mu_star,
@@ -32,7 +34,11 @@ from logdgen.cbf import (
     sp_order,
     validate_fibre_invariants,
 )
+from logdgen.cbf import _totient
+from logdgen.core import MAX_ANSWER_DIGITS
 from logdgen.dualgraph import KodairaLabel
+from logdgen.tables import _check_tables_abelian
+from test_core import replace
 
 
 def phi_oracle(n: int) -> int:
@@ -134,10 +140,11 @@ class TestAbelianTable:
         assert sum(row.table == "VII" for row in ABELIAN_TABLE_ROWS) == 7
 
     def test_all_rows_regenerate(self):
-        checks = regenerate_table_vi_vii()
-        assert len(checks) == 27
-        for check in checks:
-            assert check.matches, check.row
+        # the tables builder compares every regenerated row with its closed forms
+        assert len(regenerate_table_vi_vii()) == 27
+        built = _check_tables_abelian()
+        assert [len(built[name][0]) for name in ("VI", "VII")] == [40, 14]
+        assert built["VI"][1] == built["VII"][1] == []
 
     def test_spot_rows(self):
         by_number = {row.number: row for row in ABELIAN_TABLE_ROWS}
@@ -192,6 +199,39 @@ class TestNOfX:
         values = [n_of_x(x) for x in range(1, 8)]
         for small, big in zip(values, values[1:]):
             assert big % small == 0
+
+
+# A fibre's monodromy has a finite order acting on H^1 of the fibre, so its
+# totient is at most the rank of H^1: 4 for an abelian surface and 2 for an
+# elliptic curve.  n_of_x(x) is the lcm of every order with totient <= x.
+def abelian_indices_within_the_totient_bound(rows) -> bool:
+    """Whether the rows' indices r are exactly the n >= 3 with phi(n) <= 4, each one used."""
+    bounded = {n for n in range(3, 2 * 4 * 4 + 1) if _totient(n) <= 4}
+    return {row.vector.r for row in rows} == bounded
+
+
+class TestTotientBound:
+    def test_abelian_indices_are_the_orders_with_totient_at_most_four(self):
+        assert abelian_indices_within_the_totient_bound(ABELIAN_TABLE_ROWS)
+        indices = {row.vector.r for row in ABELIAN_TABLE_ROWS}
+        assert indices == {n for n in range(3, 13) if phi_oracle(n) <= 4}
+        assert lcm(*indices) == n_of_x(4) == 120
+
+    @pytest.mark.parametrize("r", [7, 9])
+    @pytest.mark.parametrize("number", [1, 21])  # the first rows of tables VI and VII
+    def test_a_row_tampered_off_the_bound_fails(self, r, number):
+        rows = list(ABELIAN_TABLE_ROWS)
+        i = number - 1
+        rows[i] = replace(rows[i], vector=replace(rows[i].vector, r=r))
+        assert not abelian_indices_within_the_totient_bound(rows)
+
+    def test_elliptic_twists_divide_n_of_two(self):
+        # the multiple-fibre column takes ell = m, outside the bound
+        twists = {inv.ell for column, _, _, inv in elliptic_table_rows() if column != "_mI_b"}
+        assert twists == {2, 3, 4, 6}
+        for ell in twists:
+            assert _totient(ell) <= 2 and n_of_x(2) % ell == 0, ell
+        assert n_of_x(2) == 12
 
 
 def sp_order_bruteforce(g: int, q: int) -> int:
@@ -250,6 +290,32 @@ class TestFibreBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             fibre_bound(0, 1)
+
+    def test_a_bound_past_the_printable_digits_is_refused(self):
+        largest = (10**MAX_ANSWER_DIGITS - 1) // fibre_bound(1, 1)
+        assert len(str(fibre_bound(largest, 1))) == MAX_ANSWER_DIGITS
+        message = f"^the bound has more than {MAX_ANSWER_DIGITS} digits$"
+        with pytest.raises(ValueError, match=message):
+            fibre_bound(largest + 1, 1)
+
+
+CEILING = 10**MAX_ANSWER_DIGITS
+
+
+# Each kernel's refused call, and the same call an order of magnitude smaller,
+# which is answered.
+@pytest.mark.parametrize("kernel,refused,answered,name", [
+    (mori_feasible, (0, 1, CEILING), (0, 1, CEILING // 10), "v"),
+    (mori_feasible, (1 - F(1, CEILING), 1, 1), (1 - F(1, CEILING // 10), 1, 1), "u"),
+    (abelian_invariants, (PrimitiveVector(V1, 2, (0, 0, 1)), CEILING),
+     (PrimitiveVector(V1, 2, (0, 0, 1)), CEILING // 10), "mu\\*"),
+    (abelian_invariants, (PrimitiveVector(V1, CEILING + 1, (0, 0, 1)), CEILING),
+     (PrimitiveVector(V1, CEILING // 10 + 1, (0, 0, 1)), CEILING // 10), "s\\*"),
+], ids=["mori_v", "mori_u", "mu_star", "s_star"])
+def test_answers_past_the_printable_digits_are_refused(kernel, refused, answered, name):
+    with pytest.raises(ValueError, match=f"^{name} has more than {MAX_ANSWER_DIGITS} digits$"):
+        kernel(*refused)
+    assert kernel(*answered) != INFEASIBLE
 
 
 class TestMoriFeasible:

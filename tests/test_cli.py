@@ -970,3 +970,50 @@ def test_arbitrary_json_ends_in_a_report(tmp_path_factory, data, argv):
     report = json.loads(out)
     assert set(report) == {"command", "inputs", "results", "status"}
     assert (report["status"] == "OK") == (code == 0)
+
+
+# Positionals for the argv property: small values, negatives, integers at the
+# edges of the literal limit and of the 4300 digits int() reads, k/0,
+# exponents, junk, and two files that parse.
+_ARGV_LITERALS = st.sampled_from([
+    "0", "1", "2", "3", "8", "12", "-1", "-7", "-" + "9" * (MAX_LITERAL_DIGITS - 1),
+    *("9" * n for n in (MAX_LITERAL_DIGITS - 1, MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1,
+                        MAX_ANSWER_DIGITS)),
+    "1/2", "3/4", "7/0", "0/0", "1e5", "1e-5000", "2.5e3", "1_000", "abc", "", "v1", "II", "ALL",
+    str(FIXTURES / "a_half_gamma.json"), str(FIXTURES / "mw_height_three_quarters.json"),
+])
+
+
+def _argv_commands():
+    """(command words, positionals) of every _COMMANDS entry, one per cbf subcommand."""
+    cases = []
+    for command, (_, _, positionals) in cli._COMMANDS.items():
+        if type(positionals) is dict:
+            cases += [((command, sub), words) for sub, words in positionals.items()]
+        else:
+            cases.append(((command,), positionals))
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), case=st.sampled_from(_argv_commands()),
+       fmt=st.sampled_from([[], ["--format", "tsv"], ["--format", "json"]]))
+def test_arbitrary_argv_ends_in_a_status_or_usage_line(data, case, fmt):
+    words, positionals = case
+    argv = list(words)
+    for _, accept in positionals:
+        pool = st.sampled_from(accept) | _ARGV_LITERALS if type(accept) is tuple else _ARGV_LITERALS
+        argv.append(data.draw(pool))
+    code, out, err = _main_captured(argv + fmt)
+    assert "Traceback" not in err and "set_int_max_str_digits" not in out + err
+    lines = err.splitlines()
+    if code == 2:  # argparse's usage, then one error line
+        assert lines[0].startswith("usage: logdgen ")
+        assert [i for i, line in enumerate(lines) if ": error: " in line] == [len(lines) - 1]
+    elif fmt[-1:] == ["json"]:
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        assert words == ("tables",) or (report["status"] == "OK") == (code == 0)
+    else:
+        assert code in (0, 1)
+        assert lines == [] if code == 0 else len(lines) == 1 and ": " in lines[0]

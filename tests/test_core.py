@@ -30,7 +30,7 @@ from logdgen.cbf import ABELIAN_TABLE_ROWS, V1, FibreInvariants, PrimitiveVector
 from logdgen.cli import Report
 from logdgen.graph import EXCEPTIONAL, STRICT, CurveVertex
 from logdgen.duval import CoverCase, DuValType, delpezzo_catalog
-from logdgen.eulerform import ChiInput, FibreComponentData
+from logdgen.eulerform import FibreComponentData
 from logdgen.fibration import (
     CASE1,
     CASE2,
@@ -40,9 +40,9 @@ from logdgen.fibration import (
     hurwitz_double_cover_euler,
     index_lcm,
     m_p,
-    s_extraction_coeff,
 )
 from logdgen.mordellweil import SectionConfig
+from test_eulerform import ChiInput
 
 
 def replace(record, **changes):
@@ -157,6 +157,30 @@ class TestMp:
             assert value == 1
         else:
             assert value > 1
+
+
+# The coefficient rule for a divisor extracted over a germ's point, which no
+# command or other module uses, kept here with its tests.
+def s_extraction_coeff(
+    data: GermBoundaryData, strict_local_intersection: F
+) -> F:
+    """Boundary coefficient of the divisor extracted over the germ's point.
+
+    In CASE1 and CASE2 the extracted coefficient is m_p itself.  In CASE3
+    it is 1 minus the local intersection number with the strict boundary,
+    which must land in {0, 1/2, 1}.  NOT_LC germs admit no extraction.
+    """
+    value, label = m_p(data)
+    if label in (CASE1, CASE2):
+        return value
+    if label == CASE3:
+        result = 1 - F(strict_local_intersection)
+        if result not in (F(0), F(1, 2), F(1)):
+            raise ValueError(
+                f"inconsistent germ: extracted coefficient {result} not in {{0, 1/2, 1}}"
+            )
+        return result
+    raise ValueError("germ is not log canonical; no extraction coefficient")
 
 
 class TestSExtractionCoeff:
@@ -404,8 +428,8 @@ class TestKodairaLabelParse:
             KodairaLabel.parse(text)
 
 
-# One instance of each value type in the package, with its repr as a frozen
-# dataclass printed it.
+# One instance of each value type in the package and its test oracles, with
+# its repr as a frozen dataclass printed it.
 RECORDS = [
     (GermBoundaryData(2, {2: 1}), "GermBoundaryData(n=2, k={2: 1})"),
     (KodairaLabel("I", 3), "KodairaLabel(kind='I', b=3)"),

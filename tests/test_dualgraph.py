@@ -29,7 +29,6 @@ from logdgen.dualgraph import (
     dynkin_fibre_graph,
     half_catalog_graph,
     half_catalog_label,
-    half_catalog_minimal_graph,
     kodaira_graph,
     recognize_duval,
     recognize_fibre_type,
@@ -67,6 +66,40 @@ from test_core import replace, trace_events
 def kernel_det(m):
     pivots, swaps, _ = _eliminate(m)
     return (-1) ** swaps * prod(pivots) if len(pivots) == len(m) else 0
+
+
+def neighbors(g: DualGraph, vid: str) -> tuple[str, ...]:
+    """The curves meeting ``vid``, sorted: a scan of every edge, kept for the oracles."""
+    out = {y if x == vid else x for (x, y, w) in g.edges if vid in (x, y)}
+    return tuple(sorted(out))
+
+
+# The minimal resolutions of the singular half-catalog members, which no
+# recognizer or command builds, kept for the solver and blow-down tests.
+def half_catalog_minimal_graph(family: str, k: int = 0) -> DualGraph:
+    """The minimal-resolution dual graph of a singular-point catalog member.
+
+    Only the seven singular-point families resolve nontrivially; the
+    smooth-point families have nothing exceptional on the minimal
+    resolution.  The A-series figures are already minimal; the three
+    D-series germs contract to a single (-2)-curve met by the branch with
+    total multiplicity two (the deeper structure of the branch is what
+    distinguishes them, and it is invisible to the dual graph).
+    """
+    dualgraph._check_family(family, k)
+    if family in HALF_CATALOG_FAMILIES[:8]:
+        raise ValueError(f"family {family!r} has a smooth center; no minimal resolution graph")
+    if family in ("gamma", "delta", "epsilon", "zeta"):
+        return half_catalog_graph(family, k)
+    if family == "D-gamma" or family == "D-epsilon":
+        # One branch, tangent to the curve: a single weight-2 point.
+        vs = [CurveVertex("E1", -2), dualgraph._bullet(1)]
+        return DualGraph(vs, [("E1", "B1", 2)])
+    # D-delta: two branches through one point of the curve, meeting each
+    # other there with contact k+1.
+    vs = [CurveVertex("E1", -2), dualgraph._bullet(1), dualgraph._bullet(2)]
+    edges = [("E1", "B1"), ("E1", "B2"), ("B1", "B2", k + 1)]
+    return DualGraph(vs, edges, coincident=[("E1", "B1", "B2")])
 
 
 def kernel_rank(m):
@@ -836,14 +869,14 @@ _HALF = F(1, 2)
 def _arm_lengths(g: DualGraph, sub_ids: set[str], center: str) -> list[int] | None:
     """Vertex counts of the chains hanging off a trivalent tree vertex."""
     lengths = []
-    for start in g.neighbors(center):
+    for start in neighbors(g, center):
         if start not in sub_ids:
             continue
         length = 0
         prev, cur = center, start
         while True:
             length += 1
-            nxt = [u for u in g.neighbors(cur) if u in sub_ids and u != prev]
+            nxt = [u for u in neighbors(g, cur) if u in sub_ids and u != prev]
             if not nxt:
                 break
             if len(nxt) > 1:
@@ -875,13 +908,13 @@ def walk_recognize_duval(g: DualGraph):
     frontier = [exc[0].id]
     while frontier:
         cur = frontier.pop()
-        for u in g.neighbors(cur):
+        for u in neighbors(g, cur):
             if u in ids and u not in seen:
                 seen.add(u)
                 frontier.append(u)
     if seen != ids:
         return UNRECOGNIZED
-    degrees = {v.id: sum(1 for u in g.neighbors(v.id) if u in ids) for v in exc}
+    degrees = {v.id: sum(1 for u in neighbors(g, v.id) if u in ids) for v in exc}
     branch = [vid for vid, d in degrees.items() if d == 3]
     if any(d > 3 for d in degrees.values()) or len(branch) > 1:
         return UNRECOGNIZED
@@ -918,13 +951,13 @@ def walk_recognize_fibre_type(g: DualGraph):
         return g.entries(a, b_) == (w,)
 
     if n == 3 and not exc and len(g.edges) == 2:
-        center = next((v for v in strict if len(g.neighbors(v.id)) == 2), None)
+        center = next((v for v in strict if len(neighbors(g, v.id)) == 2), None)
         if center is None or center.self_int != 0:
             return UNRECOGNIZED
         b = _infer_b(center.boundary_coeff)
         if b is None:
             return UNRECOGNIZED
-        u, w = (g.vertex(x) for x in g.neighbors(center.id))
+        u, w = (g.vertex(x) for x in neighbors(g, center.id))
         eu, ew = g.entries(center.id, u.id), g.entries(center.id, w.id)
         if eu == ew == (1,) and u.boundary_coeff == w.boundary_coeff == 1:
             return FibreTypeLabel("II-1", b)
@@ -936,13 +969,13 @@ def walk_recognize_fibre_type(g: DualGraph):
     if any(w != 1 for (_, _, w) in g.edges):
         return UNRECOGNIZED
     if n == 4 and len(g.edges) == 3:
-        center = next((v for v in g.vertices if len(g.neighbors(v.id)) == 3), None)
+        center = next((v for v in g.vertices if len(neighbors(g, v.id)) == 3), None)
         if center is None or center.role != STRICT:
             return UNRECOGNIZED
         b = _infer_b(center.boundary_coeff)
         if b is None:
             return UNRECOGNIZED
-        leaves = [g.vertex(x) for x in g.neighbors(center.id)]
+        leaves = [g.vertex(x) for x in neighbors(g, center.id)]
         if not exc and center.self_int == 0:
             if sorted(v.boundary_coeff for v in leaves) == sorted((Rational(1), _HALF, _HALF)):
                 return FibreTypeLabel("I-1", b)
@@ -954,7 +987,7 @@ def walk_recognize_fibre_type(g: DualGraph):
         return UNRECOGNIZED
     if n == 5 and len(g.edges) == 4 and len(exc) == 2:
         center = next(
-            (v for v in strict if v.self_int == -1 and len(g.neighbors(v.id)) == 3), None
+            (v for v in strict if v.self_int == -1 and len(neighbors(g, v.id)) == 3), None
         )
         if center is None:
             return UNRECOGNIZED
@@ -962,33 +995,33 @@ def walk_recognize_fibre_type(g: DualGraph):
         if b is None:
             return UNRECOGNIZED
         half_leaf = cover = tail = None
-        for x in g.neighbors(center.id):
+        for x in neighbors(g, center.id):
             v = g.vertex(x)
-            if v.role == STRICT and v.boundary_coeff == _HALF and len(g.neighbors(x)) == 1:
+            if v.role == STRICT and v.boundary_coeff == _HALF and len(neighbors(g, x)) == 1:
                 half_leaf = v
-            elif v.role == EXCEPTIONAL and len(g.neighbors(x)) == 1:
+            elif v.role == EXCEPTIONAL and len(neighbors(g, x)) == 1:
                 tail = v
-            elif v.role == EXCEPTIONAL and len(g.neighbors(x)) == 2:
+            elif v.role == EXCEPTIONAL and len(neighbors(g, x)) == 2:
                 cover = v
         if None in (half_leaf, cover, tail):
             return UNRECOGNIZED
         if (cover.boundary_coeff != doubled_standard_coeff(b)
                 or tail.boundary_coeff != standard_coeff(b) / 2):
             return UNRECOGNIZED
-        far = next(x for x in g.neighbors(cover.id) if x != center.id)
+        far = next(x for x in neighbors(g, cover.id) if x != center.id)
         anchor = g.vertex(far)
-        if anchor.role == STRICT and anchor.boundary_coeff == 1 and len(g.neighbors(far)) == 1:
+        if anchor.role == STRICT and anchor.boundary_coeff == 1 and len(neighbors(g, far)) == 1:
             return FibreTypeLabel("I-3", b)
         return UNRECOGNIZED
     # II-3: a strict tail and center, then an exceptional chain ending in a fork.
     if len(strict) == 2 and len(exc) >= 3 and len(g.edges) == n - 1:
-        tail = next((v for v in strict if v.boundary_coeff == 1 and len(g.neighbors(v.id)) == 1), None)
+        tail = next((v for v in strict if v.boundary_coeff == 1 and len(neighbors(g, v.id)) == 1), None)
         center = next((v for v in strict if v is not tail), None)
         if tail is None or center is None:
             return UNRECOGNIZED
-        if center.self_int != -1 or len(g.neighbors(center.id)) != 2:
+        if center.self_int != -1 or len(neighbors(g, center.id)) != 2:
             return UNRECOGNIZED
-        if tail.id not in g.neighbors(center.id):
+        if tail.id not in neighbors(g, center.id):
             return UNRECOGNIZED
         b = _infer_b(center.boundary_coeff)
         if b is None:
@@ -996,12 +1029,12 @@ def walk_recognize_fibre_type(g: DualGraph):
         cb = standard_coeff(b)
         hb = cb / 2
         chain = []
-        prev, cur = center.id, next(x for x in g.neighbors(center.id) if x != tail.id)
+        prev, cur = center.id, next(x for x in neighbors(g, center.id) if x != tail.id)
         while True:
             v = g.vertex(cur)
             if v.role != EXCEPTIONAL:
                 return UNRECOGNIZED
-            nxt = [x for x in g.neighbors(cur) if x != prev]
+            nxt = [x for x in neighbors(g, cur) if x != prev]
             if len(nxt) == 1:
                 if v.boundary_coeff != cb:
                     return UNRECOGNIZED
@@ -1017,7 +1050,7 @@ def walk_recognize_fibre_type(g: DualGraph):
                 if all(
                     f.role == EXCEPTIONAL
                     and f.boundary_coeff == hb
-                    and len(g.neighbors(f.id)) == 1
+                    and len(neighbors(g, f.id)) == 1
                     for f in forks
                 ):
                     return FibreTypeLabel("II-3", b, len(chain))
@@ -1255,7 +1288,7 @@ def _oracle_duval_key(g: DualGraph, v: CurveVertex):
 
 
 def _oracle_fibre_key(g: DualGraph, v: CurveVertex):
-    inner = v.role == EXCEPTIONAL or len(g.neighbors(v.id)) >= 2
+    inner = v.role == EXCEPTIONAL or len(neighbors(g, v.id)) >= 2
     return (v.role, v.genus, v.boundary_coeff, inner, v.self_int if inner else 0,
             g.tangency.get(v.id, 0))
 

@@ -19,14 +19,14 @@ from logdgen.duval import (
     delta_p,
     duval_order,
     e_p,
-    exceptional_euler,
     o_p,
     recompute_e_orb,
 )
+from logdgen.duval import _base
 from logdgen.core import KodairaLabel
 from logdgen.dualgraph import duval_graph, kodaira_graph, recognize_duval
 from logdgen.graph import CurveVertex, DualGraph, intersection_matrix
-from test_dualgraph import kernel_det
+from test_dualgraph import kernel_det, neighbors
 
 # Closed forms of the defect table, one per cover case, kept here as the
 # independent oracle against the definition delta = e - 1/o - c.
@@ -118,25 +118,26 @@ class TestDuValType:
         assert duval_order(DuValType("E", 8)) == 120
 
     def test_exceptional_euler(self):
-        assert exceptional_euler(DuValType("A", 5)) == 6
-        assert exceptional_euler(DuValType("D", 4)) == 5
-        assert exceptional_euler(DuValType("E", 8)) == 9
+        # e_p of an index-1 point is the Euler number of its exceptional tree
+        for name, euler in (("A5", 6), ("D4", 5), ("E8", 9)):
+            t = DuValType.parse(name)
+            assert e_p(CoverCase(GORENSTEIN, base=t)) == t.curve_count + 1 == euler
 
 
 class TestCoverCase:
     def test_case2_types(self):
         cc = CoverCase(2, r=4, n=2)
         assert cc.cover_type() == DuValType("A", 2)
-        assert cc.base_type() == DuValType("D", 5)
+        assert base_type(cc) == DuValType("D", 5)
 
     def test_case1_smooth_cover(self):
         assert CoverCase(1, r=5, n=1).cover_type() is None
-        assert CoverCase(1, r=5, n=1).base_type() == DuValType("A", 4)
+        assert base_type(CoverCase(1, r=5, n=1)) == DuValType("A", 4)
 
     def test_case5_types(self):
         cc = CoverCase(5, r=2, n=3)
         assert cc.cover_type() == DuValType("D", 4)
-        assert cc.base_type() == DuValType("D", 6)
+        assert base_type(cc) == DuValType("D", 6)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -233,10 +234,15 @@ class TestDefectTable:
         assert delta_p(cover) == e_p(cover) - F(1, o_p(cover)) - c_p(cover)
 
 
+def base_type(cover: CoverCase) -> DuValType:
+    """Du Val type of the point downstairs."""
+    return DuValType(*_base(cover))
+
+
 def fraction_delta_p(cover) -> F:
     """The covering defect e_p - 1/o_p - c_p added up in Fractions."""
-    base = cover.base_type()
-    return exceptional_euler(base) - F(1, duval_order(base)) - hand_c_p(cover)
+    base = base_type(cover)
+    return base.curve_count + 1 - F(1, duval_order(base)) - hand_c_p(cover)
 
 
 def fraction_e_orb(degree, singularities) -> F:
@@ -251,8 +257,8 @@ def test_integer_cover_invariants_equal_the_fraction_formulas(covers, count):
     covers = covers()
     assert len(covers) == count
     for cover in covers + [CoverCase(0, base=DuValType.parse(t)) for t in ("A1", "D5", "E8")]:
-        base = cover.base_type()
-        assert e_p(cover) == exceptional_euler(base), cover
+        base = base_type(cover)
+        assert e_p(cover) == base.curve_count + 1, cover
         assert o_p(cover) == duval_order(base), cover
         c, d = c_p(cover), delta_p(cover)
         assert type(c) is F and c == hand_c_p(cover), cover
@@ -347,13 +353,13 @@ def hand_c_p(cover) -> F:
     return F(9, 2)
 
 
-def _cover_outcome(cls, correction, case_id, r, n, base):
+def _cover_outcome(cls, base_of, correction, case_id, r, n, base):
     """Base type, cover type and c_p of a case, or the message that refuses it."""
     try:
         cover = cls(case_id, r=r, n=n, base=base)
     except ValueError as exc:
         return f"ValueError: {exc}"
-    return cover.base_type(), cover.cover_type(), repr(correction(cover))
+    return base_of(cover), cover.cover_type(), repr(correction(cover))
 
 
 def test_cover_case_rows_agree_with_the_hand_cases():
@@ -363,8 +369,8 @@ def test_cover_case_rows_agree_with_the_hand_cases():
             for n in (None, *range(12)):
                 for base in (None, DuValType("A", 2)):
                     args = (case_id, r, n, base)
-                    want = _cover_outcome(HandCoverCase, hand_c_p, *args)
-                    assert _cover_outcome(CoverCase, c_p, *args) == want, args
+                    want = _cover_outcome(HandCoverCase, HandCoverCase.base_type, hand_c_p, *args)
+                    assert _cover_outcome(CoverCase, base_type, c_p, *args) == want, args
                     points += not isinstance(want, str)
     assert points == 109  # the accepted points; the other 1997 are refused alike
 
@@ -397,7 +403,7 @@ def components(g: DualGraph, ids) -> list[DualGraph]:
         while frontier:
             vid = frontier.pop()
             part.add(vid)
-            frontier += [u for u in g.neighbors(vid) if u in left]
+            frontier += [u for u in neighbors(g, vid) if u in left]
             left -= set(frontier)
         parts.append(DualGraph([g.vertex(v) for v in sorted(part)],
                                [e for e in g.edges if e[0] in part and e[1] in part]))

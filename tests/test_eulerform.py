@@ -7,21 +7,109 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logdgen.core import MAX_ANSWER_DIGITS
-from logdgen.duval import DuValType, delpezzo_catalog, exceptional_euler
+from logdgen.core import MAX_ANSWER_DIGITS, Record
+from logdgen.duval import (GORENSTEIN, CoverCase, DuValType, delpezzo_catalog, duval_order, e_p,
+                           recompute_e_orb)
 from logdgen.eulerform import (
-    TYPE3_OFFSETS,
-    ChiInput,
     FibreComponentData,
-    chi_structure_sheaf,
     euler_degenerate_fibre,
     noether_e_top,
     orbifold_euler,
-    rank_one_square,
     rr_correction_cyclic,
     rr_correction_sum,
-    type3_numerology,
 )
+
+Rational = F
+
+# The structure-sheaf Euler characteristic, the type-3 numerology and the
+# rank-one square: formulas of the paper that no command, table or other
+# module computes, kept here as oracles.  The type-3 offsets are checked
+# against Noether's equality below.
+
+
+class ChiInput(Record):
+    """Aggregated intersection data of a divisor D = sum m_i D_i.
+
+    ``components`` holds per-component tuples (m_i, chi_i, D_i^3, D_i^2.K);
+    the two totals are D^3 and D^2.K of the full divisor.  ``corrections``
+    pairs each multiplicity with the list of local correction values c_p
+    summed over the points of that component.
+    """
+
+    def __init__(self, components: tuple[tuple[int, Rational, Rational, Rational], ...],
+                 total_D_cubed: Rational = Rational(0), total_D_sq_K: Rational = Rational(0),
+                 corrections: tuple[tuple[int, tuple[Rational, ...]], ...] = ()) -> None:
+        comps = tuple(
+            (m, Rational(chi), Rational(d3), Rational(d2k)) for (m, chi, d3, d2k) in components
+        )
+        if not comps:
+            raise ValueError("a divisor needs at least one component")
+        corr = tuple((m, tuple(Rational(c) for c in cs)) for (m, cs) in corrections)
+        if any(type(m) is not int or m < 1 for (m, *_) in comps + corr):
+            raise ValueError("multiplicities must be positive")
+        total_D_cubed, total_D_sq_K = Rational(total_D_cubed), Rational(total_D_sq_K)
+        self.__dict__.update(components=comps, total_D_cubed=total_D_cubed,
+                             total_D_sq_K=total_D_sq_K, corrections=corr)
+
+
+def chi_structure_sheaf(data: ChiInput) -> Rational:
+    """Structure-sheaf Euler characteristic of a normal-crossing divisor.
+
+    chi(O_D) = sum m_i chi_i + (D^3 - sum m_i D_i^3)/6
+             + (D^2.K - sum m_i D_i^2.K)/4
+             - (1/12) sum_i m_i sum_p c_p,
+    the last sum running over the correction terms at non-Gorenstein points;
+    an input without corrections gets the plain formula.
+    """
+    total = sum((m * chi for (m, chi, _, _) in data.components), Rational(0))
+    cubed = sum((m * d3 for (m, _, d3, _) in data.components), Rational(0))
+    sq_k = sum((m * d2k for (m, _, _, d2k) in data.components), Rational(0))
+    total += (data.total_D_cubed - cubed) / 6
+    total += (data.total_D_sq_K - sq_k) / 4
+    total -= sum((m * sum(cs, Rational(0)) for (m, cs) in data.corrections), Rational(0)) / 12
+    return total
+
+
+# The four Gorenstein singularity patterns occurring on the rank-one surfaces
+# of the conic-bundle boundary analysis, with the constant that Noether's
+# equality produces for each.
+TYPE3_OFFSETS = {
+    "4A_1": 8,
+    "3A_2": 6,
+    "A_1+2A_3": 5,
+    "A_1+A_2+A_5": 4,
+}
+
+
+def type3_numerology(sing: str, rho: int, s: int) -> int:
+    """Degree d = -2 rho - s + offset for the four singularity patterns.
+
+    >>> type3_numerology("3A_2", 1, 1)
+    3
+    """
+    if sing not in TYPE3_OFFSETS:
+        raise ValueError(f"unknown singularity pattern {sing!r}")
+    if rho < 1:
+        raise ValueError(f"Picard rank must be positive, got {rho}")
+    if s not in (0, 1, 2):
+        raise ValueError(f"section count s must be 0, 1 or 2, got {s}")
+    return -2 * rho - s + TYPE3_OFFSETS[sing]
+
+
+def rank_one_square(d: int, gamma_dot_d) -> Rational:
+    """Self-intersection pinned by a rank-one Picard group: (2/d)(G.D)^2.
+
+    >>> rank_one_square(2, 2)
+    Fraction(4, 1)
+    """
+    if d < 1:
+        raise ValueError(f"degree must be positive, got {d}")
+    return Rational(2, d) * Rational(gamma_dot_d) ** 2
+
+
+def exceptional_euler(t: DuValType) -> int:
+    """e_p of the index-1 point of type t: its tree of curve_count spheres."""
+    return e_p(CoverCase(GORENSTEIN, base=t))
 
 
 class TestOrbifoldEuler:
@@ -177,11 +265,17 @@ class TestNoether:
 
     def test_table_rows_reproduce_catalog_euler_part(self):
         # For every catalog surface: 12 - d - (number of exceptional
-        # curves) computed through Noether's equality with chi = 1.
+        # curves) computed through Noether's equality with chi = 1, and less
+        # the quotient-point defects the orbifold Euler number of table IV.
         for entry in delpezzo_catalog():
-            e_p = [exceptional_euler(t) for t in entry.singularities]
+            e_ps = [exceptional_euler(t) for t in entry.singularities]
+            assert e_ps == [t.curve_count + 1 for t in entry.singularities]
             expected = 12 - entry.degree - sum(t.curve_count for t in entry.singularities)
-            assert noether_e_top(1, entry.degree, e_p) == expected, entry
+            e_top = noether_e_top(1, entry.degree, e_ps)
+            assert e_top == expected, entry
+            orders = [duval_order(t) for t in entry.singularities]
+            assert orbifold_euler(e_top, orders) == recompute_e_orb(entry.degree,
+                                                                    entry.singularities), entry
 
 
 class TestType3Numerology:

@@ -11,19 +11,19 @@ from logdgen.core import INFINITY, doubled_standard_coeff, enumerate_boundary_mu
 from logdgen.dualgraph import FibreTypeLabel, KodairaLabel
 from logdgen.fibration import (
     BISECTION,
-    PROFILES,
     SECTION_ONLY,
     TWO_SECTIONS,
     TypRecord,
     boundary_budget,
     branch_count,
-    budget_contribution,
     GermBoundaryData,
     check_typ,
     hurwitz_double_cover_euler,
     m_p,
 )
 from logdgen.fibration import _PROFILE_TABLE
+
+PROFILES = tuple(_PROFILE_TABLE)
 
 
 def lab(kind, b, k=None):
@@ -36,6 +36,11 @@ PAIR_GENERIC = lab("II-1", 1)
 
 def rec(special, generic):
     return TypRecord(tuple(special), generic)
+
+
+def budget_contribution(label):
+    """The orbifold Euler number the quotient points on one fibre spend."""
+    return boundary_budget(rec([label], PAIR_GENERIC), BISECTION)
 
 
 # Every special-fibre configuration a relatively minimal conic fibration can
@@ -137,7 +142,7 @@ class TestBudgetContribution:
             assert budget_contribution(label) == 0
 
     def test_rejects_labels_from_other_catalogs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             budget_contribution(KodairaLabel("II"))
 
     def test_each_point_spends_m_p_of_a_bare_germ(self):
@@ -383,6 +388,8 @@ def test_check_typ_agrees_with_the_hand_profiles_on_the_benchmark_records():
                 r = rec(combo, _GENERIC[profile])
                 got = check_typ(r, profile)
                 assert got == hand_check_typ(r, profile), (r, profile)
+                # the floor rule keeps every accepted record within its budget
+                assert not got or boundary_budget(r, profile) <= _BUDGET[profile], (r, profile)
                 seen += 1
                 accepted += got
     assert (seen, accepted) == (47031, 228)
@@ -403,6 +410,8 @@ def test_check_typ_agrees_with_the_hand_profiles_on_five_to_seven_labels():
                 r = rec(combo, _GENERIC[profile])
                 got = check_typ(r, profile)
                 assert got == hand_check_typ(r, profile), (r, profile)
+                # the floor rule keeps every accepted record within its budget
+                assert not got or boundary_budget(r, profile) <= _BUDGET[profile], (r, profile)
                 seen += 1
                 accepted += got
     assert (seen, accepted) == (11901, 60)
