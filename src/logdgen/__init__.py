@@ -22,8 +22,8 @@ no floating point is used anywhere.  The modules:
   bound.
 - ``mordellweil``: local correction terms and canonical heights of sections
   of an elliptic surface, and the exhaustive section-configuration solver.
-- ``fibration``: the germ calculus (different multiplicities m_p, index lcm)
-  and fibre-type bookkeeping for boundary budgets and the catalog of
+- ``fibration``: the germ calculus (different multiplicities m_p) and
+  fibre-type bookkeeping for boundary budgets and the catalog of
   admissible fibre configurations.
 - ``cli`` and ``tables``: the command line; ``tables`` holds the table
   builders and their cross-checks, which only the ``tables`` command loads.

@@ -13,7 +13,7 @@ and the resulting global bound on the number of singular fibres.
 from fractions import Fraction as Rational
 from math import gcd, lcm, isqrt
 
-from .core import KodairaLabel, Record, bounded, classical_euler
+from .core import KodairaLabel, Record, bounded, brief, classical_euler
 
 V1 = "V1"
 V2 = "V2"
@@ -50,16 +50,16 @@ class PrimitiveVector(Record):
         if kind not in (V1, V2):
             raise ValueError(f"kind must be V1 or V2, got {kind!r}")
         if type(r) is not int or r < 1:
-            raise ValueError(f"index r must be positive, got {r}")
+            raise ValueError(f"index r must be positive, got {brief(r)}")
         a = tuple(a)
         if len(a) != 3 or any(type(x) is not int for x in a):
-            raise ValueError(f"a must be a triple of integers, got {a}")
+            raise ValueError(f"a must be a triple of integers, got {brief(a)}")
         if any(not 0 <= x < r for x in a):
-            raise ValueError(f"entries of {a} must lie in [0, {r})")
+            raise ValueError(f"entries of {brief(a)} must lie in [0, {brief(r)})")
         if sum(a) >= r:
-            raise ValueError(f"sum of {a} must be smaller than r = {r}")
+            raise ValueError(f"sum of {brief(a)} must be smaller than r = {brief(r)}")
         if kind == V1 and gcd(r, a[2]) != 1:
-            raise ValueError(f"V1 needs gcd(r, a_2) = 1, got gcd({r}, {a[2]})")
+            raise ValueError(f"V1 needs gcd(r, a_2) = 1, got gcd({brief(r)}, {brief(a[2])})")
         self.__dict__.update(kind=kind, r=r, a=a)
 
 
@@ -137,10 +137,10 @@ def mu_star(v: PrimitiveVector, ell: int) -> Rational:
     Fraction(1, 24)
     """
     if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell}")
+        raise ValueError(f"ell must be a positive integer, got {brief(ell)}")
     denom = v.a[2] if v.kind == V1 else v.a[0] + v.a[1]
     if denom == 0:
-        raise ValueError(f"vector {v.a} gives a zero denominator")
+        raise ValueError(f"vector {brief(v.a)} gives a zero denominator")
     return Rational(v.r - sum(v.a), ell * denom)
 
 
@@ -279,9 +279,9 @@ def n_of_x(x: int) -> int:
     12
     """
     if x < 1:
-        raise ValueError(f"x must be a positive integer, got {x}")
+        raise ValueError(f"x must be a positive integer, got {brief(x)}")
     if x > MAX_TOTIENT_X:
-        raise ValueError(f"x = {x} exceeds {MAX_TOTIENT_X}")
+        raise ValueError(f"x = {brief(x)} exceeds {MAX_TOTIENT_X}")
     hits = [n for n in range(1, 2 * x * x + 5) if _totient(n) <= x]
     assert max(hits) <= 2 * x * x, "totient bound violated"
     return lcm(*hits)
@@ -341,7 +341,7 @@ def mori_feasible(s, b: int, big_n: int):
     if b < 1 or big_n < 1:
         raise ValueError("b and N must be positive integers")
     if not 0 <= s < b:
-        raise ValueError(f"s must lie in [0, b), got {s}")
+        raise ValueError(f"s must lie in [0, b), got {brief(s)}")
     p, q = s.numerator, s.denominator
     g = gcd(q, big_n * (b * q - p))
     u, v = q // g, big_n * (b * q - p) // g

@@ -29,8 +29,8 @@ import sys
 from fractions import Fraction as Rational
 from types import SimpleNamespace
 
-from .core import (MAX_LITERAL_DIGITS, KodairaLabel, ParseError, Record, json_array, json_int,
-                   parse_rational)
+from .core import (MAX_LITERAL_DIGITS, KodairaLabel, ParseError, Record, brief, json_array,
+                   json_int, parse_rational)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -62,7 +62,7 @@ def _read_json_file(path: str) -> dict:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except (OSError, ValueError, RecursionError) as exc:
         # an unreadable file, undecodable bytes, a huge integer, deep nesting
-        raise ParseError(str(exc)) from None
+        raise ParseError(brief(str(exc))) from None
     if not isinstance(data, dict):
         raise ParseError(f"top level must be a JSON object, got {type(data).__name__}")
     return data

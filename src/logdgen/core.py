@@ -4,7 +4,8 @@ Every coefficient in the toolkit is a ``fractions.Fraction`` (re-exported as
 ``Rational``); nothing here or downstream touches floating point.  The module
 holds the standard coefficients (b-1)/b, the boundary-multiset enumerator, the
 strict JSON readers and rational parser, the bound ``MAX_ANSWER_DIGITS`` on the
-digits of an answer, which ``bounded`` applies, the ``Record`` base of the
+digits of an answer, which ``bounded`` applies, ``brief``, which shortens the
+arguments a refusal echoes, the ``Record`` base of the
 package's value types, the
 quotient defect sum(1 - 1/o) with the one orbifold Euler formula
 e_orb = e - sum(1 - 1/o) built on it, and the fibre-type labels
@@ -12,7 +13,7 @@ e_orb = e - sum(1 - 1/o) built on it, and the fibre-type labels
 ``FibreTypeLabel``, kept here so that the coefficient, height and fibration
 modules load no graph code.  Every CLI command loads this module, so code
 that only one module uses lives there: the germ calculus (different
-multiplicity m_p and extraction coefficients) is in ``fibration``.
+multiplicity m_p) is in ``fibration``.
 """
 import math
 import re
@@ -71,6 +72,16 @@ def bounded(value, what: str):
     if abs(value.numerator) >= ANSWER_CEILING or value.denominator >= ANSWER_CEILING:
         raise ValueError(f"{what} has more than {MAX_ANSWER_DIGITS} digits")
     return value
+
+
+def brief(value) -> str:
+    """``str(value)`` with each run of more than 20 digits written as its
+    length, so that a refusal echoing an argument stays one short line.
+
+    >>> brief((3, -10**25, 1)), brief(Rational(1, 3))
+    ('(3, -<26 digits>, 1)', '1/3')
+    """
+    return re.sub(r"\d{21,}", lambda m: f"<{len(m[0])} digits>", str(value))
 
 
 class ParseError(ValueError):

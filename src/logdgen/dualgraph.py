@@ -67,9 +67,8 @@ def _isomorphic(g: DualGraph, h: DualGraph, key) -> bool:
         )
 
     def groups_match() -> bool:
-        image = {frozenset(mapping[x] for x in grp) for grp in g.coincident}
-        target = {frozenset(grp) for grp in h.coincident}
-        return image == target
+        image = Counter(frozenset(mapping[x] for x in grp) for grp in g.coincident)
+        return image == Counter(map(frozenset, h.coincident))
 
     def extend(i: int) -> bool:
         if i == len(order):
@@ -209,16 +208,12 @@ def configuration_euler(g: DualGraph) -> int:
     Normalizing every curve contributes 2 - 2g; each intersection point
     then glues branches together, dropping the count by (branches - 1).
     One edge entry is one point (whatever its weight), a self-tangency is
-    one point of the curve with itself, and a coincident group fuses all
-    its listed mutual intersections into a single point.
+    one point of the curve with itself, and a coincident group of k curves
+    is one point taking one entry of each of its k(k-1)/2 pairs.
     """
     total = sum(2 - 2 * v.genus for v in g.vertices)
     total -= sum(g.tangency.values())
-    grouped = 0
-    for (a, b, _) in g.edges:
-        if any(a in grp and b in grp for grp in g.coincident):
-            grouped += 1
-    total -= len(g.edges) - grouped
+    total -= len(g.edges) - sum(len(grp) * (len(grp) - 1) // 2 for grp in g.coincident)
     total -= sum(len(grp) - 1 for grp in g.coincident)
     return total
 

@@ -11,17 +11,12 @@ numbers.
 """
 
 from fractions import Fraction as Rational
-from functools import total_ordering
 
 from .core import Record, orbifold_euler
 
-# Marker for the index-1 case (canonical cover is the germ itself).
-GORENSTEIN = 0
 
-
-@total_ordering
 class DuValType(Record):
-    """One of A_n (n >= 1), D_n (n >= 4), E_6, E_7, E_8; ordered by (family, index)."""
+    """One of A_n (n >= 1), D_n (n >= 4), E_6, E_7, E_8."""
 
     def __init__(self, family: str, index: int) -> None:
         if type(index) is not int:
@@ -37,11 +32,6 @@ class DuValType(Record):
         if not ok:
             raise ValueError(f"invalid Du Val type {family}_{index}")
         self.__dict__.update(family=family, index=index)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.index) < (other.family, other.index)
-        return NotImplemented
 
     @property
     def curve_count(self) -> int:
@@ -98,11 +88,10 @@ _COVER_CASES = {
 
 
 class CoverCase(Record):
-    """An index-r point whose canonical cover is Du Val (or the point itself).
+    """An index-r point (r >= 2) whose canonical cover is Du Val or smooth.
 
-    case_id 1..6 are the six cover actions; case_id 0 (GORENSTEIN) is the
-    index-1 case, for which ``base`` names the Du Val type of the point.
-    The cover/base types per case:
+    case_id 1..6 are the six cover actions of Table I.  The cover/base types
+    per case:
 
         1: A_{n-1}  -> A_{rn-1}   (r >= 2, n >= 1; cover smooth when n = 1)
         2: A_{2n-2} -> D_{2n+1}   (r = 4, n >= 2)
@@ -112,44 +101,29 @@ class CoverCase(Record):
         6: E_6      -> E_7        (r = 2)
     """
 
-    def __init__(self, case_id: int, r: int = 1, n: int | None = None,
-                 base: DuValType | None = None) -> None:
-        if type(case_id) is not int:
-            raise ValueError(f"case_id must be 0..6, got {case_id!r}")
-        if case_id == GORENSTEIN:
-            if type(r) is not int or r != 1 or base is None or n is not None:
-                raise ValueError("Gorenstein case needs r=1, a base type, no n")
-        elif base is not None:
-            raise ValueError("base is derived for cases 1..6")
-        elif case_id not in _COVER_CASES:
-            raise ValueError(f"case_id must be 0..6, got {case_id}")
-        else:
-            index, nmin = _COVER_CASES[case_id][:2]
-            r_ok = type(r) is int and (r >= 2 if index is None else r == index)
-            n_ok = n is None if nmin is None else type(n) is int and n >= nmin
-            if not (r_ok and n_ok):
-                raise ValueError(f"invalid parameters for case {case_id}: r={r!r}, n={n!r}")
-        self.__dict__.update(case_id=case_id, r=r, n=n, base=base)
+    def __init__(self, case_id: int, r: int, n: int | None = None) -> None:
+        if type(case_id) is not int or case_id not in _COVER_CASES:
+            raise ValueError(f"case_id must be 1..6, got {case_id!r}")
+        index, nmin = _COVER_CASES[case_id][:2]
+        r_ok = type(r) is int and (r >= 2 if index is None else r == index)
+        n_ok = n is None if nmin is None else type(n) is int and n >= nmin
+        if not (r_ok and n_ok):
+            raise ValueError(f"invalid parameters for case {case_id}: r={r!r}, n={n!r}")
+        self.__dict__.update(case_id=case_id, r=r, n=n)
 
     def cover_type(self) -> DuValType | None:
         """Du Val type of the canonical cover; None when the cover is smooth."""
-        if self.case_id == GORENSTEIN:
-            return self.base
         cover = _COVER_CASES[self.case_id][3](self.r, self.n)
         return None if cover is None else DuValType(*cover)
 
 
 def _base(cover: CoverCase) -> tuple[str, int]:
     """(family, index) of the Du Val type downstairs, without building it."""
-    if cover.case_id == GORENSTEIN:
-        return cover.base.family, cover.base.index
     return _COVER_CASES[cover.case_id][2](cover.r, cover.n)
 
 
 def _correction(cover: CoverCase) -> tuple[int, int]:
     """c_p as an integer (numerator, denominator)."""
-    if cover.case_id == GORENSTEIN:
-        return 0, 1
     return _COVER_CASES[cover.case_id][4](cover.r, cover.n)
 
 

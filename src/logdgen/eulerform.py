@@ -1,7 +1,7 @@
 """Euler characteristics of degenerate fibres and the correction calculus.
 
-The pieces assembled here: the cyclic-quotient Riemann-Roch correction terms
-and their telescoping sum, the Euler number of a degenerate fibre, and the
+The pieces assembled here: the sum of the cyclic-quotient Riemann-Roch
+correction terms, the Euler number of a degenerate fibre, and the
 top Euler number via Noether's equality.  The orbifold Euler number
 e_orb = e - sum(1 - 1/o), ``orbifold_euler``, is one formula for the whole
 package: it lives in ``core`` beside ``quotient_defect`` and is imported here
@@ -31,35 +31,15 @@ class FibreComponentData(Record):
         self.__dict__.update(m=m, e_orb=e_orb, deltas=deltas)
 
 
-def _check_cyclic(r: int, a: int) -> None:
-    """Refuse a cyclic quotient type (r; a) with r < 1 or a not prime to r."""
-    if r < 1:
-        raise ValueError(f"index must be positive, got {r}")
-    if gcd(a, r) != 1:
-        raise ValueError(f"twist {a} is not coprime to the index {r}")
-
-
-def rr_correction_cyclic(r: int, a: int, l: int) -> Rational:
-    """Correction term -a_l(r - a_l)/2r of the l-th twist at a cyclic
-    quotient point of type (r; a), with a_l the residue of a*l mod r.
-
-    >>> rr_correction_cyclic(5, 2, 1)
-    Fraction(-3, 5)
-    >>> rr_correction_cyclic(3, 1, 3)
-    Fraction(0, 1)
-    """
-    _check_cyclic(r, a)
-    residue = (a * l) % r
-    return Rational(-residue * (r - residue), 2 * r)
-
-
 def rr_correction_sum(r: int, a: int, m: int) -> Rational:
-    """Brute-force sum of the cyclic corrections over l = 1..m-1.
+    """Brute-force sum over l = 1..m-1 of the correction term -a_l(r - a_l)/2r
+    of the l-th twist at a cyclic quotient point of type (r; a), with a_l the
+    residue of a*l mod r.
 
     Kept as a literal sum on purpose; the closed form -m(r^2-1)/(12r)
     is asserted against it in tests, never substituted here.  The type
-    (r; a) is checked once and the numerators a_l(r - a_l) are added as
-    integers over the common denominator 2r.
+    (r; a) must have r >= 1 and a prime to r; the numerators a_l(r - a_l)
+    are added as integers over the common denominator 2r.
 
     >>> rr_correction_sum(5, 2, 5)
     Fraction(-2, 1)
@@ -68,7 +48,10 @@ def rr_correction_sum(r: int, a: int, m: int) -> Rational:
         raise ValueError(f"multiplicity must be positive, got {m}")
     if r and m % r != 0:  # r = 0 is refused as an index below
         raise ValueError(f"index {r} must divide the multiplicity {m}")
-    _check_cyclic(r, a)
+    if r < 1:
+        raise ValueError(f"index must be positive, got {r}")
+    if gcd(a, r) != 1:
+        raise ValueError(f"twist {a} is not coprime to the index {r}")
     total = 0
     for l in range(1, m):
         residue = (a * l) % r

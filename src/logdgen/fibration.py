@@ -1,8 +1,8 @@
 """Fibre-configuration records for conic fibrations over a curve, and the germ calculus.
 
 The germ calculus gives the local "different" multiplicity m_p of a curve
-germ inside a log surface with standard boundary, the index lcm of a set of
-coefficients, and the Euler number of a double cover of the line.
+germ inside a log surface with standard boundary, and the Euler number of a
+double cover of the line.
 
 A configuration record lists the degenerate-fibre types of a relative-rank-one
 fibration together with the generic type.  The checks here are the numeric
@@ -30,8 +30,6 @@ at most 2.
 Nothing here constructs surfaces; the checks only accept or reject records.
 """
 
-import math
-from collections import Counter
 from fractions import Fraction as Rational
 
 from .core import INFINITY, NOT_LC, FibreTypeLabel, Record, quotient_defect, standard_coeff
@@ -65,14 +63,14 @@ class GermBoundaryData(Record):
                 raise ValueError(f"branch count k_{b} must be >= 0, got {count}")
         self.__dict__.update(n=n, k=k)
 
-    def nonzero(self) -> dict[int, int]:
-        return {b: c for b, c in self.k.items() if c > 0}
-
 
 def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
     """Different multiplicity of the germ and its case in the trichotomy.
 
-    The value is (n-1)/n + sum_b ((b-1)/b) * (k_b/n).  The case label:
+    The value is (n-1)/n + sum_b ((b-1)/b) * (k_b/n), the coefficient of the
+    different (Shokurov; Kollar et al., Flips and Abundance, 1992, ch. 16):
+    on the germ's log resolution it is the pullback coefficient of the
+    exceptional curve the germ meets.  The case label:
     no branches -> CASE1, a single branch -> CASE2, two half branches
     (k_2 = 2) -> CASE3 (value exactly 1); every other pattern exceeds 1
     and is NOT_LC.
@@ -85,7 +83,7 @@ def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
     (Fraction(1, 1), 'CASE3')
     """
     n = data.n
-    counts = data.nonzero()
+    counts = {b: k_b for b, k_b in data.k.items() if k_b > 0}
     value = standard_coeff(n)
     for b, k_b in counts.items():
         value += standard_coeff(b) * Rational(k_b, n)
@@ -101,17 +99,6 @@ def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
     if value > 1:
         label = NOT_LC
     return value, label
-
-
-def index_lcm(coeffs: list[Rational]) -> int:
-    """Least common multiple of the reduced denominators.
-
-    >>> index_lcm([Rational(1, 2), Rational(2, 3), Rational(5, 6)])
-    6
-    >>> index_lcm([])
-    1
-    """
-    return math.lcm(*(Rational(c).denominator for c in coeffs)) if coeffs else 1
 
 
 def hurwitz_double_cover_euler(branch_count: int) -> int:
@@ -196,9 +183,6 @@ class TypRecord(Record):
                 f"the generic fibre type needs an integer b >= 1, got {generic.b!r}")
         self.__dict__.update(special=special, generic=generic)
 
-    def counts(self) -> Counter:
-        return Counter(self.special)
-
     def __str__(self) -> str:
         parts = [str(label) for label in self.special]
         return f"({' + '.join(parts) if parts else '-'}; {self.generic})"
@@ -229,12 +213,6 @@ def boundary_budget(rec: TypRecord, horizontal_profile: str) -> Rational:
     _profile(horizontal_profile)
     orders = (o for label in rec.special for o in _POINT_ORDERS[label.kind](label.k))
     return Rational(*quotient_defect(orders))
-
-
-def branch_count(rec: TypRecord, profile: str) -> int:
-    """Number of fibres ramifying the degree-2 horizontal curve."""
-    kinds = _profile(profile)[1]
-    return sum(1 for l in rec.special if kinds.get(l.kind, (0, 0, False))[2])
 
 
 def check_typ(rec: TypRecord, profile: str) -> bool:

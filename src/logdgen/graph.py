@@ -14,7 +14,9 @@ All arithmetic is exact (``fractions.Fraction``); no numerical tolerance
 appears anywhere.
 """
 
+from collections import Counter
 from fractions import Fraction as Rational
+from itertools import combinations
 from math import lcm, prod
 
 from .core import (ANSWER_CEILING, MAX_ANSWER_DIGITS, NOT_LC, Record, json_array, json_int,
@@ -69,9 +71,10 @@ class DualGraph:
     curves, of local intersection multiplicity ``w`` (so two transverse
     points give two entries, one tangency of order two gives a single
     entry of weight 2).  ``tangency`` counts nodes of a single curve with
-    itself.  A ``coincident`` group lists three or more curves whose listed
-    mutual intersections all happen at one common point; it changes no
-    intersection number, only the topology of the support.
+    itself.  A ``coincident`` group lists three or more curves that all pass
+    through one common point; it takes one entry of each pair of its curves,
+    so a pair needs an entry for every group holding both.  A group changes
+    no intersection number, only the topology of the support.
 
     Instances are immutable by convention: all containers are tuples and
     no method mutates.
@@ -115,6 +118,14 @@ class DualGraph:
                 if vid not in index:
                     raise ValueError(f"coincident group references unknown vertex {vid!r}")
             groups.append(tuple(sorted(ids)))
+        # A group is one point of each pair it holds, so it takes one entry apiece;
+        # each pass takes an entry or stops, so a huge group costs no more than the edges.
+        free = Counter((a, b) for a, b, _ in norm_edges) if groups else None
+        for a, b in (pair for grp in groups for pair in combinations(grp, 2)):
+            free[a, b] -= 1
+            if free[a, b] < 0:
+                raise ValueError(f"curves {a!r} and {b!r} lie in more coincident groups "
+                                 f"than they have intersection entries")
         self.vertices = vs
         self.edges = tuple(norm_edges)
         self.tangency = {k: v for k, v in sorted(tang.items()) if v > 0}

@@ -12,6 +12,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Rational
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,19 @@ from test_dualgraph import (ORACLE_CATALOGS, exceptional_chain_and_strict_chain,
                             renaming)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+
+def _primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+PRIMES = _primes_below(27450)  # the 3000th prime is 27449
 
 
 def run(capsys, *argv):
@@ -344,6 +358,31 @@ class TestEuler:
         assert data["status"] == f"DomainError: the Euler number could have more than {MAX_ANSWER_DIGITS} digits"
         assert "set_int_max_str_digits" not in data["status"] + err
 
+    @pytest.mark.parametrize("components", [
+        [{"m": 1, "e_orb": f"1/{p}"} for p in PRIMES[:1500]],
+        [{"m": 1, "e_orb": f"1/{p}"} for p in PRIMES[:3000]],
+        [{"m": 1, "e_orb": "0", "deltas": [f"1/{p}" for p in PRIMES[:3000]]}],
+        [{"m": int("9" * (MAX_ANSWER_DIGITS - 1)), "e_orb": "1" * 900}],
+    ], ids=["1500_primes", "3000_primes", "3000_prime_deltas", "long_m_long_e_orb"])
+    def test_neighbours_of_the_answer_bound_are_refused_at_once(self, capsys, tmp_path, components):
+        # the lcm of the first 1500 primes has about 5500 digits
+        path = tmp_path / "fibre.json"
+        path.write_text(json.dumps({"components": components}))
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, "euler", path)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert data["status"] == f"DomainError: the Euler number could have more than {MAX_ANSWER_DIGITS} digits"
+
+    def test_a_long_m_under_the_answer_bound_is_answered_exactly(self, capsys, tmp_path):
+        m = "9" * (MAX_ANSWER_DIGITS - 1)
+        path = tmp_path / "fibre.json"
+        path.write_text(f'{{"components": [{{"m": {m}, "e_orb": "1/3"}}]}}')
+        code, data, _ = run_json(capsys, "euler", path)
+        assert code == 0
+        assert dict(data["results"]) == {"euler": "3" * (MAX_ANSWER_DIGITS - 1),
+                                         "chi_zero_consistent": "false"}
+
 
 class TestCbf:
     def test_invariants_example(self, capsys):
@@ -383,6 +422,24 @@ class TestCbf:
         assert time.perf_counter() - start < 1
         assert code == 1
         assert data["status"] == f"DomainError: x = 100000 exceeds {MAX_TOTIENT_X}"
+
+    @pytest.mark.parametrize("argv, status", [
+        (("nx", "9" * MAX_LITERAL_DIGITS), f"x = <{MAX_LITERAL_DIGITS} digits> exceeds {MAX_TOTIENT_X}"),
+        (("nx", "9" * 20), f"x = {'9' * 20} exceeds {MAX_TOTIENT_X}"),
+        (("invariants", "v1", "-" + "9" * 21, 0, 0, 1, 1), "index r must be positive, got -<21 digits>"),
+        (("invariants", "v2", 8, 1, "1" + "0" * 30, 0, 1), "entries of (1, <31 digits>, 0) must lie in [0, 8)"),
+        (("invariants", "v2", "9" * 30, 0, 0, "9" * 25, 1), "vector (0, 0, <25 digits>) gives a zero denominator"),
+        (("invariants", "v1", 8, 3, 1, 3, "-" + "7" * 40), "ell must be a positive integer, got -<40 digits>"),
+        (("mori", "1/" + "3" * 30, 2 * 10**40, 1), None),
+        (("mori", "2" + "3" * 30, 1, 1), "s must lie in [0, b), got <31 digits>"),
+    ])
+    def test_a_long_argument_is_echoed_as_its_digit_count(self, capsys, argv, status):
+        code, data, _ = run_json(capsys, "cbf", *argv)
+        if status is None:  # an argument that is not refused is echoed in full
+            assert code == 0 and data["inputs"]["b"] == 2 * 10**40
+            return
+        assert code == 1 and data["status"] == f"DomainError: {status}"
+        assert data["inputs"]["subaction"] == argv[0]
 
     def test_nx_at_the_limit_answers_and_one_above_is_refused(self, capsys):
         code, data, _ = run_json(capsys, "cbf", "nx", MAX_TOTIENT_X)
@@ -611,6 +668,14 @@ MALFORMED = {
                                  {"id": "c", "self_int": -2},
                                  edges=[{"a": "a", "b": "b"}, {"a": "b", "b": "c"},
                                         {"a": "a", "b": "c"}], coincident=["abc"]), PARSE),
+    "coincident_listed_twice": (["graph", "FILE", "recognize"],
+                                _graph({"id": "a", "self_int": -2}, {"id": "b", "self_int": -2},
+                                       {"id": "c", "self_int": -2},
+                                       edges=[{"a": "a", "b": "b"}, {"a": "b", "b": "c"},
+                                              {"a": "a", "b": "c"}],
+                                       coincident=[["a", "b", "c"]] * 2),
+                                PARSE + "curves 'a' and 'b' lie in more coincident groups than "
+                                        "they have intersection entries"),
     "mw_target_zero_den": (["mw", "FILE"], {"fibres": [], "target": "1/0"}, PARSE),
     "mw_target_unreadable": (["mw", "FILE"], {"fibres": [], "target": "abc"}, PARSE),
     "mw_target_huge_exponent": (["mw", "FILE"], {"fibres": [], "target": "1e5000"}, PARSE),
@@ -1014,6 +1079,8 @@ def test_arbitrary_argv_ends_in_a_status_or_usage_line(data, case, fmt):
         assert code in (0, 1) and err == ""
         report = json.loads(out)
         assert words == ("tables",) or (report["status"] == "OK") == (code == 0)
+        assert words == ("tables",) or len(report["status"]) < 200
     else:
         assert code in (0, 1)
         assert lines == [] if code == 0 else len(lines) == 1 and ": " in lines[0]
+        assert all(len(line) < 200 for line in lines)

@@ -11,7 +11,6 @@ import pytest
 
 from logdgen.duval import (
     COVER_TABLE_ROWS,
-    GORENSTEIN,
     CoverCase,
     DuValType,
     c_p,
@@ -24,7 +23,7 @@ from logdgen.duval import (
 )
 from logdgen.duval import _base
 from logdgen.core import KodairaLabel
-from logdgen.dualgraph import duval_graph, kodaira_graph, recognize_duval
+from logdgen.dualgraph import configuration_euler, duval_graph, kodaira_graph, recognize_duval
 from logdgen.graph import CurveVertex, DualGraph, intersection_matrix
 from test_dualgraph import kernel_det, neighbors
 
@@ -121,7 +120,7 @@ class TestDuValType:
         # e_p of an index-1 point is the Euler number of its exceptional tree
         for name, euler in (("A5", 6), ("D4", 5), ("E8", 9)):
             t = DuValType.parse(name)
-            assert e_p(CoverCase(GORENSTEIN, base=t)) == t.curve_count + 1 == euler
+            assert configuration_euler(duval_graph(t)) == t.curve_count + 1 == euler
 
 
 class TestCoverCase:
@@ -158,18 +157,17 @@ class TestCoverCase:
     @pytest.mark.parametrize(
         "kwargs,message",
         [
-            (dict(case_id=True, r=2, n=2), "case_id must be 0..6, got True"),
-            (dict(case_id=1.0, r=2, n=2), "case_id must be 0..6, got 1.0"),
-            (dict(case_id="1", r=2, n=2), "case_id must be 0..6, got '1'"),
+            (dict(case_id=True, r=2, n=2), "case_id must be 1..6, got True"),
+            (dict(case_id=1.0, r=2, n=2), "case_id must be 1..6, got 1.0"),
+            (dict(case_id="1", r=2, n=2), "case_id must be 1..6, got '1'"),
             (dict(case_id=1, r=2, n=True), "invalid parameters for case 1: r=2, n=True"),
             (dict(case_id=1, r=True, n=2), "invalid parameters for case 1: r=True, n=2"),
             (dict(case_id=1, r=2.0, n=2), "invalid parameters for case 1: r=2.0, n=2"),
             (dict(case_id=1, r=2, n=2.0), "invalid parameters for case 1: r=2, n=2.0"),
             (dict(case_id=3, r=2, n="2"), "invalid parameters for case 3: r=2, n='2'"),
             (dict(case_id=4, r=3.0), "invalid parameters for case 4: r=3.0, n=None"),
-            (dict(case_id=0, r=True, base=DuValType("A", 1)),
-             "Gorenstein case needs r=1, a base type, no n"),
-            (dict(case_id=False, r=1, base=DuValType("A", 1)), "case_id must be 0..6, got False"),
+            (dict(case_id=0, r=True), "case_id must be 1..6, got 0"),
+            (dict(case_id=False, r=1), "case_id must be 1..6, got False"),
         ],
     )
     def test_bool_float_or_string_parameter_rejected(self, kwargs, message):
@@ -177,11 +175,11 @@ class TestCoverCase:
             CoverCase(**kwargs)
 
     def test_gorenstein(self):
-        g = CoverCase(0, base=DuValType("A", 1))
-        assert c_p(g) == 0
-        assert delta_p(g) == 2 - F(1, 2)
-        with pytest.raises(ValueError):
-            CoverCase(0, r=2, base=DuValType("A", 1))
+        # An index-1 point is no cover case: Table I starts at r = 2.  Its e_p
+        # is read off its type's resolution graph (test_exceptional_euler).
+        for r in (1, 2):
+            with pytest.raises(ValueError, match="^case_id must be 1..6, got 0$"):
+                CoverCase(0, r=r)
 
 
 class TestDefectTable:
@@ -256,7 +254,7 @@ def fraction_e_orb(degree, singularities) -> F:
 def test_integer_cover_invariants_equal_the_fraction_formulas(covers, count):
     covers = covers()
     assert len(covers) == count
-    for cover in covers + [CoverCase(0, base=DuValType.parse(t)) for t in ("A1", "D5", "E8")]:
+    for cover in covers:
         base = base_type(cover)
         assert e_p(cover) == base.curve_count + 1, cover
         assert o_p(cover) == duval_order(base), cover
@@ -270,18 +268,11 @@ def test_integer_cover_invariants_equal_the_fraction_formulas(covers, count):
 @dataclass(frozen=True)
 class HandCoverCase:
     case_id: int
-    r: int = 1
+    r: int
     n: int | None = None
-    base: DuValType | None = None
 
     def __post_init__(self) -> None:
         cid, r, n = self.case_id, self.r, self.n
-        if cid == GORENSTEIN:
-            if r != 1 or self.base is None or n is not None:
-                raise ValueError("Gorenstein case needs r=1, a base type, no n")
-            return
-        if self.base is not None:
-            raise ValueError("base is derived for cases 1..6")
         if cid == 1:
             ok = r >= 2 and n is not None and n >= 1
         elif cid == 2:
@@ -295,16 +286,13 @@ class HandCoverCase:
         elif cid == 6:
             ok = r == 2 and n is None
         else:
-            raise ValueError(f"case_id must be 0..6, got {cid}")
+            raise ValueError(f"case_id must be 1..6, got {cid}")
         if not ok:
             raise ValueError(f"invalid parameters for case {cid}: r={r}, n={n}")
 
     def base_type(self) -> DuValType:
         """Du Val type of the point downstairs."""
         n = self.n
-        if self.case_id == GORENSTEIN:
-            assert self.base is not None
-            return self.base
         if self.case_id == 1:
             return DuValType("A", self.r * n - 1)
         if self.case_id == 2:
@@ -320,8 +308,6 @@ class HandCoverCase:
     def cover_type(self) -> DuValType | None:
         """Du Val type of the canonical cover; None when the cover is smooth."""
         n = self.n
-        if self.case_id == GORENSTEIN:
-            return self.base
         if self.case_id == 1:
             return DuValType("A", n - 1) if n >= 2 else None
         if self.case_id == 2:
@@ -338,8 +324,6 @@ class HandCoverCase:
 def hand_c_p(cover) -> F:
     """Cover-case correction term."""
     cid, n = cover.case_id, cover.n
-    if cid == GORENSTEIN:
-        return F(0)
     if cid == 1:
         return n * (cover.r - F(1, cover.r))
     if cid == 2:
@@ -353,10 +337,10 @@ def hand_c_p(cover) -> F:
     return F(9, 2)
 
 
-def _cover_outcome(cls, base_of, correction, case_id, r, n, base):
+def _cover_outcome(cls, base_of, correction, case_id, r, n):
     """Base type, cover type and c_p of a case, or the message that refuses it."""
     try:
-        cover = cls(case_id, r=r, n=n, base=base)
+        cover = cls(case_id, r=r, n=n)
     except ValueError as exc:
         return f"ValueError: {exc}"
     return base_of(cover), cover.cover_type(), repr(correction(cover))
@@ -367,12 +351,11 @@ def test_cover_case_rows_agree_with_the_hand_cases():
     for case_id in range(-1, 8):
         for r in range(9):
             for n in (None, *range(12)):
-                for base in (None, DuValType("A", 2)):
-                    args = (case_id, r, n, base)
-                    want = _cover_outcome(HandCoverCase, HandCoverCase.base_type, hand_c_p, *args)
-                    assert _cover_outcome(CoverCase, base_type, c_p, *args) == want, args
-                    points += not isinstance(want, str)
-    assert points == 109  # the accepted points; the other 1997 are refused alike
+                args = (case_id, r, n)
+                want = _cover_outcome(HandCoverCase, HandCoverCase.base_type, hand_c_p, *args)
+                assert _cover_outcome(CoverCase, base_type, c_p, *args) == want, args
+                points += not isinstance(want, str)
+    assert points == 108  # the accepted points; the other 945 are refused alike
 
 
 
@@ -410,21 +393,27 @@ def components(g: DualGraph, ids) -> list[DualGraph]:
     return parts
 
 
+def by_family(t: DuValType):
+    """The sort key of a Du Val type: its family, then its index."""
+    return t.family, t.index
+
+
 def node_deletions(t: DuValType) -> set:
     """The systems left by deleting one node of the extended diagram of ``t``."""
     g = extended_dynkin(t)
-    return {tuple(sorted(recognize_duval(part) for part in components(g, set(g.ids()) - {v})))
+    return {tuple(sorted((recognize_duval(part) for part in components(g, set(g.ids()) - {v})),
+                         key=by_family))
             for v in g.ids()}
 
 
 def maximal_rank_subsystems(system) -> set:
     """Every maximal-rank root subsystem of ``system``, as sorted tuples of Du Val types."""
-    found, todo = set(), [tuple(sorted(system))]
+    found, todo = set(), [tuple(sorted(system, key=by_family))]
     while todo:
         current = todo.pop()
         if current not in found:
             found.add(current)
-            todo += [tuple(sorted(current[:i] + current[i + 1:] + part))
+            todo += [tuple(sorted(current[:i] + current[i + 1:] + part, key=by_family))
                      for i, t in enumerate(current) for part in node_deletions(t)]
     return found
 
@@ -507,7 +496,7 @@ class TestDelPezzoCatalog:
         # rank 9 in degree 1; row 12 (D4+A3) is no subsystem of E7, where
         # D4+3A1 is.
         failing = {entry.row for entry in delpezzo_catalog() if entry.degree <= 7
-                   and tuple(sorted(entry.singularities))
+                   and tuple(sorted(entry.singularities, key=by_family))
                    not in maximal_rank_subsystems(E_ROOTS[entry.degree])}
         assert failing == {12, 17}
         e7 = maximal_rank_subsystems(E_ROOTS[2])
@@ -526,5 +515,6 @@ class TestDelPezzoCatalog:
                 assert not rest and isqrt(quotient) ** 2 == quotient, system
         e8 = maximal_rank_subsystems(E_ROOTS[1])
         for system in ("A1 " * 8, "A2 " * 4, "A4 A4", "E6 A2", "D4 D4", "A8", "D8", "E7 A1"):
-            types = tuple(sorted(DuValType(name[0], int(name[1:])) for name in system.split()))
+            types = tuple(sorted((DuValType(name[0], int(name[1:])) for name in system.split()),
+                                 key=by_family))
             assert types in e8, system

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdgen.core import MAX_ANSWER_DIGITS, Record
-from logdgen.duval import (GORENSTEIN, CoverCase, DuValType, delpezzo_catalog, duval_order, e_p,
-                           recompute_e_orb)
+from logdgen.dualgraph import configuration_euler, duval_graph
+from logdgen.duval import DuValType, delpezzo_catalog, duval_order, recompute_e_orb
 from logdgen.eulerform import (
     FibreComponentData,
     euler_degenerate_fibre,
     noether_e_top,
     orbifold_euler,
-    rr_correction_cyclic,
     rr_correction_sum,
 )
 
@@ -108,8 +107,17 @@ def rank_one_square(d: int, gamma_dot_d) -> Rational:
 
 
 def exceptional_euler(t: DuValType) -> int:
-    """e_p of the index-1 point of type t: its tree of curve_count spheres."""
-    return e_p(CoverCase(GORENSTEIN, base=t))
+    """e_p of the index-1 point of type t: the Euler number of its tree of
+    curve_count spheres, read off the resolution graph."""
+    return configuration_euler(duval_graph(t))
+
+
+def rr_correction_cyclic(r: int, a: int, l: int) -> F:
+    """Correction term -a_l(r - a_l)/2r of the l-th twist at a cyclic quotient
+    point of type (r; a), with a_l the residue of a*l mod r: the per-term
+    oracle of ``rr_correction_sum``."""
+    residue = (a * l) % r
+    return F(-residue * (r - residue), 2 * r)
 
 
 class TestOrbifoldEuler:
@@ -133,10 +141,9 @@ class TestRRCorrection:
         assert rr_correction_cyclic(3, 1, 3) == 0
 
     def test_coprimality_enforced(self):
-        with pytest.raises(ValueError):
-            rr_correction_cyclic(6, 2, 1)
-        with pytest.raises(ValueError):
-            rr_correction_sum(6, 3, 6)
+        for a in (2, 3):
+            with pytest.raises(ValueError, match=f"^twist {a} is not coprime to the index 6$"):
+                rr_correction_sum(6, a, 6)
 
     def test_sum_spec_examples(self):
         assert rr_correction_sum(5, 2, 5) == -2
