@@ -7,13 +7,14 @@ s* = b((ell*-1)/ell* - mu*).  This module carries the well-known elliptic
 table of these invariants, the twenty-seven abelian-fibre rows produced by
 primitive vectors on quotient germs, Mori's integrality constraint on s*,
 the totient-LCM function bounding local indices, symplectic group orders,
-and the resulting global bound on the number of singular fibres.
+and the resulting global bound on the number of singular fibres.  A refusal
+echoes its arguments in full; the CLI shortens what it prints.
 """
 
 from fractions import Fraction as Rational
 from math import gcd, lcm, isqrt
 
-from .core import KodairaLabel, Record, bounded, brief, classical_euler
+from .core import KodairaLabel, Record, bounded, classical_euler
 
 V1 = "V1"
 V2 = "V2"
@@ -50,16 +51,16 @@ class PrimitiveVector(Record):
         if kind not in (V1, V2):
             raise ValueError(f"kind must be V1 or V2, got {kind!r}")
         if type(r) is not int or r < 1:
-            raise ValueError(f"index r must be positive, got {brief(r)}")
+            raise ValueError(f"index r must be positive, got {r}")
         a = tuple(a)
         if len(a) != 3 or any(type(x) is not int for x in a):
-            raise ValueError(f"a must be a triple of integers, got {brief(a)}")
+            raise ValueError(f"a must be a triple of integers, got {a}")
         if any(not 0 <= x < r for x in a):
-            raise ValueError(f"entries of {brief(a)} must lie in [0, {brief(r)})")
+            raise ValueError(f"entries of {a} must lie in [0, {r})")
         if sum(a) >= r:
-            raise ValueError(f"sum of {brief(a)} must be smaller than r = {brief(r)}")
+            raise ValueError(f"sum of {a} must be smaller than r = {r}")
         if kind == V1 and gcd(r, a[2]) != 1:
-            raise ValueError(f"V1 needs gcd(r, a_2) = 1, got gcd({brief(r)}, {brief(a[2])})")
+            raise ValueError(f"V1 needs gcd(r, a_2) = 1, got gcd({r}, {a[2]})")
         self.__dict__.update(kind=kind, r=r, a=a)
 
 
@@ -137,10 +138,10 @@ def mu_star(v: PrimitiveVector, ell: int) -> Rational:
     Fraction(1, 24)
     """
     if ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {brief(ell)}")
+        raise ValueError(f"ell must be a positive integer, got {ell}")
     denom = v.a[2] if v.kind == V1 else v.a[0] + v.a[1]
     if denom == 0:
-        raise ValueError(f"vector {brief(v.a)} gives a zero denominator")
+        raise ValueError(f"vector {v.a} gives a zero denominator")
     return Rational(v.r - sum(v.a), ell * denom)
 
 
@@ -279,9 +280,9 @@ def n_of_x(x: int) -> int:
     12
     """
     if x < 1:
-        raise ValueError(f"x must be a positive integer, got {brief(x)}")
+        raise ValueError(f"x must be a positive integer, got {x}")
     if x > MAX_TOTIENT_X:
-        raise ValueError(f"x = {brief(x)} exceeds {MAX_TOTIENT_X}")
+        raise ValueError(f"x = {x} exceeds {MAX_TOTIENT_X}")
     hits = [n for n in range(1, 2 * x * x + 5) if _totient(n) <= x]
     assert max(hits) <= 2 * x * x, "totient bound violated"
     return lcm(*hits)
@@ -341,7 +342,7 @@ def mori_feasible(s, b: int, big_n: int):
     if b < 1 or big_n < 1:
         raise ValueError("b and N must be positive integers")
     if not 0 <= s < b:
-        raise ValueError(f"s must lie in [0, b), got {brief(s)}")
+        raise ValueError(f"s must lie in [0, b), got {s}")
     p, q = s.numerator, s.denominator
     g = gcd(q, big_n * (b * q - p))
     u, v = q // g, big_n * (b * q - p) // g

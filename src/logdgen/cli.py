@@ -3,12 +3,13 @@
 Regenerates the embedded tables with a recompute-versus-literal cross-check,
 evaluates invariants from configuration files, and emits machine-readable
 reports.  Exit codes: 0 ok, 1 domain error, cross-check mismatch or a write to
-stdout that failed, 2 usage.
-Each command imports the package modules it computes with, and ``json`` when
-it reads or writes JSON, in its own body, so that a short run does not pay
-for compiling and loading the others: ``tables`` loads ``tables``, and
-``graph`` loads the recognizers of ``dualgraph`` only for ``recognize``.
-``_run`` alone builds a report, once its results and status are known.
+stdout that failed, 2 usage.  Each command imports the package modules it
+computes with, and ``json`` when it reads or writes JSON, in its own body, so
+that a short run does not pay for compiling and loading the others:
+``tables`` loads ``tables``, and ``graph`` loads the recognizers of
+``dualgraph`` only for ``recognize``.  ``_run`` alone builds a report, once
+its results and status are known; it and ``_parse_args`` write each status
+and argparse line through ``brief``, the one rule that shortens an echo.
 
 A plainly written command line is parsed without loading ``argparse`` (and
 the ``gettext`` and ``locale`` it loads): the command word, for ``cbf`` the
@@ -23,17 +24,31 @@ missing or too many.  One table, ``_COMMANDS``, gives both parsers the
 commands and their positionals.
 """
 
+import contextlib
 import errno
 import os
+import re
 import sys
 from fractions import Fraction as Rational
 from types import SimpleNamespace
 
-from .core import (MAX_LITERAL_DIGITS, KodairaLabel, ParseError, Record, brief, json_array,
-                   json_int, parse_rational)
+from .core import (MAX_LITERAL_DIGITS, KodairaLabel, ParseError, Record, json_array, json_int,
+                   parse_rational)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
+MAX_LINE = 200
+
+
+def brief(line: str) -> str:
+    """``line`` with each run of more than 20 digits written as its length,
+    then cut to its head and length if still MAX_LINE characters or longer.
+
+    >>> brief("x = " + "9" * 1000 + " exceeds 200"), len(brief("a" * 5000))
+    ('x = <1000 digits> exceeds 200', 121)
+    """
+    line = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])} digits>", line)
+    return line if len(line) < MAX_LINE else f"{line[:MAX_LINE // 2]}... <{len(line)} characters>"
 
 
 class Report(Record):
@@ -62,7 +77,7 @@ def _read_json_file(path: str) -> dict:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except (OSError, ValueError, RecursionError) as exc:
         # an unreadable file, undecodable bytes, a huge integer, deep nesting
-        raise ParseError(brief(str(exc))) from None
+        raise ParseError(str(exc)) from None
     if not isinstance(data, dict):
         raise ParseError(f"top level must be a JSON object, got {type(data).__name__}")
     return data
@@ -84,7 +99,7 @@ def _run(args, inputs: dict, read, compute, invalid: str = "DomainError",
             results = compute(data)
         except ValueError as exc:
             status = f"{failed}: {exc}"
-    report = Report(args.command, inputs, results, status)
+    report = Report(args.command, inputs, results, brief(status))
     if args.format == "json":
         import json
         print(json.dumps(report.to_json(), indent=2))
@@ -246,7 +261,7 @@ def _literal(text: str, kind: str) -> str:
     if len(text) > MAX_LITERAL_DIGITS:
         import argparse  # such a command line ends in argparse's usage error anyway
         raise argparse.ArgumentTypeError(
-            f"{kind} literal {text[:20]!r} exceeds {MAX_LITERAL_DIGITS} digits")
+            f"{kind} literal {text!r} exceeds {MAX_LITERAL_DIGITS} digits")
     return text
 
 
@@ -354,18 +369,21 @@ def _parse_plain(argv):
 
 
 def _parse_args(argv):
-    """argparse's namespace of ``argv``.  What argparse prints on stdout (the
-    help of ``-h``) is written here, since argparse drops a failed write."""
+    """argparse's namespace of ``argv``.  What argparse prints is written here,
+    a line at a time through ``brief`` since argparse echoes a refused value in
+    full; a failed write of the help raises OSError, which argparse would drop."""
     import io
-    stdout, sys.stdout = sys.stdout, io.StringIO()
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
         return build_parser().parse_args(argv)
     finally:
-        text, sys.stdout = sys.stdout.getvalue(), stdout
-        if text:
-            out = stdout or sys.stderr  # argparse's own choice when stdout is closed
-            out.write(text)
-            out.flush()
+        printed, (sys.stdout, sys.stderr) = (sys.stdout.getvalue(), sys.stderr.getvalue()), streams
+        help_text, error = ("\n".join(map(brief, text.split("\n"))) for text in printed)
+        if help_text:  # on stderr when stdout is closed, as argparse would
+            print(help_text, end="", file=sys.stdout or sys.stderr, flush=True)
+        with contextlib.suppress(AttributeError, OSError):  # argparse's, on a closed or full stderr
+            sys.stderr.write(error)
 
 
 def main(argv=None) -> int:

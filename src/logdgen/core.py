@@ -4,16 +4,15 @@ Every coefficient in the toolkit is a ``fractions.Fraction`` (re-exported as
 ``Rational``); nothing here or downstream touches floating point.  The module
 holds the standard coefficients (b-1)/b, the boundary-multiset enumerator, the
 strict JSON readers and rational parser, the bound ``MAX_ANSWER_DIGITS`` on the
-digits of an answer, which ``bounded`` applies, ``brief``, which shortens the
-arguments a refusal echoes, the ``Record`` base of the
-package's value types, the
-quotient defect sum(1 - 1/o) with the one orbifold Euler formula
-e_orb = e - sum(1 - 1/o) built on it, and the fibre-type labels
+digits of an answer, which ``bounded`` applies, the ``Record`` base of the
+package's value types, the quotient defect sum(1 - 1/o) with the one orbifold
+Euler formula e_orb = e - sum(1 - 1/o) built on it, and the fibre-type labels
 ``KodairaLabel`` (with ``classical_euler`` and ``component_count``) and
 ``FibreTypeLabel``, kept here so that the coefficient, height and fibration
 modules load no graph code.  Every CLI command loads this module, so code
 that only one module uses lives there: the germ calculus (different
-multiplicity m_p) is in ``fibration``.
+multiplicity m_p) is in ``fibration``.  A refusal states the value it refused
+in full; ``cli.brief`` decides how much of it is printed.
 """
 import math
 import re
@@ -74,16 +73,6 @@ def bounded(value, what: str):
     return value
 
 
-def brief(value) -> str:
-    """``str(value)`` with each run of more than 20 digits written as its
-    length, so that a refusal echoing an argument stays one short line.
-
-    >>> brief((3, -10**25, 1)), brief(Rational(1, 3))
-    ('(3, -<26 digits>, 1)', '1/3')
-    """
-    return re.sub(r"\d{21,}", lambda m: f"<{len(m[0])} digits>", str(value))
-
-
 class ParseError(ValueError):
     """A literal that cannot be read as the value it has to denote."""
 
@@ -110,7 +99,7 @@ def parse_rational(value) -> Rational:
     text = str(value)
     exponent = _EXPONENT.search(text)
     if len(text) > MAX_LITERAL_DIGITS or (exponent and abs(int(exponent[1])) > MAX_LITERAL_DIGITS):
-        raise ParseError(f"rational literal {text[:20]!r} exceeds {MAX_LITERAL_DIGITS} digits")
+        raise ParseError(f"rational literal {text!r} exceeds {MAX_LITERAL_DIGITS} digits")
     try:
         return Rational(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -257,6 +246,8 @@ class KodairaLabel(Record):
             kind, _, num = text.partition("_")
             if not (num.isascii() and num.isdigit()):
                 raise ValueError(f"Kodaira label {text!r} needs b in ASCII digits")
+            if len(num) > MAX_LITERAL_DIGITS:  # refused before int() reads it
+                raise ParseError(f"Kodaira label {text!r} exceeds {MAX_LITERAL_DIGITS} digits")
             return cls(kind, int(num))
         return cls(text)
 

@@ -48,12 +48,13 @@ class GermBoundaryData(Record):
     """Local data of a curve germ through a cyclic quotient point of order n.
 
     ``k`` maps each boundary parameter b >= 2 to the number k_b of boundary
-    branches with coefficient (b-1)/b meeting the germ there.  Zero counts
-    may be omitted.  Sums k_b > 2 are representable; they classify NOT_LC.
+    branches with coefficient (b-1)/b meeting the germ there, as a dict or as
+    pairs, kept as the sorted pairs with k_b > 0: data equal up to zero counts
+    compare and hash alike.  Sums k_b > 2 are representable; they classify NOT_LC.
     """
 
-    def __init__(self, n: int, k: dict[int, int] | None = None) -> None:
-        k = {} if k is None else k
+    def __init__(self, n: int, k: dict[int, int] | tuple = ()) -> None:
+        k = dict(k)
         if type(n) is not int or n < 1:
             raise ValueError(f"cyclic order n must be >= 1, got {n}")
         for b, count in k.items():
@@ -61,7 +62,7 @@ class GermBoundaryData(Record):
                 raise ValueError(f"boundary parameter b must be >= 2, got {b}")
             if type(count) is not int or count < 0:
                 raise ValueError(f"branch count k_{b} must be >= 0, got {count}")
-        self.__dict__.update(n=n, k=k)
+        self.__dict__.update(n=n, k=tuple(sorted((b, count) for b, count in k.items() if count)))
 
 
 def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
@@ -83,16 +84,15 @@ def m_p(data: GermBoundaryData) -> tuple[Rational, str]:
     (Fraction(1, 1), 'CASE3')
     """
     n = data.n
-    counts = {b: k_b for b, k_b in data.k.items() if k_b > 0}
     value = standard_coeff(n)
-    for b, k_b in counts.items():
+    for b, k_b in data.k:
         value += standard_coeff(b) * Rational(k_b, n)
 
-    if not counts:
+    if not data.k:
         label = CASE1
-    elif sum(counts.values()) == 1:
+    elif sum(k_b for _, k_b in data.k) == 1:
         label = CASE2
-    elif counts == {2: 2}:
+    elif data.k == ((2, 2),):
         label = CASE3
     else:
         label = NOT_LC

@@ -341,7 +341,7 @@ class TestEuler:
         path.write_text(json.dumps({"components": [{"m": 1, "e_orb": literal + "0"}]}))
         code, data, _ = run_json(capsys, "euler", path)
         assert code == 1
-        assert data["status"] == (f"ParseError: rational literal {literal[:20]!r} "
+        assert data["status"] == (f"ParseError: rational literal '<{MAX_LITERAL_DIGITS + 1} digits>' "
                                   f"exceeds {MAX_LITERAL_DIGITS} digits")
 
     def test_unprintable_sum_is_refused_at_once(self, capsys, tmp_path):
@@ -988,15 +988,19 @@ def test_reports_match_the_recorded_output(monkeypatch):
 _KEYS = ("vertices", "edges", "tangency", "coincident", "id", "self_int", "genus", "mult",
          "boundary", "role", "a", "b", "w", "components", "m", "e_orb", "deltas",
          "fibres", "label", "chi", "target", "po_max")
+# values too long to echo in full: a 5000-character word, a 400-key object of
+# short keys, and a Kodaira label whose b int() would refuse to read
+LONG_WORD, MANY_KEYS, LONG_LABEL = "x" * 5000, {str(i): i for i in range(400)}, "I_" + "9" * 5000
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
-    | st.sampled_from(["E1", "E2", "1/2", "1/0", "-2", "1e5000", "strict", "fibre", "I_3", "I*_1"]),
+    | st.sampled_from(["E1", "E2", "1/2", "1/0", "-2", "1e5000", "strict", "fibre", "I_3", "I*_1",
+                       LONG_WORD, MANY_KEYS, LONG_LABEL]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=5),
     max_leaves=20,
 )
 # well-typed small graphs, so that the recognizers and solvers run too
-_ids = st.sampled_from(["E1", "E2", "E3", "B1"])
+_ids = st.sampled_from(["E1", "E2", "E3", "B1", LONG_WORD])
 _graphs = st.fixed_dictionaries(
     {"vertices": st.lists(st.fixed_dictionaries(
         {"id": _ids, "self_int": st.integers(-4, 1)},
@@ -1012,7 +1016,7 @@ _graphs = st.fixed_dictionaries(
 _mw_files = st.fixed_dictionaries(
     {"fibres": st.lists(st.fixed_dictionaries(
         {"label": st.sampled_from(["I_1", "I_3", "I_9", "I*_0", "I*_1", "I*_2", "I*_3", "II",
-                                   "III", "IV", "III*", "IV*"]),
+                                   "III", "IV", "III*", "IV*", LONG_LABEL]),
          "components": st.integers(1, 9)}), max_size=7),
      "target": st.sampled_from([0, "1/2", "3/4", "2", "1e5000"])},
     optional={"chi": st.sampled_from([1, 2, "1/2"]), "po_max": st.integers(-1, 3)},
@@ -1035,16 +1039,19 @@ def test_arbitrary_json_ends_in_a_report(tmp_path_factory, data, argv):
     report = json.loads(out)
     assert set(report) == {"command", "inputs", "results", "status"}
     assert (report["status"] == "OK") == (code == 0)
+    assert len(report["status"]) < 200 and "set_int_max_str_digits" not in report["status"]
 
 
 # Positionals for the argv property: small values, negatives, integers at the
 # edges of the literal limit and of the 4300 digits int() reads, k/0,
-# exponents, junk, and two files that parse.
+# exponents, junk, a word too long to echo in full (as a file name, a choice
+# or a number), and two files that parse.
 _ARGV_LITERALS = st.sampled_from([
     "0", "1", "2", "3", "8", "12", "-1", "-7", "-" + "9" * (MAX_LITERAL_DIGITS - 1),
     *("9" * n for n in (MAX_LITERAL_DIGITS - 1, MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1,
                         MAX_ANSWER_DIGITS)),
     "1/2", "3/4", "7/0", "0/0", "1e5", "1e-5000", "2.5e3", "1_000", "abc", "", "v1", "II", "ALL",
+    "a" * 300,
     str(FIXTURES / "a_half_gamma.json"), str(FIXTURES / "mw_height_three_quarters.json"),
 ])
 
@@ -1072,6 +1079,7 @@ def test_arbitrary_argv_ends_in_a_status_or_usage_line(data, case, fmt):
     code, out, err = _main_captured(argv + fmt)
     assert "Traceback" not in err and "set_int_max_str_digits" not in out + err
     lines = err.splitlines()
+    assert all(len(line) < 200 for line in lines)
     if code == 2:  # argparse's usage, then one error line
         assert lines[0].startswith("usage: logdgen ")
         assert [i for i, line in enumerate(lines) if ": error: " in line] == [len(lines) - 1]
@@ -1083,4 +1091,58 @@ def test_arbitrary_argv_ends_in_a_status_or_usage_line(data, case, fmt):
     else:
         assert code in (0, 1)
         assert lines == [] if code == 0 else len(lines) == 1 and ": " in lines[0]
-        assert all(len(line) < 200 for line in lines)
+
+
+# Inputs whose refusal echoes a value of thousands of characters or a long
+# path, as (argv, file content or None, exit code).  The CLI writes each
+# status and usage line through cli.brief, so every line stays under 200
+# characters, and a status is one line.
+LONG_ECHOES = {
+    "self_int_string": (["graph", "FILE", "recognize"], _graph({**E, "self_int": LONG_WORD}), 1),
+    "m_string": (["euler", "FILE"], {"components": [{"m": LONG_WORD, "e_orb": "1"}]}, 1),
+    "m_object_of_400_keys": (["euler", "FILE"], {"components": [{"m": MANY_KEYS, "e_orb": "1"}]}, 1),
+    "role_unknown": (["graph", "FILE", "classify"], _graph({**E, "role": LONG_WORD}), 1),
+    "duplicate_vertex_id": (["graph", "FILE", "recognize"],
+                            _graph(*[{"id": LONG_WORD, "self_int": -2}] * 2), 1),
+    "edge_to_unknown_vertex": (["graph", "FILE", "recognize"],
+                               _graph(E, edges=[{"a": "E", "b": LONG_WORD}]), 1),
+    "vertices_string": (["graph", "FILE", "recognize"], {"vertices": LONG_WORD, "edges": []}, 1),
+    "deltas_string": (["euler", "FILE"],
+                      {"components": [{"m": 1, "e_orb": "1", "deltas": LONG_WORD}]}, 1),
+    "mw_label_array": (["mw", "FILE"],
+                       {"fibres": [{"label": [LONG_WORD], "components": 1}], "target": "1"}, 1),
+    "mw_kind_unknown": (["mw", "FILE"],
+                        {"fibres": [{"label": LONG_WORD, "components": 1}], "target": "1"}, 1),
+    "mw_b_past_the_literal_limit": (["mw", "FILE"],
+                                    {"fibres": [{"label": LONG_LABEL, "components": 3}],
+                                     "target": "1"}, 1),
+    "command_word": ([LONG_WORD], None, 2),
+    "tables_choice": (["tables", LONG_WORD], None, 2),
+    "graph_action": (["graph", "in.json", LONG_WORD], None, 2),
+    "cbf_nx_word": (["cbf", "nx", "a" * 999], None, 2),
+    "cbf_integer_past_the_literal_limit": (["cbf", "bound", "9" * 4200, "1"], None, 2),
+    "euler_long_file_name": (["euler", "a" * 300], None, 1),
+    "graph_long_path": (["graph", "x/" * 150, "recognize"], None, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_ECHOES))
+def test_a_long_echo_prints_only_short_lines(case, tmp_path):
+    argv, content, exit_code = LONG_ECHOES[case]
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = _main_captured(argv)
+    assert code == exit_code and "Traceback" not in err and "set_int_max_str_digits" not in err
+    lines = err.splitlines()
+    assert all(len(line) < 200 for line in lines)
+    if code == 2:  # argparse's usage, then its error
+        assert lines[0].startswith("usage: logdgen ")
+        assert [i for i, line in enumerate(lines) if ": error: argument " in line] == [len(lines) - 1]
+        return
+    assert out == "" and len(lines) == 1
+    code, out, err = _main_captured(argv + ["--format", "json"])
+    report = json.loads(out)
+    assert code == 1 and err == "" and report["status"] == lines[0]
+    assert report["inputs"]["file"] == argv[1]  # the inputs echo the arguments in full

@@ -18,7 +18,9 @@ from logdgen.core import (
     INFINITY,
     NOT_LC,
     FibreTypeLabel,
+    MAX_LITERAL_DIGITS,
     KodairaLabel,
+    ParseError,
     Record,
     enumerate_boundary_multisets,
     json_array,
@@ -451,11 +453,18 @@ class TestKodairaLabelParse:
         with pytest.raises(ValueError):
             KodairaLabel.parse(text)
 
+    def test_a_b_past_the_literal_limit_is_refused_before_it_is_read(self):
+        # int() would end in CPython's set_int_max_str_digits advice past 4300 digits
+        assert KodairaLabel.parse("I_" + "9" * MAX_LITERAL_DIGITS).b == 10**MAX_LITERAL_DIGITS - 1
+        for digits in (MAX_LITERAL_DIGITS + 1, 5000):
+            with pytest.raises(ParseError, match=f"exceeds {MAX_LITERAL_DIGITS} digits$"):
+                KodairaLabel.parse("I_" + "9" * digits)
+
 
 # One instance of each value type in the package and its test oracles, with
-# its repr as a frozen dataclass printed it.
+# its repr as a frozen dataclass printed it (GermBoundaryData keeps k as pairs).
 RECORDS = [
-    (GermBoundaryData(2, {2: 1}), "GermBoundaryData(n=2, k={2: 1})"),
+    (GermBoundaryData(2, {2: 1}), "GermBoundaryData(n=2, k=((2, 1),))"),
     (KodairaLabel("I", 3), "KodairaLabel(kind='I', b=3)"),
     (FibreTypeLabel("II-3", INFINITY, 2), "FibreTypeLabel(kind='II-3', b='INFINITY', k=2)"),
     (FibreInvariants(2, F(1, 2), 1, 0),
@@ -537,6 +546,9 @@ def test_keyword_construction_takes_the_defaults():
     assert CurveVertex(id="E", self_int=-2) == CurveVertex("E", -2, 0, 1, F(0), EXCEPTIONAL)
 
 
-def test_default_containers_are_not_shared():
-    first, second = GermBoundaryData(2), GermBoundaryData(2)
-    assert first.k == {} and first.k is not second.k
+def test_germ_data_equal_up_to_zero_counts_compare_and_hash_alike():
+    first, second = GermBoundaryData(1, {2: 1}), GermBoundaryData(1, {2: 1, 3: 0})
+    assert first == second and hash(first) == hash(second)
+    assert GermBoundaryData(2, {5: 1, 2: 1}) == GermBoundaryData(2, {2: 1, 5: 1})
+    assert GermBoundaryData(2) == GermBoundaryData(2, {2: 0}) != GermBoundaryData(2, {2: 1})
+    assert len({first, second, GermBoundaryData(1)}) == 2
