@@ -32,8 +32,8 @@ import sys
 from fractions import Fraction as Rational
 from types import SimpleNamespace
 
-from .core import (MAX_LITERAL_DIGITS, KodairaLabel, ParseError, Record, json_array, json_int,
-                   parse_rational)
+from .core import (MAX_ANSWER_DIGITS, MAX_LITERAL_DIGITS, KodairaLabel, ParseError, Record,
+                   json_array, json_int, parse_rational)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -67,12 +67,19 @@ class _NumberLiteral(str):
     __repr__ = str.__str__  # json_int's refusal prints it as written
 
 
+def _integer_literal(literal: str) -> int:
+    """A JSON integer, refused before ``int`` reads more than MAX_ANSWER_DIGITS digits."""
+    if len(literal) - literal.startswith("-") > MAX_ANSWER_DIGITS:
+        raise ParseError(f"integer literal {literal!r} exceeds {MAX_ANSWER_DIGITS} digits")
+    return int(literal)
+
+
 def _read_json_file(path: str) -> dict:
     """The JSON object in the file; anything else raises ParseError."""
     import json
     try:
         with open(path) as handle:
-            data = json.load(handle, parse_float=_NumberLiteral)
+            data = json.load(handle, parse_float=_NumberLiteral, parse_int=_integer_literal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except (OSError, ValueError, RecursionError) as exc:

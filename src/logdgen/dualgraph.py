@@ -10,7 +10,10 @@ All arithmetic is exact (``fractions.Fraction``).  The Du Val trees, the
 half-catalog families and the marked fibre types are rows of one table: the
 three recognizers read each fitting row's parameter from the counts of curves,
 build that member and compare canonical tree forms, so each shape is written
-once, in its builder, and no answer depends on vertex names.  Configurations
+once, in its builder, and no answer depends on vertex names.  The half-catalog
+recognizer first skips each family whose member's exceptional self-intersections,
+sorted, differ from the graph's: the tree form holds them, so such a member
+could not match, and it is neither built nor looked up.  Configurations
 of at most three curves are read from ``kodaira_graph`` by an exact signature;
 only the starred Kodaira types (I*_b, IV*, III*, II*) still use a backtracking
 search whose cost depends on the vertex names.
@@ -402,6 +405,12 @@ def half_catalog_graph(family: str, k: int = 0) -> DualGraph:
     return DualGraph(vs, edges)
 
 
+def _half_selfs(family: str, k: int) -> list[int]:
+    """The sorted self-intersections of the exceptional curves of a family member."""
+    _, _, chain, hung, _ = _HALF_CATALOG[family]
+    return sorted([*chain(k), *hung])
+
+
 def _half_tree_key(v: CurveVertex, degree: int):
     # Strict branches are germs: their self-intersections are not part of
     # the figure and must not block recognition.
@@ -421,8 +430,10 @@ def recognize_half_catalog(g: DualGraph):
     """
     if g.by_role(FIBRE) or g.tangency or g.coincident:  # every family is a plain tree
         return UNRECOGNIZED
-    n_exc = len(g.by_role(EXCEPTIONAL))
-    return _recognize(g, _HALF_CATALOG, n_exc, len(g.vertices) - n_exc)
+    exc = g.by_role(EXCEPTIONAL)
+    selfs = sorted(v.self_int for v in exc)
+    return _recognize(g, _HALF_CATALOG, len(exc), len(g.vertices) - len(exc),
+                      fits=lambda family, k: _half_selfs(family, k) == selfs)
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +560,23 @@ def _catalog() -> dict:
 _CATALOG = _catalog()
 
 
-def _recognize(g: DualGraph, families, n_exc: int, n_other: int, ids=None, b=None):
+def _recognize(g: DualGraph, families, n_exc: int, n_other: int, ids=None, b=None,
+               fits=None):
     """The label of the first of ``families`` whose member with these counts of
-    curves has the tree form of ``g`` (of its curves ``ids``), or UNRECOGNIZED."""
+    curves has the tree form of ``g`` (of its curves ``ids``), or UNRECOGNIZED.
+
+    ``fits(family, k)``, when given, must hold for a member to match; a family
+    whose member fails it is skipped before that member is built or its form
+    looked up.  ``recognize_half_catalog`` passes equal sorted exceptional
+    self-intersections, which the half-catalog tree form holds.
+    """
     form = None
     for family in families:
         key, (exc, other, kmin, kmax), build, label = _CATALOG[family]
         k = kmin + n_exc - exc
         if n_other != other or k < kmin or kmax is not None and k > kmax:
+            continue
+        if fits is not None and not fits(family, k):
             continue
         if form is None:  # computed once; a graph that is no tree matches no family
             form = _tree_form(g, key, ids)

@@ -36,6 +36,9 @@ PLT = "PLT"
 LT = "LT"
 LC = "LC"
 
+# The coefficient of a curve outside the boundary, shared by every such curve.
+_ZERO = Rational(0)
+
 
 class CurveVertex(Record):
     """One irreducible curve in a configuration.
@@ -48,15 +51,16 @@ class CurveVertex(Record):
     """
 
     def __init__(self, id: str, self_int: int, genus: int = 0, multiplicity: int = 1,
-                 boundary_coeff: Rational = Rational(0), role: str = EXCEPTIONAL) -> None:
+                 boundary_coeff: Rational = _ZERO, role: str = EXCEPTIONAL) -> None:
         if type(self_int) is not int:
             raise ValueError(f"self-intersection must be an integer, got {self_int!r}")
         if type(genus) is not int or genus < 0:
             raise ValueError(f"genus must be >= 0, got {genus}")
         if type(multiplicity) is not int or multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-        coeff = Rational(boundary_coeff)
-        if not 0 <= coeff <= 1:
+        # A Fraction is kept as it is, and 0 <= p/q <= 1 (q > 0) is read on integers.
+        coeff = boundary_coeff if type(boundary_coeff) is Rational else Rational(boundary_coeff)
+        if not 0 <= coeff.numerator <= coeff.denominator:
             raise ValueError(f"boundary coefficient must lie in [0,1], got {coeff}")
         if role not in _ROLES:
             raise ValueError(f"unknown role {role!r}")
@@ -446,7 +450,7 @@ def graph_from_json(data: dict) -> DualGraph:
                 self_int=json_int(item, "self_int"),
                 genus=json_int(item, "genus", 0),
                 multiplicity=json_int(item, "mult", 1),
-                boundary_coeff=parse_rational(item.get("boundary", 0)),
+                boundary_coeff=parse_rational(item["boundary"]) if "boundary" in item else _ZERO,
                 role=_role(item.get("role", "exceptional")),
             )
         )

@@ -724,7 +724,8 @@ MALFORMED = {
                            {"components": [{"m": 1, "e_orb": f"1/{10**990 + k}"}
                                            for k in (1, 3, 7, 9, 11, 13)]}, DOMAIN),
     "undecodable_bytes": (["graph", "FILE", "classify"], b"\xff\xfe", PARSE),
-    "overlong_integer": (["euler", "FILE"], '{"components": [{"m": ' + "1" * 5000 + "}]}", PARSE),
+    "overlong_integer": (["euler", "FILE"], '{"components": [{"m": ' + "1" * 5000 + "}]}",
+                         f"{PARSE}integer literal '<5000 digits>' exceeds {MAX_ANSWER_DIGITS} digits"),
     "deep_nesting": (["euler", "FILE"], '{"components": ' + "[" * 100_000 + "]" * 100_000 + "}",
                      PARSE),
     "chain_5000_discrepancies": (["graph", "FILE", "discrepancies"], CHAIN_5000, SOLVER),
@@ -762,7 +763,8 @@ def test_malformed_input_ends_in_a_structured_error(case, tmp_path):
     assert code == 1 and err.strip().splitlines()[-1].startswith(prefix)
     code, out, err = _main_captured(argv + ["--format", "json"])
     assert code == 1 and "Traceback" not in err
-    assert json.loads(out)["status"].startswith(prefix)
+    status = json.loads(out)["status"]
+    assert status.startswith(prefix) and "set_int_max_str_digits" not in status
 
 
 # Plain parsing against argparse.  The positionals of each command word, as

@@ -197,9 +197,19 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             DualGraph([exc("E", -2), exc("F", -2)], [("E", "F")], coincident=[("E", "F")])
 
-    def test_boundary_coeff_range(self):
-        with pytest.raises(ValueError):
-            CurveVertex("C", 0, boundary_coeff=F(3, 2), role=STRICT)
+    @pytest.mark.parametrize("coeff, accepted", [
+        *((c, True) for c in (F(0), F(1), F(1, 2), 0, 1, "1/2", 0.5, True)),
+        *((c, False) for c in (F(-1, 2), F(3, 2), 2, -1))], ids=repr)
+    def test_boundary_coeff_range(self, coeff, accepted):
+        # the range is read on the numerator and denominator: it must agree with
+        # comparing the Fraction, and an accepted value is stored as Fraction(x)
+        assert accepted == (0 <= F(coeff) <= 1)
+        if accepted:
+            stored = CurveVertex("C", 0, boundary_coeff=coeff, role=STRICT).boundary_coeff
+            assert type(stored) is F and stored == F(coeff)
+        else:
+            with pytest.raises(ValueError, match=r"^boundary coefficient must lie in \[0,1\]"):
+                CurveVertex("C", 0, boundary_coeff=coeff, role=STRICT)
 
     def test_equality_ignores_edge_order(self):
         a = DualGraph([exc("E", -2), exc("F", -2)], [("E", "F"), ("F", "E")])
@@ -1644,6 +1654,40 @@ def test_a_ring_is_refused_before_any_catalog_member_is_built(monkeypatch):
                      [(f"E{i}", f"E{(i + 1) % 12}") for i in range(12)])
     for recognize in (recognize_duval, recognize_half_catalog, recognize_fibre_type):
         assert recognize(ring) == UNRECOGNIZED
+
+
+def small_half_members():
+    """(label, graph) of each drawn half-catalog member of at most 16 curves, in catalog order."""
+    members = {}
+    for family in HALF_CATALOG_FAMILIES:
+        for k in range(17):  # a member has at least k curves
+            try:
+                g = half_catalog_graph(family, k)
+            except ValueError:  # below the family's smallest k
+                continue
+            if len(g.vertices) <= 16:
+                members.setdefault(half_catalog_label(family, k), g)
+    return list(members.items())
+
+
+def test_half_catalog_looks_up_only_members_with_the_graphs_self_intersections():
+    # Counted, not timed: a family whose member has other exceptional
+    # self-intersections (as a sorted list) than the graph is neither built nor
+    # looked up, so the lookups are the families up to the answer whose member
+    # has the graph's curve counts and self-intersections.
+    def shape(g):
+        return len(g.vertices), sorted(v.self_int for v in g.by_role(EXCEPTIONAL))
+
+    members = small_half_members()
+    lookups = {}
+    for name, g in members:
+        dualgraph._catalog_form.cache_clear()
+        label = recognize_half_catalog(g)
+        info = dualgraph._catalog_form.cache_info()
+        lookups[name] = info.hits + info.misses
+        fitting = [other for other, h in members if shape(h) == shape(g)]
+        assert lookups[name] == fitting.index(label) + 1, name
+    assert lookups["E_6/2"] == 1 and lookups["D_7/2-delta"] == 3
 
 
 # ---------------------------------------------------------------------------
