@@ -211,15 +211,19 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
 
 
 def _eliminate(m, rhs=None):
-    """Gauss-Jordan elimination of ``m`` over the rationals, exactly.
+    """Exact elimination of ``m`` over the rationals.
 
     Each column's pivot is its first nonzero entry at or below the current
-    row.  ``rhs``, when given, rides along as one more column that is never
-    pivoted on.  Returns ``(pivots, swaps, rows)``: the pivot values in
-    order, the number of row swaps and the reduced rows.  So the rank is
-    ``len(pivots)``; a square ``m`` of full rank has determinant
-    ``(-1)**swaps * prod(pivots)``, and row i then reads
-    ``pivots[i] * x_i = rows[i][-1]``.
+    row.  Without ``rhs`` the elimination runs forward only: each pivot
+    clears the rows below it, and the rows come back in echelon form.  With
+    ``rhs`` it is Gauss-Jordan: ``rhs`` rides along as one more column that
+    is never pivoted on, and each pivot clears the rows above it too.  The
+    pivot search and every later update read only the rows at or below the
+    current one, so both give the same pivots and swaps.  Returns
+    ``(pivots, swaps, rows)``: the pivot values in order, the number of row
+    swaps and the reduced rows.  So the rank is ``len(pivots)``; a square
+    ``m`` of full rank has determinant ``(-1)**swaps * prod(pivots)``, and
+    with ``rhs`` row i then reads ``pivots[i] * x_i = rows[i][-1]``.
 
     >>> pivots, swaps, rows = _eliminate([[0, 1], [2, 3]], [1, 5])
     >>> pivots, swaps, [row[-1] for row in rows]
@@ -240,7 +244,8 @@ def _eliminate(m, rhs=None):
             swaps += 1
         pivot_row = rows[k]
         pivot = pivot_row[col]
-        for i, row in enumerate(rows):
+        first = 0 if rhs is not None else k + 1
+        for i, row in enumerate(rows[first:], first):
             if i != k and row[col] != 0:
                 factor = row[col] / pivot
                 rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]

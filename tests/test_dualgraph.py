@@ -117,10 +117,9 @@ def leibniz_det(m):
 
 def minor_rank(m):
     """Brute-force oracle: the size of the largest nonzero minor."""
-    n = len(m)
-    for k in range(n, 0, -1):
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
                 if leibniz_det([[m[i][j] for j in cols] for i in rows]):
                     return k
     return 0
@@ -287,6 +286,31 @@ def test_kernel_agrees_with_brute_force(m):
     minors = [leibniz_det([row[:k] for row in negated[:k]]) for k in range(1, n + 1)]
     assert is_negative_definite(m) == all(minor > 0 for minor in minors)
     assert kernel_det(m) == leibniz_det(m)
+    assert kernel_rank(m) == minor_rank(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of at most 5 rows and 6 columns, square about half the time."""
+    n = draw(st.integers(1, 5))
+    columns = draw(st.one_of(st.just(n), st.integers(1, 6)))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * columns, max_size=n * columns))
+    return [cells[i:i + columns] for i in range(0, n * columns, columns)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_forward_and_gauss_jordan_eliminations_agree_with_brute_force(m):
+    pivots, swaps, rows = _eliminate(m)
+    assert _eliminate(m, [0] * len(m))[:2] == (pivots, swaps)
+    # forward elimination leaves echelon form: each nonzero row led by its pivot
+    rank = len(pivots)
+    leads = [next(j for j, x in enumerate(row) if x != 0) for row in rows[:rank]]
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+    assert [row[j] for row, j in zip(rows, leads)] == pivots
+    assert not any(any(row) for row in rows[rank:])
+    if len(m) == len(m[0]):
+        assert kernel_det(m) == leibniz_det(m)
     assert kernel_rank(m) == minor_rank(m)
 
 
@@ -1640,6 +1664,17 @@ def test_kernel_grows_linearly(case):
     build, kernel = GROWTH_CASES[case]
     small, large = (catalog_trace_events(kernel, build(n)) for n in (60, 240))
     assert large <= 4.4 * small, (small, large)
+
+
+def test_negative_definiteness_grows_quadratically_on_a_chain():
+    # Forward elimination of a chain's tridiagonal matrix scans the rows below
+    # each pivot and rewrites the one nonzero row there, so its n pivots cost
+    # about n^2 events: A_40 may cost at most 16 * 1.1 times A_10.  Clearing
+    # the rows above each pivot as well would fill the upper triangle, about n^3.
+    small, large = (trace_events(is_negative_definite,
+                                 intersection_matrix(duval_graph(DuValType("A", n))))
+                    for n in (10, 40))
+    assert large <= 17.6 * small, (small, large)
 
 
 def test_a_ring_is_refused_before_any_catalog_member_is_built(monkeypatch):
