@@ -71,14 +71,14 @@ class CurveVertex(Record):
 class DualGraph:
     """A finite weighted multigraph of curves.
 
-    Each edge entry ``(a, b, w)`` is one intersection point of the two
-    curves, of local intersection multiplicity ``w`` (so two transverse
-    points give two entries, one tangency of order two gives a single
-    entry of weight 2).  ``tangency`` counts nodes of a single curve with
-    itself.  A ``coincident`` group lists three or more curves that all pass
-    through one common point; it takes one entry of each pair of its curves,
-    so a pair needs an entry for every group holding both.  A group changes
-    no intersection number, only the topology of the support.
+    Each edge entry ``(a, b, w)``, or ``(a, b)`` with w = 1, is one
+    intersection point of the two curves, of local intersection multiplicity
+    ``w`` (two transverse points give two entries, one tangency of order two
+    a single entry of weight 2).  ``tangency`` counts nodes of a single curve
+    with itself.  A ``coincident`` group lists three or more curves that all
+    pass through one common point; it takes one entry of each pair of its
+    curves, so a pair needs an entry for every group holding both.  A group
+    changes no intersection number, only the topology of the support.
 
     Instances are immutable by convention: all containers are tuples and
     no method mutates.
@@ -97,8 +97,13 @@ class DualGraph:
             index[v.id] = v
         norm_edges = []
         for entry in edges:
-            a, b, *rest = entry
-            w = rest[0] if rest else 1
+            match entry:
+                case (a, b):
+                    w = 1
+                case (a, b, w):
+                    pass
+                case _:
+                    raise ValueError(f"edge entry must be (a, b) or (a, b, w), got {entry!r}")
             if a not in index or b not in index:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex")
             if a == b:
@@ -210,57 +215,36 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     return m
 
 
-def _eliminate(m, rhs=None):
-    """Exact elimination of ``m`` over the rationals.
+def _negative_elimination(m, rhs=None):
+    """The rows of the symmetric ``m`` eliminated in their given order, or
+    None at the first pivot that is not negative.
 
-    Each column's pivot is its first nonzero entry at or below the current
-    row.  Without ``rhs`` the elimination runs forward only: each pivot
-    clears the rows below it, and the rows come back in echelon form.  With
-    ``rhs`` it is Gauss-Jordan: ``rhs`` rides along as one more column that
-    is never pivoted on, and each pivot clears the rows above it too.  The
-    pivot search and every later update read only the rows at or below the
-    current one, so both give the same pivots and swaps.  Returns
-    ``(pivots, swaps, rows)``: the pivot values in order, the number of row
-    swaps and the reduced rows.  So the rank is ``len(pivots)``; a square
-    ``m`` of full rank has determinant ``(-1)**swaps * prod(pivots)``, and
-    with ``rhs`` row i then reads ``pivots[i] * x_i = rows[i][-1]``.
+    Row k's pivot is its diagonal entry, with no row search or swap, so it is
+    the ratio of the k-th to the (k-1)-th leading principal minor: by
+    Sylvester's criterion ``m`` is negative definite exactly when every pivot
+    is negative.  Each pivot clears the rows below it; with ``rhs`` appended
+    as one more column, the rows above it too (Gauss-Jordan), and row k then
+    reads ``rows[k][k] * x_k = rows[k][-1]``.
 
-    >>> pivots, swaps, rows = _eliminate([[0, 1], [2, 3]], [1, 5])
-    >>> pivots, swaps, [row[-1] for row in rows]
-    ([Fraction(2, 1), Fraction(1, 1)], 1, [Fraction(2, 1), Fraction(1, 1)])
+    >>> rows = _negative_elimination([[-2, 1], [1, -2]], [1, 1])
+    >>> [row[-1] / row[k] for k, row in enumerate(rows)]
+    [Fraction(-1, 1), Fraction(-1, 1)]
     """
     rows = [[Rational(x) for x in row] for row in m]
     if rhs is not None:
         for row, r in zip(rows, rhs):
             row.append(Rational(r))
-    pivots, swaps = [], 0
-    for col in range(len(m[0]) if m else 0):
-        k = len(pivots)
-        found = next((i for i in range(k, len(rows)) if rows[i][col] != 0), None)
-        if found is None:
-            continue
-        if found != k:
-            rows[k], rows[found] = rows[found], rows[k]
-            swaps += 1
+    for k in range(len(rows)):
         pivot_row = rows[k]
-        pivot = pivot_row[col]
+        pivot = pivot_row[k]
+        if pivot >= 0:
+            return None
         first = 0 if rhs is not None else k + 1
         for i, row in enumerate(rows[first:], first):
-            if i != k and row[col] != 0:
-                factor = row[col] / pivot
+            if i != k and row[k] != 0:
+                factor = row[k] / pivot
                 rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
-        pivots.append(pivot)
-    return pivots, swaps, rows
-
-
-def _negative_pivots(pivots, swaps, n) -> bool:
-    """Sylvester's criterion for an n x n symmetric matrix, from its elimination.
-
-    Without row swaps the k-th pivot is the ratio of the k-th to the
-    (k-1)-th leading principal minor, so n negative pivots say exactly that
-    every leading principal minor of the negated matrix is positive.
-    """
-    return swaps == 0 and len(pivots) == n and all(p < 0 for p in pivots)
+    return rows
 
 
 def is_negative_definite(m) -> bool:
@@ -277,22 +261,18 @@ def is_negative_definite(m) -> bool:
     True
     """
     n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix must be symmetric")
-    pivots, swaps, _ = _eliminate(m)
-    return _negative_pivots(pivots, swaps, n)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    return _negative_elimination(m) is not None
 
 
 # ---------------------------------------------------------------------------
 # Log pullback, classification, blow-down.
 
-# Most exceptional curves pullback_coefficients solves for: its elimination
-# over Fraction grows as the cube of the count.
+# Most exceptional curves pullback_coefficients solves for: its Gauss-Jordan elimination
+# grows as the cube of the count, as any would on a dense or star-shaped system.
 MAX_PULLBACK_CURVES = 100
 
 
@@ -336,10 +316,10 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
                      for row, r in zip(m, rhs.values()))
     if bound >= ANSWER_CEILING:
         raise ValueError(f"the coefficients could have more than {MAX_ANSWER_DIGITS} digits")
-    pivots, swaps, rows = _eliminate(m, list(rhs.values()))
-    if not _negative_pivots(pivots, swaps, len(ids)):
+    rows = _negative_elimination(m, list(rhs.values()))
+    if rows is None:
         raise ValueError("singular system (not negative definite)")
-    return {vid: row[-1] / pivot for vid, row, pivot in zip(ids, rows, pivots)}
+    return {vid: row[-1] / row[k] for k, (vid, row) in enumerate(zip(ids, rows))}
 
 
 def classify_pair(g: DualGraph) -> str:

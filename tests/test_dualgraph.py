@@ -6,6 +6,7 @@ frozen before the solver existed.
 """
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import lcm, prod
@@ -49,8 +50,7 @@ from logdgen.graph import (
     TERMINAL,
     CurveVertex,
     DualGraph,
-    _eliminate,
-    _negative_pivots,
+    _negative_elimination,
     blow_down,
     classify_pair,
     graph_from_json,
@@ -63,8 +63,49 @@ from logdgen.fibration import BISECTION, TypRecord, check_typ
 from test_core import replace, trace_events
 
 
+def pivoting_elimination(m, rhs=None):
+    """The general exact elimination, kept as the oracle of ``_negative_elimination``.
+
+    Each column's pivot is its first nonzero entry at or below the current
+    row, swapped up when it lies lower.  Without ``rhs`` each pivot clears
+    the rows below it, and the rows come back in echelon form.  With ``rhs``
+    it is Gauss-Jordan: ``rhs`` rides along as one more column that is never
+    pivoted on, and each pivot clears the rows above it too.  Returns
+    ``(pivots, swaps, rows)``: the pivot values in order, the number of row
+    swaps and the reduced rows.  So the rank is ``len(pivots)``, and a square
+    ``m`` of full rank has determinant ``(-1)**swaps * prod(pivots)``.
+    """
+    rows = [[F(x) for x in row] for row in m]
+    if rhs is not None:
+        for row, r in zip(rows, rhs):
+            row.append(F(r))
+    pivots, swaps = [], 0
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        found = next((i for i in range(k, len(rows)) if rows[i][col] != 0), None)
+        if found is None:
+            continue
+        if found != k:
+            rows[k], rows[found] = rows[found], rows[k]
+            swaps += 1
+        pivot_row = rows[k]
+        pivot = pivot_row[col]
+        first = 0 if rhs is not None else k + 1
+        for i, row in enumerate(rows[first:], first):
+            if i != k and row[col] != 0:
+                factor = row[col] / pivot
+                rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+        pivots.append(pivot)
+    return pivots, swaps, rows
+
+
+def negative_pivots(pivots, swaps, n) -> bool:
+    """Sylvester's criterion for an n x n symmetric matrix, from its pivoting elimination."""
+    return swaps == 0 and len(pivots) == n and all(p < 0 for p in pivots)
+
+
 def kernel_det(m):
-    pivots, swaps, _ = _eliminate(m)
+    pivots, swaps, _ = pivoting_elimination(m)
     return (-1) ** swaps * prod(pivots) if len(pivots) == len(m) else 0
 
 
@@ -103,7 +144,7 @@ def half_catalog_minimal_graph(family: str, k: int = 0) -> DualGraph:
 
 
 def kernel_rank(m):
-    return len(_eliminate(m)[0])
+    return len(pivoting_elimination(m)[0])
 
 
 def leibniz_det(m):
@@ -152,8 +193,8 @@ def per_pair_rhs(g):
 
 def per_pair_pullback_coefficients(g):
     ids = [v.id for v in g.by_role(EXCEPTIONAL)]
-    pivots, swaps, rows = _eliminate(per_pair_intersection_matrix(g, ids), per_pair_rhs(g))
-    if not _negative_pivots(pivots, swaps, len(ids)):
+    pivots, swaps, rows = pivoting_elimination(per_pair_intersection_matrix(g, ids), per_pair_rhs(g))
+    if not negative_pivots(pivots, swaps, len(ids)):
         raise ValueError("singular system (not negative definite)")
     return {vid: row[-1] / pivot for vid, row, pivot in zip(ids, rows, pivots)}
 
@@ -209,6 +250,17 @@ class TestGraphBasics:
         else:
             with pytest.raises(ValueError, match=r"^boundary coefficient must lie in \[0,1\]"):
                 CurveVertex("C", 0, boundary_coeff=coeff, role=STRICT)
+
+    @pytest.mark.parametrize("entry", [("E",), ("E", "F", 1, "junk", None), (), "EF", 7], ids=repr)
+    def test_edge_entry_of_another_shape_rejected(self, entry):
+        # only (a, b) and (a, b, w) are entries: nothing is dropped or read a letter at a time
+        with pytest.raises(ValueError, match=r"^edge entry must be \(a, b\) or \(a, b, w\), got "
+                           + re.escape(repr(entry)) + "$"):
+            DualGraph([exc("E", -2), exc("F", -2)], [entry])
+
+    def test_edge_entry_may_be_a_list(self):
+        g = DualGraph([exc("E", -2), exc("F", -2)], [["F", "E"], ["E", "F", 2]])
+        assert g.edges == (("E", "F", 1), ("E", "F", 2))
 
     def test_equality_ignores_edge_order(self):
         a = DualGraph([exc("E", -2), exc("F", -2)], [("E", "F"), ("F", "E")])
@@ -301,8 +353,8 @@ def integer_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(integer_matrices())
 def test_forward_and_gauss_jordan_eliminations_agree_with_brute_force(m):
-    pivots, swaps, rows = _eliminate(m)
-    assert _eliminate(m, [0] * len(m))[:2] == (pivots, swaps)
+    pivots, swaps, rows = pivoting_elimination(m)
+    assert pivoting_elimination(m, [0] * len(m))[:2] == (pivots, swaps)
     # forward elimination leaves echelon form: each nonzero row led by its pivot
     rank = len(pivots)
     leads = [next(j for j, x in enumerate(row) if x != 0) for row in rows[:rank]]
@@ -312,6 +364,29 @@ def test_forward_and_gauss_jordan_eliminations_agree_with_brute_force(m):
     if len(m) == len(m[0]):
         assert kernel_det(m) == leibniz_det(m)
     assert kernel_rank(m) == minor_rank(m)
+
+
+@st.composite
+def symmetric_systems(draw):
+    """A symmetric matrix, and either no right-hand side or one of matching length."""
+    m = draw(symmetric_matrices())
+    return m, draw(st.none() | st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_systems())
+@example(([[-2, 1], [1, -2]], [1, 1]))  # definite, solved
+@example(([[-2, 1], [1, -2]], None))  # definite, forward only
+@example(([[0, 1], [1, -2]], None))  # the oracle swaps
+@example(([[-2, 2], [2, -2]], [0, 0]))  # singular: a zero column is left
+@example(([[1]], None))  # a positive pivot
+def test_negative_elimination_agrees_with_the_pivoting_oracle(system):
+    m, rhs = system
+    pivots, swaps, rows = pivoting_elimination(m, rhs)
+    if negative_pivots(pivots, swaps, len(m)):
+        assert _negative_elimination(m, rhs) == rows
+    else:
+        assert _negative_elimination(m, rhs) is None
 
 
 class TestPullback:
@@ -368,7 +443,7 @@ class TestPullback:
         # every other curve of self-intersection -(10^1500 - 1): the bound has 4503 digits
         chain = DualGraph([exc(f"E{i}", -2 if i % 2 else 1 - 10**1500) for i in range(5)],
                           [(f"E{i}", f"E{i + 1}") for i in range(4)])
-        monkeypatch.setattr(graph_module, "_eliminate", refuse)
+        monkeypatch.setattr(graph_module, "_negative_elimination", refuse)
         with pytest.raises(ValueError, match=f"^the coefficients could have more than {MAX_ANSWER_DIGITS} digits$"):
             pullback_coefficients(chain)
 
@@ -1675,6 +1750,17 @@ def test_negative_definiteness_grows_quadratically_on_a_chain():
                                  intersection_matrix(duval_graph(DuValType("A", n))))
                     for n in (10, 40))
     assert large <= 17.6 * small, (small, large)
+
+
+def test_negative_definiteness_stops_at_the_first_pivot_that_is_not_negative():
+    # A_40 with a 0-curve first: its first pivot is 0, so the elimination stops
+    # before it clears a row, at most a quarter of the cost of the plain A_40.
+    m = intersection_matrix(duval_graph(DuValType("A", 40)))
+    plain = trace_events(is_negative_definite, m)
+    m[0][0] = 0
+    assert not is_negative_definite(m)
+    early = trace_events(is_negative_definite, m)
+    assert early <= plain / 4, (early, plain)
 
 
 def test_a_ring_is_refused_before_any_catalog_member_is_built(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import logdgen.mordellweil as mordellweil
 from logdgen.dualgraph import KodairaLabel, kodaira_graph
-from logdgen.graph import _eliminate, intersection_matrix
+from logdgen.graph import _negative_elimination, intersection_matrix
 from logdgen.mordellweil import _simple_count
 from logdgen.mordellweil import (
     MAX_SECTION_CANDIDATES,
@@ -126,10 +126,10 @@ def _graph_pairing(label):
     a = intersection_matrix(g, rest)
     pairing = {}
     for j, column in enumerate(simple[1:], 1):
-        pivots, _, rows = _eliminate(a, [int(vid == column) for vid in rest])
+        rows = _negative_elimination(a, [int(vid == column) for vid in rest])
         for i, sid in enumerate(simple[1:], 1):
             k = rest.index(sid)
-            pairing[i, j] = -rows[k][-1] / pivots[k]
+            pairing[i, j] = -rows[k][-1] / rows[k][k]
     return simple, pairing
 
 
