@@ -81,10 +81,14 @@ class DualGraph:
     changes no intersection number, only the topology of the support.
 
     Instances are immutable by convention: all containers are tuples and
-    no method mutates.
+    no method mutates.  The one exception is the derived slot ``_pullback``,
+    where ``pullback_coefficients`` stores its first answer.  It depends
+    only on fields that never change, so it cannot go stale; equality and
+    hashing ignore it, and ``blow_down`` and ``graph_from_json`` build new
+    instances, which start without it.
     """
 
-    __slots__ = ("vertices", "edges", "tangency", "coincident", "_index")
+    __slots__ = ("vertices", "edges", "tangency", "coincident", "_index", "_pullback")
 
     def __init__(self, vertices, edges=(), tangency=None, coincident=()):
         vs = tuple(vertices)
@@ -140,6 +144,7 @@ class DualGraph:
         self.tangency = {k: v for k, v in sorted(tang.items()) if v > 0}
         self.coincident = tuple(sorted(groups))
         self._index = index
+        self._pullback = None
 
     def vertex(self, vid: str) -> CurveVertex:
         try:
@@ -217,7 +222,7 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
 
 def _negative_elimination(m, rhs=None):
     """The rows of the symmetric ``m`` eliminated in their given order, or
-    None at the first pivot that is not negative.
+    None at the first diagonal entry or pivot that is not negative.
 
     Row k's pivot is its diagonal entry, with no row search or swap, so it is
     the ratio of the k-th to the (k-1)-th leading principal minor: by
@@ -230,6 +235,10 @@ def _negative_elimination(m, rhs=None):
     >>> [row[-1] / row[k] for k, row in enumerate(rows)]
     [Fraction(-1, 1), Fraction(-1, 1)]
     """
+    # Each diagonal entry e_k . m e_k of a negative definite matrix is negative,
+    # so one that is not ends it before any cell is converted.
+    if any(row[k] >= 0 for k, row in enumerate(m)):
+        return None
     rows = [[Rational(x) for x in row] for row in m]
     if rhs is not None:
         for row, r in zip(rows, rhs):
@@ -289,10 +298,17 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
     before the system is built, and so does a system whose answer could
     outgrow MAX_ANSWER_DIGITS, before it is eliminated.
 
+    The first answer is stored on ``g``, so later calls on the same
+    instance (``classify_pair``'s too) build and eliminate nothing; each
+    call returns a fresh dict.  A refusal is not stored: it is found again,
+    with the same message, on every call.
+
     >>> g = DualGraph([CurveVertex("E", -4)])
     >>> pullback_coefficients(g)
     {'E': Fraction(1, 2)}
     """
+    if g._pullback is not None:
+        return dict(g._pullback)
     exc = g.by_role(EXCEPTIONAL)
     if len(exc) > MAX_PULLBACK_CURVES:
         raise ValueError(f"{len(exc)} exceptional curves exceed {MAX_PULLBACK_CURVES}")
@@ -319,7 +335,8 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
     rows = _negative_elimination(m, list(rhs.values()))
     if rows is None:
         raise ValueError("singular system (not negative definite)")
-    return {vid: row[-1] / row[k] for k, (vid, row) in enumerate(zip(ids, rows))}
+    g._pullback = {vid: row[-1] / row[k] for k, (vid, row) in enumerate(zip(ids, rows))}
+    return dict(g._pullback)
 
 
 def classify_pair(g: DualGraph) -> str:
@@ -332,7 +349,9 @@ def classify_pair(g: DualGraph) -> str:
     meeting, is LC; otherwise a reduced boundary curve forces PLT, and a
     boundary-free graph grades into LT / CANONICAL / TERMINAL as the
     maximal a_i sits in (0,1), = 0, or < 0 (vacuously TERMINAL when
-    nothing is exceptional).
+    nothing is exceptional).  The coefficients come from
+    ``pullback_coefficients``, so a graph it has already solved is not
+    solved again.
 
     >>> a3 = DualGraph([CurveVertex(f"E{i}", -2) for i in (1, 2, 3)], [("E1", "E2"), ("E2", "E3")])
     >>> classify_pair(a3)
