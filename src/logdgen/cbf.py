@@ -270,9 +270,9 @@ MAX_TOTIENT_X = 200
 def n_of_x(x: int) -> int:
     """LCM of every n whose totient is at most x.
 
-    The set is finite: phi(n) >= sqrt(n/2), so n <= 2x^2 suffices; the
-    search runs a little past that and asserts the margin stays empty.
-    An x above MAX_TOTIENT_X raises ValueError before the scan.
+    The set is finite: phi(n) >= sqrt(n/2), so every such n is at most
+    2x^2, and the scan stops there.  An x above MAX_TOTIENT_X raises
+    ValueError before the scan.
 
     >>> n_of_x(1)
     2
@@ -283,9 +283,7 @@ def n_of_x(x: int) -> int:
         raise ValueError(f"x must be a positive integer, got {x}")
     if x > MAX_TOTIENT_X:
         raise ValueError(f"x = {x} exceeds {MAX_TOTIENT_X}")
-    hits = [n for n in range(1, 2 * x * x + 5) if _totient(n) <= x]
-    assert max(hits) <= 2 * x * x, "totient bound violated"
-    return lcm(*hits)
+    return lcm(*(n for n in range(1, 2 * x * x + 1) if _totient(n) <= x))
 
 
 def _is_prime(n: int) -> bool:

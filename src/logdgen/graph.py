@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction as Rational
 from itertools import combinations
 from math import lcm, prod
+from types import MappingProxyType
 
 from .core import (ANSWER_CEILING, MAX_ANSWER_DIGITS, NOT_LC, Record, json_array, json_int,
                    parse_rational)
@@ -80,12 +81,13 @@ class DualGraph:
     curves, so a pair needs an entry for every group holding both.  A group
     changes no intersection number, only the topology of the support.
 
-    Instances are immutable by convention: all containers are tuples and
-    no method mutates.  The one exception is the derived slot ``_pullback``,
-    where ``pullback_coefficients`` stores its first answer.  It depends
-    only on fields that never change, so it cannot go stale; equality and
-    hashing ignore it, and ``blow_down`` and ``graph_from_json`` build new
-    instances, which start without it.
+    Instances are immutable in content: the containers are tuples,
+    ``tangency`` is a read-only mapping, and no method mutates or rebinds a
+    field.  The one exception is the derived slot ``_pullback``, where
+    ``pullback_coefficients`` stores its first answer.  No caller can change
+    the contents of the fields it depends on, so it cannot go stale;
+    equality and hashing ignore it, and ``blow_down`` and ``graph_from_json``
+    build new instances, which start without it.
     """
 
     __slots__ = ("vertices", "edges", "tangency", "coincident", "_index", "_pullback")
@@ -141,7 +143,7 @@ class DualGraph:
                                  f"than they have intersection entries")
         self.vertices = vs
         self.edges = tuple(norm_edges)
-        self.tangency = {k: v for k, v in sorted(tang.items()) if v > 0}
+        self.tangency = MappingProxyType({k: v for k, v in sorted(tang.items()) if v > 0})
         self.coincident = tuple(sorted(groups))
         self._index = index
         self._pullback = None
@@ -186,7 +188,7 @@ class DualGraph:
     def __repr__(self) -> str:
         return (
             f"DualGraph({len(self.vertices)} vertices, {len(self.edges)} edges"
-            + (f", tangency={self.tangency}" if self.tangency else "")
+            + (f", tangency={dict(self.tangency)}" if self.tangency else "")
             + (f", coincident={self.coincident}" if self.coincident else "")
             + ")"
         )

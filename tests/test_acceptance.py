@@ -5,7 +5,6 @@ own literals, so a regression in the code cannot hide behind a regression
 in the data.
 """
 
-import itertools
 import subprocess
 import sys
 from fractions import Fraction as Rational
@@ -52,6 +51,7 @@ from logdgen.mordellweil import (
     pair_contribution,
     solve_section_config,
 )
+from test_cbf import sp_order_bruteforce
 from test_dualgraph import half_catalog_minimal_graph
 from test_fibration import LC_BOUNDARY_CONFIGS, ZERO_EULER_CONFIGS
 from test_mordellweil import height_pair
@@ -249,31 +249,12 @@ def test_criterion_09_section_heights_and_configurations():
     ]
 
 
-def _symplectic_count_brute(g: int, q: int) -> int:
-    """Count 2g x 2g matrices over Z/q whose columns preserve the
-    standard alternating form; checking column pairs suffices because
-    the form of any vector with itself is already zero."""
-    n = 2 * g
-    vectors = list(itertools.product(range(q), repeat=n))
-
-    def form(x, y):
-        return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g)) % q
-
-    want = {(i, j): (1 if j == i + g else 0)
-            for i in range(n) for j in range(i + 1, n)}
-    count = 0
-    for cols in itertools.product(vectors, repeat=n):
-        if all(form(cols[i], cols[j]) == w for (i, j), w in want.items()):
-            count += 1
-    return count
-
-
 def test_criterion_10_totients_group_orders_and_the_bound():
     assert n_of_x(1) == 2
     assert n_of_x(2) == 12
     assert n_of_x(21) % 12 == 0
     for g, q in ((1, 2), (1, 3), (1, 5), (2, 2)):
-        assert sp_order(g, q) == _symplectic_count_brute(g, q), (g, q)
+        assert sp_order(g, q) == sp_order_bruteforce(g, q), (g, q)
     expected = 16 * 3 ** 256 * prod(3 ** (2 * i) - 1 for i in range(1, 17))
     assert fibre_bound(1, 1) == expected
 

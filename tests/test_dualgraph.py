@@ -553,6 +553,21 @@ def test_derived_and_reparsed_graphs_solve_on_their_own():
         == per_pair_pullback_coefficients(contracted)
 
 
+def test_a_graphs_tangency_cannot_be_changed_under_its_stored_answer():
+    g = DualGraph([exc("E", -3)])
+    assert pullback_coefficients(g) == {"E": F(1, 3)}
+    with pytest.raises(TypeError):
+        g.tangency["E"] = 1
+    assert pullback_coefficients(g) == {"E": F(1, 3)}
+    node = DualGraph([exc("E", -3), exc("F", -1)], [("E", "F")], {"E": 1, "F": 0})
+    assert repr(node) == "DualGraph(2 vertices, 1 edges, tangency={'E': 1})"
+    contracted = blow_down(node, "F")
+    assert contracted == DualGraph([exc("E", -2)], tangency={"E": 1})
+    assert hash(contracted) == hash(DualGraph([exc("E", -2)], tangency={"E": 1}))
+    assert _outcome(pullback_coefficients, contracted) == \
+        "ValueError: exceptional curve 'E' must be smooth (no self-tangency)"
+
+
 @pytest.mark.parametrize("g, message", [
     (DualGraph([exc(f"E{i}", -2) for i in (1, 2, 3)], [("E1", "E2"), ("E2", "E3"), ("E3", "E1")]),
      "singular system (not negative definite)"),
@@ -1740,10 +1755,10 @@ def test_solvers_and_reader_keep_their_dualgraph_names():
 
 # ---------------------------------------------------------------------------
 # Growth pinned by a count, not a clock.  Each kernel is linear in the graph up
-# to a log factor (the Riemann-Roch sum in its multiplicity m = n r), so one
-# call on 4n vertices may cost at most about 4.4 times one on n.  The cost is
-# the number of sys.settrace events, which repeats from run to run where a
-# timing would not.  recognize_kodaira still backtracks on the starred types,
+# to a log factor (the Riemann-Roch sum, a closed form, in its multiplicity
+# m = n r), so one call on 4n vertices may cost at most about 4.4 times one on
+# n.  The cost is the number of sys.settrace events, which repeats from run to
+# run where a timing would not.  recognize_kodaira still backtracks on the starred types,
 # so only their tree form gets a row.
 
 
@@ -1800,6 +1815,13 @@ def test_kernel_grows_linearly(case):
     build, kernel = GROWTH_CASES[case]
     small, large = (catalog_trace_events(kernel, build(n)) for n in (60, 240))
     assert large <= 4.4 * small, (small, large)
+
+
+def test_the_riemann_roch_sum_costs_the_same_at_every_multiplicity():
+    # The closed form does a fixed amount of work: (7; 3) at m = 7 * 10^4 may
+    # cost at most 1.1 times m = 7, where a term-by-term sum costs 10^4 times.
+    small, large = (trace_events(rr_correction_sum, 7, 3, m) for m in (7, 7 * 10**4))
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_negative_definiteness_grows_quadratically_on_a_chain():
