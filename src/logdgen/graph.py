@@ -81,13 +81,13 @@ class DualGraph:
     curves, so a pair needs an entry for every group holding both.  A group
     changes no intersection number, only the topology of the support.
 
-    Instances are immutable in content: the containers are tuples,
-    ``tangency`` is a read-only mapping, and no method mutates or rebinds a
-    field.  The one exception is the derived slot ``_pullback``, where
-    ``pullback_coefficients`` stores its first answer.  No caller can change
-    the contents of the fields it depends on, so it cannot go stale;
-    equality and hashing ignore it, and ``blow_down`` and ``graph_from_json``
-    build new instances, which start without it.
+    Instances are immutable: the containers are tuples, ``tangency`` is a
+    read-only mapping, and once ``__init__`` has run, assigning or deleting
+    any field raises AttributeError, as for ``core.Record``.  Only
+    ``pullback_coefficients`` stores into the derived slot ``_pullback``,
+    its first answer, which cannot go stale because nothing it depends on
+    can change; equality and hashing ignore it, and copies, ``blow_down``
+    and ``graph_from_json`` build new instances, which start without it.
     """
 
     __slots__ = ("vertices", "edges", "tangency", "coincident", "_index", "_pullback")
@@ -141,12 +141,22 @@ class DualGraph:
             if free[a, b] < 0:
                 raise ValueError(f"curves {a!r} and {b!r} lie in more coincident groups "
                                  f"than they have intersection entries")
-        self.vertices = vs
-        self.edges = tuple(norm_edges)
-        self.tangency = MappingProxyType({k: v for k, v in sorted(tang.items()) if v > 0})
-        self.coincident = tuple(sorted(groups))
-        self._index = index
-        self._pullback = None
+        store = object.__setattr__
+        store(self, "vertices", vs)
+        store(self, "edges", tuple(norm_edges))
+        store(self, "tangency", MappingProxyType({k: v for k, v in sorted(tang.items()) if v > 0}))
+        store(self, "coincident", tuple(sorted(groups)))
+        store(self, "_index", index)
+        store(self, "_pullback", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return DualGraph, (self.vertices, self.edges, dict(self.tangency), self.coincident)
 
     def vertex(self, vid: str) -> CurveVertex:
         try:
@@ -222,37 +232,32 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     return m
 
 
-def _negative_elimination(m, rhs=None):
-    """The rows of the symmetric ``m`` eliminated in their given order, or
-    None at the first diagonal entry or pivot that is not negative.
+def _negative_elimination(m):
+    """The rows of the symmetric ``m`` eliminated forward in their given
+    order, or None at the first diagonal entry or pivot that is not negative.
 
     Row k's pivot is its diagonal entry, with no row search or swap, so it is
     the ratio of the k-th to the (k-1)-th leading principal minor: by
     Sylvester's criterion ``m`` is negative definite exactly when every pivot
-    is negative.  Each pivot clears the rows below it; with ``rhs`` appended
-    as one more column, the rows above it too (Gauss-Jordan), and row k then
-    reads ``rows[k][k] * x_k = rows[k][-1]``.
+    is negative.  Each pivot clears the rows below it.  Columns appended to
+    the rows of ``m`` ride along, and back substitution then solves:
 
-    >>> rows = _negative_elimination([[-2, 1], [1, -2]], [1, 1])
-    >>> [row[-1] / row[k] for k, row in enumerate(rows)]
-    [Fraction(-1, 1), Fraction(-1, 1)]
+    >>> (a, b, r), (_, d, s) = _negative_elimination([[-2, 1, 1], [1, -2, 1]])
+    >>> y = s / d
+    >>> (r - b * y) / a, y
+    (Fraction(-1, 1), Fraction(-1, 1))
     """
     # Each diagonal entry e_k . m e_k of a negative definite matrix is negative,
     # so one that is not ends it before any cell is converted.
     if any(row[k] >= 0 for k, row in enumerate(m)):
         return None
     rows = [[Rational(x) for x in row] for row in m]
-    if rhs is not None:
-        for row, r in zip(rows, rhs):
-            row.append(Rational(r))
-    for k in range(len(rows)):
-        pivot_row = rows[k]
+    for k, pivot_row in enumerate(rows):
         pivot = pivot_row[k]
         if pivot >= 0:
             return None
-        first = 0 if rhs is not None else k + 1
-        for i, row in enumerate(rows[first:], first):
-            if i != k and row[k] != 0:
+        for i, row in enumerate(rows[k + 1:], k + 1):
+            if row[k] != 0:
                 factor = row[k] / pivot
                 rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
     return rows
@@ -282,8 +287,8 @@ def is_negative_definite(m) -> bool:
 # ---------------------------------------------------------------------------
 # Log pullback, classification, blow-down.
 
-# Most exceptional curves pullback_coefficients solves for: its Gauss-Jordan elimination
-# grows as the cube of the count, as any would on a dense or star-shaped system.
+# Most exceptional curves pullback_coefficients solves for: its forward elimination grows
+# as the cube of the count on a dense or star-shaped system (as the square on a chain).
 MAX_PULLBACK_CURVES = 100
 
 
@@ -295,15 +300,15 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
         (K + sum_C coeff(C) * C + sum_i a_i E_i) . E_j = 0
 
     over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
-    curves must be smooth rational).  The discrepancy of E_i is -a_i.
-    More than MAX_PULLBACK_CURVES exceptional curves raise ValueError
-    before the system is built, and so does a system whose answer could
-    outgrow MAX_ANSWER_DIGITS, before it is eliminated.
+    curves must be smooth rational), by one forward elimination and back
+    substitution.  The discrepancy of E_i is -a_i.  More than
+    MAX_PULLBACK_CURVES exceptional curves raise ValueError before the
+    system is built, and so does a system whose answer could outgrow
+    MAX_ANSWER_DIGITS, before it is eliminated.
 
-    The first answer is stored on ``g``, so later calls on the same
-    instance (``classify_pair``'s too) build and eliminate nothing; each
-    call returns a fresh dict.  A refusal is not stored: it is found again,
-    with the same message, on every call.
+    The first answer is stored on ``g``: later calls on it, ``classify_pair``'s
+    too, solve nothing and return a fresh dict.  A refusal is not stored; it
+    is found again, with the same message, on every call.
 
     >>> g = DualGraph([CurveVertex("E", -4)])
     >>> pullback_coefficients(g)
@@ -334,10 +339,15 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
                      for row, r in zip(m, rhs.values()))
     if bound >= ANSWER_CEILING:
         raise ValueError(f"the coefficients could have more than {MAX_ANSWER_DIGITS} digits")
-    rows = _negative_elimination(m, list(rhs.values()))
+    rows = _negative_elimination([row + [r] for row, r in zip(m, rhs.values())])
     if rows is None:
         raise ValueError("singular system (not negative definite)")
-    g._pullback = {vid: row[-1] / row[k] for k, (vid, row) in enumerate(zip(ids, rows))}
+    # Row k reads rows[k][k] a_k + sum_{j > k} rows[k][j] a_j = rows[k][-1].
+    a = [None] * len(ids)
+    for k in reversed(range(len(ids))):
+        row = rows[k]
+        a[k] = (row[-1] - sum(c * x for c, x in zip(row[k + 1:-1], a[k + 1:]) if c)) / row[k]
+    object.__setattr__(g, "_pullback", dict(zip(ids, a)))
     return dict(g._pullback)
 
 

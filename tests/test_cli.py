@@ -23,7 +23,7 @@ from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, n_of_x, sp_order
 from logdgen.cli import main
 from logdgen.core import MAX_LITERAL_DIGITS
 from logdgen.dualgraph import half_catalog_graph, half_catalog_label
-from logdgen.graph import MAX_ANSWER_DIGITS
+from logdgen.graph import MAX_ANSWER_DIGITS, MAX_PULLBACK_CURVES
 from test_core import replace
 from test_dualgraph import (ORACLE_CATALOGS, exceptional_chain_and_strict_chain, graph_to_json, renamed,
                             renaming)
@@ -237,15 +237,20 @@ class TestGraph:
         assert tsv_pairs(out)["duval"] == "A_5000"
 
     def test_wide_pullback_system_answers_at_once(self, capsys, tmp_path):
-        # 10 exceptional and 16000 strict curves; reading the boundary term one
-        # pair of curves at a time, each by an edge scan, ran past 60 s
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(graph_to_json(exceptional_chain_and_strict_chain(10, 16_000))))
-        start = time.perf_counter()
-        code, out, _ = run(capsys, "graph", path, "discrepancies")
-        assert time.perf_counter() - start < 10
-        assert code == 0
-        assert tsv_pairs(out) == {f"E{i}": str(Rational(i + 1, 22)) for i in range(10)}
+        # 10 exceptional and 16000 strict curves: reading the boundary term one
+        # pair of curves at a time, each by an edge scan, ran past 60 s.  Then
+        # the most exceptional curves answered, with 4000 strict ones: a solve
+        # that also clears above each pivot fills the chain's upper triangle.
+        for exceptional, strict_count in ((10, 16_000), (MAX_PULLBACK_CURVES, 4000)):
+            path = tmp_path / "wide.json"
+            g = exceptional_chain_and_strict_chain(exceptional, strict_count)
+            path.write_text(json.dumps(graph_to_json(g)))
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "graph", path, "discrepancies")
+            assert time.perf_counter() - start < 10
+            assert code == 0
+            assert tsv_pairs(out) == {f"E{i}": str(Rational(i + 1, 2 * exceptional + 2))
+                                      for i in range(exceptional)}
 
     def test_unprintable_pullback_answer_is_refused_at_once(self, capsys, tmp_path):
         # 30 curves, every other one of self-intersection -(10^1500 - 1): the

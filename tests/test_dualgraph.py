@@ -5,6 +5,8 @@ defining linear systems (adjunction against each exceptional curve) and
 frozen before the solver existed.
 """
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -366,6 +368,16 @@ def test_forward_and_gauss_jordan_eliminations_agree_with_brute_force(m):
     assert kernel_rank(m) == minor_rank(m)
 
 
+def back_substitution(rows):
+    """The x with sum_j rows[k][j] x_j = rows[k][-1] for every row k of an
+    upper triangular system, solved from the last row up."""
+    n = len(rows)
+    x = [None] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
 @st.composite
 def symmetric_systems(draw):
     """A symmetric matrix, and either no right-hand side or one of matching length."""
@@ -382,11 +394,15 @@ def symmetric_systems(draw):
 @example(([[1]], None))  # a positive pivot
 def test_negative_elimination_agrees_with_the_pivoting_oracle(system):
     m, rhs = system
-    pivots, swaps, rows = pivoting_elimination(m, rhs)
-    if negative_pivots(pivots, swaps, len(m)):
-        assert _negative_elimination(m, rhs) == rows
-    else:
-        assert _negative_elimination(m, rhs) is None
+    augmented = m if rhs is None else [row + [r] for row, r in zip(m, rhs)]
+    pivots, swaps, solved = pivoting_elimination(m, rhs)
+    if not negative_pivots(pivots, swaps, len(m)):
+        assert _negative_elimination(augmented) is None
+        return
+    rows = _negative_elimination(augmented)
+    assert rows == pivoting_elimination(augmented)[2]
+    if rhs is not None:
+        assert back_substitution(rows) == [row[-1] / pivot for row, pivot in zip(solved, pivots)]
 
 
 class TestPullback:
@@ -566,6 +582,24 @@ def test_a_graphs_tangency_cannot_be_changed_under_its_stored_answer():
     assert hash(contracted) == hash(DualGraph([exc("E", -2)], tangency={"E": 1}))
     assert _outcome(pullback_coefficients, contracted) == \
         "ValueError: exceptional curve 'E' must be smooth (no self-tangency)"
+
+
+def test_a_graphs_fields_cannot_be_rebound_under_its_stored_answer():
+    g = DualGraph([exc("E", -3)])
+    assert pullback_coefficients(g) == {"E": F(1, 3)}
+    for name, value in [("tangency", {"E": 1}), ("vertices", ()), ("edges", ()), ("coincident", ()),
+                        ("_index", {}), ("_pullback", {"E": F(5)}), ("extra", 1)]:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(g, name, value)
+    for name in ("tangency", "vertices", "_pullback"):
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(g, name)
+    assert pullback_coefficients(g) == {"E": F(1, 3)}
+    assert g == DualGraph([exc("E", -3)])
+    # a copy is built through the constructor, so it starts unsolved
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and copied._pullback is None
+        assert pullback_coefficients(copied) == {"E": F(1, 3)}
 
 
 @pytest.mark.parametrize("g, message", [
@@ -1798,7 +1832,7 @@ GROWTH_CASES = {
                              FibreTypeLabel("II-1", 1)), BISECTION),
         lambda args: check_typ(*args)),
     # the exceptional chain stays at ten curves: the Fraction elimination of a
-    # 100-curve chain is 3.8e7 events by itself, which would hide the growth
+    # 100-curve chain is 9.1e5 events by itself, which would hide the growth
     "pullback_coefficients_strict_n": (lambda n: exceptional_chain_and_strict_chain(10, n),
                                        pullback_coefficients),
 }
@@ -1831,6 +1865,12 @@ def test_negative_definiteness_grows_quadratically_on_a_chain():
     # the rows above each pivot as well would fill the upper triangle, about n^3.
     small, large = (trace_events(is_negative_definite,
                                  intersection_matrix(duval_graph(DuValType("A", n))))
+                    for n in (10, 40))
+    assert large <= 17.6 * small, (small, large)
+    # The pullback, graph build included, eliminates the same rows with its
+    # right-hand side appended and then reads each row once, from the last
+    # up: about n^2 as well.
+    small, large = (trace_events(lambda n: pullback_coefficients(duval_graph(DuValType("A", n))), n)
                     for n in (10, 40))
     assert large <= 17.6 * small, (small, large)
 

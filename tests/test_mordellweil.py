@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import logdgen.mordellweil as mordellweil
 from logdgen.dualgraph import KodairaLabel, kodaira_graph
-from logdgen.graph import _negative_elimination, intersection_matrix
+from logdgen.graph import intersection_matrix
 from logdgen.mordellweil import _simple_count
 from logdgen.mordellweil import (
     MAX_SECTION_CANDIDATES,
@@ -20,6 +20,7 @@ from logdgen.mordellweil import (
     pair_contribution,
     solve_section_config,
 )
+from test_dualgraph import pivoting_elimination
 
 
 def lab(kind, b=None):
@@ -126,7 +127,7 @@ def _graph_pairing(label):
     a = intersection_matrix(g, rest)
     pairing = {}
     for j, column in enumerate(simple[1:], 1):
-        rows = _negative_elimination(a, [int(vid == column) for vid in rest])
+        _, _, rows = pivoting_elimination(a, [int(vid == column) for vid in rest])
         for i, sid in enumerate(simple[1:], 1):
             k = rest.index(sid)
             pairing[i, j] = -rows[k][-1] / rows[k][k]
