@@ -16,6 +16,7 @@ appears anywhere.
 
 from collections import Counter
 from fractions import Fraction as Rational
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm, prod
 from types import MappingProxyType
@@ -232,42 +233,77 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     return m
 
 
-def _negative_elimination(m):
-    """The rows of the symmetric ``m`` eliminated forward in their given
-    order, or None at the first diagonal entry or pivot that is not negative.
+def _negative_elimination(m, rhs=None):
+    """The symmetric ``m`` eliminated in minimum-degree order, or None at the
+    first diagonal entry or pivot that is not negative.
 
-    Row k's pivot is its diagonal entry, with no row search or swap, so it is
-    the ratio of the k-th to the (k-1)-th leading principal minor: by
-    Sylvester's criterion ``m`` is negative definite exactly when every pivot
-    is negative.  Each pivot clears the rows below it.  Columns appended to
-    the rows of ``m`` ride along, and back substitution then solves:
+    This is the symmetric (LDLᵀ) elimination of m's nonzero off-diagonal
+    cells, kept as one dict per row.  Each step takes the row with the fewest
+    entries left, ties to the lower index, so on a tree every step removes a
+    leaf and creates no entry, and on a cycle at most one (Rose, Tarjan and
+    Lueker).  Eliminating in that order is eliminating P m Pᵀ for a
+    permutation P, which has the inertia of m (Sylvester), and each pivot is
+    the ratio of two consecutive leading principal minors of P m Pᵀ: so ``m``
+    is negative definite exactly when every pivot is negative.  The pivot
+    clears its row's column from the rows it meets, and from ``rhs``, a
+    sequence of Fractions, if one is given.  Returned are the steps, each
+    ``(k, pivot, row)``: row k's pivot and its entries left then, over the
+    rows eliminated after it.  With the reduced ``rhs`` (None without one),
+    back substitution over the steps in reverse solves ``m x = rhs``.  Here
+    a star's centre, row 0, waits until one leaf is left, and no step
+    creates an entry:
 
-    >>> (a, b, r), (_, d, s) = _negative_elimination([[-2, 1, 1], [1, -2, 1]])
-    >>> y = s / d
-    >>> (r - b * y) / a, y
-    (Fraction(-1, 1), Fraction(-1, 1))
+    >>> m = [[-4, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]]
+    >>> steps, b = _negative_elimination(m, [Rational(r) for r in (-2, 0, 0, 0)])
+    >>> [(k, pivot) for k, pivot, _ in steps]
+    [(1, -2), (2, -2), (0, Fraction(-3, 1)), (3, Fraction(-5, 3))]
+    >>> x = [None] * 4
+    >>> for k, pivot, row in reversed(steps):
+    ...     x[k] = (b[k] - sum(c * x[j] for j, c in row.items())) / pivot
+    >>> x
+    [Fraction(4, 5), Fraction(2, 5), Fraction(2, 5), Fraction(2, 5)]
     """
     # Each diagonal entry e_k . m e_k of a negative definite matrix is negative,
     # so one that is not ends it before any cell is converted.
     if any(row[k] >= 0 for k, row in enumerate(m)):
         return None
-    rows = [[Rational(x) for x in row] for row in m]
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
+    diagonal = [row[k] for k, row in enumerate(m)]
+    rows = [{j: Rational(x) for j, x in enumerate(row) if x and j != k} for k, row in enumerate(m)]
+    b = None if rhs is None else list(rhs)
+    # (entries left, index) of each row, pushed again whenever its count may have
+    # changed; an entry whose count is no longer the row's is skipped.
+    heap = [(len(row), k) for k, row in enumerate(rows)]
+    heapify(heap)
+    steps = []
+    while heap:
+        degree, k = heappop(heap)
+        row = rows[k]
+        if row is None or len(row) != degree:
+            continue
+        pivot = diagonal[k]
         if pivot >= 0:
             return None
-        for i, row in enumerate(rows[k + 1:], k + 1):
-            if row[k] != 0:
-                factor = row[k] / pivot
-                rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
-    return rows
+        rows[k] = None
+        steps.append((k, pivot, row))
+        for i, c in row.items():
+            factor = c / pivot
+            target = rows[i]
+            del target[k]
+            diagonal[i] -= factor * c
+            for j, x in row.items():
+                if j != i:
+                    target[j] = target.get(j, 0) - factor * x
+            if b is not None:
+                b[i] -= factor * b[k]
+            heappush(heap, (len(target), i))
+    return steps, b
 
 
 def is_negative_definite(m) -> bool:
     """Whether the symmetric matrix is negative definite.
 
-    Checked exactly: all leading principal minors of ``-m`` must be
-    positive.
+    Checked exactly: every pivot of its elimination in minimum-degree
+    order must be negative.
 
     >>> is_negative_definite([[-2, 1], [1, -2]])
     True
@@ -287,8 +323,8 @@ def is_negative_definite(m) -> bool:
 # ---------------------------------------------------------------------------
 # Log pullback, classification, blow-down.
 
-# Most exceptional curves pullback_coefficients solves for: its forward elimination grows
-# as the cube of the count on a dense or star-shaped system (as the square on a chain).
+# Most exceptional curves pullback_coefficients solves for: its elimination grows as the
+# cube of the count on a dense system (linearly on a tree or a cycle).
 MAX_PULLBACK_CURVES = 100
 
 
@@ -300,8 +336,8 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
         (K + sum_C coeff(C) * C + sum_i a_i E_i) . E_j = 0
 
     over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
-    curves must be smooth rational), by one forward elimination and back
-    substitution.  The discrepancy of E_i is -a_i.  More than
+    curves must be smooth rational), by one elimination in minimum-degree
+    order and back substitution.  The discrepancy of E_i is -a_i.  More than
     MAX_PULLBACK_CURVES exceptional curves raise ValueError before the
     system is built, and so does a system whose answer could outgrow
     MAX_ANSWER_DIGITS, before it is eliminated.
@@ -339,14 +375,15 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
                      for row, r in zip(m, rhs.values()))
     if bound >= ANSWER_CEILING:
         raise ValueError(f"the coefficients could have more than {MAX_ANSWER_DIGITS} digits")
-    rows = _negative_elimination([row + [r] for row, r in zip(m, rhs.values())])
-    if rows is None:
+    result = _negative_elimination(m, rhs.values())
+    if result is None:
         raise ValueError("singular system (not negative definite)")
-    # Row k reads rows[k][k] a_k + sum_{j > k} rows[k][j] a_j = rows[k][-1].
+    # Step (k, pivot, row) reads pivot a_k + sum_j row[j] a_j = b[k], over the
+    # curves j eliminated after k.
+    steps, b = result
     a = [None] * len(ids)
-    for k in reversed(range(len(ids))):
-        row = rows[k]
-        a[k] = (row[-1] - sum(c * x for c, x in zip(row[k + 1:-1], a[k + 1:]) if c)) / row[k]
+    for k, pivot, row in reversed(steps):
+        a[k] = (b[k] - sum(c * a[j] for j, c in row.items())) / pivot
     object.__setattr__(g, "_pullback", dict(zip(ids, a)))
     return dict(g._pullback)
 

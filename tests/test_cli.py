@@ -23,10 +23,10 @@ from logdgen.cbf import C_STAR_VALUES, MAX_TOTIENT_X, n_of_x, sp_order
 from logdgen.cli import main
 from logdgen.core import MAX_LITERAL_DIGITS
 from logdgen.dualgraph import half_catalog_graph, half_catalog_label
-from logdgen.graph import MAX_ANSWER_DIGITS, MAX_PULLBACK_CURVES
+from logdgen.graph import MAX_ANSWER_DIGITS, MAX_PULLBACK_CURVES, DualGraph
 from test_core import replace
-from test_dualgraph import (ORACLE_CATALOGS, exceptional_chain_and_strict_chain, graph_to_json, renamed,
-                            renaming)
+from test_dualgraph import (ORACLE_CATALOGS, exceptional_chain_and_strict_chain, graph_to_json,
+                            per_pair_pullback_coefficients, renamed, renaming, star_with_strict_curve)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -251,6 +251,17 @@ class TestGraph:
             assert code == 0
             assert tsv_pairs(out) == {f"E{i}": str(Rational(i + 1, 2 * exceptional + 2))
                                       for i in range(exceptional)}
+        # A star whose centre is listed first: eliminated in the given order, the
+        # centre's row filled every other, and this took 2.1 s.  The oracle
+        # eliminates in the given order, so it reads the curves centre last.
+        g = star_with_strict_curve(MAX_PULLBACK_CURVES)
+        path.write_text(json.dumps(graph_to_json(g)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "graph", path, "discrepancies")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        expected = per_pair_pullback_coefficients(DualGraph(g.vertices[::-1], g.edges))
+        assert tsv_pairs(out) == {vid: str(c) for vid, c in expected.items()}
 
     def test_unprintable_pullback_answer_is_refused_at_once(self, capsys, tmp_path):
         # 30 curves, every other one of self-intersection -(10^1500 - 1): the
