@@ -10,15 +10,15 @@ reader of a graph's JSON form.  The recognizers, which need the catalogs,
 live in ``dualgraph``; ``graph discrepancies`` and ``graph classify`` load
 this module alone.
 
-All arithmetic is exact (``fractions.Fraction``); no numerical tolerance
-appears anywhere.
+All arithmetic is exact: the solvers eliminate on integers and return
+``fractions.Fraction`` answers; no numerical tolerance appears anywhere.
 """
 
 from collections import Counter
 from fractions import Fraction as Rational
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from math import lcm, prod
+from itertools import chain, combinations, compress
+from math import gcd, lcm, prod
 from types import MappingProxyType
 
 from .core import (ANSWER_CEILING, MAX_ANSWER_DIGITS, NOT_LC, Record, json_array, json_int,
@@ -233,43 +233,42 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     return m
 
 
-def _negative_elimination(m, rhs=None):
-    """The symmetric ``m`` eliminated in minimum-degree order, or None at the
-    first diagonal entry or pivot that is not negative.
+def _negative_elimination(diagonal, rows, rhs=None):
+    """The symmetric integer matrix with this diagonal and these rows, one dict
+    of nonzero off-diagonal entries each, eliminated in minimum-degree order;
+    or None at the first diagonal entry or pivot that is not negative.
 
-    This is the symmetric (LDLᵀ) elimination of m's nonzero off-diagonal
-    cells, kept as one dict per row.  Each step takes the row with the fewest
-    entries left, ties to the lower index, so on a tree every step removes a
-    leaf and creates no entry, and on a cycle at most one (Rose, Tarjan and
-    Lueker).  Eliminating in that order is eliminating P m Pᵀ for a
-    permutation P, which has the inertia of m (Sylvester), and each pivot is
-    the ratio of two consecutive leading principal minors of P m Pᵀ: so ``m``
-    is negative definite exactly when every pivot is negative.  The pivot
-    clears its row's column from the rows it meets, and from ``rhs``, a
-    sequence of Fractions, if one is given.  Returned are the steps, each
-    ``(k, pivot, row)``: row k's pivot and its entries left then, over the
-    rows eliminated after it.  With the reduced ``rhs`` (None without one),
-    back substitution over the steps in reverse solves ``m x = rhs``.  Here
-    a star's centre, row 0, waits until one leaf is left, and no step
-    creates an entry:
+    Each step takes the row with the fewest entries left, ties to the lower
+    index, so on a tree every step removes a leaf and creates no entry, and on
+    a cycle at most one (Rose, Tarjan and Lueker).  That order eliminates
+    P m Pᵀ for a permutation P, which has m's inertia (Sylvester), and each
+    pivot is a ratio of consecutive leading principal minors of P m Pᵀ: so m
+    is negative definite exactly when every pivot is negative.  The pivot p
+    clears its column from a row that meets it with entry c by adding c times
+    its own row to -p times that one, integer ``rhs`` included, and dividing
+    out the gcd (Bareiss): -p > 0, so each row stays a positive multiple of
+    the true row, and its pivot has the true pivot's sign.  The arguments are
+    worked on in place.  Returned are the steps ``(k, pivot, row)``, row k's
+    pivot and entries then, over the rows eliminated after it, and the
+    reduced ``rhs`` (None without one): back substitution over the steps in
+    reverse solves m x = rhs.  Here a star's centre, row 0, waits until one
+    leaf is left:
 
-    >>> m = [[-4, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]]
-    >>> steps, b = _negative_elimination(m, [Rational(r) for r in (-2, 0, 0, 0)])
+    >>> rows = [{1: 1, 2: 1, 3: 1}, {0: 1}, {0: 1}, {0: 1}]
+    >>> steps, b = _negative_elimination([-4, -2, -2, -2], rows, [-2, 0, 0, 0])
     >>> [(k, pivot) for k, pivot, _ in steps]
-    [(1, -2), (2, -2), (0, Fraction(-3, 1)), (3, Fraction(-5, 3))]
+    [(1, -2), (2, -2), (0, -3), (3, -5)]
     >>> x = [None] * 4
     >>> for k, pivot, row in reversed(steps):
-    ...     x[k] = (b[k] - sum(c * x[j] for j, c in row.items())) / pivot
+    ...     x[k] = (b[k] - sum(c * x[j] for j, c in row.items())) / Rational(pivot)
     >>> x
     [Fraction(4, 5), Fraction(2, 5), Fraction(2, 5), Fraction(2, 5)]
     """
     # Each diagonal entry e_k . m e_k of a negative definite matrix is negative,
-    # so one that is not ends it before any cell is converted.
-    if any(row[k] >= 0 for k, row in enumerate(m)):
+    # so one that is not ends it before any row is touched.
+    if any(d >= 0 for d in diagonal):
         return None
-    diagonal = [row[k] for k, row in enumerate(m)]
-    rows = [{j: Rational(x) for j, x in enumerate(row) if x and j != k} for k, row in enumerate(m)]
-    b = None if rhs is None else list(rhs)
+    b = [0] * len(diagonal) if rhs is None else rhs
     # (entries left, index) of each row, pushed again whenever its count may have
     # changed; an entry whose count is no longer the row's is skipped.
     heap = [(len(row), k) for k, row in enumerate(rows)]
@@ -285,25 +284,36 @@ def _negative_elimination(m, rhs=None):
             return None
         rows[k] = None
         steps.append((k, pivot, row))
-        for i, c in row.items():
-            factor = c / pivot
+        for i, c_ki in row.items():
             target = rows[i]
-            del target[k]
-            diagonal[i] -= factor * c
+            c = target.pop(k)
+            # s row_i + t row_k, with s / t = -pivot / c and s > 0
+            h = gcd(pivot, c)
+            s, t = -pivot // h, c // h
+            if s != 1:
+                for j in target:
+                    target[j] *= s
             for j, x in row.items():
                 if j != i:
-                    target[j] = target.get(j, 0) - factor * x
-            if b is not None:
-                b[i] -= factor * b[k]
+                    target[j] = target.get(j, 0) + t * x
+            d, r = s * diagonal[i] + t * c_ki, s * b[i] + t * b[k]
+            common = gcd(d, r, *target.values())
+            if common > 1:
+                for j in target:
+                    target[j] //= common
+                d, r = d // common, r // common
+            diagonal[i], b[i] = d, r
             heappush(heap, (len(target), i))
-    return steps, b
+    return steps, rhs
 
 
 def is_negative_definite(m) -> bool:
-    """Whether the symmetric matrix is negative definite.
+    """Whether the symmetric integer matrix is negative definite.
 
     Checked exactly: every pivot of its elimination in minimum-degree
-    order must be negative.
+    order must be negative.  A matrix that is not square, then one that is
+    not symmetric, then one with a nonzero cell that is not an int, raises
+    ValueError saying so.
 
     >>> is_negative_definite([[-2, 1], [1, -2]])
     True
@@ -311,21 +321,58 @@ def is_negative_definite(m) -> bool:
     False
     >>> is_negative_definite([[-1]])
     True
+    >>> is_negative_definite([[-2, 0.5], [0.5, -2]])
+    Traceback (most recent call last):
+    ...
+    ValueError: matrix cell (0, 1) must be an integer, got 0.5
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+    if list(map(tuple, m)) != list(zip(*m)):
         raise ValueError("matrix must be symmetric")
-    return _negative_elimination(m) is not None
+    # The nonzero cells, one dict per row, and their types are collected in C.
+    rows = [dict(zip(compress(range(n), row), filter(None, row))) for row in m]
+    if not set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, x in row.items() if type(x) is not int)
+        raise ValueError(f"matrix cell ({i}, {j}) must be an integer, got {m[i][j]!r}")
+    return _negative_elimination([row.pop(k, 0) for k, row in enumerate(rows)], rows) is not None
 
 
 # ---------------------------------------------------------------------------
 # Log pullback, classification, blow-down.
 
 # Most exceptional curves pullback_coefficients solves for: its elimination grows as the
-# cube of the count on a dense system (linearly on a tree or a cycle).
+# cube of the count on a dense system (linearly on a tree or a cycle, quadratically on a
+# star, whose centre row is rescaled as each leaf is cleared).
 MAX_PULLBACK_CURVES = 100
+
+
+def _pullback_system(g: DualGraph, exc) -> tuple[list, list, list, int]:
+    """The pullback system over the curves ``exc``, from one pass over the edges.
+
+    Returned are the diagonal, one dict of off-diagonal weights per row, the
+    right-hand side 2 + E_j^2 - sum_C coeff(C) C.E_j times D, and D, the lcm
+    of the denominators of the boundary coefficients that meet ``exc``.
+    """
+    place = {v.id: k for k, v in enumerate(exc)}
+    diagonal = [v.self_int for v in exc]
+    rows = [{} for _ in exc]
+    touching = []
+    for a, b, w in g.edges:
+        i, j = place.get(a), place.get(b)
+        if i is not None and j is not None:
+            rows[i][j] = rows[i].get(j, 0) + w
+            rows[j][i] = rows[j].get(i, 0) + w
+        elif i is not None:
+            touching.append((i, g._index[b].boundary_coeff, w))
+        elif j is not None:
+            touching.append((j, g._index[a].boundary_coeff, w))
+    scale = lcm(*(coeff.denominator for _, coeff, _ in touching))
+    rhs = [scale * (2 + d) for d in diagonal]
+    for k, coeff, w in touching:
+        rhs[k] -= coeff.numerator * (scale // coeff.denominator) * w
+    return diagonal, rows, rhs, scale
 
 
 def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
@@ -336,8 +383,9 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
         (K + sum_C coeff(C) * C + sum_i a_i E_i) . E_j = 0
 
     over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
-    curves must be smooth rational), by one elimination in minimum-degree
-    order and back substitution.  The discrepancy of E_i is -a_i.  More than
+    curves must be smooth rational), by one integer elimination in
+    minimum-degree order and back substitution; each a_i becomes a Fraction
+    once, at the end.  The discrepancy of E_i is -a_i.  More than
     MAX_PULLBACK_CURVES exceptional curves raise ValueError before the
     system is built, and so does a system whose answer could outgrow
     MAX_ANSWER_DIGITS, before it is eliminated.
@@ -360,31 +408,33 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
             raise ValueError(f"exceptional curve {v.id!r} must be rational")
         if g.tangency.get(v.id, 0):
             raise ValueError(f"exceptional curve {v.id!r} must be smooth (no self-tangency)")
-    ids = [v.id for v in exc]
-    m = intersection_matrix(g, ids)
-    # The boundary term, sum_C coeff(C) * C.E_j, in one pass over the edges.
-    rhs = {v.id: Rational(2 + v.self_int) for v in exc}
-    for a, b, w in g.edges:
-        if (a in rhs) != (b in rhs):
-            e, c = (a, b) if a in rhs else (b, a)
-            rhs[e] -= g.vertex(c).boundary_coeff * w
+    diagonal, rows, rhs, scale = _pullback_system(g, exc)
     # Cramer and Hadamard: with D the lcm of the right-hand side's denominators,
     # no reduced numerator or denominator exceeds D * prod_j (sum_k |m_jk| + |D rhs_j|).
-    d = lcm(*(r.denominator for r in rhs.values()))
-    bound = d * prod(sum(map(abs, row)) + abs(r.numerator) * (d // r.denominator)
-                     for row, r in zip(m, rhs.values()))
+    # The rhs is over scale, so D = scale / shared and D rhs_j = rhs[j] / shared.
+    shared = gcd(scale, *rhs)
+    bound = scale // shared * prod(abs(d) + sum(row.values()) + abs(r) // shared
+                                   for d, row, r in zip(diagonal, rows, rhs))
     if bound >= ANSWER_CEILING:
         raise ValueError(f"the coefficients could have more than {MAX_ANSWER_DIGITS} digits")
-    result = _negative_elimination(m, rhs.values())
+    result = _negative_elimination(diagonal, rows, rhs)
     if result is None:
         raise ValueError("singular system (not negative definite)")
-    # Step (k, pivot, row) reads pivot a_k + sum_j row[j] a_j = b[k], over the
-    # curves j eliminated after k.
+    # Step (k, pivot, row) reads pivot y_k + sum_j row[j] y_j = b[k], over the
+    # curves j eliminated after k, and a = y / scale; y_j is kept as the pair
+    # num[j] / den[j] in lowest terms.
     steps, b = result
-    a = [None] * len(ids)
+    num, den = [0] * len(exc), [1] * len(exc)
     for k, pivot, row in reversed(steps):
-        a[k] = (b[k] - sum(c * a[j] for j, c in row.items())) / pivot
-    object.__setattr__(g, "_pullback", dict(zip(ids, a)))
+        p, q = b[k], 1
+        for j, c in row.items():
+            common = lcm(q, den[j])
+            p, q = p * (common // q) - c * num[j] * (common // den[j]), common
+        q *= pivot
+        h = gcd(p, q)
+        num[k], den[k] = p // h, q // h
+    object.__setattr__(g, "_pullback", {v.id: Rational(p, q * scale)
+                                        for v, p, q in zip(exc, num, den)})
     return dict(g._pullback)
 
 
@@ -414,9 +464,9 @@ def classify_pair(g: DualGraph) -> str:
     floor_ids = {
         v.id for v in g.vertices if v.role != EXCEPTIONAL and v.boundary_coeff == 1
     }
-    floor_meets_floor = any(
-        a in floor_ids and b in floor_ids for (a, b, w) in g.edges
-    ) or any(g.tangency.get(vid, 0) for vid in floor_ids)
+    floor_meets_floor = bool(floor_ids) and (
+        any(a in floor_ids and b in floor_ids for (a, b, w) in g.edges)
+        or any(g.tangency.get(vid, 0) for vid in floor_ids))
     if mx is not None and mx > 1:
         return NOT_LC
     if mx == 1 or floor_meets_floor:

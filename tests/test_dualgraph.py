@@ -9,8 +9,9 @@ import copy
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm, prod
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import logdgen.graph as graph_module
 from logdgen import dualgraph
-from logdgen.core import (INFINITY, NOT_LC, classical_euler, component_count,
+from logdgen.core import (ANSWER_CEILING, INFINITY, NOT_LC, classical_euler, component_count,
                           doubled_standard_coeff, standard_coeff)
 from logdgen.duval import DuValType, duval_order
 from logdgen.dualgraph import (
@@ -305,6 +306,18 @@ class TestIntersectionMatrix:
         with pytest.raises(ValueError):
             is_negative_definite([[-2, 1], [0, -2]])
 
+    @pytest.mark.parametrize("m, message", [
+        ([[-2, F(1, 2)], [F(1, 2), -2]], "matrix cell (0, 1) must be an integer, got Fraction(1, 2)"),
+        ([[-2, 1], [1, -2.0]], "matrix cell (1, 1) must be an integer, got -2.0"),
+        ([[-2, True], [True, -2]], "matrix cell (0, 1) must be an integer, got True"),
+        # squareness, then symmetry, are checked first
+        ([[-2, 0.5], [1, -2]], "matrix must be symmetric"),
+        ([[-2, 0.5]], "matrix must be square"),
+    ], ids=repr)
+    def test_a_cell_that_is_not_an_integer_is_refused_by_name(self, m, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            is_negative_definite(m)
+
     def test_duval_lattice_determinants(self):
         # det(-M): n+1 for A_n, 4 for D_n, then 3, 2, 1 for E_6, E_7, E_8.
         expected = {("A", 1): 2, ("A", 4): 5, ("A", 7): 8, ("D", 4): 4,
@@ -368,13 +381,34 @@ def test_forward_and_gauss_jordan_eliminations_agree_with_brute_force(m):
     assert kernel_rank(m) == minor_rank(m)
 
 
+def sparse(m):
+    """The square matrix ``m`` as the kernel takes it: its diagonal, and one
+    dict of nonzero off-diagonal cells per row."""
+    return ([row[k] for k, row in enumerate(m)],
+            [{j: x for j, x in enumerate(row) if x and j != k} for k, row in enumerate(m)])
+
+
 def back_substitution(steps, b):
     """The x with pivot x_k + sum_j row[j] x_j = b[k] for every elimination
     step (k, pivot, row), solved from the last step back."""
     x = [None] * len(steps)
     for k, pivot, row in reversed(steps):
-        x[k] = (b[k] - sum(c * x[j] for j, c in row.items())) / pivot
+        x[k] = (b[k] - sum(c * x[j] for j, c in row.items())) / F(pivot)
     return x
+
+
+def true_pivots(m, steps):
+    """The pivots D of P m Pᵀ = L D Lᵀ, P the steps' order, read off steps
+    whose rows are any positive multiples of the true ones: L's entry
+    row[j] / pivot does not depend on the multiple, and each diagonal cell
+    loses d_k (row[j] / pivot)^2 when step k clears its column."""
+    left = [F(row[k]) for k, row in enumerate(m)]
+    pivots = []
+    for k, pivot, row in steps:
+        pivots.append(left[k])
+        for j, c in row.items():
+            left[j] -= left[k] * F(c, pivot) ** 2
+    return pivots
 
 
 @st.composite
@@ -397,13 +431,17 @@ def symmetric_systems(draw):
 @example(([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], [1, 1, 1]))
 def test_negative_elimination_agrees_with_the_pivoting_oracle(system):
     m, rhs = system
-    result = _negative_elimination(m, None if rhs is None else [F(r) for r in rhs])
+    result = _negative_elimination(*sparse(m), None if rhs is None else list(rhs))
     if not negative_pivots(*pivoting_elimination(m)[:2], len(m)):
         assert result is None
         return
     steps, b = result
     assert sorted(k for k, _, _ in steps) == list(range(len(m)))
-    assert prod(pivot for _, pivot, _ in steps) == kernel_det(m)
+    assert all(type(pivot) is int and all(type(c) is int for c in row.values())
+               for _, pivot, row in steps)
+    pivots = true_pivots(m, steps)
+    assert all(p < 0 for p in pivots)
+    assert prod(pivots) == kernel_det(m)
     if rhs is None:
         assert b is None
     else:
@@ -446,14 +484,14 @@ class TestPullback:
             pullback_coefficients(g)
 
     def test_size_limit_refused_before_the_matrix(self, monkeypatch):
-        class MatrixBuilt(Exception):
+        class SystemBuilt(Exception):
             pass
 
         def refuse(*args):
-            raise MatrixBuilt
+            raise SystemBuilt
 
-        monkeypatch.setattr(graph_module, "intersection_matrix", refuse)
-        with pytest.raises(MatrixBuilt):
+        monkeypatch.setattr(graph_module, "_pullback_system", refuse)
+        with pytest.raises(SystemBuilt):
             pullback_coefficients(duval_graph(DuValType("A", MAX_PULLBACK_CURVES)))
         with pytest.raises(ValueError, match=f"^101 exceptional curves exceed {MAX_PULLBACK_CURVES}$"):
             pullback_coefficients(duval_graph(DuValType("A", MAX_PULLBACK_CURVES + 1)))
@@ -486,13 +524,18 @@ def answer_bound(g: DualGraph) -> int:
     return d * prod(sum(map(abs, row)) + abs(d * r) for row, r in zip(m, rhs))
 
 
+@st.composite
+def enlarged_graphs(draw, exponents=st.integers(0, 40)):
+    """A drawn small graph with each exceptional self-intersection multiplied
+    by 10 to a drawn power."""
+    g = draw(small_graphs())
+    return DualGraph([replace(v, self_int=v.self_int * 10 ** draw(exponents))
+                      if v.role == EXCEPTIONAL else v for v in g.vertices], g.edges)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_answers_stay_within_the_cramer_hadamard_bound(data):
-    g = data.draw(small_graphs())
-    big = [replace(v, self_int=v.self_int * 10 ** data.draw(st.integers(0, 40)))
-           if v.role == EXCEPTIONAL else v for v in g.vertices]
-    g = DualGraph(big, g.edges)
+@given(enlarged_graphs())
+def test_answers_stay_within_the_cramer_hadamard_bound(g):
     try:
         coeffs = pullback_coefficients(g)
     except ValueError:
@@ -500,6 +543,17 @@ def test_answers_stay_within_the_cramer_hadamard_bound(data):
     bound = answer_bound(g)
     for c in coeffs.values():
         assert abs(c.numerator) <= bound and c.denominator <= bound
+
+
+# About a quarter of the draws reach the ceiling.
+@settings(max_examples=100, deadline=None)
+@given(enlarged_graphs(st.integers(0, 40) | st.integers(MAX_ANSWER_DIGITS // 4, MAX_ANSWER_DIGITS)))
+# one (-s)-curve has the bound 2s - 2: just at the ceiling, and just under it
+@example(DualGraph([exc("E", -5 * 10 ** (MAX_ANSWER_DIGITS - 1) - 1)]))
+@example(DualGraph([exc("E", -5 * 10 ** (MAX_ANSWER_DIGITS - 1))]))
+def test_the_digit_refusal_fires_exactly_when_the_bound_reaches_the_ceiling(g):
+    refusal = f"ValueError: the coefficients could have more than {MAX_ANSWER_DIGITS} digits"
+    assert (_outcome(pullback_coefficients, g) == refusal) == (answer_bound(g) >= ANSWER_CEILING)
 
 
 @st.composite
@@ -540,12 +594,13 @@ def test_classifying_after_a_pullback_agrees_with_a_fresh_copy(g):
 
 
 def test_a_solved_graph_is_classified_without_solving_again(monkeypatch):
-    # A complete graph of twenty (-20)-curves is dense, so it costs the cube of
-    # the count in any order: a cold classify_pair reads about 239 000 events,
-    # a warm one 1 373, and the warm one eliminates nothing.
+    # A complete graph of forty (-40)-curves is dense, so it costs the cube of
+    # the count in any order: a cold classify_pair reads about 165 000 events,
+    # a warm one 813, and the warm one eliminates nothing.  (Twenty curves
+    # sufficed while the elimination ran on Fractions, at 239 000 events cold.)
     def complete():
-        ids = [f"E{i}" for i in range(20)]
-        return DualGraph([exc(vid, -20) for vid in ids], list(combinations(ids, 2)))
+        ids = [f"E{i}" for i in range(40)]
+        return DualGraph([exc(vid, -40) for vid in ids], list(combinations(ids, 2)))
 
     def refuse(*args):
         raise AssertionError("a solved graph was eliminated again")
@@ -673,6 +728,55 @@ def test_one_pass_builds_agree_with_the_per_pair_oracles(case):
             pullback_coefficients(g)
     else:
         assert pullback_coefficients(g) == expected
+
+
+def small_scope():
+    """Every configuration, up to renaming its exceptional curves, of one to
+    three exceptional curves of self-intersection -4..-1, each pair of them
+    meeting with total weight 0-2, and at most one strict curve, of
+    coefficient 1/2 or 1, meeting each exceptional curve at most once.
+
+    Each is listed once, as the least of its renamings that keep the
+    self-intersections in order: 5 830 graphs.  The scope is set by its cost,
+    about a second here; letting the strict curve meet a curve with weight 2
+    as well gives 17 762 graphs and about four times the cost.
+    """
+    for n in (1, 2, 3):
+        pairs = list(combinations(range(n), 2))
+        boundaries = [()] + [(c, *ws) for c in (F(1, 2), F(1)) for ws in product((0, 1), repeat=n)]
+        for selfs in combinations_with_replacement(range(-4, 0), n):
+            fixing = [p for p in permutations(range(n)) if all(selfs[i] == selfs[j] for i, j in enumerate(p))]
+            for weights in product((0, 1, 2), repeat=len(pairs)):
+                weight = dict(zip(pairs, weights))
+                for boundary in boundaries:
+                    def renamed(p):
+                        return (tuple(weight[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs),
+                                boundary and (boundary[0], *(boundary[1 + p[i]] for i in range(n))))
+                    if any(renamed(p) < renamed(range(n)) for p in fixing):
+                        continue
+                    vertices = [exc(f"E{i}", s) for i, s in enumerate(selfs)]
+                    edges = [(f"E{i}", f"E{j}", w) for (i, j), w in weight.items() if w]
+                    if boundary:
+                        vertices.append(strict("C", boundary[0]))
+                        edges += [(f"E{i}", "C", w) for i, w in enumerate(boundary[1:]) if w]
+                    yield DualGraph(vertices, edges)
+
+
+def test_every_small_configuration_agrees_with_the_per_pair_oracle():
+    graphs = list(small_scope())
+    assert len(graphs) == 5830
+    for g in graphs:
+        expected = _outcome(per_pair_pullback_coefficients, g)
+        assert _outcome(pullback_coefficients, g) == expected, graph_to_json(g)
+        if isinstance(expected, str):
+            assert _outcome(classify_pair, g) == expected, graph_to_json(g)
+            continue
+        # classify_pair's rule: here no two reduced-boundary curves can meet
+        top = max(expected.values())
+        reduced = any(v.boundary_coeff == 1 for v in g.by_role(STRICT))
+        assert classify_pair(g) == (NOT_LC if top > 1 else LC if top == 1 else PLT if reduced
+                                    else TERMINAL if top < 0 else CANONICAL if top == 0
+                                    else LT), graph_to_json(g)
 
 
 class TestClassify:
@@ -1855,8 +1959,8 @@ GROWTH_CASES = {
         lambda n: (TypRecord((FibreTypeLabel("I-2", 1),) * 2 + (FibreTypeLabel("II-1", 2),) * (n - 2),
                              FibreTypeLabel("II-1", 1)), BISECTION),
         lambda args: check_typ(*args)),
-    # the exceptional chain stays at ten curves: the Fraction elimination of a
-    # 100-curve chain is 6.4e4 events by itself, which would hide the growth
+    # the exceptional chain stays at ten curves: the elimination of a 100-curve
+    # chain is 3.5e3 events by itself (6.4e4 on Fractions), which would hide the growth
     "pullback_coefficients_strict_n": (lambda n: exceptional_chain_and_strict_chain(10, n),
                                        pullback_coefficients),
 }
@@ -1885,8 +1989,8 @@ def test_the_riemann_roch_sum_costs_the_same_at_every_multiplicity():
 def test_negative_definiteness_grows_quadratically_on_a_chain():
     # is_negative_definite reads the n^2 cells of its matrix to check that it is
     # symmetric and to find the nonzero ones, and then eliminates a chain from
-    # one end, creating no entry, so A_40 may cost at most 16 * 1.1 times A_10
-    # (1 825 against 10 660 events).
+    # one end, creating no entry, so A_40 may cost at most 16 * 1.1 times A_10.
+    # The cells are read in C, out of sight of the count: 410 against 1 610 events.
     small, large = (trace_events(is_negative_definite,
                                  intersection_matrix(duval_graph(DuValType("A", n))))
                     for n in (10, 40))
@@ -1902,9 +2006,38 @@ def test_the_pullback_on_a_star_grows_at_most_quadratically():
     # The centre is listed first, and eliminated first its row would fill every
     # other: 633 377 against 38 237 076 events from 25 to 100 curves in the
     # given order (60 times).  In minimum-degree order the leaves go first and
-    # nothing fills: 11 674 against 61 997.
+    # nothing fills: 2 091 against 8 166 on integers (11 674 against 61 997 on
+    # Fractions).
     small, large = (trace_events(pullback_coefficients, star_with_strict_curve(n)) for n in (25, 100))
     assert large <= 17.6 * small, (small, large)
+
+
+def fraction_constructions(kernel, *args) -> int:
+    """The calls of ``Fraction.__new__`` that ``kernel(*args)`` makes, counted
+    under sys.setprofile."""
+    count = 0
+
+    def profiler(frame, event, _):
+        nonlocal count
+        count += event == "call" and frame.f_code is F.__new__.__code__
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        kernel(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize("build", [lambda: exceptional_chain_and_strict_chain(100, 1),
+                                   lambda: star_with_strict_curve(100)], ids=["chain", "star"])
+def test_the_pullback_makes_one_fraction_per_answer(build):
+    # The elimination and the back substitution run on integers; each
+    # coefficient becomes a Fraction once, at the end.
+    g = build()
+    assert fraction_constructions(pullback_coefficients, g) <= len(g.by_role(EXCEPTIONAL)) == 100
+    assert len(pullback_coefficients(g)) == 100
 
 
 def test_negative_definiteness_stops_at_the_first_pivot_that_is_not_negative():
@@ -1920,13 +2053,13 @@ def test_negative_definiteness_stops_at_the_first_pivot_that_is_not_negative():
 
 def test_a_diagonal_entry_that_is_not_negative_ends_the_elimination_before_any_conversion():
     # Every diagonal entry of a negative definite matrix is negative, so a 0 on
-    # the diagonal is refused without converting the n^2 cells to Fractions:
-    # A_160 may cost at most 4.4 times A_40, where the conversion costs 16 times.
+    # the diagonal is refused before any row is touched: A_160 may cost at most
+    # 4.4 times A_40, where clearing the rows costs 4 times and more.
     def events(n):
         m = intersection_matrix(duval_graph(DuValType("A", n)))
         m[0][0] = 0
-        assert _negative_elimination(m) is None
-        return trace_events(_negative_elimination, m)
+        assert _negative_elimination(*sparse(m)) is None
+        return trace_events(_negative_elimination, *sparse(m))
 
     small, large = events(40), events(160)
     assert large <= 4.4 * small, (small, large)
