@@ -83,7 +83,9 @@ def parse_rational(value) -> Rational:
     Every literal it cannot read raises ParseError: one that is not a
     rational, one with a zero denominator, and one longer than
     MAX_LITERAL_DIGITS characters or with a decimal exponent beyond that
-    many places, which is refused before ``Fraction`` expands it.
+    many places, which is refused before ``Fraction`` expands it.  A plain
+    ASCII digit string within that length, the usual boundary literal, is
+    read by ``int`` without the regex or ``Fraction``'s string parser.
 
     >>> parse_rational("-3/6"), parse_rational("0.5"), parse_rational(7)
     (Fraction(-1, 2), Fraction(1, 2), Fraction(7, 1))
@@ -97,6 +99,8 @@ def parse_rational(value) -> Rational:
     logdgen.core.ParseError: Invalid literal for Fraction: 'abc'
     """
     text = str(value)
+    if len(text) <= MAX_LITERAL_DIGITS and text.isascii() and text.isdigit():
+        return Rational(int(text))
     exponent = _EXPONENT.search(text)
     if len(text) > MAX_LITERAL_DIGITS or (exponent and abs(int(exponent[1])) > MAX_LITERAL_DIGITS):
         raise ParseError(f"rational literal {text!r} exceeds {MAX_LITERAL_DIGITS} digits")

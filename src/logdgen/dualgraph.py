@@ -304,8 +304,8 @@ def recognize_kodaira(g: DualGraph):
         return _SMALL_KODAIRA.get(_small_signature(g), UNRECOGNIZED)
     if any(v.genus != 0 or v.self_int != -2 for v in vs) or g.tangency or g.coincident:
         return UNRECOGNIZED
-    if len(g.edges) == n and all(v.multiplicity == 1 for v in vs) and all(
-            w == 1 for (_, _, w) in g.edges):
+    reduced = all(v.multiplicity == 1 for v in vs)
+    if reduced and len(g.edges) == n and all(w == 1 for (_, _, w) in g.edges):
         around = {v.id: [] for v in vs}  # built once: incidence scans every edge per call
         for a, b, _ in g.edges:
             around[a].append(b)
@@ -320,6 +320,10 @@ def recognize_kodaira(g: DualGraph):
                         seen.add(u)
                         frontier.append(u)
             return KodairaLabel("I", n) if len(seen) == n else UNRECOGNIZED
+    if reduced:
+        # Every starred type has a curve of multiplicity 2 or more, which the
+        # search's key keeps, so a reduced configuration matches none of them.
+        return UNRECOGNIZED
     starred = [KodairaLabel("I*", n - 5)] if n >= 5 else []
     starred += (KodairaLabel(kind) for kind in PLAIN_KODAIRA if kind.endswith("*"))
     for label in starred:

@@ -224,7 +224,12 @@ def intersection_matrix(g: DualGraph, subset=None) -> list[list[int]]:
     places = {}
     for i, vid in enumerate(ids):
         places.setdefault(vid, []).append(i)
-    m = [[g.vertex(a).self_int if a == b else 0 for b in ids] for a in ids]
+    m = [[0] * len(ids) for _ in ids]
+    for vid, at in places.items():  # in order of first appearance, so the first unknown id raises
+        self_int = g.vertex(vid).self_int
+        for i in at:
+            for j in at:
+                m[i][j] = self_int
     for a, b, w in g.edges:
         for i in places.get(a, ()):
             for j in places.get(b, ()):
@@ -458,26 +463,26 @@ def classify_pair(g: DualGraph) -> str:
     >>> classify_pair(DualGraph([CurveVertex("E", -4)]))
     'LT'
     """
-    coeffs = pullback_coefficients(g)
-    values = list(coeffs.values())
-    mx = max(values) if values else None
-    floor_ids = {
-        v.id for v in g.vertices if v.role != EXCEPTIONAL and v.boundary_coeff == 1
-    }
+    # Where max a_i lies, read off a_i = p/q (q > 0) on integers: 0 below 0,
+    # 1 at 0, 2 inside (0, 1), 3 at 1 and 4 above 1; 0 when nothing is exceptional.
+    top = max(((p >= 0) + (p > 0) + (p >= q) + (p > q) for p, q in
+               map(Rational.as_integer_ratio, pullback_coefficients(g).values())), default=0)
+    if top == 4:
+        return NOT_LC
+    floor_ids = set()
+    for v in g.vertices:
+        if v.role != EXCEPTIONAL:
+            p, q = v.boundary_coeff.as_integer_ratio()
+            if p == q:  # p/q lies in [0, 1], so it is 1 exactly when p = q
+                floor_ids.add(v.id)
     floor_meets_floor = bool(floor_ids) and (
         any(a in floor_ids and b in floor_ids for (a, b, w) in g.edges)
         or any(g.tangency.get(vid, 0) for vid in floor_ids))
-    if mx is not None and mx > 1:
-        return NOT_LC
-    if mx == 1 or floor_meets_floor:
+    if top == 3 or floor_meets_floor:
         return LC
     if floor_ids:
         return PLT
-    if mx is None or mx < 0:
-        return TERMINAL
-    if mx == 0:
-        return CANONICAL
-    return LT
+    return (TERMINAL, CANONICAL, LT)[top]
 
 
 def blow_down(g: DualGraph, vid: str) -> DualGraph:

@@ -25,6 +25,7 @@ from logdgen.core import (
     enumerate_boundary_multisets,
     json_array,
     json_int,
+    parse_rational,
     quotient_defect,
     standard_coeff,
 )
@@ -364,6 +365,41 @@ class TestJsonReaders:
     def test_int_refuses_a_bool_or_float(self, data, key):
         with pytest.raises(TypeError, match=rf"^{key} must be an integer, got {data[key]}$"):
             json_int(data, key)
+
+
+class TestParseRational:
+    """A plain ASCII digit string is read by ``int``; every other literal by
+    the regex and ``Fraction``'s parser, which stay the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123456789", min_size=1, max_size=MAX_LITERAL_DIGITS))
+    @example("0" * MAX_LITERAL_DIGITS)
+    @example("0" * (MAX_LITERAL_DIGITS - 1) + "7")
+    @example("9" * MAX_LITERAL_DIGITS)
+    def test_a_digit_string_reads_as_fraction_reads_it(self, text):
+        value = parse_rational(text)
+        assert type(value) is F and value == F(text)
+
+    def test_the_longest_digit_string_answers_and_one_more_digit_is_refused(self):
+        assert parse_rational("1" + "0" * (MAX_LITERAL_DIGITS - 1)) == 10 ** (MAX_LITERAL_DIGITS - 1)
+        text = "1" + "0" * MAX_LITERAL_DIGITS
+        with pytest.raises(ParseError) as refused:
+            parse_rational(text)
+        assert str(refused.value) == f"rational literal {text!r} exceeds {MAX_LITERAL_DIGITS} digits"
+
+    @pytest.mark.parametrize("text,value", [("-0", F(0)), ("+7", F(7)), ("٣", F(3)),
+                                            (" 7", F(7)), ("7_0", F(70)), ("007/014", F(1, 2))])
+    def test_a_signed_spaced_or_non_ascii_literal_keeps_its_value(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["", "7 8", "²", "1/0"])
+    def test_an_unreadable_literal_keeps_its_message(self, text):
+        with pytest.raises(ParseError) as refused:
+            parse_rational(text)
+        if text == "1/0":
+            assert str(refused.value) == "Fraction(1, 0)"
+        else:
+            assert str(refused.value) == f"Invalid literal for Fraction: {text!r}"
 
 
 class TestHurwitz:

@@ -294,9 +294,15 @@ class TestIntersectionMatrix:
         assert intersection_matrix(g, ["E1", "E1"]) == [[-2, -2], [-2, -2]]
         assert intersection_matrix(g, ["E1", "E2", "E1"]) == [[-2, 1, -2], [1, -2, 1], [-2, 1, -2]]
 
-    def test_unknown_id_refused(self):
-        with pytest.raises(ValueError, match="unknown vertex id 'X'"):
-            intersection_matrix(duval_graph(DuValType("A", 2)), ["E1", "X"])
+    @pytest.mark.parametrize("subset,unknown", [(["E1", "X"], "X"), (["X", "E1"], "X"),
+                                                (["E1", "Y", "X", "Y"], "Y"),
+                                                (["E1", "E2", "E1", "Z", "X", "Z"], "Z")])
+    def test_unknown_id_refused(self, subset, unknown):
+        # the first unknown id in the subset's order is named, as the per-pair oracle names it
+        g = duval_graph(DuValType("A", 2))
+        for build in (intersection_matrix, per_pair_intersection_matrix):
+            with pytest.raises(ValueError, match=f"^unknown vertex id '{unknown}'$"):
+                build(g, subset)
 
     def test_negative_definite(self):
         assert is_negative_definite([[-2, 1], [1, -2]])
@@ -779,6 +785,72 @@ def test_every_small_configuration_agrees_with_the_per_pair_oracle():
                                     else LT), graph_to_json(g)
 
 
+def test_every_small_configuration_answers_alike_under_a_renaming():
+    # ROADMAP item 19: the four recognizers, the discrepancies under the renamed
+    # ids, and the class or the refusal message do not depend on the curves' names
+    rng = random.Random(19)
+    recognizers = (recognize_duval, recognize_kodaira, recognize_half_catalog, recognize_fibre_type)
+    count = 0
+    for g in small_scope():
+        h, fresh = renaming(g, rng)
+        assert [r(h) for r in recognizers] == [r(g) for r in recognizers], graph_to_json(g)
+        coeffs = _outcome(pullback_coefficients, g)
+        if not isinstance(coeffs, str):
+            coeffs = {fresh[vid]: a for vid, a in coeffs.items()}
+        assert _outcome(pullback_coefficients, h) == coeffs, graph_to_json(g)
+        assert _outcome(classify_pair, h) == _outcome(classify_pair, g), graph_to_json(g)
+        count += 1
+    assert count == 5830
+
+
+def fraction_max_class(g, coeffs) -> str:
+    """``classify_pair``'s rule with max a_i taken and compared as a Fraction and
+    the reduced boundary found by Fraction equality: the oracle of its reading
+    on numerators and denominators."""
+    mx = max(coeffs.values(), default=None)
+    floor = {v.id for v in g.vertices if v.role != EXCEPTIONAL and v.boundary_coeff == 1}
+    floor_meets_floor = (any(a in floor and b in floor for a, b, _ in g.edges)
+                         or any(g.tangency.get(vid, 0) for vid in floor))
+    if mx is not None and mx > 1:
+        return NOT_LC
+    if mx == 1 or floor_meets_floor:
+        return LC
+    if floor:
+        return PLT
+    if mx is None or mx < 0:
+        return TERMINAL
+    return CANONICAL if mx == 0 else LT
+
+
+# Coefficients at and next to the thresholds 0 and 1, and one on either side of both.
+THRESHOLD_COEFFS = [F(-3), F(0), F(1, 2), F(1), F(5, 2)] + [
+    t + sign * F(1, 10**k) for t in (0, 1) for sign in (-1, 1) for k in (1, 3, 60)]
+
+
+def test_the_integer_reading_of_the_coefficients_classifies_as_fractions_do(monkeypatch):
+    boundaries = [
+        ([], [], {}),
+        ([strict("C", 1)], [("E0", "C")], {}),
+        ([strict("C", F(999, 1000))], [("E0", "C")], {}),
+        ([strict("C1", 1), strict("C2", 1)], [("C1", "C2")], {}),
+        ([strict("C", 1)], [], {"C": 1}),
+        ([CurveVertex("F", -2, boundary_coeff=F(1), role=FIBRE)], [], {}),
+        ([CurveVertex("E9", -2, boundary_coeff=F(1))], [], {}),
+    ]
+    cases = 0
+    for size in range(4):
+        for values in combinations_with_replacement(THRESHOLD_COEFFS, size):
+            coeffs = {f"E{i}": a for i, a in enumerate(values)}
+            monkeypatch.setattr(graph_module, "pullback_coefficients", lambda g: dict(coeffs))
+            for others, edges, tangency in boundaries:
+                if not values and any("E0" in e for e in edges):
+                    continue
+                g = DualGraph([exc(vid, -2) for vid in coeffs] + others, edges, tangency)
+                assert classify_pair(g) == fraction_max_class(g, coeffs), (values, others)
+                cases += 1
+    assert cases == 7978
+
+
 class TestClassify:
     def test_duval_is_canonical(self):
         assert classify_pair(duval_graph(DuValType("A", 3))) == CANONICAL
@@ -976,6 +1048,25 @@ class TestKodaira:
             g.edges,
         )
         assert recognize_kodaira(stripped) == UNRECOGNIZED
+
+    def test_a_reduced_configuration_builds_no_starred_member(self, monkeypatch):
+        # every starred type has a multiple curve, so a configuration of
+        # multiplicity 1 is refused before any member is built
+        built = []
+        build = dualgraph.kodaira_graph
+        monkeypatch.setattr(dualgraph, "kodaira_graph", lambda label: built.append(label) or build(label))
+        rng = random.Random(37)
+        tree = DualGraph([CurveVertex(f"C{i}", -2, role=FIBRE) for i in range(60)],
+                         [(f"C{rng.randrange(i)}", f"C{i}") for i in range(1, 60)])
+        for g in (duval_graph(DuValType("A", 60)), duval_graph(DuValType("D", 60)), tree):
+            assert recognize_kodaira(g) == UNRECOGNIZED
+            assert oracle_kodaira(g) == set()
+        assert built == []
+        starred = [KodairaLabel("I*", b) for b in range(8)]
+        starred += [KodairaLabel(kind) for kind in ("IV*", "III*", "II*")]
+        for label in starred:
+            assert recognize_kodaira(renamed(build(label), rng)) == label
+        assert label in built
 
     def test_non_fibre_shapes(self):
         assert recognize_kodaira(DualGraph([exc("E", -3)])) == UNRECOGNIZED
