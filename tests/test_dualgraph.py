@@ -294,11 +294,14 @@ class TestIntersectionMatrix:
         assert intersection_matrix(g, ["E1", "E1"]) == [[-2, -2], [-2, -2]]
         assert intersection_matrix(g, ["E1", "E2", "E1"]) == [[-2, 1, -2], [1, -2, 1], [-2, 1, -2]]
 
-    @pytest.mark.parametrize("subset,unknown", [(["E1", "X"], "X"), (["X", "E1"], "X"),
-                                                (["E1", "Y", "X", "Y"], "Y"),
+    def test_unknown_id_refused(self):
+        with pytest.raises(ValueError, match="unknown vertex id 'X'"):
+            intersection_matrix(duval_graph(DuValType("A", 2)), ["E1", "X"])
+
+    @pytest.mark.parametrize("subset,unknown", [(["X", "E1"], "X"), (["E1", "Y", "X", "Y"], "Y"),
                                                 (["E1", "E2", "E1", "Z", "X", "Z"], "Z")])
-    def test_unknown_id_refused(self, subset, unknown):
-        # the first unknown id in the subset's order is named, as the per-pair oracle names it
+    def test_the_first_unknown_id_is_named(self, subset, unknown):
+        # in the subset's order, as the per-pair oracle names it
         g = duval_graph(DuValType("A", 2))
         for build in (intersection_matrix, per_pair_intersection_matrix):
             with pytest.raises(ValueError, match=f"^unknown vertex id '{unknown}'$"):
