@@ -132,8 +132,8 @@ class Record:
     """Base of the package's immutable value types.
 
     A subclass's ``__init__`` checks its arguments and then stores one field
-    per parameter, in parameter order, with one ``self.__dict__.update``; that
-    order is the field order.  Record gives equality between instances of one
+    per parameter, in parameter order, into ``self.__dict__``; that order is
+    the field order.  Record gives equality between instances of one
     class with equal fields, the hash of the field tuple, the
     ``Name(field=value, ...)`` repr, and AttributeError on assignment or
     deletion.  The standard library generates such classes too, but importing

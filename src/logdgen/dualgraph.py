@@ -11,9 +11,11 @@ half-catalog families and the marked fibre types are rows of one table: the
 three recognizers read each fitting row's parameter from the counts of curves,
 build that member and compare canonical tree forms, so each shape is written
 once, in its builder, and no answer depends on vertex names.  The half-catalog
-recognizer first skips each family whose member's exceptional self-intersections,
-sorted, differ from the graph's: the tree form holds them, so such a member
-could not match, and it is neither built nor looked up.  Configurations
+key is an exceptional curve's self-intersection and a strict branch's boundary
+coefficient, so only bullets of coefficient 1/2 match.  That recognizer first
+skips each family whose member's exceptional self-intersections, sorted, differ
+from the graph's: the tree form holds them, so such a member could not match,
+and it is neither built nor looked up.  Configurations
 of at most three curves are read from ``kodaira_graph`` by an exact signature;
 only the starred Kodaira types (I*_b, IV*, III*, II*) still use a backtracking
 search whose cost depends on the vertex names.
@@ -27,7 +29,7 @@ from itertools import combinations
 from .core import (INFINITY, PLAIN_KODAIRA, FibreTypeLabel, KodairaLabel, component_count,
                    doubled_standard_coeff, standard_coeff)
 from .duval import DuValType
-from .graph import EXCEPTIONAL, FIBRE, STRICT, CurveVertex, DualGraph
+from .graph import _ZERO, EXCEPTIONAL, FIBRE, STRICT, CurveVertex, DualGraph
 # The solvers and the reader, under the names callers import from this module.
 from .graph import (blow_down, classify_pair, graph_from_json, intersection_matrix,
                     is_negative_definite, pullback_coefficients)
@@ -121,7 +123,7 @@ def _tree_form(g: DualGraph, key, ids=None):
             entries += 1
     if not inside or entries != len(inside) - 1 or sum(map(len, adjacent.values())) != 2 * entries:
         return None
-    keys = {vid: key(g.vertex(vid), len(nbrs)) for vid, nbrs in adjacent.items()}
+    keys = {vid: key(g._index[vid], len(nbrs)) for vid, nbrs in adjacent.items()}
     left = {vid: len(nbrs) for vid, nbrs in adjacent.items()}  # neighbours not yet peeled
     below = {vid: [] for vid in inside}  # ranks of the vertices peeled into each vertex
     layer = [vid for vid, d in left.items() if d <= 1]
@@ -133,10 +135,14 @@ def _tree_form(g: DualGraph, key, ids=None):
             del left[vid]
         labels, peeled = [], []
         for vid in layer:
-            up = next((u for u in adjacent[vid] if u in left), None)
-            if up is None:
+            for up in adjacent[vid]:
+                if up in left:
+                    break
+            else:
                 return None
-            labels.append((up, (keys[vid], adjacent[vid][up], tuple(sorted(below[vid])))))
+            ranks = below[vid]
+            ranks.sort()
+            labels.append((up, (keys[vid], adjacent[vid][up], tuple(ranks))))
             left[up] -= 1
             if left[up] == 1:
                 peeled.append(up)
@@ -222,7 +228,7 @@ def configuration_euler(g: DualGraph) -> int:
 
 
 def _fibre_vertex(i: int, mult: int = 1, self_int: int = -2, genus: int = 0) -> CurveVertex:
-    return CurveVertex(f"C{i}", self_int, genus, mult, Rational(0), FIBRE)
+    return CurveVertex(f"C{i}", self_int, genus, mult, _ZERO, FIBRE)
 
 
 def kodaira_graph(label: KodairaLabel) -> DualGraph:
@@ -248,7 +254,7 @@ def kodaira_graph(label: KodairaLabel) -> DualGraph:
         return DualGraph(vs, edges)
     if kind == "I*":
         # Spine of b+1 multiplicity-2 curves, two reduced leaves at each end.
-        spine = [CurveVertex(f"S{i}", -2, 0, 2, Rational(0), FIBRE) for i in range(b + 1)]
+        spine = [CurveVertex(f"S{i}", -2, 0, 2, _ZERO, FIBRE) for i in range(b + 1)]
         leaves = [_fibre_vertex(i) for i in (1, 2, 3, 4)]
         edges = [(f"S{i}", f"S{i+1}") for i in range(b)]
         edges += [("C1", "S0"), ("C2", "S0"), (f"C3", f"S{b}"), (f"C4", f"S{b}")]
@@ -262,7 +268,7 @@ def kodaira_graph(label: KodairaLabel) -> DualGraph:
     }
     chain, fork_at, arm = multiplicities[kind]
     vs = [_fibre_vertex(i + 1, mult=m) for i, m in enumerate(chain)]
-    vs += [CurveVertex(f"F{j+1}", -2, 0, m, Rational(0), FIBRE) for j, m in enumerate(arm)]
+    vs += [CurveVertex(f"F{j+1}", -2, 0, m, _ZERO, FIBRE) for j, m in enumerate(arm)]
     edges = [(f"C{i}", f"C{i+1}") for i in range(1, len(chain))]
     edges.append((f"C{fork_at + 1}", "F1"))
     edges += [(f"F{j}", f"F{j+1}") for j in range(1, len(arm))]
@@ -417,8 +423,9 @@ def _half_selfs(family: str, k: int) -> list[int]:
 
 def _half_tree_key(v: CurveVertex, degree: int):
     # Strict branches are germs: their self-intersections are not part of
-    # the figure and must not block recognition.
-    return ("E", v.self_int) if v.role == EXCEPTIONAL else ("S",)
+    # the figure and must not block recognition; their coefficient is, so
+    # only a bullet of coefficient 1/2 matches one.
+    return ("E", v.self_int) if v.role == EXCEPTIONAL else ("S", v.boundary_coeff.as_integer_ratio())
 
 
 def recognize_half_catalog(g: DualGraph):
@@ -429,7 +436,8 @@ def recognize_half_catalog(g: DualGraph):
 
     >>> recognize_half_catalog(DualGraph([CurveVertex("E", -4)]))
     'A_1/2-gamma'
-    >>> recognize_half_catalog(DualGraph([CurveVertex("B", 0, role=STRICT)]))
+    >>> bullet = CurveVertex("B", 0, boundary_coeff=_HALF, role=STRICT)
+    >>> recognize_half_catalog(DualGraph([bullet]))
     'A_0/2'
     """
     if g.by_role(FIBRE) or g.tangency or g.coincident:  # every family is a plain tree
@@ -455,7 +463,7 @@ def _infer_b(coeff: Rational):
 
 
 def _marked(vid: str, coeff, self_int: int = 0, role: str = STRICT) -> CurveVertex:
-    return CurveVertex(vid, self_int, 0, 1, Rational(coeff), role)
+    return CurveVertex(vid, self_int, 0, 1, coeff or _ZERO, role)  # an int becomes a Fraction there
 
 
 # One row per marked fibre type: the self-intersection of its central strict curve C

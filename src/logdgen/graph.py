@@ -62,12 +62,13 @@ class CurveVertex(Record):
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
         # A Fraction is kept as it is, and 0 <= p/q <= 1 (q > 0) is read on integers.
         coeff = boundary_coeff if type(boundary_coeff) is Rational else Rational(boundary_coeff)
-        if not 0 <= coeff.numerator <= coeff.denominator:
+        if coeff is not _ZERO and not 0 <= coeff.numerator <= coeff.denominator:
             raise ValueError(f"boundary coefficient must lie in [0,1], got {coeff}")
         if role not in _ROLES:
             raise ValueError(f"unknown role {role!r}")
-        self.__dict__.update(id=id, self_int=self_int, genus=genus, multiplicity=multiplicity,
-                             boundary_coeff=coeff, role=role)
+        fields = self.__dict__  # one store per field keeps the class's shared-key dict
+        fields["id"], fields["self_int"], fields["genus"] = id, self_int, genus
+        fields["multiplicity"], fields["boundary_coeff"], fields["role"] = multiplicity, coeff, role
 
 
 class DualGraph:
@@ -117,7 +118,7 @@ class DualGraph:
                 raise ValueError(f"self-edge at {a!r}; use a tangency count instead")
             if type(w) is not int or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
-            norm_edges.append((min(a, b), max(a, b), w))
+            norm_edges.append((b, a, w) if b < a else (a, b, w))
         norm_edges.sort()
         tang = dict(tangency or {})
         for vid, count in tang.items():
@@ -533,6 +534,10 @@ def blow_down(g: DualGraph, vid: str) -> DualGraph:
 # JSON input.
 
 
+# The role names as the JSON form writes them, read without a case conversion.
+_ROLE_NAMES = {role.lower(): role for role in _ROLES}
+
+
 def _role(written) -> str:
     """The role a JSON vertex names, in any case; an unknown one is quoted as written."""
     role = str(written).upper()
@@ -549,19 +554,20 @@ def graph_from_json(data: dict) -> DualGraph:
     group, must hold JSON arrays: a string there raises TypeError instead of
     being read one character at a time.  An unreadable or oversized
     boundary literal raises ``core.ParseError`` (see ``core.parse_rational``).
+    Each distinct boundary literal is parsed once per call.
     """
+    literals = {"0": _ZERO}  # parse_rational reads str(value), so the text is the key
     vertices = []
     for item in json_array(data.get("vertices", []), "vertices"):
-        vertices.append(
-            CurveVertex(
-                id=str(item["id"]),
-                self_int=json_int(item, "self_int"),
-                genus=json_int(item, "genus", 0),
-                multiplicity=json_int(item, "mult", 1),
-                boundary_coeff=parse_rational(item["boundary"]) if "boundary" in item else _ZERO,
-                role=_role(item.get("role", "exceptional")),
-            )
-        )
+        vid, self_int = str(item["id"]), json_int(item, "self_int")
+        genus, mult = json_int(item, "genus", 0), json_int(item, "mult", 1)
+        text = str(item["boundary"]) if "boundary" in item else "0"
+        coeff = literals.get(text)
+        if coeff is None:
+            coeff = literals[text] = parse_rational(text)
+        role = item.get("role", "exceptional")
+        role = (_ROLE_NAMES.get(role) if type(role) is str else None) or _role(role)
+        vertices.append(CurveVertex(vid, self_int, genus, mult, coeff, role))
     edges = [
         (str(e["a"]), str(e["b"]), json_int(e, "w", 1))
         for e in json_array(data.get("edges", []), "edges")

@@ -10,6 +10,7 @@ import pickle
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm, prod
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import logdgen.graph as graph_module
 from logdgen import dualgraph
 from logdgen.core import (ANSWER_CEILING, INFINITY, NOT_LC, classical_euler, component_count,
-                          doubled_standard_coeff, standard_coeff)
+                          doubled_standard_coeff, parse_rational, standard_coeff)
 from logdgen.duval import DuValType, duval_order
 from logdgen.dualgraph import (
     HALF_CATALOG_FAMILIES,
@@ -1168,6 +1169,21 @@ class TestHalfCatalog:
         g = DualGraph([strict("B", F(1, 2))])
         assert recognize_half_catalog(g) == "A_0/2"
 
+    @pytest.mark.parametrize("coeff", [F(0), F(1, 3), F(1)])
+    def test_a_lone_strict_curve_needs_coefficient_one_half(self, coeff):
+        # the catalog is of coefficient-1/2 germs; these once read A_0/2
+        assert recognize_half_catalog(DualGraph([strict("B", coeff)])) == UNRECOGNIZED
+
+    @pytest.mark.parametrize("family,k", [(family, k) for family, k in family_k_grid()
+                                          if _HALF_CATALOG[family][4]])  # members with a bullet
+    def test_a_bullet_of_another_coefficient_is_refused(self, family, k):
+        g = half_catalog_graph(family, k)
+        bullets = g.by_role(STRICT)
+        third = replace(bullets[-1], boundary_coeff=F(1, 3))
+        h = DualGraph([third if v is bullets[-1] else v for v in g.vertices], g.edges)
+        assert recognize_half_catalog(h) == UNRECOGNIZED
+        assert walk_recognize_half_catalog(h) == UNRECOGNIZED
+
     def test_raw_chain_is_a5_delta(self):
         # A chain (-3)-(-2)-(-3) built by hand: one curve between the ends.
         g = DualGraph([exc("X", -3), exc("Y", -2), exc("Z", -3)],
@@ -1506,10 +1522,10 @@ def walk_recognize_fibre_type(g: DualGraph):
 
 def _half_key(g: DualGraph, v: CurveVertex):
     # Strict branches are germs: their self-intersections are not part of
-    # the figure and must not block recognition.
+    # the figure and must not block recognition; their coefficients are.
     if v.role == EXCEPTIONAL:
         return ("E", v.self_int, g.tangency.get(v.id, 0))
-    return ("S", g.tangency.get(v.id, 0))
+    return ("S", v.boundary_coeff, g.tangency.get(v.id, 0))
 
 
 def walk_recognize_half_catalog(g: DualGraph):
@@ -1722,6 +1738,59 @@ def near_trees(draw) -> DualGraph:
                    [("T0", "T1"), ("T0", "T1"), ("T1", "T2"), ("T3", "T4"), ("T4", "T5")]))
 def test_a_graph_that_is_no_tree_has_no_form(g):
     assert dualgraph._tree_form(g, _self_int_key) is None
+
+
+# Every tree shape on one to four curves, as parent lists: curve i > 0 meets
+# curve parents[i - 1].  Four curves make a chain or a star.
+SMALL_TREE_SHAPES = ((), (0,), (0, 1), (0, 1, 2), (0, 0, 0))
+# The curves a small tree is drawn from: exceptional of square -2 or -3, and
+# strict of coefficient 1/2 and square 0 or -1, as (square, coefficient, role).
+SMALL_TREE_CURVES = ((-2, F(0), EXCEPTIONAL), (-3, F(0), EXCEPTIONAL),
+                     (0, F(1, 2), STRICT), (-1, F(1, 2), STRICT))
+
+
+def test_every_small_tree_has_the_form_of_exactly_its_isomorphic_trees():
+    # ROADMAP item 19, stage 2: every tree of the shapes above, each curve any
+    # of the four, each entry of weight 1 or 2, under each recognizer's key
+    # (the isomorphism oracle reads the same key, at each curve's degree).
+    # Trees whose curves carry the same keys are one tree to both functions,
+    # so each is checked once.  Each tree must be isomorphic to the first tree
+    # of its form, and no two of those firsts may be: pairs that differ in the
+    # number of curves, the keys or the weights cannot be, so only the others
+    # are searched.  About 0.6 s on a 2-vCPU host.
+    checked = {}
+    for name in ("_duval_key", "_half_tree_key", "_fibre_key"):
+        key = getattr(dualgraph, name)
+
+        def oracle(graph, v):
+            return key(v, graph.incidence(v.id))
+
+        firsts, seen = {}, set()
+        for parents in SMALL_TREE_SHAPES:
+            degrees = [(i > 0) + parents.count(i) for i in range(len(parents) + 1)]
+            for weights in product((1, 2), repeat=len(parents)):
+                for curves in product(SMALL_TREE_CURVES, repeat=len(parents) + 1):
+                    vs = [CurveVertex(f"T{i}", s, 0, 1, c, role) for i, (s, c, role) in enumerate(curves)]
+                    keys = tuple(key(v, degrees[i]) for i, v in enumerate(vs))
+                    if (parents, weights, keys) in seen:
+                        continue
+                    seen.add((parents, weights, keys))
+                    g = DualGraph(vs, [(f"T{i}", f"T{p}", w)
+                                       for i, (p, w) in enumerate(zip(parents, weights), 1)])
+                    first = firsts.setdefault(dualgraph._tree_form(g, key), g)
+                    assert first is g or _isomorphic(g, first, oracle), (name, g.vertices, g.edges)
+        alike = {}
+        for g in firsts.values():
+            keys = Counter(oracle(g, v) for v in g.vertices)
+            weights = sorted(w for _, _, w in g.edges)
+            alike.setdefault(repr((sorted(keys.items(), key=repr), weights)), []).append(g)
+        for group in alike.values():
+            for g, h in combinations(group, 2):
+                assert not _isomorphic(g, h, oracle), (name, g.vertices, g.edges, h.vertices, h.edges)
+        checked[name] = (len(seen), len(firsts))
+    # (trees checked, forms) per key
+    assert checked == {"_duval_key": (23, 16), "_half_tree_key": (1425, 588),
+                       "_fibre_key": (2181, 923)}
 
 
 # ---------------------------------------------------------------------------
@@ -2132,6 +2201,28 @@ def test_the_pullback_makes_one_fraction_per_answer(build):
     g = build()
     assert fraction_constructions(pullback_coefficients, g) <= len(g.by_role(EXCEPTIONAL)) == 100
     assert len(pullback_coefficients(g)) == 100
+
+
+@pytest.mark.parametrize("literal,parses", [("1/2", 1), ("0", 0)])
+def test_the_reader_parses_each_boundary_literal_once(monkeypatch, literal, parses):
+    # a 100-curve chain with the same literal on every curve: one parse of it,
+    # or none for "0", the shared zero (the reader once parsed it per curve)
+    calls = []
+    monkeypatch.setattr(graph_module, "parse_rational",
+                        lambda text: calls.append(text) or parse_rational(text))
+    data = graph_to_json(duval_graph(DuValType("A", 100)))
+    for vertex in data["vertices"]:
+        vertex["boundary"] = literal
+    g = graph_from_json(data)
+    assert calls == [literal] * parses
+    assert {v.boundary_coeff for v in g.vertices} == {parse_rational(literal)}
+
+
+def test_a_kodaira_member_makes_no_fraction_per_curve():
+    # every curve of I*_55 shares one zero coefficient
+    label = KodairaLabel("I*", 55)
+    assert fraction_constructions(kodaira_graph, label) == 0
+    assert len(kodaira_graph(label).vertices) == 60
 
 
 def test_negative_definiteness_stops_at_the_first_pivot_that_is_not_negative():
