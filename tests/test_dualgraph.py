@@ -1171,7 +1171,7 @@ class TestHalfCatalog:
 
     @pytest.mark.parametrize("coeff", [F(0), F(1, 3), F(1)])
     def test_a_lone_strict_curve_needs_coefficient_one_half(self, coeff):
-        # the catalog is of coefficient-1/2 germs; these once read A_0/2
+        # the catalog is of coefficient-1/2 germs
         assert recognize_half_catalog(DualGraph([strict("B", coeff)])) == UNRECOGNIZED
 
     @pytest.mark.parametrize("family,k", [(family, k) for family, k in family_k_grid()
@@ -1757,7 +1757,7 @@ def test_every_small_tree_has_the_form_of_exactly_its_isomorphic_trees():
     # so each is checked once.  Each tree must be isomorphic to the first tree
     # of its form, and no two of those firsts may be: pairs that differ in the
     # number of curves, the keys or the weights cannot be, so only the others
-    # are searched.  About 0.6 s on a 2-vCPU host.
+    # are searched.  About 0.6-0.8 s on a 2-vCPU host.
     checked = {}
     for name in ("_duval_key", "_half_tree_key", "_fibre_key"):
         key = getattr(dualgraph, name)
@@ -2206,7 +2206,7 @@ def test_the_pullback_makes_one_fraction_per_answer(build):
 @pytest.mark.parametrize("literal,parses", [("1/2", 1), ("0", 0)])
 def test_the_reader_parses_each_boundary_literal_once(monkeypatch, literal, parses):
     # a 100-curve chain with the same literal on every curve: one parse of it,
-    # or none for "0", the shared zero (the reader once parsed it per curve)
+    # or none for "0", the shared zero
     calls = []
     monkeypatch.setattr(graph_module, "parse_rational",
                         lambda text: calls.append(text) or parse_rational(text))
