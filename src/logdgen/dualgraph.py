@@ -204,7 +204,7 @@ def recognize_duval(g: DualGraph):
     for v in exc:
         if v.self_int != -2 or v.genus != 0 or g.tangency.get(v.id, 0):
             return UNRECOGNIZED
-    return _recognize(g, ("A", "D", "E"), len(exc), 0, [v.id for v in exc])
+    return _recognize(g, _DUVAL_ROWS, len(exc), 0, [v.id for v in exc])
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +440,16 @@ def recognize_half_catalog(g: DualGraph):
     >>> recognize_half_catalog(DualGraph([bullet]))
     'A_0/2'
     """
-    if g.by_role(FIBRE) or g.tangency or g.coincident:  # every family is a plain tree
+    if g.tangency or g.coincident:  # every family is a plain tree
         return UNRECOGNIZED
-    exc = g.by_role(EXCEPTIONAL)
-    selfs = sorted(v.self_int for v in exc)
-    return _recognize(g, _HALF_CATALOG, len(exc), len(g.vertices) - len(exc),
+    selfs = []  # of the exceptional curves, read in the one pass that refuses a fibre curve
+    for v in g.vertices:
+        if v.role == EXCEPTIONAL:
+            selfs.append(v.self_int)
+        elif v.role == FIBRE:
+            return UNRECOGNIZED
+    selfs.sort()
+    return _recognize(g, _HALF_ROWS, len(selfs), len(g.vertices) - len(selfs),
                       fits=lambda family, k: _half_selfs(family, k) == selfs)
 
 
@@ -454,12 +459,12 @@ def recognize_half_catalog(g: DualGraph):
 
 def _infer_b(coeff: Rational):
     """Recover b from a curve's coefficient (b-1)/b in [0, 1]; None when it is not standard."""
-    if coeff == 1:
+    p, q = coeff.as_integer_ratio()
+    if p == q:
         return INFINITY
-    b = 1 / (1 - coeff)
-    if b.denominator != 1:
-        return None
-    return int(b)
+    # (b-1)/b = p/q (q > 0, in lowest terms) gives b = q / (q - p)
+    b, rest = divmod(q, q - p)
+    return None if rest else b
 
 
 def _marked(vid: str, coeff, self_int: int = 0, role: str = STRICT) -> CurveVertex:
@@ -527,16 +532,17 @@ def recognize_fibre_type(g: DualGraph):
     >>> str(recognize_fibre_type(dynkin_fibre_graph("II-1", 3)))
     '(II-1)_3'
     """
-    if g.tangency or g.coincident:
+    strict = g.by_role(STRICT)
+    if not strict or g.tangency or g.coincident:  # every type has a strict centre
         return UNRECOGNIZED
     # how many distinct curves each curve meets, in one pass over the pairs
     met = Counter(vid for pair in {(a, c) for a, c, _ in g.edges} for vid in pair)
-    centres = [v for v in g.by_role(STRICT) if met[v.id] >= 2]
+    centres = [v for v in strict if met[v.id] >= 2]
     b = _infer_b(centres[0].boundary_coeff) if len(centres) == 1 else None
     if b is None:
         return UNRECOGNIZED
     n_exc = len(g.by_role(EXCEPTIONAL))
-    return _recognize(g, _FIBRE_TYPES, n_exc, len(g.vertices) - n_exc, b=b)
+    return _recognize(g, _FIBRE_ROWS, n_exc, len(g.vertices) - n_exc, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +578,24 @@ def _catalog() -> dict:
 _CATALOG = _catalog()
 
 
-def _recognize(g: DualGraph, families, n_exc: int, n_other: int, ids=None, b=None,
-               fits=None):
-    """The label of the first of ``families`` whose member with these counts of
-    curves has the tree form of ``g`` (of its curves ``ids``), or UNRECOGNIZED.
+def _by_count(families) -> dict:
+    """The rows of ``families`` by their count of other curves, each in order."""
+    index = {}
+    for family in families:
+        key, (exc, other, kmin, kmax), build, label = _CATALOG[family]
+        index.setdefault(other, []).append((family, exc, kmin, kmax, key, build, label))
+    return index
+
+
+_DUVAL_ROWS, _HALF_ROWS, _FIBRE_ROWS = map(_by_count, (("A", "D", "E"), _HALF_CATALOG,
+                                                      _FIBRE_TYPES))
+
+
+def _recognize(g: DualGraph, rows, n_exc: int, n_other: int, ids=None, b=None, fits=None):
+    """The label of the first of ``rows``, a ``_by_count`` index, whose member
+    with these counts of curves has the tree form of ``g`` (of its curves
+    ``ids``), or UNRECOGNIZED.  Only the rows of ``n_other`` other curves are
+    visited.
 
     ``fits(family, k)``, when given, must hold for a member to match; a family
     whose member fails it is skipped before that member is built or its form
@@ -583,10 +603,9 @@ def _recognize(g: DualGraph, families, n_exc: int, n_other: int, ids=None, b=Non
     self-intersections, which the half-catalog tree form holds.
     """
     form = None
-    for family in families:
-        key, (exc, other, kmin, kmax), build, label = _CATALOG[family]
+    for family, exc, kmin, kmax, key, build, label in rows.get(n_other, ()):
         k = kmin + n_exc - exc
-        if n_other != other or k < kmin or kmax is not None and k > kmax:
+        if k < kmin or kmax is not None and k > kmax:
             continue
         if fits is not None and not fits(family, k):
             continue

@@ -11,7 +11,9 @@ live in ``dualgraph``; ``graph discrepancies`` and ``graph classify`` load
 this module alone.
 
 All arithmetic is exact: the solvers eliminate on integers and return
-``fractions.Fraction`` answers; no numerical tolerance appears anywhere.
+``fractions.Fraction`` answers, while the classifier reads the log pullback's
+reduced integer pairs and builds no Fraction; no numerical tolerance appears
+anywhere.
 """
 
 from collections import Counter
@@ -85,11 +87,12 @@ class DualGraph:
 
     Instances are immutable: the containers are tuples, ``tangency`` is a
     read-only mapping, and once ``__init__`` has run, assigning or deleting
-    any field raises AttributeError, as for ``core.Record``.  Only
-    ``pullback_coefficients`` stores into the derived slot ``_pullback``,
-    its first answer, which cannot go stale because nothing it depends on
-    can change; equality and hashing ignore it, and copies, ``blow_down``
-    and ``graph_from_json`` build new instances, which start without it.
+    any field raises AttributeError, as for ``core.Record``.  Only the log
+    pullback stores into the derived slot ``_pullback``, its first answer
+    (integer pairs, and their Fractions once asked for), which cannot go
+    stale because nothing it depends on can change; equality and hashing
+    ignore it, and copies, ``blow_down`` and ``graph_from_json`` build new
+    instances, which start without it.
     """
 
     __slots__ = ("vertices", "edges", "tangency", "coincident", "_index", "_pullback")
@@ -105,11 +108,11 @@ class DualGraph:
             index[v.id] = v
         norm_edges = []
         for entry in edges:
-            match entry:
-                case (a, b):
-                    w = 1
+            match entry:  # the weighted form first: every entry stored is one
                 case (a, b, w):
                     pass
+                case (a, b):
+                    w = 1
                 case _:
                     raise ValueError(f"edge entry must be (a, b) or (a, b, w), got {entry!r}")
             if a not in index or b not in index:
@@ -381,38 +384,19 @@ def _pullback_system(g: DualGraph, exc) -> tuple[list, list, list, int]:
     return diagonal, rows, rhs, scale
 
 
-def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
-    """Coefficients a_i of the exceptional curves in the log pullback.
-
-    Solves, for every exceptional curve E_j, the system
-
-        (K + sum_C coeff(C) * C + sum_i a_i E_i) . E_j = 0
-
-    over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
-    curves must be smooth rational), by one integer elimination in
-    minimum-degree order and back substitution; each a_i becomes a Fraction
-    once, at the end.  The discrepancy of E_i is -a_i.  More than
-    MAX_PULLBACK_CURVES exceptional curves raise ValueError before the
-    system is built, and so does a system whose answer could outgrow
-    MAX_ANSWER_DIGITS, before it is eliminated.
-
-    The first answer is stored on ``g``: later calls on it, ``classify_pair``'s
-    too, solve nothing and return a fresh dict.  A refusal is not stored; it
-    is found again, with the same message, on every call.
-
-    >>> g = DualGraph([CurveVertex("E", -4)])
-    >>> pullback_coefficients(g)
-    {'E': Fraction(1, 2)}
-    """
+def _solve(g: DualGraph) -> dict[str, tuple[int, int]]:
+    """The coefficients a_i as pairs (p, q) in lowest terms, q > 0, solved once
+    per graph and stored on it; see ``pullback_coefficients``."""
     if g._pullback is not None:
-        return dict(g._pullback)
+        return g._pullback[0]
     exc = g.by_role(EXCEPTIONAL)
     if len(exc) > MAX_PULLBACK_CURVES:
         raise ValueError(f"{len(exc)} exceptional curves exceed {MAX_PULLBACK_CURVES}")
+    tangency = g.tangency
     for v in exc:
         if v.genus != 0:
             raise ValueError(f"exceptional curve {v.id!r} must be rational")
-        if g.tangency.get(v.id, 0):
+        if tangency and tangency.get(v.id, 0):
             raise ValueError(f"exceptional curve {v.id!r} must be smooth (no self-tangency)")
     diagonal, rows, rhs, scale = _pullback_system(g, exc)
     # Cramer and Hadamard: with D the lcm of the right-hand side's denominators,
@@ -428,7 +412,7 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
         raise ValueError("singular system (not negative definite)")
     # Step (k, pivot, row) reads pivot y_k + sum_j row[j] y_j = b[k], over the
     # curves j eliminated after k, and a = y / scale; y_j is kept as the pair
-    # num[j] / den[j] in lowest terms.
+    # num[j] / den[j] in lowest terms, den[j] > 0 as the pivot is negative.
     steps, b = result
     num, den = [0] * len(exc), [1] * len(exc)
     for k, pivot, row in reversed(steps):
@@ -436,12 +420,46 @@ def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
         for j, c in row.items():
             common = lcm(q, den[j])
             p, q = p * (common // q) - c * num[j] * (common // den[j]), common
-        q *= pivot
+        p, q = -p, q * -pivot
         h = gcd(p, q)
         num[k], den[k] = p // h, q // h
-    object.__setattr__(g, "_pullback", {v.id: Rational(p, q * scale)
-                                        for v, p, q in zip(exc, num, den)})
-    return dict(g._pullback)
+    pairs = {}
+    for v, p, q in zip(exc, num, den):
+        h = gcd(p, scale)
+        pairs[v.id] = p // h, q * (scale // h)
+    object.__setattr__(g, "_pullback", (pairs, None))
+    return pairs
+
+
+def pullback_coefficients(g: DualGraph) -> dict[str, Rational]:
+    """Coefficients a_i of the exceptional curves in the log pullback.
+
+    Solves, for every exceptional curve E_j, the system
+
+        (K + sum_C coeff(C) * C + sum_i a_i E_i) . E_j = 0
+
+    over the exceptional curves, with K.E_j = -2 - E_j^2 (all exceptional
+    curves must be smooth rational), by one integer elimination in
+    minimum-degree order and back substitution; each a_i becomes a Fraction
+    once per graph, at the end.  The discrepancy of E_i is -a_i.  More than
+    MAX_PULLBACK_CURVES exceptional curves raise ValueError before the
+    system is built, and so does a system whose answer could outgrow
+    MAX_ANSWER_DIGITS, before it is eliminated.
+
+    The first answer is stored on ``g`` as integer pairs, which
+    ``classify_pair`` reads, and their Fractions once made: later calls on it
+    solve nothing and return a fresh dict.  A refusal is not stored; it is
+    found again, with the same message, on every call.
+
+    >>> g = DualGraph([CurveVertex("E", -4)])
+    >>> pullback_coefficients(g)
+    {'E': Fraction(1, 2)}
+    """
+    pairs, coefficients = g._pullback or (_solve(g), None)
+    if coefficients is None:
+        coefficients = {vid: Rational(p, q) for vid, (p, q) in pairs.items()}
+        object.__setattr__(g, "_pullback", (pairs, coefficients))
+    return dict(coefficients)
 
 
 def classify_pair(g: DualGraph) -> str:
@@ -454,9 +472,9 @@ def classify_pair(g: DualGraph) -> str:
     meeting, is LC; otherwise a reduced boundary curve forces PLT, and a
     boundary-free graph grades into LT / CANONICAL / TERMINAL as the
     maximal a_i sits in (0,1), = 0, or < 0 (vacuously TERMINAL when
-    nothing is exceptional).  The coefficients come from
-    ``pullback_coefficients``, so a graph it has already solved is not
-    solved again.
+    nothing is exceptional).  The coefficients are the integer pairs that
+    ``pullback_coefficients`` stores on the graph, so a graph already solved
+    is not solved again, and no Fraction is built.
 
     >>> a3 = DualGraph([CurveVertex(f"E{i}", -2) for i in (1, 2, 3)], [("E1", "E2"), ("E2", "E3")])
     >>> classify_pair(a3)
@@ -466,8 +484,8 @@ def classify_pair(g: DualGraph) -> str:
     """
     # Where max a_i lies, read off a_i = p/q (q > 0) on integers: 0 below 0,
     # 1 at 0, 2 inside (0, 1), 3 at 1 and 4 above 1; 0 when nothing is exceptional.
-    top = max(((p >= 0) + (p > 0) + (p >= q) + (p > q) for p, q in
-               map(Rational.as_integer_ratio, pullback_coefficients(g).values())), default=0)
+    top = max(((p >= 0) + (p > 0) + (p >= q) + (p > q) for p, q in _solve(g).values()),
+              default=0)
     if top == 4:
         return NOT_LC
     floor_ids = set()
@@ -502,9 +520,10 @@ def blow_down(g: DualGraph, vid: str) -> DualGraph:
         raise ValueError(f"{vid!r} has a self-tangency; not a smooth (-1)-curve")
     if any(vid in grp for grp in g.coincident):
         raise ValueError(f"{vid!r} sits in a coincident group; configuration not normal crossing")
-    neighbors = []
+    neighbors, new_edges = [], []
     for (a, b, w) in g.edges:
         if vid not in (a, b):
+            new_edges.append((a, b, w))
             continue
         other = b if a == vid else a
         if w != 1 or other in neighbors:
@@ -520,7 +539,6 @@ def blow_down(g: DualGraph, vid: str) -> DualGraph:
                 u.id, u.self_int + 1, u.genus, u.multiplicity, u.boundary_coeff, u.role
             )
         new_vertices.append(u)
-    new_edges = [(a, b, w) for (a, b, w) in g.edges if vid not in (a, b)]
     for i, a in enumerate(neighbors):
         for b in neighbors[i + 1 :]:
             new_edges.append((a, b, 1))
@@ -554,13 +572,19 @@ def graph_from_json(data: dict) -> DualGraph:
     group, must hold JSON arrays: a string there raises TypeError instead of
     being read one character at a time.  An unreadable or oversized
     boundary literal raises ``core.ParseError`` (see ``core.parse_rational``).
-    Each distinct boundary literal is parsed once per call.
+    Each distinct boundary literal is parsed once per call.  A boundary on
+    an exceptional curve is kept as a marking that only
+    ``dualgraph.recognize_fibre_type`` reads, since the marked fibre types
+    draw coefficients on their exceptional curves; the pullback solves for
+    those coefficients, so it cannot take one as input and ignores it.
     """
     literals = {"0": _ZERO}  # parse_rational reads str(value), so the text is the key
     vertices = []
     for item in json_array(data.get("vertices", []), "vertices"):
         vid, self_int = str(item["id"]), json_int(item, "self_int")
-        genus, mult = json_int(item, "genus", 0), json_int(item, "mult", 1)
+        genus, mult = item.get("genus", 0), item.get("mult", 1)
+        if type(genus) is not int or type(mult) is not int:  # json_int raises, with its message
+            genus, mult = json_int(item, "genus", 0), json_int(item, "mult", 1)
         text = str(item["boundary"]) if "boundary" in item else "0"
         coeff = literals.get(text)
         if coeff is None:
@@ -569,7 +593,7 @@ def graph_from_json(data: dict) -> DualGraph:
         role = (_ROLE_NAMES.get(role) if type(role) is str else None) or _role(role)
         vertices.append(CurveVertex(vid, self_int, genus, mult, coeff, role))
     edges = [
-        (str(e["a"]), str(e["b"]), json_int(e, "w", 1))
+        (str(e["a"]), str(e["b"]), w if type(w := e.get("w", 1)) is int else json_int(e, "w", 1))
         for e in json_array(data.get("edges", []), "edges")
     ]
     tangency = data.get("tangency", {})

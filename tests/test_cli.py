@@ -205,6 +205,23 @@ class TestGraph:
         assert code == 0
         assert tsv_pairs(out) == {"class": "LT"}
 
+    def test_a_boundary_on_an_exceptional_curve_is_only_a_marking(self, capsys, tmp_path):
+        # The pullback solves for an exceptional curve's coefficient, so it
+        # cannot take one as input: E answers as if unmarked.  Only the marked
+        # fibre types read such a coefficient.
+        path = tmp_path / "marked.json"
+        path.write_text(json.dumps({"vertices": [{"id": "E", "self_int": -4, "boundary": "1"}],
+                                    "edges": []}))
+        answers = [run(capsys, "graph", path, action)[:2]
+                   for action in ("recognize", "discrepancies", "classify")]
+        assert [code for code, _ in answers] == [0, 0, 0]
+        assert [tsv_pairs(out) for _, out in answers] == [
+            {"duval": "UNRECOGNIZED", "kodaira": "UNRECOGNIZED", "half_catalog": "A_1/2-gamma",
+             "fibre_type": "UNRECOGNIZED"},
+            {"E": "1/2"},
+            {"class": "LT"},
+        ]
+
     def test_recognize_kodaira_cycle(self, capsys):
         code, out, _ = run(capsys, "graph", FIXTURES / "i3_cycle.json", "recognize")
         assert code == 0

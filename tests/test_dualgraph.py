@@ -845,7 +845,8 @@ def test_the_integer_reading_of_the_coefficients_classifies_as_fractions_do(monk
     for size in range(4):
         for values in combinations_with_replacement(THRESHOLD_COEFFS, size):
             coeffs = {f"E{i}": a for i, a in enumerate(values)}
-            monkeypatch.setattr(graph_module, "pullback_coefficients", lambda g: dict(coeffs))
+            pairs = {vid: a.as_integer_ratio() for vid, a in coeffs.items()}
+            monkeypatch.setattr(graph_module, "_solve", lambda g: pairs)
             for others, edges, tangency in boundaries:
                 if not values and any("E0" in e for e in edges):
                     continue
@@ -1271,6 +1272,34 @@ class TestFibreTypes:
         g = dynkin_fibre_graph("I-2", INFINITY)
         coeffs = {v.id: v.boundary_coeff for v in g.vertices}
         assert coeffs == {"S1": F(1), "C": F(1), "X1": F(1, 2), "X2": F(1, 2)}
+
+    def test_the_coefficients_drawn_on_exceptional_curves_are_read(self):
+        # The marked types draw coefficients on their X and Y curves, so the
+        # reader keeps a boundary on an exceptional curve: zeroed, the member
+        # is no longer of its type.
+        data = graph_to_json(dynkin_fibre_graph("II-3", 2, 1))
+        assert str(recognize_fibre_type(graph_from_json(data))) == "(II-3)_{2,1}"
+        for vertex in data["vertices"]:
+            if vertex["id"].startswith("X"):
+                vertex["boundary"] = "0"
+        assert recognize_fibre_type(graph_from_json(data)) == UNRECOGNIZED
+
+    def test_b_is_read_on_integers_as_the_fraction_rule_reads_it(self):
+        # (b-1)/b = c gives b = 1 / (1 - c); the integer reading must agree on
+        # every coefficient of denominator up to 60, standard or not.
+        def fraction_b(coeff):
+            if coeff == 1:
+                return INFINITY
+            b = 1 / (1 - coeff)
+            return int(b) if b.denominator == 1 else None
+
+        cases = 0
+        for q in range(1, 61):
+            for p in range(q + 1):
+                got, want = _infer_b(F(p, q)), fraction_b(F(p, q))
+                assert (got, type(got)) == (want, type(want)), (p, q)
+                cases += 1
+        assert cases == 1890
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -2028,7 +2057,8 @@ def test_each_row_reads_its_members_back_from_their_counts(family):
                 continue
             member = renamed(member, rng)
             n_exc = len(member.by_role(EXCEPTIONAL))
-            got = dualgraph._recognize(member, [family], n_exc, len(member.vertices) - n_exc, b=b)
+            rows = dualgraph._by_count([family])
+            got = dualgraph._recognize(member, rows, n_exc, len(member.vertices) - n_exc, b=b)
             assert got == label(family, k, b), (family, k, b)
 
 
@@ -2201,6 +2231,31 @@ def test_the_pullback_makes_one_fraction_per_answer(build):
     g = build()
     assert fraction_constructions(pullback_coefficients, g) <= len(g.by_role(EXCEPTIONAL)) == 100
     assert len(pullback_coefficients(g)) == 100
+
+
+@pytest.mark.parametrize("build, cls", [
+    (lambda: exceptional_chain_and_strict_chain(100, 1), LT),
+    (lambda: star_with_strict_curve(100), NOT_LC),
+], ids=["chain", "star"])
+def test_classifying_a_fresh_graph_makes_no_fraction(build, cls):
+    # The class is read off the solver's integer pairs, so only a caller that
+    # asks for the coefficients pays for their Fractions.
+    g = build()
+    assert fraction_constructions(classify_pair, g) == 0
+    assert classify_pair(g) == cls
+    assert fraction_constructions(pullback_coefficients, g) <= 100
+    assert fraction_constructions(pullback_coefficients, g) == 0
+
+
+@pytest.mark.parametrize("kind", [*_FIXED_FIBRE_KINDS, "II-3"])
+def test_a_fibre_type_reads_b_without_a_fraction(kind):
+    # b is read off the centre's numerator and denominator; with the catalog
+    # forms already built, nothing else makes a Fraction either.
+    for b in (1, 2, 3, 7, INFINITY):
+        g = dynkin_fibre_graph(kind, b, 2 if kind == "II-3" else None)
+        label = FibreTypeLabel(kind, b, 2 if kind == "II-3" else None)
+        assert recognize_fibre_type(g) == label
+        assert fraction_constructions(recognize_fibre_type, g) == 0
 
 
 @pytest.mark.parametrize("literal,parses", [("1/2", 1), ("0", 0)])
