@@ -6,19 +6,22 @@ standard coefficients, each beside the builders of its catalog members.  The
 graphs themselves, their JSON reader and the exact solvers live in ``graph``;
 this module re-exports the names its callers have always imported from here.
 
-All arithmetic is exact (``fractions.Fraction``).  The Du Val trees, the
-half-catalog families and the marked fibre types are rows of one table: the
-three recognizers read each fitting row's parameter from the counts of curves,
-build that member and compare canonical tree forms, so each shape is written
-once, in its builder, and no answer depends on vertex names.  The half-catalog
-key is an exceptional curve's self-intersection and a strict branch's boundary
-coefficient, so only bullets of coefficient 1/2 match.  That recognizer first
-skips each family whose member's exceptional self-intersections, sorted, differ
-from the graph's: the tree form holds them, so such a member could not match,
-and it is neither built nor looked up.  Configurations
-of at most three curves are read from ``kodaira_graph`` by an exact signature;
-only the starred Kodaira types (I*_b, IV*, III*, II*) still use a backtracking
-search whose cost depends on the vertex names.
+All arithmetic is exact (``fractions.Fraction``).  The tree forms, the cycle
+check and the fibre types' centre read each curve's neighbours from the
+adjacency that ``DualGraph`` builds with the graph; only the isomorphism search
+and the small signature read pairs through ``DualGraph.entries``.  The Du Val
+trees, the half-catalog families and the marked fibre types are rows of one
+table: the three recognizers read each fitting row's parameter from the counts
+of curves, build that member and compare canonical tree forms, so each shape is
+written once, in its builder, and no answer depends on vertex names.  The
+half-catalog key is an exceptional curve's self-intersection and a strict
+branch's boundary coefficient, so only bullets of coefficient 1/2 match.  That
+recognizer first skips each family whose member's exceptional
+self-intersections, sorted, differ from the graph's: the tree form holds them,
+so such a member could not match, and it is neither built nor looked up.
+Configurations of at most three curves are read from ``kodaira_graph`` by an
+exact signature; only the starred Kodaira types (I*_b, IV*, III*, II*) still
+use a backtracking search whose cost depends on the vertex names.
 """
 
 from collections import Counter
@@ -29,14 +32,12 @@ from itertools import combinations
 from .core import (INFINITY, PLAIN_KODAIRA, FibreTypeLabel, KodairaLabel, component_count,
                    doubled_standard_coeff, standard_coeff)
 from .duval import DuValType
-from .graph import _ZERO, EXCEPTIONAL, FIBRE, STRICT, CurveVertex, DualGraph
+from .graph import _HALF, _ZERO, EXCEPTIONAL, FIBRE, STRICT, CurveVertex, DualGraph
 # The solvers and the reader, under the names callers import from this module.
 from .graph import (blow_down, classify_pair, graph_from_json, intersection_matrix,
                     is_negative_definite, pullback_coefficients)
 
 UNRECOGNIZED = "UNRECOGNIZED"
-
-_HALF = Rational(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -103,29 +104,28 @@ def _tree_form(g: DualGraph, key, ids=None):
     ``key(vertex, degree)`` labels each vertex, ``degree`` counting its
     neighbours in the tree.  Two trees have equal forms exactly when some
     isomorphism keeps the labels and the entry weights (Aho, Hopcroft and
-    Ullman 1974).  One pass peels leaves: a vertex peeled in round h has one
-    neighbour left, its parent, and is labelled (key, weight of the entry to
-    its parent, sorted ranks of the vertices peeled into it).  The ranks are
-    global, each round's sorted distinct labels numbered on from the earlier
-    rounds', because the vertices peeled into one vertex come from different
-    rounds.  The form is the rounds' label lists, the sorted (key, ranks) of
-    the one or two centres never peeled, and the weight between two centres
-    (0 for one).  None unless the n curves carry n - 1 entries on n - 1
-    distinct pairs and the peel neither stalls on a cycle nor meets a vertex
-    with no neighbour left: then they span a tree.
+    Ullman 1974).  It reads the graph's adjacency, cut down to ``ids`` when
+    they leave a curve out.  One pass peels leaves: a vertex peeled in round
+    h has one neighbour left, its parent, and is labelled (key, weight of the
+    entry to its parent, sorted ranks of the vertices peeled into it).  The
+    ranks are global, each round's sorted distinct labels numbered on from
+    the earlier rounds', because the vertices peeled into one vertex come
+    from different rounds.  The form is the rounds' label lists, the sorted
+    (key, ranks) of the one or two centres never peeled, and the weight
+    between two centres (0 for one).  None unless the n curves carry n - 1
+    entries on n - 1 distinct pairs and the peel neither stalls on a cycle
+    nor meets a vertex with no neighbour left: then they span a tree.
     """
-    inside = set(g.ids() if ids is None else ids)
-    adjacent = {vid: {} for vid in inside}
-    entries = 0
-    for a, b, w in g.edges:
-        if a in inside and b in inside:
-            adjacent[a][b] = adjacent[b][a] = w
-            entries += 1
-    if not inside or entries != len(inside) - 1 or sum(map(len, adjacent.values())) != 2 * entries:
+    adjacent, entries = g._adjacent, len(g.edges)
+    if ids is not None:
+        inside = set(ids)
+        adjacent = {v: {u: ws for u, ws in adjacent[v].items() if u in inside} for v in inside}
+        entries = sum(len(ws) for nbrs in adjacent.values() for ws in nbrs.values()) // 2
+    if entries != len(adjacent) - 1 or sum(map(len, adjacent.values())) != 2 * entries:
         return None
     keys = {vid: key(g._index[vid], len(nbrs)) for vid, nbrs in adjacent.items()}
     left = {vid: len(nbrs) for vid, nbrs in adjacent.items()}  # neighbours not yet peeled
-    below = {vid: [] for vid in inside}  # ranks of the vertices peeled into each vertex
+    below = {vid: [] for vid in adjacent}  # ranks of the vertices peeled into each vertex
     layer = [vid for vid, d in left.items() if d <= 1]
     form, offset = [], 0
     while len(left) > 2:
@@ -142,7 +142,7 @@ def _tree_form(g: DualGraph, key, ids=None):
                 return None
             ranks = below[vid]
             ranks.sort()
-            labels.append((up, (keys[vid], adjacent[vid][up], tuple(ranks))))
+            labels.append((up, (keys[vid], adjacent[vid][up][0], tuple(ranks))))
             left[up] -= 1
             if left[up] == 1:
                 peeled.append(up)
@@ -154,7 +154,7 @@ def _tree_form(g: DualGraph, key, ids=None):
         form.append(tuple(distinct))
         layer = peeled
     centre, *other = left
-    weight = adjacent[centre][other[0]] if other else 0
+    weight = adjacent[centre][other[0]][0] if other else 0
     return tuple(form), tuple(sorted((keys[c], tuple(sorted(below[c]))) for c in left)), weight
 
 
@@ -204,7 +204,8 @@ def recognize_duval(g: DualGraph):
     for v in exc:
         if v.self_int != -2 or v.genus != 0 or g.tangency.get(v.id, 0):
             return UNRECOGNIZED
-    return _recognize(g, _DUVAL_ROWS, len(exc), 0, [v.id for v in exc])
+    ids = [v.id for v in exc] if len(exc) < len(g.vertices) else None
+    return _recognize(g, _DUVAL_ROWS, len(exc), 0, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +312,16 @@ def recognize_kodaira(g: DualGraph):
     if any(v.genus != 0 or v.self_int != -2 for v in vs) or g.tangency or g.coincident:
         return UNRECOGNIZED
     reduced = all(v.multiplicity == 1 for v in vs)
-    if reduced and len(g.edges) == n and all(w == 1 for (_, _, w) in g.edges):
-        around = {v.id: [] for v in vs}  # built once: incidence scans every edge per call
-        for a, b, _ in g.edges:
-            around[a].append(b)
-            around[b].append(a)
-        if all(len(us) == 2 for us in around.values()):
-            # Connected 2-regular graph on >= 4 vertices: a cycle.
-            seen = {vs[0].id}
-            frontier = [vs[0].id]
-            while frontier:
-                for u in around[frontier.pop()]:
-                    if u not in seen:
-                        seen.add(u)
-                        frontier.append(u)
-            return KodairaLabel("I", n) if len(seen) == n else UNRECOGNIZED
+    if reduced and all(tuple(nbrs.values()) == ((1,), (1,)) for nbrs in g._adjacent.values()):
+        # Each curve meets two others, once each and transversally: a cycle when connected.
+        seen = {vs[0].id}
+        frontier = [vs[0].id]
+        while frontier:
+            for u in g._adjacent[frontier.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+        return KodairaLabel("I", n) if len(seen) == n else UNRECOGNIZED
     if reduced:
         # Every starred type has a curve of multiplicity 2 or more, which the
         # search's key keeps, so a reduced configuration matches none of them.
@@ -535,9 +531,7 @@ def recognize_fibre_type(g: DualGraph):
     strict = g.by_role(STRICT)
     if not strict or g.tangency or g.coincident:  # every type has a strict centre
         return UNRECOGNIZED
-    # how many distinct curves each curve meets, in one pass over the pairs
-    met = Counter(vid for pair in {(a, c) for a, c, _ in g.edges} for vid in pair)
-    centres = [v for v in strict if met[v.id] >= 2]
+    centres = [v for v in strict if len(g._adjacent[v.id]) >= 2]
     b = _infer_b(centres[0].boundary_coeff) if len(centres) == 1 else None
     if b is None:
         return UNRECOGNIZED

@@ -40,8 +40,8 @@ PLT = "PLT"
 LT = "LT"
 LC = "LC"
 
-# The coefficient of a curve outside the boundary, shared by every such curve.
-_ZERO = Rational(0)
+# Shared coefficients: 0 on every curve outside the boundary, and the reader's 1/2 and 1.
+_ZERO, _HALF, _ONE = Rational(0), Rational(1, 2), Rational(1)
 
 
 class CurveVertex(Record):
@@ -87,15 +87,17 @@ class DualGraph:
 
     Instances are immutable: the containers are tuples, ``tangency`` is a
     read-only mapping, and once ``__init__`` has run, assigning or deleting
-    any field raises AttributeError, as for ``core.Record``.  Only the log
-    pullback stores into the derived slot ``_pullback``, its first answer
-    (integer pairs, and their Fractions once asked for), which cannot go
-    stale because nothing it depends on can change; equality and hashing
-    ignore it, and copies, ``blow_down`` and ``graph_from_json`` build new
-    instances, which start without it.
+    any field raises AttributeError, as for ``core.Record``.  ``__init__``
+    also builds ``_adjacent``, where the solvers and recognizers find
+    neighbours: each curve's, in id order, with the sorted weights of their
+    entries.  Only the log pullback stores into the derived slot
+    ``_pullback``, its first answer (integer pairs, and their Fractions once
+    asked for), which cannot go stale because nothing it depends on can
+    change; equality, hashing and ``__reduce__`` ignore both slots, and
+    copies, ``blow_down`` and ``graph_from_json`` build new instances.
     """
 
-    __slots__ = ("vertices", "edges", "tangency", "coincident", "_index", "_pullback")
+    __slots__ = ("vertices", "edges", "tangency", "coincident", "_index", "_adjacent", "_pullback")
 
     def __init__(self, vertices, edges=(), tangency=None, coincident=()):
         vs = tuple(vertices)
@@ -123,6 +125,9 @@ class DualGraph:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
             norm_edges.append((b, a, w) if b < a else (a, b, w))
         norm_edges.sort()
+        adjacent = {vid: {} for vid in index}  # in id order, as the entries are sorted
+        for a, b, w in norm_edges:
+            adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, ()) + (w,)
         tang = dict(tangency or {})
         for vid, count in tang.items():
             if vid not in index:
@@ -152,6 +157,7 @@ class DualGraph:
         store(self, "tangency", MappingProxyType({k: v for k, v in sorted(tang.items()) if v > 0}))
         store(self, "coincident", tuple(sorted(groups)))
         store(self, "_index", index)
+        store(self, "_adjacent", adjacent)
         store(self, "_pullback", None)
 
     def __setattr__(self, name, value):
@@ -358,7 +364,7 @@ MAX_PULLBACK_CURVES = 100
 
 
 def _pullback_system(g: DualGraph, exc) -> tuple[list, list, list, int]:
-    """The pullback system over the curves ``exc``, from one pass over the edges.
+    """The pullback system over the curves ``exc``, read off their neighbours.
 
     Returned are the diagonal, one dict of off-diagonal weights per row, the
     right-hand side 2 + E_j^2 - sum_C coeff(C) C.E_j times D, and D, the lcm
@@ -368,15 +374,13 @@ def _pullback_system(g: DualGraph, exc) -> tuple[list, list, list, int]:
     diagonal = [v.self_int for v in exc]
     rows = [{} for _ in exc]
     touching = []
-    for a, b, w in g.edges:
-        i, j = place.get(a), place.get(b)
-        if i is not None and j is not None:
-            rows[i][j] = rows[i].get(j, 0) + w
-            rows[j][i] = rows[j].get(i, 0) + w
-        elif i is not None:
-            touching.append((i, g._index[b].boundary_coeff, w))
-        elif j is not None:
-            touching.append((j, g._index[a].boundary_coeff, w))
+    for i, v in enumerate(exc):
+        for u, weights in g._adjacent[v.id].items():
+            j = place.get(u)
+            if j is None:
+                touching.append((i, g._index[u].boundary_coeff, sum(weights)))
+            else:
+                rows[i][j] = sum(weights)
     scale = lcm(*(coeff.denominator for _, coeff, _ in touching))
     rhs = [scale * (2 + d) for d in diagonal]
     for k, coeff, w in touching:
@@ -494,9 +498,8 @@ def classify_pair(g: DualGraph) -> str:
             p, q = v.boundary_coeff.as_integer_ratio()
             if p == q:  # p/q lies in [0, 1], so it is 1 exactly when p = q
                 floor_ids.add(v.id)
-    floor_meets_floor = bool(floor_ids) and (
-        any(a in floor_ids and b in floor_ids for (a, b, w) in g.edges)
-        or any(g.tangency.get(vid, 0) for vid in floor_ids))
+    floor_meets_floor = any(g.tangency.get(vid, 0) or not floor_ids.isdisjoint(g._adjacent[vid])
+                            for vid in floor_ids)
     if top == 3 or floor_meets_floor:
         return LC
     if floor_ids:
@@ -520,31 +523,24 @@ def blow_down(g: DualGraph, vid: str) -> DualGraph:
         raise ValueError(f"{vid!r} has a self-tangency; not a smooth (-1)-curve")
     if any(vid in grp for grp in g.coincident):
         raise ValueError(f"{vid!r} sits in a coincident group; configuration not normal crossing")
-    neighbors, new_edges = [], []
-    for (a, b, w) in g.edges:
-        if vid not in (a, b):
-            new_edges.append((a, b, w))
-            continue
-        other = b if a == vid else a
-        if w != 1 or other in neighbors:
+    neighbors = g._adjacent[vid]
+    for other, weights in neighbors.items():  # in id order, so the lowest is named
+        if weights != (1,):
             raise ValueError(f"{vid!r} does not meet {other!r} in a single transverse point")
-        neighbors.append(other)
-    bumped = set(neighbors)
     new_vertices = []
     for u in g.vertices:
         if u.id == vid:
             continue
-        if u.id in bumped:
+        if u.id in neighbors:
             u = CurveVertex(
                 u.id, u.self_int + 1, u.genus, u.multiplicity, u.boundary_coeff, u.role
             )
         new_vertices.append(u)
-    for i, a in enumerate(neighbors):
-        for b in neighbors[i + 1 :]:
-            new_edges.append((a, b, 1))
+    new_edges = [(a, b, w) for a, b, w in g.edges if vid != a and vid != b]
+    new_edges += ((a, b, 1) for a, b in combinations(neighbors, 2))
     new_groups = list(g.coincident)
     if len(neighbors) >= 3:
-        new_groups.append(tuple(sorted(neighbors)))
+        new_groups.append(tuple(neighbors))
     return DualGraph(new_vertices, new_edges, g.tangency, new_groups)
 
 
@@ -572,13 +568,14 @@ def graph_from_json(data: dict) -> DualGraph:
     group, must hold JSON arrays: a string there raises TypeError instead of
     being read one character at a time.  An unreadable or oversized
     boundary literal raises ``core.ParseError`` (see ``core.parse_rational``).
-    Each distinct boundary literal is parsed once per call.  A boundary on
-    an exceptional curve is kept as a marking that only
+    Each distinct boundary literal is parsed once per call, apart from "0",
+    "1/2" and "1", which read the module's shared coefficients.  A boundary
+    on an exceptional curve is kept as a marking that only
     ``dualgraph.recognize_fibre_type`` reads, since the marked fibre types
     draw coefficients on their exceptional curves; the pullback solves for
     those coefficients, so it cannot take one as input and ignores it.
     """
-    literals = {"0": _ZERO}  # parse_rational reads str(value), so the text is the key
+    literals = {"0": _ZERO, "1/2": _HALF, "1": _ONE}  # keyed by text: parse_rational reads str()
     vertices = []
     for item in json_array(data.get("vertices", []), "vertices"):
         vid, self_int = str(item["id"]), json_int(item, "self_int")

@@ -669,17 +669,17 @@ def test_a_graphs_fields_cannot_be_rebound_under_its_stored_answer():
     g = DualGraph([exc("E", -3)])
     assert pullback_coefficients(g) == {"E": F(1, 3)}
     for name, value in [("tangency", {"E": 1}), ("vertices", ()), ("edges", ()), ("coincident", ()),
-                        ("_index", {}), ("_pullback", {"E": F(5)}), ("extra", 1)]:
+                        ("_index", {}), ("_adjacent", {}), ("_pullback", {"E": F(5)}), ("extra", 1)]:
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(g, name, value)
-    for name in ("tangency", "vertices", "_pullback"):
+    for name in ("tangency", "vertices", "_adjacent", "_pullback"):
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(g, name)
     assert pullback_coefficients(g) == {"E": F(1, 3)}
     assert g == DualGraph([exc("E", -3)])
     # a copy is built through the constructor, so it starts unsolved
     for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-        assert copied == g and copied._pullback is None
+        assert copied == g and copied._pullback is None and copied._adjacent == g._adjacent
         assert pullback_coefficients(copied) == {"E": F(1, 3)}
 
 
@@ -725,6 +725,7 @@ def mixed_graphs(draw):
 @given(mixed_graphs())
 def test_one_pass_builds_agree_with_the_per_pair_oracles(case):
     g, subset = case
+    check_adjacency(g)
     assert intersection_matrix(g) == per_pair_intersection_matrix(g)
     assert intersection_matrix(g, subset) == per_pair_intersection_matrix(g, subset)
     if any(g.tangency.get(v.id) for v in g.by_role(EXCEPTIONAL)):
@@ -772,10 +773,30 @@ def small_scope():
                     yield DualGraph(vertices, edges)
 
 
+def rebuilt_adjacency(g: DualGraph) -> dict:
+    """Each curve's neighbours, each with the sorted weights of their entries, from ``g.edges``."""
+    weights = {}
+    for a, b, w in g.edges:
+        weights.setdefault(frozenset((a, b)), []).append(w)
+    adjacency = {vid: {} for vid in g.ids()}
+    for (a, b), ws in weights.items():
+        adjacency[a][b] = adjacency[b][a] = tuple(sorted(ws))
+    return adjacency
+
+
+def check_adjacency(g: DualGraph) -> None:
+    """``g``'s adjacency and that of each blow-down of ``g``: the rebuilt map, in id order."""
+    for h in [g] + [_outcome(blow_down, g, v.id) for v in g.vertices if v.self_int == -1]:
+        if isinstance(h, DualGraph):
+            assert h._adjacent == rebuilt_adjacency(h), graph_to_json(g)
+            assert all(list(nbrs) == sorted(nbrs) for nbrs in h._adjacent.values())
+
+
 def test_every_small_configuration_agrees_with_the_per_pair_oracle():
     graphs = list(small_scope())
     assert len(graphs) == 5830
     for g in graphs:
+        check_adjacency(g)
         expected = _outcome(per_pair_pullback_coefficients, g)
         assert _outcome(pullback_coefficients, g) == expected, graph_to_json(g)
         if isinstance(expected, str):
@@ -805,6 +826,26 @@ def test_every_small_configuration_answers_alike_under_a_renaming():
         assert _outcome(classify_pair, h) == _outcome(classify_pair, g), graph_to_json(g)
         count += 1
     assert count == 5830
+
+
+def catalog_members(n: int):
+    """Every catalog member of at most ``n`` curves, the fibre types for b = 1, 2 and
+    infinity, and every Kodaira type of at most ``n`` curves."""
+    for family, (_, (exc, other, kmin, kmax), build, _) in dualgraph._CATALOG.items():
+        top = kmin + n - exc - other if kmax is None else min(kmax, kmin + n - exc - other)
+        for b in (1, 2, INFINITY) if family in dualgraph._FIBRE_TYPES else (None,):
+            yield from (build(family, k, b) for k in range(kmin, top + 1))
+    labels = SMALL_KODAIRA + [KodairaLabel("I", b) for b in range(3, n + 1)]
+    labels += [KodairaLabel("I*", b) for b in range(n - 4)]
+    yield from map(kodaira_graph, labels + [KodairaLabel(kind) for kind in ("IV*", "III*", "II*")])
+
+
+def test_every_catalog_member_and_its_blow_downs_carry_the_rebuilt_adjacency():
+    rng = random.Random(20)
+    members = list(catalog_members(60))
+    assert max(len(g.vertices) for g in members) == 60
+    for g in members:
+        check_adjacency(renamed(g, rng))
 
 
 def fraction_max_class(g, coeffs) -> str:
@@ -912,8 +953,7 @@ class TestBlowDown:
 
     def test_two_point_contraction_joins_neighbors(self):
         g = half_catalog_graph("delta", 1)  # (-3)-(-2)-(-3)
-        with pytest.raises(ValueError):
-            blow_down(g, "E2")  # not a (-1)-curve
+        assert _outcome(blow_down, g, "E2") == "ValueError: 'E2' is not a contractible (-1)-curve"
         g2 = DualGraph([exc("A", -3), exc("B", -1), exc("C", -3)], [("A", "B"), ("B", "C")])
         h = blow_down(g2, "B")
         assert h == DualGraph([exc("A", -2), exc("C", -2)], [("A", "C")])
@@ -938,21 +978,33 @@ class TestBlowDown:
 
     def test_tangent_neighbor_rejected(self):
         g = DualGraph([exc("E", -1), exc("F", -2)], [("E", "F", 2)])
-        with pytest.raises(ValueError):
-            blow_down(g, "E")
+        assert _outcome(blow_down, g, "E") == \
+            "ValueError: 'E' does not meet 'F' in a single transverse point"
 
     def test_double_point_neighbor_rejected(self):
         g = DualGraph([exc("E", -1), exc("F", -2)], [("E", "F"), ("E", "F")])
-        with pytest.raises(ValueError):
-            blow_down(g, "E")
+        assert _outcome(blow_down, g, "E") == \
+            "ValueError: 'E' does not meet 'F' in a single transverse point"
+
+    def test_the_lowest_bad_neighbor_is_named(self):
+        # G is listed first, and its tangent entry too, yet F's double point is named
+        g = DualGraph([exc("E", -1), exc("G", -2), exc("F", -2)],
+                      [("E", "G", 2), ("F", "E"), ("E", "F")])
+        assert _outcome(blow_down, g, "E") == \
+            "ValueError: 'E' does not meet 'F' in a single transverse point"
+
+    def test_self_tangent_curve_rejected(self):
+        g = DualGraph([exc("E", -1), exc("F", -2)], [("E", "F")], {"E": 1})
+        assert _outcome(blow_down, g, "E") == \
+            "ValueError: 'E' has a self-tangency; not a smooth (-1)-curve"
 
     def test_vertex_in_coincident_group_rejected(self):
         g = kodaira_graph(KodairaLabel("IV"))
         vs = [CurveVertex(v.id, -1 if v.id == "C1" else v.self_int, role=EXCEPTIONAL)
               for v in g.vertices]
         g2 = DualGraph(vs, g.edges, coincident=g.coincident)
-        with pytest.raises(ValueError):
-            blow_down(g2, "C1")
+        assert _outcome(blow_down, g2, "C1") == \
+            "ValueError: 'C1' sits in a coincident group; configuration not normal crossing"
 
 
 class TestDuValRecognition:
@@ -2258,10 +2310,10 @@ def test_a_fibre_type_reads_b_without_a_fraction(kind):
         assert fraction_constructions(recognize_fibre_type, g) == 0
 
 
-@pytest.mark.parametrize("literal,parses", [("1/2", 1), ("0", 0)])
+@pytest.mark.parametrize("literal,parses", [("1/2", 0), ("0", 0), ("1", 0), ("2/3", 1)])
 def test_the_reader_parses_each_boundary_literal_once(monkeypatch, literal, parses):
     # a 100-curve chain with the same literal on every curve: one parse of it,
-    # or none for "0", the shared zero
+    # or none for "0", "1/2" and "1", the shared coefficients
     calls = []
     monkeypatch.setattr(graph_module, "parse_rational",
                         lambda text: calls.append(text) or parse_rational(text))

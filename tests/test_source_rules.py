@@ -4,7 +4,10 @@ Every module of ``src/logdgen`` is read as a syntax tree, so that no fast
 path can bring in a float or a runtime dependency unseen: a float or complex
 constant, the name ``float``, a ``math`` function other than the integer ones,
 and an import that is neither of the standard library nor of the package
-itself each fail the test, with the module and the line.
+itself each fail the test, with the module and the line.  So does a read of
+an ``.edges`` attribute, other than for its length, outside the few functions
+that build or copy a graph's entries: the rest read the neighbours that
+``DualGraph`` builds once, so no second neighbour map can come back unseen.
 """
 
 import ast
@@ -18,6 +21,26 @@ MODULES = sorted(SRC.glob("*.py"))
 
 # The math functions that take and return integers.
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "prod", "comb", "factorial"}
+
+# The functions that may read a graph's entries: the constructor and pickling, the
+# accessors and equality, the dense matrix, and blow_down's copy of the kept entries.
+EDGE_READERS = {"DualGraph.__init__", "DualGraph.__reduce__", "DualGraph.entries",
+                "DualGraph.incidence", "DualGraph._canonical", "intersection_matrix", "blow_down"}
+
+
+def edge_reads(tree: ast.AST, scope: str = "") -> list[str]:
+    """The reads of an ``.edges`` attribute under ``tree`` that are neither a length
+    nor inside ``EDGE_READERS``, one ``line: who reads .edges`` each."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{tree.name}" if scope else tree.name
+    if (isinstance(tree, ast.Call) and isinstance(tree.func, ast.Name) and tree.func.id == "len"
+            and len(tree.args) == 1 and isinstance(tree.args[0], ast.Attribute)):
+        children = ast.iter_child_nodes(tree.args[0])  # len(x.edges) is a count, not a read
+    elif isinstance(tree, ast.Attribute) and tree.attr == "edges" and scope not in EDGE_READERS:
+        return [f"{tree.lineno}: {scope or 'the module'} reads .edges"]
+    else:
+        children = ast.iter_child_nodes(tree)
+    return [found for child in children for found in edge_reads(child, scope)]
 
 
 def violations(source: str) -> list[str]:
@@ -49,7 +72,7 @@ def violations(source: str) -> list[str]:
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in math_names and node.attr not in INTEGER_MATH):
             found.append(f"{node.lineno}: math.{node.attr}")
-    return found
+    return found + edge_reads(tree)
 
 
 def test_the_package_has_modules_to_check():
@@ -70,6 +93,8 @@ def test_a_module_uses_no_float_and_only_the_standard_library(path):
     ("from math import gcd, floor", "1: math.floor"),
     ("import numpy", "1: import of numpy"),
     ("def f():\n    from sympy.core import S", "2: import from sympy.core"),
+    ("class G:\n    def nbrs(self, g):\n        return {a: b for a, b, _ in g.edges}",
+     "3: G.nbrs reads .edges"),
 ])
 def test_each_rule_names_what_breaks_it(source, what):
     assert violations(source) == [what]
@@ -78,5 +103,7 @@ def test_each_rule_names_what_breaks_it(source, what):
 def test_the_integer_math_the_stdlib_and_the_package_pass():
     source = ("import math\nfrom math import gcd, lcm, isqrt, prod, comb, factorial\n"
               "from fractions import Fraction\nfrom .core import Record\nimport logdgen.graph\n"
-              "x = math.gcd(4, 6) + math.comb(5, 2) + 10**3 // 7\n")
+              "x = math.gcd(4, 6) + math.comb(5, 2) + 10**3 // 7\n"
+              "def blow_down(g):\n    return [e for e in g.edges], len(g.edges)\n"
+              "def count(g):\n    return len(g.edges)\n")
     assert violations(source) == []
